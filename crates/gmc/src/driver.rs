@@ -676,8 +676,8 @@ pub fn run(config: &DriverConfig) -> Result<RunOutcome, DriverError> {
 }
 
 /// Interrupt flag shared with the signal handlers: SIGTERM/SIGINT set
-/// it, the serve loop polls it and switches to the graceful drain
-/// sequence (stop accepting → drain → final snapshot → exit).
+/// it, the serving dispatcher checks it and switches to the graceful
+/// drain sequence (stop accepting → drain → final snapshot → exit).
 static SHUTDOWN_SIGNAL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 extern "C" fn on_shutdown_signal(_signum: i32) {
@@ -704,90 +704,23 @@ fn install_shutdown_handlers() {
     }
 }
 
-/// One request line read under the serve loop's line-length bound.
-enum BoundedLine {
-    /// A complete line within the bound (trailing `\r` stripped).
-    Line(String),
-    /// The line exceeded the bound; it was consumed but not buffered.
-    Oversized,
-    /// The line fit but was not valid UTF-8.
-    BadUtf8,
-    /// End of input.
-    Eof,
-}
-
-/// Read one `\n`-terminated line without ever buffering more than `max`
-/// bytes of it: an oversized line is *consumed* (so the stream stays
-/// in sync) but reported instead of returned, which is what keeps a
-/// hostile or buggy client from growing the daemon's memory without
-/// bound.
-fn read_bounded_line(
-    reader: &mut dyn std::io::BufRead,
-    max: usize,
-) -> std::io::Result<BoundedLine> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversized = false;
-    loop {
-        let chunk = reader.fill_buf()?;
-        if chunk.is_empty() {
-            if buf.is_empty() && !oversized {
-                return Ok(BoundedLine::Eof);
-            }
-            break; // final line without trailing newline
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if !oversized && buf.len() + pos <= max {
-                    buf.extend_from_slice(&chunk[..pos]);
-                } else {
-                    oversized = true;
-                }
-                reader.consume(pos + 1);
-                break;
-            }
-            None => {
-                let len = chunk.len();
-                if !oversized && buf.len() + len <= max {
-                    buf.extend_from_slice(chunk);
-                } else {
-                    oversized = true;
-                    buf.clear();
-                }
-                reader.consume(len);
-            }
-        }
-    }
-    if oversized {
-        return Ok(BoundedLine::Oversized);
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(BoundedLine::Line(s)),
-        Err(_) => Ok(BoundedLine::BadUtf8),
-    }
-}
-
-/// What the reader thread feeds the serve loop.
-enum InMsg {
-    Item(BoundedLine),
-    Io(std::io::Error),
-}
-
-/// Serve mode (`gmcc --serve <path|->`): front a
-/// [`gmc_serve::CompileService`] with JSONL requests from a file or
-/// stdin, streaming one JSONL response line per request to stdout (see
-/// [`gmc_serve::jsonl`] for the wire format). `--jobs` sets the shard
-/// count, `--cache-cap` bounds each shard's compiled-chain cache, and
-/// `--persist FILE` makes restarts warm: the snapshot is loaded on start
-/// (if present; a corrupt file is quarantined to `<path>.bad`) and
-/// rewritten atomically on shutdown. `--deadline-ms` and `--queue-cap`
-/// set the admission-control defaults; `--max-line-bytes` bounds input
-/// lines; `--enable-faults` honors in-band `{"op":"fault"}` requests
-/// (the `GMC_FAULT` environment variable is read regardless, and a
-/// malformed spec refuses to start). The C++ runtime header is attached
-/// to the first response that carries a `.cpp` artifact.
+/// Serve mode (`gmcc --serve <path|->` or `gmcc --listen <addr>`):
+/// front a [`gmc_serve::CompileService`] with JSONL requests, one
+/// response line per request (see [`gmc_serve::jsonl`] for the wire
+/// format). With `--listen` the daemon accepts unix/TCP connections;
+/// otherwise the request file or stdin plus stdout are connection 0 of
+/// the same dispatcher ([`gmc_serve::transport::Front::Stdio`]), so a
+/// response is written the moment its shard finishes. `--jobs` sets
+/// the shard count, `--cache-cap` bounds each shard's compiled-chain
+/// cache, and `--persist FILE` makes restarts warm: the snapshot is
+/// loaded on start (if present; a corrupt file is quarantined to
+/// `<path>.bad`) and rewritten atomically on shutdown. `--deadline-ms`
+/// and `--queue-cap` set the admission-control defaults;
+/// `--max-line-bytes` bounds input lines; `--enable-faults` honors
+/// in-band `{"op":"fault"}` requests (the `GMC_FAULT` environment
+/// variable is read regardless, and a malformed spec refuses to start).
+/// The C++ runtime header is attached to the first response of each
+/// connection that carries a `.cpp` artifact.
 ///
 /// Observability: `{"op":"metrics"}` returns per-shard latency
 /// histograms and counters in-band; `--metrics-file FILE` dumps the
@@ -796,9 +729,10 @@ enum InMsg {
 /// milliseconds end-to-end to stderr with a per-stage breakdown (when
 /// tracing is on).
 ///
-/// Input ends on EOF or on SIGTERM/SIGINT; both run the same graceful
-/// drain: stop accepting, answer everything in flight, write the final
-/// snapshot, exit.
+/// Input ends on EOF (stdio) or on SIGTERM/SIGINT; both run the same
+/// graceful drain: stop accepting, answer everything in flight, write
+/// the final snapshot and metrics dump, exit. A closed stdout ends the
+/// stdio session too, writing off what is still in flight.
 ///
 /// Returns `(requests, failed requests)`; request failures are reported
 /// in-band as `"ok":false` response lines with a typed `kind`, so the
@@ -806,13 +740,13 @@ enum InMsg {
 ///
 /// # Errors
 ///
-/// Returns [`DriverError`] for transport-level problems: unreadable
-/// request source, an incompatible snapshot, a malformed `GMC_FAULT`
-/// spec, or a broken stdout pipe.
+/// Returns [`DriverError`] for transport-level problems: an unreadable
+/// request source or unbindable address, an incompatible snapshot, or a
+/// malformed `GMC_FAULT` spec.
 pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     use gmc_serve::fault::FaultPlan;
-    use gmc_serve::{jsonl, CompileRequest, CompileService, Emit, FailureKind, ServeConfig};
-    use std::io::{BufRead, Write};
+    use gmc_serve::transport::{self, Front, ListenAddr, SocketListener, TransportOptions};
+    use gmc_serve::{CompileService, Emit, ServeConfig};
 
     let default_emit = match config.emit {
         EmitKind::Cpp => Emit::Cpp,
@@ -827,7 +761,7 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         );
     }
     install_shutdown_handlers();
-    let mut service = CompileService::start(ServeConfig {
+    let service = CompileService::start(ServeConfig {
         shards: config.jobs,
         options: compile_options(config),
         cache_capacity: config.cache_cap,
@@ -843,270 +777,10 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     })
     .map_err(|e| DriverError::Compile(e.to_string()))?;
 
-    // `--listen` fronts the same service with the multiplexed socket
-    // transport instead of the stdin/file line loop.
-    if config.listen.is_some() {
-        return run_serve_socket(config, service, default_emit, &faults);
-    }
-
-    let source = config.serve.as_deref().unwrap_or("-");
-    let mut reader: Box<dyn BufRead + Send> = if source == "-" {
-        Box::new(std::io::BufReader::new(std::io::stdin()))
-    } else {
-        let path = PathBuf::from(source);
-        let file = std::fs::File::open(&path).map_err(|e| DriverError::Io(path, e))?;
-        Box::new(std::io::BufReader::new(file))
-    };
-
-    // Input is read on its own thread so the serve loop can keep
-    // streaming responses and polling the shutdown flag while the
-    // reader blocks on a quiet stdin.
-    let (line_tx, line_rx) = std::sync::mpsc::channel::<InMsg>();
-    let max_line = config.max_line_bytes;
-    std::thread::spawn(move || loop {
-        match read_bounded_line(reader.as_mut(), max_line) {
-            Ok(BoundedLine::Eof) => {
-                let _ = line_tx.send(InMsg::Item(BoundedLine::Eof));
-                break;
-            }
-            Ok(item) => {
-                if line_tx.send(InMsg::Item(item)).is_err() {
-                    break; // serve loop is gone (drain path)
-                }
-            }
-            Err(e) => {
-                let _ = line_tx.send(InMsg::Io(e));
-                break;
-            }
-        }
-    });
-
-    /// Streams response lines, attaching the C++ runtime header to the
-    /// first `.cpp`-carrying response and counting in-band failures.
-    struct LineWriter<W: Write> {
-        out: W,
-        header_sent: bool,
-        failures: u64,
-    }
-
-    impl<W: Write> LineWriter<W> {
-        fn raw(&mut self, line: &str) -> Result<(), DriverError> {
-            writeln!(self.out, "{line}").map_err(|e| DriverError::Io(PathBuf::from("<stdout>"), e))
-        }
-
-        fn emit(&mut self, mut response: gmc_serve::CompileResponse) -> Result<(), DriverError> {
-            if let Ok(artifacts) = &mut response.result {
-                if !self.header_sent && artifacts.files.iter().any(|(n, _)| n.ends_with(".cpp")) {
-                    artifacts.files.insert(
-                        0,
-                        (
-                            "gmc_runtime.hpp".to_string(),
-                            gmc_serve::emit_runtime_header(),
-                        ),
-                    );
-                    self.header_sent = true;
-                }
-            } else {
-                self.failures += 1;
-            }
-            self.raw(&jsonl::response_line(&response))
-        }
-    }
-
-    let stdout = std::io::stdout();
-    let mut writer = LineWriter {
-        out: stdout.lock(),
-        header_sent: false,
-        failures: 0,
-    };
-    let bad_request = |id: u64, msg: String| {
-        gmc_serve::CompileResponse::failure(id, FailureKind::BadRequest, msg)
-    };
-
-    let mut requests: u64 = 0;
-    'accept: loop {
-        if SHUTDOWN_SIGNAL.load(std::sync::atomic::Ordering::SeqCst) {
-            eprintln!("gmcc --serve: shutdown signal received; draining");
-            break 'accept;
-        }
-        let msg = match line_rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok(msg) => msg,
-            // Idle beat: stream finished work, then poll the flag again.
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                while let Some(response) = service.try_recv() {
-                    writer.emit(response)?;
-                }
-                continue 'accept;
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break 'accept,
-        };
-        let line = match msg {
-            InMsg::Io(e) => return Err(DriverError::Io(PathBuf::from(source), e)),
-            InMsg::Item(BoundedLine::Eof) => break 'accept,
-            InMsg::Item(BoundedLine::Oversized) => {
-                requests += 1;
-                writer.emit(bad_request(
-                    requests,
-                    format!("request line exceeds {max_line} bytes"),
-                ))?;
-                continue 'accept;
-            }
-            InMsg::Item(BoundedLine::BadUtf8) => {
-                requests += 1;
-                writer.emit(bad_request(
-                    requests,
-                    "request line is not valid UTF-8".into(),
-                ))?;
-                continue 'accept;
-            }
-            InMsg::Item(BoundedLine::Line(line)) => line,
-        };
-        if line.trim().is_empty() {
-            continue 'accept;
-        }
-        requests += 1;
-        // Requests without an explicit id (and malformed lines) are
-        // assigned their 1-based position in the stream, as documented
-        // in `gmc_serve::jsonl`; explicit ids are the client's own
-        // namespace and pass through untouched.
-        let stream_id = requests;
-        match jsonl::parse_request(&line) {
-            Ok(raw) => {
-                let id = raw.id.unwrap_or(stream_id);
-                match raw.op.as_deref() {
-                    // In-band service queries: answered synchronously
-                    // (stats rides the work queues and observes every
-                    // compile submitted before this line; health reads
-                    // atomics and answers even when shards are wedged).
-                    Some("stats") => writer.raw(&jsonl::stats_line(id, &service.stats()))?,
-                    Some("health") => writer.raw(&jsonl::health_line(id, &service.health()))?,
-                    Some("metrics") => {
-                        let metrics = service.metrics();
-                        // A metrics query also refreshes the Prometheus
-                        // dump, so scrapers watching the file see the
-                        // same snapshot the client got in-band.
-                        if let Some(path) = &config.metrics_file {
-                            std::fs::write(path, metrics.to_prometheus())
-                                .map_err(|e| DriverError::Io(path.clone(), e))?;
-                        }
-                        writer.raw(&jsonl::metrics_line(id, &metrics))?;
-                    }
-                    Some("fault") if !config.enable_faults => {
-                        writer.emit(bad_request(
-                            id,
-                            "fault injection is disabled (run with --enable-faults)".into(),
-                        ))?;
-                    }
-                    Some("fault") => match raw.spec.as_deref() {
-                        Some(spec) => match faults.arm(spec) {
-                            Ok(()) => writer.raw(&jsonl::ack_line(id, "fault"))?,
-                            Err(e) => {
-                                writer.emit(bad_request(id, format!("bad fault spec: {e}")))?;
-                            }
-                        },
-                        None => {
-                            writer.emit(bad_request(id, "fault op needs a `spec` field".into()))?;
-                        }
-                    },
-                    Some(other) => {
-                        writer.emit(bad_request(id, format!("unknown op `{other}`")))?;
-                    }
-                    None => {
-                        let deadline = raw.deadline_ms.map(std::time::Duration::from_millis);
-                        match raw.emit.as_deref().map(Emit::parse) {
-                            None => service.submit(CompileRequest {
-                                id,
-                                name: raw.name,
-                                source: raw.source,
-                                emit: default_emit,
-                                deadline,
-                            }),
-                            Some(Ok(emit)) => service.submit(CompileRequest {
-                                id,
-                                name: raw.name,
-                                source: raw.source,
-                                emit,
-                                deadline,
-                            }),
-                            Some(Err(msg)) => writer.emit(bad_request(id, msg))?,
-                        }
-                    }
-                }
-            }
-            Err(msg) => writer.emit(bad_request(stream_id, format!("bad request line: {msg}")))?,
-        }
-        // Stream whatever has already finished before blocking on more
-        // input.
-        while let Some(response) = service.try_recv() {
-            writer.emit(response)?;
-        }
-    }
-    // Graceful drain: accepting has stopped (EOF or signal); answer
-    // everything in flight, then persist the final snapshot atomically
-    // so the next start is warm.
-    while let Some(response) = service.recv() {
-        writer.emit(response)?;
-    }
-    let failures = writer.failures;
-    if let Some(path) = &config.persist {
-        service
-            .save_snapshot(path)
-            .map_err(|e| DriverError::Compile(e.to_string()))?;
-    }
-    // Final Prometheus dump: everything the service recorded, including
-    // the drained tail, lands in the metrics file before exit.
-    if let Some(path) = &config.metrics_file {
-        std::fs::write(path, service.metrics().to_prometheus())
-            .map_err(|e| DriverError::Io(path.clone(), e))?;
-    }
-    let stats = service.shutdown();
-    eprintln!(
-        "gmcc --serve: {requests} request(s), {failures} failed, {} shard(s), \
-         {} cache hit(s), {} restored from snapshot, {} panic(s) caught, {} restart(s)",
-        stats.shards.len(),
-        stats.cache_hits(),
-        stats.restored(),
-        stats.panics(),
-        stats.restarts(),
-    );
-    Ok((requests, failures))
-}
-
-/// Socket serve mode (`gmcc --serve --listen <addr>`): front the shared
-/// [`gmc_serve::CompileService`] with the multiplexed socket transport
-/// instead of the stdin/file line loop — many concurrent JSONL
-/// connections, pipelined request ids, out-of-order responses matched
-/// by id on the submitting connection. Admission control, deadlines,
-/// routing, and persistence flags mean exactly what they mean on the
-/// stdin daemon; `{"op":"health"}`/`{"op":"metrics"}` responses
-/// additionally carry a `"transport"` object and the Prometheus dump
-/// gains connection gauges. SIGTERM/SIGINT runs the same graceful
-/// drain: stop accepting, answer everything in flight on its
-/// connection, write the final snapshot, exit.
-fn run_serve_socket(
-    config: &DriverConfig,
-    service: gmc_serve::CompileService,
-    default_emit: gmc_serve::Emit,
-    faults: &gmc_serve::fault::FaultPlan,
-) -> Result<(u64, u64), DriverError> {
-    use gmc_serve::transport::{self, ListenAddr, SocketListener, TransportOptions};
-    use std::sync::atomic::Ordering;
-    use std::sync::Arc;
-
-    let addr = ListenAddr::parse(
-        config
-            .listen
-            .as_deref()
-            .expect("socket mode requires --listen"),
-    );
-    let addr_path = PathBuf::from(addr.to_string());
-    let listener =
-        SocketListener::bind(&addr).map_err(|e| DriverError::Io(addr_path.clone(), e))?;
-    eprintln!("gmcc --serve: listening on {}", listener.local_addr());
     let options = TransportOptions {
         default_emit,
         enable_faults: config.enable_faults,
-        faults: faults.clone(),
+        faults,
         max_line_bytes: config.max_line_bytes,
         metrics_file: config.metrics_file.clone(),
         attach_runtime_header: true,
@@ -1115,35 +789,46 @@ fn run_serve_socket(
         idle_timeout: config.idle_timeout_ms.map(std::time::Duration::from_millis),
         ..TransportOptions::default()
     };
-    // The signal handler stores into the process-wide flag; the
-    // transport polls an `Arc`, so a bridge thread forwards the edge
-    // (and exits once either side is set).
-    let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    {
-        let flag = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            while !flag.load(Ordering::SeqCst) {
-                if SHUTDOWN_SIGNAL.load(Ordering::SeqCst) {
-                    eprintln!("gmcc --serve: shutdown signal received; draining connections");
-                    flag.store(true, Ordering::SeqCst);
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        });
-    }
-    let (service, report) = transport::serve(listener, service, options, Arc::clone(&shutdown))
-        .map_err(|e| DriverError::Io(addr_path, e))?;
-    shutdown.store(true, Ordering::SeqCst);
+    // One dispatcher either way: `--listen` accepts socket connections,
+    // otherwise the request source and stdout are its connection 0.
+    let (front, source) = match &config.listen {
+        Some(listen) => {
+            let addr = ListenAddr::parse(listen);
+            let label = PathBuf::from(addr.to_string());
+            let listener =
+                SocketListener::bind(&addr).map_err(|e| DriverError::Io(label.clone(), e))?;
+            eprintln!("gmcc --serve: listening on {}", listener.local_addr());
+            (Front::Listen(listener), label)
+        }
+        None => {
+            let source = config.serve.as_deref().unwrap_or("-");
+            let input: Box<dyn std::io::Read + Send> = if source == "-" {
+                Box::new(std::io::stdin())
+            } else {
+                let path = PathBuf::from(source);
+                Box::new(std::fs::File::open(&path).map_err(|e| DriverError::Io(path, e))?)
+            };
+            let output = Box::new(std::io::stdout());
+            (Front::Stdio { input, output }, PathBuf::from(source))
+        }
+    };
+    let sockets = matches!(front, Front::Listen(_));
+    let (service, report) = transport::serve_front(front, service, options, &SHUTDOWN_SIGNAL)
+        .map_err(|e| DriverError::Io(source, e))?;
+    // The drain answered everything in flight; persist the final
+    // snapshot atomically so the next start is warm.
     if let Some(path) = &config.persist {
         service
             .save_snapshot(path)
             .map_err(|e| DriverError::Compile(e.to_string()))?;
     }
-    // Final Prometheus dump, transport counters included.
+    // Final Prometheus dump: everything the service recorded, including
+    // the drained tail (and, on sockets, the transport counters).
     if let Some(path) = &config.metrics_file {
         let mut text = service.metrics().to_prometheus();
-        report.snapshot.write_prometheus(&mut text);
+        if sockets {
+            report.snapshot.write_prometheus(&mut text);
+        }
         std::fs::write(path, text).map_err(|e| DriverError::Io(path.clone(), e))?;
     }
     let stats = service.shutdown();

@@ -99,10 +99,12 @@
 //!   end-to-end (pools are asserted bit-identical either way).
 //! * **Graceful drain.** The intended shutdown sequence — what the
 //!   `gmcc --serve` daemon runs on SIGTERM/SIGINT or stdin EOF — is:
-//!   stop accepting, [`CompileService::drain`] the queues (answering
-//!   everything in flight), [`CompileService::save_snapshot`] the final
-//!   atomic snapshot, then [`CompileService::shutdown`]. Warm restarts
-//!   are the normal path, not a lucky one.
+//!   stop accepting, answer everything in flight (the [`transport`]
+//!   dispatcher drains every connection, stdin's connection 0
+//!   included; in-process callers use [`CompileService::drain`]),
+//!   [`CompileService::save_snapshot`] the final atomic snapshot, then
+//!   [`CompileService::shutdown`]. Warm restarts are the normal path,
+//!   not a lucky one.
 //! * **Latency histograms and a metrics endpoint.** Every shard keeps
 //!   three lock-free log-linear histograms ([`gmc_obs::Histogram`]) in
 //!   its shared block: end-to-end response latency (recorded by the
@@ -124,16 +126,20 @@
 //!   every robustness claim above is exercised by tests (including a
 //!   transport chaos property test) rather than asserted.
 //!
-//! Responses stream back over a channel as shards finish, tagged with
-//! the caller's request id (completion order is not submission order).
-//! The `gmcc --serve` daemon fronts this API with JSONL over
-//! stdin/stdout ([`jsonl`]); the [`transport`] module fronts the same
-//! service over unix/TCP sockets (`gmcc --listen`) with one
-//! reader/writer thread pair per connection and a single dispatcher
-//! that remaps per-connection request ids onto private tokens, so many
-//! clients pipeline concurrently and each response returns to its
-//! submitting connection (ids are scoped per connection; `gmcc
-//! --connect` is the matching client). `bench_serve` records the cold
+//! Shards post each finished response to the service's one event
+//! queue, tagged with the caller's request id (completion order is not
+//! submission order). The same queue carries shard exits and, under
+//! the [`transport`], connection events, so the submitter wakes the
+//! moment a response is ready and no later than the earliest
+//! outstanding deadline — there is no poll tick. The [`transport`]
+//! module fronts the service with JSONL ([`jsonl`]) through one
+//! dispatcher: over unix/TCP sockets (`gmcc --listen`), with one
+//! reader/writer thread pair per connection and per-connection request
+//! ids remapped onto private tokens, so many clients pipeline
+//! concurrently and each response returns to its submitting connection
+//! (ids are scoped per connection; `gmcc --connect` is the matching
+//! client); and over stdin/stdout (`gmcc --serve -`) as connection 0
+//! of the same dispatcher. `bench_serve` records the cold
 //! vs. warm vs. restored-from-disk throughput trajectory plus
 //! shed/deadline behavior under an overload burst in
 //! `BENCH_serve.json`, and `bench_serve --load` drives the socket
@@ -162,7 +168,8 @@ pub use service::{
 };
 pub use supervisor::{RestartPolicy, ShardHealth, ShardState, ShardStats};
 pub use transport::{
-    ListenAddr, SocketListener, SocketStream, TransportOptions, TransportReport, TransportSnapshot,
+    Front, ListenAddr, SocketListener, SocketStream, TransportOptions, TransportReport,
+    TransportSnapshot,
 };
 
 #[cfg(test)]
@@ -297,6 +304,29 @@ mod tests {
         }
         assert_eq!(health.iter().map(|h| h.queue_depth).sum::<usize>(), 1);
         assert_eq!(service.drain().len(), 1);
+        let _ = service.shutdown();
+    }
+
+    /// A shard's exit event (posted by the worker's drop guard) writes
+    /// off its unanswered requests as `shard_down` at once and takes the
+    /// shard out of routing.
+    #[test]
+    fn shard_exit_event_writes_off_its_requests() {
+        let mut cfg = config(1);
+        cfg.faults = fault::FaultPlan::parse("delay:300").unwrap();
+        let mut service = CompileService::start(cfg).unwrap();
+        service.submit(request(1, SRC_B));
+        // Stand in for the guard of a worker that died mid-request.
+        service
+            .events()
+            .send(service::Event::ShardExited(0))
+            .unwrap();
+        let started = std::time::Instant::now();
+        let r = service.recv().expect("written off, not lost");
+        assert!(started.elapsed() < std::time::Duration::from_millis(200));
+        assert_eq!(r.result.unwrap_err().kind, FailureKind::ShardDown);
+        assert_eq!(service.health()[0].state, ShardState::Down);
+        assert!(service.recv().is_none(), "exactly one response");
         let _ = service.shutdown();
     }
 

@@ -8,6 +8,7 @@ use crate::fault::FaultPlan;
 use crate::supervisor::{
     shard_main, RestartPolicy, ShardCtx, ShardHealth, ShardShared, ShardState, ShardStats,
 };
+use crate::transport::ConnEvent;
 use gmc_core::{
     CacheStats, CompileOptions, CompileSession, FragCacheStats, PersistError, SessionSnapshot,
     DEFAULT_CHAIN_CACHE_CAPACITY, DEFAULT_FRAG_CACHE_CAPACITY,
@@ -15,7 +16,7 @@ use gmc_core::{
 use gmc_ir::grammar::parse_program;
 use gmc_ir::Shape;
 use gmc_obs::{write_prom_counter, Snapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
@@ -659,12 +660,38 @@ pub(crate) struct CompileJob {
     pub(crate) submitted: Instant,
 }
 
-/// What shards put on the results channel: the response plus the
+/// What a shard posts when it finishes a request: the response plus the
 /// submission sequence number the service uses to deduplicate against
 /// write-offs.
 pub(crate) struct Response {
-    pub(crate) seq: Option<u64>,
+    pub(crate) seq: u64,
     pub(crate) response: CompileResponse,
+}
+
+/// Everything that wakes the submitter, on one channel: shard results,
+/// shard exits, and — on the socket/stdio transport — connection
+/// events. With one queue, a finished shard wakes its front end at
+/// once.
+pub(crate) enum Event {
+    /// A shard finished a request (goes through the exactly-once accept
+    /// step before anyone sees it).
+    Response(Response),
+    /// A shard's worker thread exited (posted by a drop guard in
+    /// [`shard_main`]); its unanswered requests are written off.
+    ShardExited(usize),
+    /// A connection reader, writer, or the accept loop has news.
+    Conn(ConnEvent),
+}
+
+/// What [`CompileService::wait`] woke for.
+pub(crate) enum Wake {
+    /// A response, accepted exactly once (or synthesized: parse error,
+    /// shed, expired deadline, dead shard).
+    Response(CompileResponse),
+    /// A connection event for the transport.
+    Conn(ConnEvent),
+    /// The caller's `until` passed with nothing to report.
+    Timeout,
 }
 
 /// Submitter-side record of an enqueued request.
@@ -680,7 +707,11 @@ struct Outstanding {
 pub struct CompileService {
     job_txs: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<ShardStats>>,
-    results_rx: Receiver<Response>,
+    /// The one event queue: shards post here, and the transport hands
+    /// clones of this sender to its accept loop, readers and writers.
+    /// Holding it also means the queue never disconnects.
+    events_tx: Sender<Event>,
+    events_rx: Receiver<Event>,
     /// Lock-free per-shard liveness + counters, shared with the workers.
     shared: Vec<Arc<ShardShared>>,
     /// Latest merged snapshot; supervisor restarts rewarm from it.
@@ -694,6 +725,9 @@ pub struct CompileService {
     /// Enqueued-but-unanswered requests keyed by sequence number; the
     /// single source of truth for exactly-once delivery.
     outstanding: HashMap<u64, Outstanding>,
+    /// `(deadline, seq)` of every outstanding request that has one,
+    /// ordered so the earliest is the first entry.
+    deadlines: BTreeSet<(Instant, u64)>,
     /// Responses synthesized by the submitter (parse errors, shed,
     /// expired, written-off), delivered ahead of the channel.
     ready: VecDeque<CompileResponse>,
@@ -728,7 +762,7 @@ impl CompileService {
             None => None,
         };
         let latest = Arc::new(Mutex::new(snapshot));
-        let (results_tx, results_rx) = channel::<Response>();
+        let (events_tx, events_rx) = channel::<Event>();
         let mut job_txs = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut shared = Vec::with_capacity(shards);
@@ -739,7 +773,7 @@ impl CompileService {
                 index,
                 shards,
                 jobs: rx,
-                results: results_tx.clone(),
+                events: events_tx.clone(),
                 options: config.options.clone(),
                 cache_capacity: config.cache_capacity,
                 frag_cache_capacity: config.frag_cache_capacity,
@@ -756,7 +790,8 @@ impl CompileService {
         Ok(CompileService {
             job_txs,
             handles,
-            results_rx,
+            events_tx,
+            events_rx,
             shared,
             latest,
             options: config.options,
@@ -766,6 +801,7 @@ impl CompileService {
             routing: config.routing,
             snapshot_keep: config.snapshot_keep,
             outstanding: HashMap::new(),
+            deadlines: BTreeSet::new(),
             ready: VecDeque::new(),
             pending_by_shard: vec![0; shards],
             next_seq: 0,
@@ -958,6 +994,9 @@ impl CompileService {
                     submitted,
                 },
             );
+            if let Some(deadline) = deadline {
+                self.deadlines.insert((deadline, seq));
+            }
             self.pending_by_shard[shard] += 1;
         } else {
             self.shared[shard].e2e.record(submitted.elapsed());
@@ -970,24 +1009,29 @@ impl CompileService {
         }
     }
 
-    /// Match a channel response against the outstanding table; `None`
-    /// for late responses to written-off requests (dropped to keep
-    /// exactly-one-response).
+    /// The exactly-once accept step: match a shard's posted response
+    /// against the outstanding table; `None` for late responses to
+    /// written-off requests (dropped to keep exactly-one-response).
     fn accept(&mut self, r: Response) -> Option<CompileResponse> {
-        match r.seq {
-            Some(seq) => {
-                if let Some(out) = self.outstanding.remove(&seq) {
-                    self.pending_by_shard[out.shard] =
-                        self.pending_by_shard[out.shard].saturating_sub(1);
-                    self.shared[out.shard].e2e.record(out.submitted.elapsed());
-                    Some(r.response)
-                } else {
-                    self.late_drops += 1;
-                    None
-                }
-            }
-            None => Some(r.response),
+        if self.settle(r.seq).is_some() {
+            Some(r.response)
+        } else {
+            self.late_drops += 1;
+            None
         }
+    }
+
+    /// Take `seq` out of the exactly-once tables (outstanding entry,
+    /// deadline index, shard depth) and record its end-to-end sample;
+    /// `None` if it was already answered or written off.
+    fn settle(&mut self, seq: u64) -> Option<Outstanding> {
+        let out = self.outstanding.remove(&seq)?;
+        if let Some(deadline) = out.deadline {
+            self.deadlines.remove(&(deadline, seq));
+        }
+        self.pending_by_shard[out.shard] = self.pending_by_shard[out.shard].saturating_sub(1);
+        self.shared[out.shard].e2e.record(out.submitted.elapsed());
+        Some(out)
     }
 
     /// Write off every outstanding request whose deadline has passed —
@@ -996,19 +1040,14 @@ impl CompileService {
     /// stall the response stream past the caller's budget.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
-        let expired: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline.is_some_and(|d| now > d))
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in expired {
-            let out = self.outstanding.remove(&seq).expect("seq was just listed");
-            self.pending_by_shard[out.shard] = self.pending_by_shard[out.shard].saturating_sub(1);
+        while let Some(&(deadline, seq)) = self.deadlines.first() {
+            if deadline > now {
+                break;
+            }
+            let out = self.settle(seq).expect("indexed deadlines are outstanding");
             self.shared[out.shard]
                 .deadline_exceeded
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.shared[out.shard].e2e.record(out.submitted.elapsed());
             self.ready.push_back(CompileResponse::failure_on(
                 out.id,
                 Some(out.shard),
@@ -1018,25 +1057,26 @@ impl CompileService {
         }
     }
 
-    /// Write off the outstanding requests of any shard whose thread has
-    /// exited while the service still holds its job sender. Supervised
-    /// shards do not die — panics are caught in the worker loop — so
-    /// this is a backstop against bugs in the supervisor itself.
-    fn reap_dead_shards(&mut self) {
-        let dead: Vec<usize> = self
-            .handles
-            .iter()
-            .enumerate()
-            .filter(|(shard, handle)| self.pending_by_shard[*shard] > 0 && handle.is_finished())
-            .map(|(shard, _)| shard)
-            .collect();
-        for shard in dead {
-            self.shared[shard].set_state(ShardState::Down);
-            self.write_off_shard(shard);
-        }
+    /// The earliest deadline among outstanding requests.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        self.deadlines.first().map(|&(deadline, _)| deadline)
     }
 
-    fn write_off_shard(&mut self, shard: usize) {
+    /// A clone of the event queue's sender, for the transport's accept
+    /// loop, connection readers and writers.
+    pub(crate) fn events(&self) -> Sender<Event> {
+        self.events_tx.clone()
+    }
+
+    /// A shard's worker thread exited while the service still holds its
+    /// job sender: take it out of routing and write off its outstanding
+    /// requests. Supervised shards do not die — panics are caught in the
+    /// worker loop — so this is a backstop against bugs in the
+    /// supervisor itself. Results the shard posted before exiting are
+    /// ahead of this event in the queue, so only unanswered work is
+    /// written off.
+    fn shard_exited(&mut self, shard: usize) {
+        self.shared[shard].set_state(ShardState::Down);
         let seqs: Vec<u64> = self
             .outstanding
             .iter()
@@ -1044,8 +1084,7 @@ impl CompileService {
             .map(|(&seq, _)| seq)
             .collect();
         for seq in seqs {
-            let out = self.outstanding.remove(&seq).expect("seq was just listed");
-            self.shared[shard].e2e.record(out.submitted.elapsed());
+            let out = self.settle(seq).expect("seq was just listed");
             self.ready.push_back(CompileResponse::failure_on(
                 out.id,
                 Some(shard),
@@ -1053,7 +1092,6 @@ impl CompileService {
                 format!("shard {shard} worker terminated with this request in flight"),
             ));
         }
-        self.pending_by_shard[shard] = 0;
     }
 
     /// Write off one outstanding request by its request id — the socket
@@ -1074,76 +1112,71 @@ impl CompileService {
             .find(|(_, o)| o.id == id)
             .map(|(&seq, _)| seq);
         let Some(seq) = seq else { return false };
-        let out = self.outstanding.remove(&seq).expect("seq was just found");
-        self.pending_by_shard[out.shard] = self.pending_by_shard[out.shard].saturating_sub(1);
-        self.shared[out.shard].e2e.record(out.submitted.elapsed());
-        true
+        self.settle(seq).is_some()
+    }
+
+    /// Block until the next thing a front end must act on: a response
+    /// (expired deadlines first, then shard results through the
+    /// exactly-once accept step), a connection event, or `until`
+    /// passing. The blocking wait ends no later than the earliest
+    /// outstanding deadline, so deadlines expire when they are due.
+    /// `until` in the past makes this a non-blocking poll.
+    pub(crate) fn wait(&mut self, until: Option<Instant>) -> Wake {
+        loop {
+            self.expire_deadlines();
+            if let Some(r) = self.ready.pop_front() {
+                return Wake::Response(r);
+            }
+            let wake_at = match (until, self.next_deadline()) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            // The service holds a sender, so the queue never disconnects.
+            let event = match wake_at {
+                None => self.events_rx.recv().ok(),
+                Some(at) => self
+                    .events_rx
+                    .recv_timeout(at.saturating_duration_since(Instant::now()))
+                    .ok(),
+            };
+            match event {
+                Some(Event::Response(r)) => {
+                    if let Some(response) = self.accept(r) {
+                        return Wake::Response(response);
+                    }
+                }
+                Some(Event::ShardExited(shard)) => self.shard_exited(shard),
+                Some(Event::Conn(event)) => return Wake::Conn(event),
+                None if until.is_some_and(|u| Instant::now() >= u) => return Wake::Timeout,
+                None => {}
+            }
+        }
     }
 
     /// Block for the next response; `None` once nothing is outstanding.
-    /// Ticks every 25 ms to expire deadlines and reap dead workers, so
-    /// it cannot hang on a wedged or crashed shard.
+    /// Wakes the moment a shard posts a result or exits, and no later
+    /// than the earliest outstanding deadline, so it cannot hang on a
+    /// wedged or crashed shard past a request's budget.
     pub fn recv(&mut self) -> Option<CompileResponse> {
-        loop {
-            if let Some(r) = self.ready.pop_front() {
+        while self.pending() > 0 {
+            if let Wake::Response(r) = self.wait(None) {
                 return Some(r);
             }
-            if self.outstanding.is_empty() {
-                return None;
-            }
-            match self.results_rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(r) => {
-                    if let Some(resp) = self.accept(r) {
-                        return Some(resp);
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    self.expire_deadlines();
-                    self.reap_dead_shards();
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    // Every worker is gone; nothing further can arrive.
-                    for shard in 0..self.shards() {
-                        if self.pending_by_shard[shard] > 0 {
-                            self.shared[shard].set_state(ShardState::Down);
-                            self.write_off_shard(shard);
-                        }
-                    }
-                }
-            }
         }
+        None
     }
 
-    /// Run the submitter-side maintenance [`CompileService::recv`]
-    /// performs on its 25 ms timeout tick — deadline expiry and
-    /// dead-worker write-offs — without blocking. Front-ends that poll
-    /// with [`CompileService::try_recv`] instead of blocking in `recv`
-    /// (the socket transport's dispatcher) must call this periodically,
-    /// or a wedged shard could stall their streams past the caller's
-    /// deadline.
-    pub fn tick(&mut self) {
-        self.expire_deadlines();
-        self.reap_dead_shards();
-    }
-
-    /// The next response only if one is already available.
+    /// The next response only if one is already available (deadlines
+    /// that have passed are answered `deadline_exceeded` first).
     pub fn try_recv(&mut self) -> Option<CompileResponse> {
-        loop {
-            if let Some(r) = self.ready.pop_front() {
-                return Some(r);
-            }
-            if self.outstanding.is_empty() {
-                return None;
-            }
-            match self.results_rx.try_recv() {
-                Ok(r) => {
-                    if let Some(resp) = self.accept(r) {
-                        return Some(resp);
-                    }
-                }
-                Err(_) => return None,
+        while self.pending() > 0 {
+            match self.wait(Some(Instant::now())) {
+                Wake::Response(r) => return Some(r),
+                Wake::Timeout => return None,
+                Wake::Conn(_) => {}
             }
         }
+        None
     }
 
     /// Receive every outstanding response (blocking, but deadline- and

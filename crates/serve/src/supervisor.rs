@@ -37,7 +37,7 @@
 //! without an answer.
 
 use crate::fault::FaultPlan;
-use crate::service::{Job, Response, ShardStatus};
+use crate::service::{Event, Job, Response, ShardStatus};
 use crate::{route, Artifacts, Emit, Failure, FailureKind};
 use gmc_codegen::{emit_cpp_into, emit_rust_into};
 use gmc_core::{
@@ -202,7 +202,10 @@ pub(crate) struct ShardCtx {
     pub(crate) index: usize,
     pub(crate) shards: usize,
     pub(crate) jobs: Receiver<Job>,
-    pub(crate) results: Sender<Response>,
+    /// The service's event queue: finished requests go here as
+    /// [`Event::Response`], and the thread's exit as
+    /// [`Event::ShardExited`].
+    pub(crate) events: Sender<Event>,
     pub(crate) options: CompileOptions,
     pub(crate) cache_capacity: usize,
     pub(crate) frag_cache_capacity: usize,
@@ -267,9 +270,26 @@ impl ShardCtx {
     }
 }
 
+/// Posts [`Event::ShardExited`] when the worker thread ends, however it
+/// ends — including a panic that escapes the per-request boundary.
+struct ExitNotice {
+    shard: usize,
+    events: Sender<Event>,
+}
+
+impl Drop for ExitNotice {
+    fn drop(&mut self) {
+        let _ = self.events.send(Event::ShardExited(self.shard));
+    }
+}
+
 /// The supervised worker loop (see the [module docs](self)).
 pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     let index = ctx.index;
+    let _exit = ExitNotice {
+        shard: index,
+        events: ctx.events.clone(),
+    };
     let (initial, _) = ctx.build_session();
     ctx.shared
         .publish_counters(&initial.cache_stats(), &initial.fragment_cache_stats());
@@ -295,28 +315,28 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                 // be wasted and would stall everything behind it.
                 if job.deadline.is_some_and(|d| Instant::now() > d) {
                     ctx.shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    let _ = ctx.results.send(Response {
-                        seq: Some(job.seq),
+                    let _ = ctx.events.send(Event::Response(Response {
+                        seq: job.seq,
                         response: crate::CompileResponse::failure_on(
                             job.id,
                             Some(index),
                             FailureKind::DeadlineExceeded,
                             "deadline expired before the shard reached the request",
                         ),
-                    });
+                    }));
                     continue;
                 }
                 let Some(live) = session.as_mut() else {
                     // Breaker open: fail fast, exactly one response.
-                    let _ = ctx.results.send(Response {
-                        seq: Some(job.seq),
+                    let _ = ctx.events.send(Event::Response(Response {
+                        seq: job.seq,
                         response: crate::CompileResponse::failure_on(
                             job.id,
                             Some(index),
                             FailureKind::ShardDown,
                             format!("shard {index} is down (circuit breaker open)"),
                         ),
-                    });
+                    }));
                     continue;
                 };
                 let nth = ctx.shared.compile_attempts.fetch_add(1, Ordering::Relaxed) + 1;
@@ -367,15 +387,15 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                         let mut frags = carried_frags;
                         frags.absorb(&alive.fragment_cache_stats());
                         ctx.shared.publish_counters(&cache, &frags);
-                        let _ = ctx.results.send(Response {
-                            seq: Some(job.seq),
+                        let _ = ctx.events.send(Event::Response(Response {
+                            seq: job.seq,
                             response: crate::CompileResponse {
                                 id: job.id,
                                 shard: Some(index),
                                 cache_hit,
                                 result,
                             },
-                        });
+                        }));
                     }
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
@@ -396,15 +416,15 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                         } else {
                             ctx.shared.set_state(ShardState::Restarting);
                         }
-                        let _ = ctx.results.send(Response {
-                            seq: Some(job.seq),
+                        let _ = ctx.events.send(Event::Response(Response {
+                            seq: job.seq,
                             response: crate::CompileResponse::failure_on(
                                 job.id,
                                 Some(index),
                                 FailureKind::ShardPanic,
                                 format!("shard {index} panicked serving this request: {msg}"),
                             ),
-                        });
+                        }));
                         if tripped {
                             eprintln!(
                                 "gmc-serve: shard {index}: circuit breaker open after {} \

@@ -1,27 +1,50 @@
-//! Multiplexed socket transport for the serving layer: a Unix-domain
-//! (or TCP) accept loop that fronts one shared [`CompileService`] with
-//! many concurrent JSONL connections — `gmcc --serve --listen <addr>`.
+//! Multiplexed transport for the serving layer: one dispatcher fronts
+//! one shared [`CompileService`] with many concurrent JSONL connections
+//! — Unix-domain or TCP sockets (`gmcc --serve --listen <addr>`), or a
+//! single stdin/stdout stream as connection 0 (`gmcc --serve -`).
 //!
 //! # Threading model
 //!
 //! ```text
-//!            accept thread ──┐ (one per daemon; non-blocking accept,
-//!                            │  polls the shutdown flag)
+//!            accept thread ──┐ (one per socket daemon; blocks in
+//!                            │  accept, woken by a self-connect)
 //!   conn 1: reader thread ───┤
-//!   conn 1: writer thread ◄──┤            ┌── shard 0 thread
-//!   conn 2: reader thread ───┼─ dispatcher┼── shard 1 thread
-//!   conn 2: writer thread ◄──┤ (owns the  └── ...
-//!            ...             │  CompileService)
+//!   conn 1: writer thread ───┤ one event queue   ┌── shard 0 thread
+//!   conn 2: reader thread ───┼──────────────────►│── shard 1 thread
+//!   conn 2: writer thread ───┤      dispatcher   └── ...
+//!            ...             │ (owns the          (finished requests
+//!   shard threads ───────────┘  CompileService)    post to the queue)
 //! ```
 //!
 //! Every connection gets **one reader thread** (bounded-line JSONL
 //! parsing, so a hostile client cannot grow daemon memory) and **one
 //! writer thread** (owns the write half; responses to one connection
-//! never block another). The single **dispatcher** — the thread that
-//! called [`serve`] — owns the [`CompileService`] unchanged: admission
-//! control, deadlines, two-choices routing, and exactly-once response
-//! bookkeeping are shared across all connections because there is still
-//! exactly one submitter.
+//! never block another); both loops are generic over `Read`/`Write`.
+//! The single **dispatcher** — the thread that called [`serve`] —
+//! owns the [`CompileService`] unchanged: admission control,
+//! deadlines, two-choices routing, and exactly-once response
+//! bookkeeping are shared across all connections because there is
+//! still exactly one submitter.
+//!
+//! The dispatcher blocks on **one event queue**. The accept loop,
+//! connection readers and writers, and the shard workers all post to
+//! it, so a finished request wakes the dispatcher the moment its shard
+//! posts it and is written straight away. The blocking wait has one
+//! timeout: the nearest instant the dispatcher owes something — the
+//! earliest outstanding request deadline, idle-reap time, or
+//! writer-grace expiry — so deadlines are exact. Only while nothing is
+//! timed does a coarse cap re-check the shutdown flag.
+//!
+//! # Stdin/stdout as connection 0
+//!
+//! [`Front::Stdio`] serves one request stream (stdin or a file) and
+//! its response sink as connection 0 of the same dispatcher: same
+//! reader, writer, op dispatch and id rules. Connection 0 keeps the
+//! stdin daemon's contract: no in-flight cap, idle reap, or slow-close
+//! applies to it, a slow consumer stalls the daemon instead of losing
+//! lines, ops answer without the `"transport"` object, and serving
+//! ends once the stream reaches EOF and everything in flight is
+//! answered.
 //!
 //! # Pipelining and id remapping
 //!
@@ -31,7 +54,7 @@
 //! use id 1 — so the dispatcher submits under a private token and
 //! remaps each response back to the submitting connection's id on
 //! delivery. Requests without an id get their 1-based position in that
-//! connection's stream, mirroring the stdin daemon.
+//! connection's stream.
 //!
 //! # Backpressure and the connection lifecycle
 //!
@@ -50,10 +73,11 @@
 //! * **Bounded writers** ([`TransportOptions::writer_queue`]): each
 //!   writer thread is fed through a bounded channel; the dispatcher
 //!   never blocks on a slow peer. Lines that do not fit spill to a
-//!   dispatcher-side overflow buffer, and a connection whose overflow
-//!   stays non-empty past [`TransportOptions::writer_grace`] — or grows
-//!   past one queue's worth — is **slow-closed**: the socket is shut
-//!   down and its in-flight work written off through the exactly-once
+//!   dispatcher-side overflow buffer, which drains when the writer
+//!   reports a freed slot, and a connection whose overflow stays
+//!   non-empty past [`TransportOptions::writer_grace`] — or grows past
+//!   one queue's worth — is **slow-closed**: the socket is shut down
+//!   and its in-flight work written off through the exactly-once
 //!   bookkeeping ([`CompileService::write_off`]; late shard replies are
 //!   dropped and counted). Daemon memory stays bounded under a client
 //!   that pipelines forever and never reads.
@@ -71,12 +95,15 @@
 //!
 //! # Shutdown
 //!
-//! The shutdown flag (SIGTERM/SIGINT in `gmcc`) runs the same graceful
-//! drain as the stdin daemon: the accept loop stops, readers stop
-//! pulling new requests, everything in flight is answered to its
-//! connection, and [`serve`] returns the service (still running) so the
-//! caller can write the final snapshot and metrics dump before
-//! [`CompileService::shutdown`].
+//! The dispatcher sees the shutdown flag (SIGTERM/SIGINT in `gmcc`) on
+//! its next event or, when idle, within the coarse shutdown check. It
+//! then answers the requests already queued, stops intake — readers
+//! stop pulling lines and the blocked accept is woken by a
+//! self-connect and exits — answers everything in flight to its
+//! connection, flushes the writers, and returns the service (still
+//! running) so the caller can write the final snapshot and metrics
+//! dump before [`CompileService::shutdown`]. Stdin EOF runs the same
+//! drain for connection 0.
 //!
 //! # Transport counters
 //!
@@ -90,7 +117,9 @@
 
 use crate::fault::FaultPlan;
 use crate::jsonl;
-use crate::service::{CompileRequest, CompileResponse, CompileService, Emit, FailureKind};
+use crate::service::{
+    CompileRequest, CompileResponse, CompileService, Emit, Event, FailureKind, Wake,
+};
 use gmc_obs::{write_prom_counter, write_prom_gauge};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -98,15 +127,14 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
-};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often blocked threads (accept loop, connection readers) poll the
-/// shutdown flag.
+/// How long an idle dispatcher waits before re-checking the shutdown
+/// flag (a signal handler can only store an atomic), and how long a
+/// socket read blocks before its reader re-checks the closing flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// A parsed `--listen` address.
@@ -171,7 +199,6 @@ impl SocketListener {
             ListenAddr::Unix(path) => {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
                 Ok(SocketListener {
                     inner: ListenerKind::Unix(listener),
                     cleanup: Some(path.clone()),
@@ -180,7 +207,6 @@ impl SocketListener {
             }
             ListenAddr::Tcp(spec) => {
                 let listener = TcpListener::bind(spec)?;
-                listener.set_nonblocking(true)?;
                 let local = ListenAddr::Tcp(
                     listener
                         .local_addr()
@@ -329,8 +355,8 @@ impl Write for SocketStream {
     }
 }
 
-/// Transport configuration (the socket-mode analogue of the stdin
-/// daemon's flags).
+/// Transport configuration: how the dispatcher treats its connections
+/// (the `gmcc --serve`/`--listen` flags).
 #[derive(Debug, Clone)]
 pub struct TransportOptions {
     /// Emit selector applied to requests without an `emit` field.
@@ -483,12 +509,12 @@ pub struct TransportReport {
     pub snapshot: TransportSnapshot,
 }
 
-/// What connection readers and the accept loop feed the dispatcher.
-enum Event {
+/// What connection readers, writers, and the accept loop post to the
+/// service's event queue (wrapped in [`Event::Conn`]).
+pub(crate) enum ConnEvent {
     Opened {
         conn: u64,
-        writer: SyncSender<String>,
-        writer_handle: JoinHandle<()>,
+        writer: WriterHandle,
         /// A control clone of the socket: `shutdown_both` on it severs
         /// the reader's and writer's handles too (force-close).
         ctrl: SocketStream,
@@ -498,35 +524,40 @@ enum Event {
         line_no: u64,
         line: String,
     },
-    Oversized {
+    /// A line that is not a request (oversized or not UTF-8),
+    /// answered `bad_request` at its position.
+    Rejected {
         conn: u64,
         line_no: u64,
-    },
-    BadUtf8 {
-        conn: u64,
-        line_no: u64,
+        reason: String,
     },
     Eof {
         conn: u64,
     },
+    /// A writer wrote a line while the dispatcher held spilled lines
+    /// for it (or the writer exited): flush the overflow now.
+    Writable,
 }
 
-/// One bounded line read from a socket (see the stdin daemon's
-/// equivalent in the `gmc` driver — same bound, same semantics, plus
-/// shutdown-flag polling on read timeouts).
-enum SocketLine {
-    Line(String),
-    Oversized,
-    BadUtf8,
+const NOT_UTF8: &str = "request line is not valid UTF-8";
+
+/// One bounded line read from a connection.
+enum BoundedLine {
+    /// A complete line within the bound (trailing `\r` stripped).
+    Text(String),
+    /// Not a request: why (oversized lines are consumed, not buffered).
+    Rejected(String),
+    /// Stop reading: end of input, the peer is gone, or the daemon is
+    /// closing.
     Eof,
-    Shutdown,
 }
 
-fn read_bounded_line(
-    reader: &mut BufReader<SocketStream>,
-    max: usize,
-    shutdown: &AtomicBool,
-) -> SocketLine {
+/// Read one `\n`-terminated line without ever buffering more than `max`
+/// bytes of it: an oversized line is *consumed* (so the stream stays in
+/// sync) but reported instead of returned, which keeps a hostile or
+/// buggy client from growing daemon memory without bound. Socket reads
+/// time out so the `closing` flag is re-checked while a peer is quiet.
+fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize, closing: &AtomicBool) -> BoundedLine {
     let mut buf: Vec<u8> = Vec::new();
     let mut oversized = false;
     loop {
@@ -540,19 +571,19 @@ fn read_bounded_line(
                         | std::io::ErrorKind::Interrupted
                 ) =>
             {
-                if shutdown.load(Ordering::SeqCst) {
+                if closing.load(Ordering::SeqCst) {
                     // Drain: stop pulling new requests (a partial line
-                    // is abandoned, exactly like unread stdin).
-                    return SocketLine::Shutdown;
+                    // is abandoned, exactly like unread input).
+                    return BoundedLine::Eof;
                 }
                 continue;
             }
             // Connection reset and friends: the peer is gone.
-            Err(_) => return SocketLine::Eof,
+            Err(_) => return BoundedLine::Eof,
         };
         if chunk.is_empty() {
             if buf.is_empty() && !oversized {
-                return SocketLine::Eof;
+                return BoundedLine::Eof;
             }
             break; // final line without trailing newline
         }
@@ -579,72 +610,126 @@ fn read_bounded_line(
         }
     }
     if oversized {
-        return SocketLine::Oversized;
+        return BoundedLine::Rejected(format!("request line exceeds {max} bytes"));
     }
     if buf.last() == Some(&b'\r') {
         buf.pop();
     }
     match String::from_utf8(buf) {
-        Ok(s) => SocketLine::Line(s),
-        Err(_) => SocketLine::BadUtf8,
+        Ok(s) => BoundedLine::Text(s),
+        Err(_) => BoundedLine::Rejected(NOT_UTF8.into()),
     }
 }
 
-fn reader_loop(
-    stream: SocketStream,
+fn reader_loop<R: Read>(
+    input: R,
     conn: u64,
     max_line: usize,
     events: &Sender<Event>,
-    shutdown: &AtomicBool,
+    closing: &AtomicBool,
     faults: &FaultPlan,
 ) {
-    let mut reader = BufReader::new(stream);
+    let post = |event: ConnEvent| events.send(Event::Conn(event)).is_ok();
+    let mut reader = BufReader::new(input);
     let mut line_no: u64 = 0;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match read_bounded_line(&mut reader, max_line, shutdown) {
-            SocketLine::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
+    while !closing.load(Ordering::SeqCst) {
+        let event = match read_bounded_line(&mut reader, max_line, closing) {
+            BoundedLine::Text(line) if line.trim().is_empty() => continue,
+            BoundedLine::Text(line) => {
                 line_no += 1;
                 // Injected garbage: this request line arrives as
                 // non-UTF-8 bytes (answered in band as bad_request).
-                let event = if faults.conn_garbage_hit(conn, line_no) {
-                    Event::BadUtf8 { conn, line_no }
+                if faults.conn_garbage_hit(conn, line_no) {
+                    ConnEvent::Rejected {
+                        conn,
+                        line_no,
+                        reason: NOT_UTF8.into(),
+                    }
                 } else {
-                    Event::Line {
+                    ConnEvent::Line {
                         conn,
                         line_no,
                         line,
                     }
-                };
-                if events.send(event).is_err() {
-                    break;
                 }
             }
-            SocketLine::Oversized => {
+            BoundedLine::Rejected(reason) => {
                 line_no += 1;
-                if events.send(Event::Oversized { conn, line_no }).is_err() {
-                    break;
+                ConnEvent::Rejected {
+                    conn,
+                    line_no,
+                    reason,
                 }
             }
-            SocketLine::BadUtf8 => {
-                line_no += 1;
-                if events.send(Event::BadUtf8 { conn, line_no }).is_err() {
-                    break;
-                }
-            }
-            SocketLine::Eof | SocketLine::Shutdown => break,
+            BoundedLine::Eof => break,
+        };
+        if !post(event) {
+            break;
         }
     }
-    let _ = events.send(Event::Eof { conn });
+    post(ConnEvent::Eof { conn });
 }
 
-fn writer_loop(stream: SocketStream, lines: &Receiver<String>, conn: u64, faults: &FaultPlan) {
-    let mut out = std::io::BufWriter::new(stream);
+fn spawn_reader<R: Read + Send + 'static>(
+    input: R,
+    conn: u64,
+    max_line: usize,
+    events: Sender<Event>,
+    closing: Arc<AtomicBool>,
+    faults: FaultPlan,
+) {
+    std::thread::spawn(move || reader_loop(input, conn, max_line, &events, &closing, &faults));
+}
+
+/// The dispatcher's side of a connection's writer thread.
+pub(crate) struct WriterHandle {
+    lines: SyncSender<String>,
+    thread: JoinHandle<()>,
+    /// Set by the dispatcher when it spills lines behind a full queue;
+    /// the writer clears it and posts [`ConnEvent::Writable`] after its
+    /// next write, so the overflow drains without a poll.
+    spilled: Arc<AtomicBool>,
+}
+
+impl WriterHandle {
+    /// Close the queue and wait for the writer to flush it (or fail).
+    fn close(self) {
+        drop(self.lines);
+        let _ = self.thread.join();
+    }
+}
+
+fn spawn_writer<W: Write + Send + 'static>(
+    output: W,
+    conn: u64,
+    queue: usize,
+    events: Sender<Event>,
+    faults: FaultPlan,
+) -> WriterHandle {
+    let (lines, rx) = sync_channel::<String>(queue);
+    let spilled = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&spilled);
+    let thread =
+        std::thread::spawn(move || writer_loop(output, &rx, conn, &flag, &events, &faults));
+    WriterHandle {
+        lines,
+        thread,
+        spilled,
+    }
+}
+
+fn writer_loop<W: Write>(
+    output: W,
+    lines: &Receiver<String>,
+    conn: u64,
+    spilled: &AtomicBool,
+    events: &Sender<Event>,
+    faults: &FaultPlan,
+) {
+    let writable = || {
+        let _ = events.send(Event::Conn(ConnEvent::Writable));
+    };
+    let mut out = std::io::BufWriter::new(output);
     while let Ok(line) = lines.recv() {
         // Injected slowloris: this connection's peer reads slowly, so
         // every line takes `conn_stall` ms to leave the daemon.
@@ -658,21 +743,31 @@ fn writer_loop(stream: SocketStream, lines: &Receiver<String>, conn: u64, faults
         if write.is_err() {
             break; // peer gone; the dispatcher notices on its next send
         }
+        if spilled.swap(false, Ordering::SeqCst) {
+            writable();
+        }
+    }
+    // A dispatcher holding spilled lines learns the writer is gone now,
+    // not at the grace expiry.
+    if spilled.load(Ordering::SeqCst) {
+        writable();
     }
 }
 
 /// Dispatcher-side state of one open connection.
 struct ConnState {
-    writer: SyncSender<String>,
-    writer_handle: Option<JoinHandle<()>>,
-    /// Control clone of the socket for force-closes.
-    ctrl: SocketStream,
+    writer: WriterHandle,
+    /// Control clone of the socket for force-closes; `None` for the
+    /// stdio connection, which is exempt from the connection policies
+    /// (in-flight cap, idle reap, slow-close) and whose writes block
+    /// instead of spilling.
+    ctrl: Option<SocketStream>,
     in_flight: u64,
     header_sent: bool,
     /// Reader saw EOF: close once `in_flight` and the overflow drain.
     draining: bool,
-    /// Lines that did not fit the bounded writer queue; flushed
-    /// opportunistically, governed by the slow-consumer policy.
+    /// Lines that did not fit the bounded writer queue; flushed when the
+    /// writer frees slots, governed by the slow-consumer policy.
     overflow: VecDeque<String>,
     /// When the writer queue first refused a line (overflow became
     /// non-empty); cleared when the overflow drains.
@@ -682,6 +777,43 @@ struct ConnState {
     /// Outbound lines handed to this connection (1-based when the next
     /// line is `sent_lines + 1`); drives the `conn_drop` fault.
     sent_lines: u64,
+}
+
+impl ConnState {
+    fn new(writer: WriterHandle, ctrl: Option<SocketStream>) -> ConnState {
+        ConnState {
+            writer,
+            ctrl,
+            in_flight: 0,
+            header_sent: false,
+            draining: false,
+            overflow: VecDeque::new(),
+            blocked_since: None,
+            last_activity: Instant::now(),
+            sent_lines: 0,
+        }
+    }
+
+    fn is_stdio(&self) -> bool {
+        self.ctrl.is_none()
+    }
+
+    /// Idle with nothing owed to it: the idle timeout may reap it.
+    fn reapable(&self) -> bool {
+        !self.is_stdio() && self.in_flight == 0 && self.overflow.is_empty() && !self.draining
+    }
+
+    /// When this connection's timed policy fires: the slow-consumer
+    /// grace expiry while lines are spilled, else the idle reap while it
+    /// is reapable.
+    fn wake_at(&self, idle_timeout: Option<Duration>, grace: Duration) -> Option<Instant> {
+        match self.blocked_since {
+            Some(since) => Some(since + grace),
+            None => idle_timeout
+                .filter(|_| self.reapable())
+                .map(|idle| self.last_activity + idle),
+        }
+    }
 }
 
 /// How a connection is torn down.
@@ -700,6 +832,12 @@ enum CloseMode {
 struct Dispatcher {
     service: CompileService,
     options: TransportOptions,
+    /// Serving a listener: ops carry the `"transport"` object and the
+    /// Prometheus dump carries connection gauges.
+    sockets: bool,
+    /// Cleared at shutdown: request lines still in the queue are then
+    /// not accepted.
+    accepting: bool,
     conns: HashMap<u64, ConnState>,
     /// Accept order of open connections (snapshot stability).
     conn_order: Vec<u64>,
@@ -718,6 +856,28 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
+    fn new(service: CompileService, options: TransportOptions, sockets: bool) -> Dispatcher {
+        Dispatcher {
+            service,
+            options,
+            sockets,
+            accepting: true,
+            conns: HashMap::new(),
+            conn_order: Vec::new(),
+            pending: HashMap::new(),
+            next_token: 1,
+            accepted: 0,
+            closed: 0,
+            requests: 0,
+            failures: 0,
+            conn_shed: 0,
+            conn_slow_closed: 0,
+            conn_idle_reaped: 0,
+            conn_refused: 0,
+            conn_written_off: 0,
+        }
+    }
+
     fn transport_snapshot(&self) -> TransportSnapshot {
         TransportSnapshot {
             open: self.conns.len() as u64,
@@ -734,6 +894,26 @@ impl Dispatcher {
             conn_refused: self.conn_refused,
             conn_written_off: self.conn_written_off,
         }
+    }
+
+    fn open(&mut self, conn: u64, writer: WriterHandle, ctrl: Option<SocketStream>) {
+        self.accepted += 1;
+        self.conn_order.push(conn);
+        self.conns.insert(conn, ConnState::new(writer, ctrl));
+    }
+
+    /// The instant the dispatcher must wake by if no event arrives: the
+    /// earliest outstanding request deadline, idle-reap time, or
+    /// writer-grace expiry. `None` when nothing is timed — the
+    /// dispatcher then waits for the next event, bounded only by its
+    /// shutdown check.
+    fn next_wake(&self) -> Option<Instant> {
+        let (idle, grace) = (self.options.idle_timeout, self.options.writer_grace);
+        self.conns
+            .values()
+            .filter_map(|state| state.wake_at(idle, grace))
+            .chain(self.service.next_deadline())
+            .min()
     }
 
     /// Close a connection and write off whatever it still has in
@@ -760,28 +940,32 @@ impl Dispatcher {
             // is no longer pending) — still exactly once.
             let _ = self.service.write_off(token);
         }
+        let sever = || {
+            if let Some(ctrl) = &state.ctrl {
+                let _ = ctrl.shutdown_both();
+            }
+        };
         if mode == CloseMode::Abort {
             // Sever before joining: a writer blocked mid-send to a
             // non-reading peer wakes with an error instead of wedging
             // the dispatcher on the join below.
-            let _ = state.ctrl.shutdown_both();
+            sever();
         }
-        drop(state.writer);
-        if let Some(handle) = state.writer_handle {
-            let _ = handle.join();
-        }
+        state.writer.close();
         if mode == CloseMode::Graceful {
             // Writer has flushed; now tell a peer that never
             // half-closed that this side is done.
-            let _ = state.ctrl.shutdown_both();
+            sever();
         }
     }
 
-    /// Hand a rendered line to a connection's writer without ever
-    /// blocking the dispatcher: a full queue spills to the overflow
-    /// buffer (slow-consumer policy applies later), a dead writer or an
-    /// injected `conn_drop` closes the connection. Returns `false` iff
-    /// the line will never reach the peer.
+    /// Hand a rendered line to a connection's writer. Socket
+    /// connections never block the dispatcher: a full queue spills to
+    /// the overflow buffer (slow-consumer policy applies later), a dead
+    /// writer or an injected `conn_drop` closes the connection. The
+    /// stdio connection blocks instead, so a slow consumer stalls the
+    /// daemon and no line is dropped. Returns `false` iff the line will
+    /// never reach the peer.
     fn send_line(&mut self, conn: u64, line: String) -> bool {
         let next = match self.conns.get(&conn) {
             Some(state) => state.sent_lines + 1,
@@ -794,35 +978,44 @@ impl Dispatcher {
         }
         let state = self.conns.get_mut(&conn).expect("conn checked above");
         state.sent_lines = next;
-        if !state.overflow.is_empty() {
+        if state.is_stdio() {
+            if state.writer.lines.send(line).is_ok() {
+                return true;
+            }
+        } else if !state.overflow.is_empty() {
             state.overflow.push_back(line);
             return true;
-        }
-        match state.writer.try_send(line) {
-            Ok(()) => true,
-            Err(TrySendError::Full(line)) => {
-                state.blocked_since = Some(Instant::now());
-                state.overflow.push_back(line);
-                true
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // Writer thread exited: the peer is gone.
-                self.close_conn(conn, CloseMode::Abort);
-                false
+        } else {
+            match state.writer.lines.try_send(line) {
+                Ok(()) => return true,
+                Err(TrySendError::Full(line)) => {
+                    state.blocked_since = Some(Instant::now());
+                    state.overflow.push_back(line);
+                    state.writer.spilled.store(true, Ordering::SeqCst);
+                    return true;
+                }
+                Err(TrySendError::Disconnected(_)) => {}
             }
         }
+        // Writer thread exited: the peer is gone.
+        self.close_conn(conn, CloseMode::Abort);
+        false
     }
 
-    /// Per-loop writer maintenance: drain overflow buffers into freed
-    /// queue slots, slow-close connections blocked past the grace
-    /// window (or with more than one queue's worth spilled), and finish
-    /// the graceful close of drained connections.
+    /// Writer maintenance: drain overflow buffers into freed queue
+    /// slots, slow-close connections blocked past the grace window (or
+    /// with more than one queue's worth spilled), and finish the
+    /// graceful close of drained connections. Only connections with
+    /// spilled lines need any of this.
     fn flush_writers(&mut self) {
         enum Verdict {
             Keep,
             SlowClose,
             DrainClose,
             PeerGone,
+        }
+        if !self.has_backlog() {
+            return;
         }
         let conns: Vec<u64> = self.conn_order.clone();
         for conn in conns {
@@ -832,7 +1025,7 @@ impl Dispatcher {
                 };
                 let mut peer_gone = false;
                 while let Some(line) = state.overflow.pop_front() {
-                    match state.writer.try_send(line) {
+                    match state.writer.lines.try_send(line) {
                         Ok(()) => {}
                         Err(TrySendError::Full(line)) => {
                             state.overflow.push_front(line);
@@ -854,6 +1047,8 @@ impl Dispatcher {
                         Verdict::Keep
                     }
                 } else {
+                    // Still spilled: ask the writer for another wake-up.
+                    state.writer.spilled.store(true, Ordering::SeqCst);
                     let over_budget = state.overflow.len() > self.options.writer_queue;
                     let grace_expired = state
                         .blocked_since
@@ -880,9 +1075,9 @@ impl Dispatcher {
     }
 
     /// Reap connections with zero in-flight work that have been silent
-    /// past the idle timeout. A request arriving in the same tick wins:
-    /// events are drained before this runs, and any in-flight work (or
-    /// an undelivered overflow) exempts the connection.
+    /// past the idle timeout. A request that reached the dispatcher
+    /// first wins: its connection has in-flight work (or an undelivered
+    /// overflow) and is exempt.
     fn reap_idle(&mut self) {
         let Some(timeout) = self.options.idle_timeout else {
             return;
@@ -890,12 +1085,7 @@ impl Dispatcher {
         let idle: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, s)| {
-                s.in_flight == 0
-                    && s.overflow.is_empty()
-                    && !s.draining
-                    && s.last_activity.elapsed() >= timeout
-            })
+            .filter(|(_, s)| s.reapable() && s.last_activity.elapsed() >= timeout)
             .map(|(&c, _)| c)
             .collect();
         for conn in idle {
@@ -904,8 +1094,7 @@ impl Dispatcher {
         }
     }
 
-    /// `true` if any connection has spilled lines waiting on its writer
-    /// (the dispatcher should poll fast rather than sleep).
+    /// `true` if any connection has spilled lines waiting on its writer.
     fn has_backlog(&self) -> bool {
         self.conns.values().any(|s| !s.overflow.is_empty())
     }
@@ -972,28 +1161,37 @@ impl Dispatcher {
                 return;
             }
         };
+        // Requests without an explicit id get their 1-based position in
+        // the connection's stream; explicit ids pass through untouched.
         let id = raw.id.unwrap_or(line_no);
         match raw.op.as_deref() {
+            // Stats rides the work queues and observes every compile
+            // submitted before it; health and metrics read atomics and
+            // answer even when shards are wedged.
             Some("stats") => {
                 let line = jsonl::stats_line(id, &self.service.stats());
                 self.send_line(conn, line);
             }
             Some("health") => {
-                let line = jsonl::health_line_with_transport(
-                    id,
-                    &self.service.health(),
-                    &self.transport_snapshot(),
-                );
+                let health = self.service.health();
+                let line = if self.sockets {
+                    jsonl::health_line_with_transport(id, &health, &self.transport_snapshot())
+                } else {
+                    jsonl::health_line(id, &health)
+                };
                 self.send_line(conn, line);
             }
             Some("metrics") => {
                 let metrics = self.service.metrics();
-                let transport = self.transport_snapshot();
-                // A metrics query also refreshes the Prometheus dump,
-                // transport gauges included.
+                let transport = self.sockets.then(|| self.transport_snapshot());
+                // A metrics query also refreshes the Prometheus dump, so
+                // scrapers watching the file see the snapshot the client
+                // got in band.
                 if let Some(path) = &self.options.metrics_file {
                     let mut text = metrics.to_prometheus();
-                    transport.write_prometheus(&mut text);
+                    if let Some(transport) = &transport {
+                        transport.write_prometheus(&mut text);
+                    }
                     if let Err(e) = std::fs::write(path, text) {
                         eprintln!(
                             "gmc-serve: writing metrics file {} failed: {e}",
@@ -1001,7 +1199,10 @@ impl Dispatcher {
                         );
                     }
                 }
-                let line = jsonl::metrics_line_with_transport(id, &metrics, &transport);
+                let line = match &transport {
+                    Some(transport) => jsonl::metrics_line_with_transport(id, &metrics, transport),
+                    None => jsonl::metrics_line(id, &metrics),
+                };
                 self.send_line(conn, line);
             }
             Some("fault") if !self.options.enable_faults => {
@@ -1038,7 +1239,7 @@ impl Dispatcher {
                     && self
                         .conns
                         .get(&conn)
-                        .is_some_and(|s| s.in_flight >= cap as u64)
+                        .is_some_and(|s| !s.is_stdio() && s.in_flight >= cap as u64)
                 {
                     self.conn_shed += 1;
                     self.failures += 1;
@@ -1070,19 +1271,14 @@ impl Dispatcher {
         }
     }
 
-    fn handle_event(&mut self, event: Event) {
+    fn handle_event(&mut self, event: ConnEvent) {
         match event {
-            Event::Opened {
-                conn,
-                writer,
-                writer_handle,
-                ctrl,
-            } => {
-                self.accepted += 1;
+            ConnEvent::Opened { conn, writer, ctrl } => {
                 if self.options.max_conns > 0 && self.conns.len() >= self.options.max_conns {
                     // Accept-then-refuse: the peer gets one typed line
                     // telling it why (and that retrying is sane), then
                     // the connection closes.
+                    self.accepted += 1;
                     self.conn_refused += 1;
                     self.closed += 1;
                     self.failures += 1;
@@ -1094,50 +1290,32 @@ impl Dispatcher {
                             self.options.max_conns
                         ),
                     );
-                    let _ = writer.try_send(jsonl::response_line(&refusal));
-                    drop(writer);
-                    let _ = writer_handle.join();
+                    let _ = writer.lines.try_send(jsonl::response_line(&refusal));
+                    writer.close();
                     let _ = ctrl.shutdown_both();
                     return;
                 }
-                self.conn_order.push(conn);
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        writer,
-                        writer_handle: Some(writer_handle),
-                        ctrl,
-                        in_flight: 0,
-                        header_sent: false,
-                        draining: false,
-                        overflow: VecDeque::new(),
-                        blocked_since: None,
-                        last_activity: Instant::now(),
-                        sent_lines: 0,
-                    },
-                );
+                self.open(conn, writer, Some(ctrl));
             }
-            Event::Line {
+            // Shutdown stops intake: request lines still queued behind
+            // the shutdown check are not accepted.
+            ConnEvent::Line { .. } | ConnEvent::Rejected { .. } if !self.accepting => {}
+            ConnEvent::Line {
                 conn,
                 line_no,
                 line,
             } => self.handle_line(conn, line_no, &line),
-            Event::Oversized { conn, line_no } => {
-                if !self.conns.contains_key(&conn) {
-                    return;
+            ConnEvent::Rejected {
+                conn,
+                line_no,
+                reason,
+            } => {
+                if self.conns.contains_key(&conn) {
+                    self.requests += 1;
+                    self.bad_request(conn, line_no, reason);
                 }
-                self.requests += 1;
-                let max = self.options.max_line_bytes;
-                self.bad_request(conn, line_no, format!("request line exceeds {max} bytes"));
             }
-            Event::BadUtf8 { conn, line_no } => {
-                if !self.conns.contains_key(&conn) {
-                    return;
-                }
-                self.requests += 1;
-                self.bad_request(conn, line_no, "request line is not valid UTF-8".into());
-            }
-            Event::Eof { conn } => {
+            ConnEvent::Eof { conn } => {
                 let close_now = match self.conns.get_mut(&conn) {
                     Some(state) => {
                         state.draining = true;
@@ -1149,8 +1327,129 @@ impl Dispatcher {
                     self.close_conn(conn, CloseMode::Graceful);
                 }
             }
+            // The loop runs writer maintenance after every event.
+            ConnEvent::Writable => {}
         }
     }
+
+    /// Block until the next response, connection event, or `until`, and
+    /// act on it; `false` if `until` passed with nothing to do.
+    fn step(&mut self, until: Option<Instant>) -> bool {
+        match self.service.wait(until) {
+            Wake::Response(response) => self.deliver(response),
+            Wake::Conn(event) => self.handle_event(event),
+            Wake::Timeout => return false,
+        }
+        true
+    }
+}
+
+/// The accept thread and what stopping it needs.
+struct Acceptor {
+    thread: JoinHandle<std::io::Result<()>>,
+    addr: ListenAddr,
+    /// The path to unlink when serving ends (Unix sockets only).
+    cleanup: Option<PathBuf>,
+}
+
+impl Acceptor {
+    /// Accept connections until `closing` is set; each gets a reader
+    /// and a writer thread, announced to the dispatcher as
+    /// [`ConnEvent::Opened`].
+    fn spawn(
+        listener: SocketListener,
+        events: &Sender<Event>,
+        closing: &Arc<AtomicBool>,
+        options: &TransportOptions,
+    ) -> Acceptor {
+        let addr = listener.local.clone();
+        let cleanup = listener.cleanup.clone();
+        let (events, closing) = (events.clone(), Arc::clone(closing));
+        let faults = options.faults.clone();
+        let max_line = options.max_line_bytes;
+        let writer_queue = options.writer_queue.max(1);
+        // Write deadline: a single socket write may block at most this
+        // long (the grace window, floored so tiny test windows don't
+        // trip healthy peers on a loaded host).
+        let write_timeout = options.writer_grace.max(Duration::from_millis(250));
+        let thread = std::thread::spawn(move || {
+            let mut next_conn: u64 = 0;
+            loop {
+                let stream = match listener.accept() {
+                    Ok(stream) => stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                };
+                // Woken by the dispatcher's self-connect (or a client
+                // racing the shutdown): stop accepting.
+                if closing.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                next_conn += 1;
+                let conn = next_conn;
+                stream.set_read_timeout(Some(POLL_INTERVAL))?;
+                let write_half = stream.try_clone()?;
+                write_half.set_write_timeout(Some(write_timeout))?;
+                let ctrl = stream.try_clone()?;
+                let writer = spawn_writer(
+                    write_half,
+                    conn,
+                    writer_queue,
+                    events.clone(),
+                    faults.clone(),
+                );
+                // Opened is enqueued before the reader spawns, so the
+                // dispatcher never sees a Line for an unknown connection.
+                let opened = ConnEvent::Opened { conn, writer, ctrl };
+                if events.send(Event::Conn(opened)).is_err() {
+                    return Ok(());
+                }
+                let (events, closing, faults) =
+                    (events.clone(), Arc::clone(&closing), faults.clone());
+                spawn_reader(stream, conn, max_line, events, closing, faults);
+            }
+        });
+        Acceptor {
+            thread,
+            addr,
+            cleanup,
+        }
+    }
+
+    /// Wake the blocked `accept` with a self-connect, join the thread,
+    /// and unlink the socket file. Call after setting `closing`.
+    fn stop(self) -> std::io::Result<()> {
+        let woke = SocketStream::connect(&self.addr).is_ok();
+        // Without a wake-up (the socket file was removed from under us)
+        // a thread still blocked in accept is left behind, not joined.
+        let result = if woke || self.thread.is_finished() {
+            self.thread.join().unwrap_or(Ok(()))
+        } else {
+            Ok(())
+        };
+        if let Some(path) = &self.cleanup {
+            let _ = std::fs::remove_file(path);
+        }
+        result
+    }
+}
+
+/// Where a dispatcher's connections come from.
+pub enum Front {
+    /// Accept unix/TCP connections until the shutdown flag is set.
+    Listen(SocketListener),
+    /// Serve one JSONL stream — stdin/stdout, or a request file — as
+    /// connection 0, until it reaches EOF and drains, or until the
+    /// shutdown flag is set. Connection 0 keeps the stdin daemon's
+    /// contract: no in-flight cap, idle reap, or slow-close applies, a
+    /// slow consumer stalls the daemon instead of losing lines, and ops
+    /// answer without the `"transport"` object.
+    Stdio {
+        /// The request stream.
+        input: Box<dyn Read + Send>,
+        /// Where response lines go.
+        output: Box<dyn Write + Send>,
+    },
 }
 
 /// Run the socket daemon: accept connections on `listener` and serve
@@ -1171,157 +1470,81 @@ pub fn serve(
     options: TransportOptions,
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<(CompileService, TransportReport)> {
-    let cleanup = listener.cleanup.clone();
-    let (events_tx, events) = channel::<Event>();
-    let accept_shutdown = Arc::clone(&shutdown);
-    let max_line = options.max_line_bytes;
-    let writer_queue = options.writer_queue.max(1);
-    // Write deadline: a single socket write may block at most this long
-    // (the grace window, floored so tiny test windows don't trip
-    // healthy peers on a loaded host).
-    let write_timeout = options.writer_grace.max(Duration::from_millis(250));
-    let accept_faults = options.faults.clone();
-    let accept_handle: JoinHandle<std::io::Result<()>> = std::thread::spawn(move || {
-        let mut next_conn: u64 = 0;
-        loop {
-            if accept_shutdown.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok(stream) => {
-                    next_conn += 1;
-                    let conn = next_conn;
-                    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-                    let write_half = stream.try_clone()?;
-                    write_half.set_write_timeout(Some(write_timeout))?;
-                    let ctrl = stream.try_clone()?;
-                    let (writer_tx, writer_rx) = sync_channel::<String>(writer_queue);
-                    let writer_faults = accept_faults.clone();
-                    let writer_handle = std::thread::spawn(move || {
-                        writer_loop(write_half, &writer_rx, conn, &writer_faults);
-                    });
-                    // Opened is enqueued before the reader spawns, so
-                    // the dispatcher never sees a Line for an unknown
-                    // connection.
-                    if events_tx
-                        .send(Event::Opened {
-                            conn,
-                            writer: writer_tx,
-                            writer_handle,
-                            ctrl,
-                        })
-                        .is_err()
-                    {
-                        return Ok(()); // dispatcher gone
-                    }
-                    let reader_events = events_tx.clone();
-                    let reader_shutdown = Arc::clone(&accept_shutdown);
-                    let reader_faults = accept_faults.clone();
-                    std::thread::spawn(move || {
-                        reader_loop(
-                            stream,
-                            conn,
-                            max_line,
-                            &reader_events,
-                            &reader_shutdown,
-                            &reader_faults,
-                        );
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    });
+    serve_front(Front::Listen(listener), service, options, &shutdown)
+}
 
-    let mut d = Dispatcher {
-        service,
-        options,
-        conns: HashMap::new(),
-        conn_order: Vec::new(),
-        pending: HashMap::new(),
-        next_token: 1,
-        accepted: 0,
-        closed: 0,
-        requests: 0,
-        failures: 0,
-        conn_shed: 0,
-        conn_slow_closed: 0,
-        conn_idle_reaped: 0,
-        conn_refused: 0,
-        conn_written_off: 0,
+/// [`serve`] for any [`Front`], watching a borrowed shutdown flag (a
+/// signal handler's static works). The calling thread becomes the
+/// dispatcher; it returns once the front is done — shutdown, or the
+/// stdio stream drained — and everything in flight is answered.
+///
+/// # Errors
+///
+/// Propagates listener I/O failures surfaced by the accept loop.
+pub fn serve_front(
+    front: Front,
+    service: CompileService,
+    options: TransportOptions,
+    shutdown: &AtomicBool,
+) -> std::io::Result<(CompileService, TransportReport)> {
+    let events = service.events();
+    // Set once shutdown is seen: readers stop pulling requests and the
+    // accept loop exits on its next wake-up.
+    let closing = Arc::new(AtomicBool::new(false));
+    let mut d = Dispatcher::new(service, options, matches!(front, Front::Listen(_)));
+    let acceptor = match front {
+        Front::Listen(listener) => Some(Acceptor::spawn(listener, &events, &closing, &d.options)),
+        Front::Stdio { input, output } => {
+            let faults = d.options.faults.clone();
+            let queue = d.options.writer_queue.max(1);
+            d.open(
+                0,
+                spawn_writer(output, 0, queue, events.clone(), faults.clone()),
+                None,
+            );
+            let max_line = d.options.max_line_bytes;
+            spawn_reader(input, 0, max_line, events, Arc::clone(&closing), faults);
+            None
+        }
     };
-    let mut last_tick = Instant::now();
     loop {
-        // Everything already queued, then everything already finished.
-        while let Ok(event) = events.try_recv() {
-            d.handle_event(event);
-        }
-        while let Some(response) = d.service.try_recv() {
-            d.deliver(response);
-        }
-        // Writer maintenance every pass (overflow drains, slow-consumer
-        // closes, drained graceful closes) — cheap when nothing spilled.
         d.flush_writers();
-        if last_tick.elapsed() >= Duration::from_millis(25) {
-            d.service.tick();
-            d.reap_idle();
-            last_tick = Instant::now();
+        d.reap_idle();
+        if acceptor.is_none() && d.conns.is_empty() {
+            break; // connection 0 reached EOF and drained
         }
         if shutdown.load(Ordering::SeqCst) {
-            eprintln!("gmc-serve: shutdown signal received; draining");
-            // Requests that already crossed the socket get answered;
-            // readers stop pulling new ones.
-            while let Ok(event) = events.try_recv() {
-                d.handle_event(event);
-            }
+            eprintln!("gmc-serve: shutdown signal received; draining connections");
+            closing.store(true, Ordering::SeqCst);
+            // Requests that already reached the queue get answered;
+            // lines that arrive from now on are not accepted.
+            while d.step(Some(Instant::now())) {}
+            d.accepting = false;
             break;
         }
-        // Idle daemons sleep the full poll interval; with responses in
-        // flight (or spilled lines waiting on a writer) the dispatcher
-        // wakes fast so pipelined clients never wait on the tick.
-        let wait = if d.pending.is_empty() && !d.has_backlog() {
-            POLL_INTERVAL
-        } else {
-            Duration::from_micros(500)
-        };
-        match events.recv_timeout(wait) {
-            Ok(event) => d.handle_event(event),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+        // Block until the next event or timed obligation. The cap only
+        // re-checks the shutdown flag: a signal handler can only store
+        // an atomic.
+        let check = Instant::now() + POLL_INTERVAL;
+        d.step(Some(d.next_wake().map_or(check, |wake| wake.min(check))));
     }
 
-    // Graceful drain: answer everything in flight to its connection
-    // (recv ticks internally, so deadlines still bound a wedged shard).
-    while let Some(response) = d.service.recv() {
-        d.deliver(response);
-    }
-    // Flush spilled lines before the graceful closes; a peer that still
-    // won't read is slow-closed by the grace policy, so this terminates.
-    while d.has_backlog() {
+    // Graceful drain: answer everything in flight to its connection and
+    // flush spilled lines; a peer that still won't read is slow-closed
+    // by the grace policy, so this terminates.
+    loop {
         d.flush_writers();
-        std::thread::sleep(Duration::from_millis(1));
+        d.reap_idle();
+        if d.service.pending() == 0 && !d.has_backlog() {
+            break;
+        }
+        d.step(d.next_wake());
     }
-    let open: Vec<u64> = d.conns.keys().copied().collect();
-    for conn in open {
+    for conn in d.conn_order.clone() {
         d.close_conn(conn, CloseMode::Graceful);
     }
-    match accept_handle.join() {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => {
-            if let Some(path) = &cleanup {
-                let _ = std::fs::remove_file(path);
-            }
-            return Err(e);
-        }
-        Err(_) => {}
-    }
-    if let Some(path) = &cleanup {
-        let _ = std::fs::remove_file(path);
+    if let Some(acceptor) = acceptor {
+        acceptor.stop()?;
     }
     let report = TransportReport {
         accepted: d.accepted,
@@ -1830,6 +2053,149 @@ mod tests {
         assert_eq!(report.snapshot.conn_written_off, 0);
         let _ = service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A response sink shared with the test.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A stdio stream is connection 0: served to EOF and drained,
+    /// requests without an id get their line position, the runtime
+    /// header rides once, ops answer without the transport object, and
+    /// the connection policies do not apply — a pipelined stream is
+    /// never shed, even under a cap of 1.
+    #[test]
+    fn stdio_front_serves_connection_zero_to_eof() {
+        let no_id = format!(
+            "{{\"emit\":\"cpp\",\"source\":\"{}\"}}",
+            SRC.replace('\n', "\\n")
+        );
+        let input = format!(
+            "{}\n\n{no_id}\n{{\"op\":\"health\"}}\n{no_id}\n",
+            request_line(7)
+        );
+        let sink = Sink::default();
+        let front = Front::Stdio {
+            input: Box::new(std::io::Cursor::new(input)),
+            output: Box::new(sink.clone()),
+        };
+        let options = TransportOptions {
+            conn_in_flight_cap: 1,
+            ..TransportOptions::default()
+        };
+        let service = CompileService::start(fast_config(1)).unwrap();
+        let (service, report) =
+            serve_front(front, service, options, &AtomicBool::new(false)).unwrap();
+        let _ = service.shutdown();
+
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut ids: Vec<u64> = lines
+            .iter()
+            .map(|l| {
+                assert!(l.contains("\"ok\":true"), "{l}");
+                let rest = &l[l.find("\"id\":").unwrap() + 5..];
+                rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![2, 3, 4, 7], "blank lines take no position");
+        let health = lines
+            .iter()
+            .find(|l| l.contains("\"op\":\"health\""))
+            .unwrap();
+        assert!(!health.contains("\"transport\""), "{health}");
+        assert_eq!(text.matches("{\"name\":\"gmc_runtime.hpp\"").count(), 1);
+        assert_eq!((report.requests, report.failures), (4, 0));
+        assert_eq!(report.snapshot.open, 0, "connection 0 closed after EOF");
+        assert_eq!(report.snapshot.conn_shed, 0);
+    }
+
+    /// The dispatcher's wake-up instant is its earliest timed obligation:
+    /// with nothing timed it is `None` (wait for the next event, bounded
+    /// only by the shutdown check); otherwise it is exactly the one
+    /// request deadline, idle-reap time, or writer-grace expiry — or the
+    /// earliest of several.
+    #[test]
+    fn next_wake_is_the_earliest_timed_obligation() {
+        let idle = Duration::from_millis(80);
+        let grace = Duration::from_millis(100);
+        let options = TransportOptions {
+            idle_timeout: Some(idle),
+            writer_grace: grace,
+            ..TransportOptions::default()
+        };
+        let service = CompileService::start(fast_config(1)).unwrap();
+        let mut d = Dispatcher::new(service, options, true);
+        let conn = |socket: bool, last_activity: Instant| {
+            let writer = WriterHandle {
+                lines: sync_channel(1).0,
+                thread: std::thread::spawn(|| {}),
+                spilled: Arc::new(AtomicBool::new(false)),
+            };
+            let ctrl = socket.then(|| SocketStream::Unix(UnixStream::pair().unwrap().0));
+            ConnState {
+                last_activity,
+                ..ConnState::new(writer, ctrl)
+            }
+        };
+        let spilled = |mut state: ConnState, since: Instant| {
+            state.overflow.push_back("line".into());
+            state.blocked_since = Some(since);
+            state
+        };
+        let t0 = Instant::now();
+
+        // Nothing pending: connection 0 is never reaped.
+        d.conns.insert(0, conn(false, t0));
+        assert_eq!(d.next_wake(), None);
+
+        // Only the idle timeout.
+        d.conns.insert(1, conn(true, t0));
+        assert_eq!(d.next_wake(), Some(t0 + idle));
+
+        // Only the writer grace: spilled lines exempt a connection from
+        // the idle reap.
+        d.conns.insert(1, spilled(conn(true, t0), t0));
+        assert_eq!(d.next_wake(), Some(t0 + grace));
+
+        // Only a request deadline.
+        d.conns.remove(&1);
+        let budget = Duration::from_secs(10);
+        let before = Instant::now();
+        d.service.submit(CompileRequest {
+            id: 1,
+            name: None,
+            source: SRC.into(),
+            emit: Emit::Cpp,
+            deadline: Some(budget),
+        });
+        let after = Instant::now();
+        let deadline = d.next_wake().expect("a request deadline is pending");
+        assert!(before + budget <= deadline && deadline <= after + budget);
+
+        // Several at once: the earliest, whichever kind it is.
+        d.conns.insert(2, conn(true, t0));
+        d.conns.insert(3, spilled(conn(true, t0), t0));
+        assert_eq!(d.next_wake(), Some(t0 + idle), "idle reap first");
+        d.conns
+            .insert(2, conn(true, t0 + Duration::from_millis(50)));
+        assert_eq!(d.next_wake(), Some(t0 + grace), "writer grace first");
+
+        let mut service = d.service;
+        assert_eq!(service.drain().len(), 1);
+        let _ = service.shutdown();
     }
 
     /// TCP binds to an ephemeral port and resolves the real address.

@@ -196,6 +196,75 @@ fn deadlines_expire_in_submitter_and_at_dequeue() {
     let _ = service.shutdown();
 }
 
+/// Deadlines are exact: a 5 ms deadline on a shard wedged in a 200 ms
+/// compile comes back `deadline_exceeded` when it is due, not on a
+/// poll tick — through `CompileService::recv` and over a unix socket.
+#[test]
+fn short_deadlines_expire_on_time_through_recv_and_over_a_socket() {
+    use gmc_serve::transport::{self, ListenAddr, SocketListener, SocketStream, TransportOptions};
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    const BOUND: Duration = Duration::from_millis(15);
+    let faults = FaultPlan::parse("delay:200").unwrap();
+
+    let mut service = CompileService::start(config(1, faults.clone())).unwrap();
+    let mut req = request(1, SRC_A);
+    req.deadline = Some(Duration::from_millis(5));
+    let started = Instant::now();
+    service.submit(req);
+    let r = service.recv().expect("one response");
+    let took = started.elapsed();
+    assert_eq!(kind_of(&r), Some(FailureKind::DeadlineExceeded));
+    assert!(took < BOUND, "recv answered a 5 ms deadline after {took:?}");
+    let _ = service.shutdown();
+
+    let dir = std::env::temp_dir().join("gmc_exact_deadline_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr = ListenAddr::Unix(dir.join("deadline.sock"));
+    let listener = SocketListener::bind(&addr).unwrap();
+    let service = CompileService::start(config(1, faults)).unwrap();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let serve_shutdown = Arc::clone(&shutdown);
+    let daemon = std::thread::spawn(move || {
+        transport::serve(
+            listener,
+            service,
+            TransportOptions::default(),
+            serve_shutdown,
+        )
+    });
+    let mut stream = SocketStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let line = format!(
+        "{{\"id\":1,\"deadline_ms\":5,\"source\":\"{}\"}}\n",
+        SRC_A.replace('\n', "\\n")
+    );
+    let started = Instant::now();
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut response = String::new();
+    reader.read_line(&mut response).unwrap();
+    let took = started.elapsed();
+    assert!(
+        response.contains("\"kind\":\"deadline_exceeded\""),
+        "{response}"
+    );
+    assert!(
+        took < BOUND,
+        "socket answered a 5 ms deadline after {took:?}"
+    );
+
+    stream.shutdown_write().unwrap();
+    shutdown.store(true, Ordering::SeqCst);
+    let (service, report) = daemon.join().unwrap().unwrap();
+    assert_eq!((report.requests, report.failures), (1, 1));
+    let _ = service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn overload_sheds_beyond_the_queue_cap_with_typed_errors() {
     // One slow shard (30 ms per compile), queue depth 2: of five

@@ -56,9 +56,11 @@
 //!   without re-running enumeration/DP/expansion.
 //! * **`gmcc --serve <path|->`**: a JSONL daemon fronting the service
 //!   (one request object per line in, one response line out;
-//!   `--persist FILE` makes restarts warm). Batch mode is hardened the
-//!   same way: per-file diagnostics, healthy inputs still emit, dirty
-//!   exit code.
+//!   `--persist FILE` makes restarts warm). The request stream and
+//!   stdout are connection 0 of the socket transport's dispatcher, so
+//!   an interactive client gets each response the moment its shard
+//!   finishes. Batch mode is hardened the same way: per-file
+//!   diagnostics, healthy inputs still emit, dirty exit code.
 //! * **Multiplexed socket transport** (`gmc_serve::transport`,
 //!   `gmcc --listen unix:PATH|tcp:HOST:PORT`): the same JSONL protocol
 //!   over unix/TCP sockets with many concurrent connections. Each
@@ -66,8 +68,13 @@
 //!   owns the `CompileService`, remapping per-connection request ids
 //!   onto private tokens so clients can **pipeline** requests and
 //!   receive responses out of order (matched by id, ids scoped per
-//!   connection). Half-close (client shutdown of its write side)
-//!   drains that connection's in-flight work before closing; transport
+//!   connection). The dispatcher blocks on one event queue that the
+//!   readers, writers, accept loop, and shard workers all feed, with a
+//!   timeout at its nearest real obligation (request deadline, idle
+//!   reap, writer grace) — no poll timers, so deadlines are exact and
+//!   a warm hit costs lookup plus encode. Half-close (client shutdown
+//!   of its write side) drains that connection's in-flight work before
+//!   closing; transport
 //!   counters (`gmc_connections`, accepted/closed totals, per-conn
 //!   in-flight) ride the in-band health/metrics responses and the
 //!   Prometheus dump. `gmcc --connect ADDR` is the matching pipelining
@@ -110,13 +117,15 @@
 //!   (`--queue-cap`); overflow is shed *in band* with a retryable
 //!   `overloaded` error instead of queueing without bound. Requests
 //!   carry optional deadlines (`deadline_ms` field, `--deadline-ms`
-//!   default) enforced both at dequeue and in the submitter, so a
-//!   wedged shard cannot stall the response stream. The invariant the
+//!   default) enforced both at dequeue and in the submitter — which
+//!   keeps them ordered and wakes exactly when the earliest is due — so
+//!   a wedged shard cannot stall the response stream. The invariant the
 //!   whole layer preserves: **every submitted request gets exactly one
 //!   response** (pinned by a chaos property test in
 //!   `crates/serve/tests/chaos.rs`).
 //! * **Graceful drain**: on SIGTERM/SIGINT or stdin EOF the daemon
-//!   stops accepting, drains in-flight work, persists a final snapshot
+//!   stops accepting, drains in-flight work (one drain path for
+//!   sockets and stdin's connection 0), persists a final snapshot
 //!   (written atomically — temp file + rename; a corrupt snapshot is
 //!   quarantined to `<path>.bad` on the next start, never fatal), and
 //!   exits. `{"id":N,"op":"health"}` reports per-shard
