@@ -1,28 +1,24 @@
 //! End-to-end selection-latency trajectory: enumerate the Catalan-132
 //! pool of a 7-operand chain, fill the cost matrix, select the Theorem-2
-//! base set, and run the Algorithm-1 expansion — once on the engine's
-//! forced-portable (scalar) rung, once on the host's best SIMD rung
-//! (both `jobs = 1`), once with the session's full thread budget, and
-//! once with the enumeration engine pinned to its naive per-tree
-//! reference — writing `BENCH_select.json`.
+//! base set, and run the Algorithm-1 expansion — once at `jobs = 1` on
+//! the host's best SIMD rung, once with the session's full thread budget,
+//! and once in a warm session — writing `BENCH_select.json`.
 //!
-//! All runs must select identical variant sets: the engine's canonical
-//! blocked reduction makes scalar == AVX2 == AVX-512 bit for bit, the
-//! session pins parallel == serial, and the memoized enumeration engine
-//! pins memo == naive pools; only wall-clock may differ. The recorded
-//! `speedup_vs_pr3` compares the SIMD single-thread time to the 7.498 ms
-//! the pre-engine (PR 3) scalar pipeline measured on the same workload
+//! All runs must select identical variant sets: the session pins
+//! parallel == serial bit for bit; only wall-clock may differ. The
+//! recorded `speedup_vs_pr3` compares the single-thread time to the
+//! 7.498 ms the pre-engine scalar pipeline measured on the same workload
 //! and host. An `enumerate_*` breakdown isolates `build_pool` itself —
-//! the stage PR 4 left dominant — naive versus memoized.
+//! the dominant stage once the cost-matrix fill was vectorized —
+//! per-tree `build_variant` lowering versus the memoized engine, and the
+//! `frag_*` rows compare a capacity-0 fragment store with a cold and a
+//! warm one.
 //!
 //! Run with `cargo run --release [--features parallel] --bin
 //! bench_select [--smoke] [output.json]`.
 
-use gmc_core::simd::{self, SimdLevel};
-use gmc_core::{
-    build_pool_with_mode, force_enum_mode, force_frag_mode, force_trace_mode, CompileSession,
-    EnumMode, FragMode, Objective, ParenTree, TraceMode, Variant,
-};
+use gmc_core::simd;
+use gmc_core::{build_variant, CompileSession, Objective, ParenTree, PoolBuilder, Variant};
 use gmc_ir::{Features, InstanceSampler, Operand, Property, Shape, Structure};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,12 +126,7 @@ fn main() {
         select_once(&mut session, &shape)
     };
 
-    // Scalar rung, jobs = 1: the engine's portable reference path.
-    simd::force_level(Some(SimdLevel::Portable));
-    let (scalar_s, scalar_set) = best_of(reps, || cold_select(1));
-
     // Best SIMD rung, jobs = 1: the single-thread headline.
-    simd::force_level(None);
     let (simd_s, simd_set) = best_of(reps, || cold_select(1));
 
     // Full thread budget on the SIMD rung (1x on the 1-core dev host).
@@ -149,34 +140,33 @@ fn main() {
     let _ = select_once(&mut warm_session, &shape);
     let (warm_s, warm_set) = best_of(reps, || select_once(&mut warm_session, &shape));
 
-    // Enumeration breakdown: `build_pool` alone (the stage PR 4 left
-    // dominant), naive per-tree lowering vs the memoized span-DAG
-    // engine, cold each rep (a fresh `PoolBuilder`, like a first
-    // compile of the shape). Pools must be bit-identical.
+    // Enumeration breakdown: `build_pool` alone (the dominant stage once
+    // the fill was vectorized), one per-tree `build_variant` call per
+    // parenthesization vs the memoized span-DAG engine, cold each rep (a
+    // fresh `PoolBuilder`, like a first compile of the shape). Pools must
+    // be bit-identical.
     let trees = ParenTree::enumerate(0, shape.len() - 1);
     let (enum_naive_s, naive_pool) = best_of(reps, || {
-        build_pool_with_mode(&shape, &trees, 1, EnumMode::Naive).expect("naive pool")
+        trees
+            .iter()
+            .map(|t| build_variant(&shape, t).expect("per-tree variant"))
+            .collect::<Vec<Variant>>()
     });
     let (enum_memo_s, memo_pool) = best_of(reps, || {
-        build_pool_with_mode(&shape, &trees, 1, EnumMode::Memoized).expect("memoized pool")
+        PoolBuilder::new()
+            .build_for_trees(None, &shape, &trees, 1)
+            .expect("memoized pool")
     });
     assert_eq!(
         naive_pool, memo_pool,
         "memoized enumeration must build the bit-identical pool"
     );
 
-    // Full selection with the enumeration engine pinned to the naive
-    // reference: the session path both engines feed must select the
-    // identical set.
-    force_enum_mode(Some(EnumMode::Naive));
-    let (naive_sel_s, naive_sel_set) = best_of(reps, || cold_select(1));
-    force_enum_mode(None);
-
     // Cross-shape fragment store: enumerate the 8-shape related
-    // workload (shared structured prefix) in three regimes. `off` is
-    // the GMC_FRAG=off control (store never consulted); `cold` is a
-    // fresh store discovering the workload (later shapes already splice
-    // the earlier shapes' spans); `warm` is the serving/restart regime —
+    // workload (shared structured prefix) in three regimes. `off` is a
+    // capacity-0 store (never consulted); `cold` is a fresh store
+    // discovering the workload (later shapes already splice the earlier
+    // shapes' spans); `warm` is the serving/restart regime —
     // a store that has seen the workload re-enumerating it, every
     // association node a same-frame hit. One session per pass either
     // way, shapes cycled so the per-shape memo is re-targeted (and
@@ -188,13 +178,12 @@ fn main() {
             .map(|s| session.all_variants(s).expect("workload under cap"))
             .collect()
     };
-    force_frag_mode(Some(FragMode::Off));
     let (frag_off_s, off_pools) = best_of(reps, || {
         let mut session = CompileSession::new();
         session.set_jobs(1);
+        session.set_fragment_cache_capacity(0);
         enumerate_workload(&mut session)
     });
-    force_frag_mode(Some(FragMode::On));
     let (frag_cold_s, cold_pools) = best_of(reps, || {
         let mut session = CompileSession::new();
         session.set_jobs(1);
@@ -204,16 +193,15 @@ fn main() {
     warm_store.set_jobs(1);
     let _ = enumerate_workload(&mut warm_store);
     let (frag_warm_s, warm_pools) = best_of(reps, || enumerate_workload(&mut warm_store));
-    force_frag_mode(None);
     let warm_stats = warm_store.fragment_cache_stats();
 
     assert_eq!(
         off_pools, cold_pools,
-        "cold-store pools must be bit-identical to the GMC_FRAG=off control"
+        "cold-store pools must be bit-identical to the capacity-0 control"
     );
     assert_eq!(
         off_pools, warm_pools,
-        "warm-store pools must be bit-identical to the GMC_FRAG=off control"
+        "warm-store pools must be bit-identical to the capacity-0 control"
     );
     let frag_speedup = frag_cold_s / frag_warm_s;
 
@@ -222,14 +210,13 @@ fn main() {
     // that pass's wall-clock within 2x in either direction — the spans
     // cover the dominant work without gross double-counting.
     if smoke {
-        force_trace_mode(Some(TraceMode::On));
         let mut session = CompileSession::new();
         session.set_jobs(1);
+        session.set_tracing(true);
         let t = Instant::now();
         let _ = std::hint::black_box(select_once(&mut session, &shape));
         let wall_us = u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
         let total_us = session.stage_profile().total_us();
-        force_trace_mode(None);
         assert!(
             total_us <= wall_us.saturating_mul(2) && wall_us <= total_us.saturating_mul(2),
             "stage-profile total {total_us} us vs wall-clock {wall_us} us: beyond 2x"
@@ -238,10 +225,6 @@ fn main() {
     }
 
     assert_eq!(
-        scalar_set, simd_set,
-        "scalar and SIMD selection must pick the identical variant set"
-    );
-    assert_eq!(
         simd_set, parallel_set,
         "parallel selection must pick the identical variant set"
     );
@@ -249,12 +232,7 @@ fn main() {
         simd_set, warm_set,
         "warm-session selection must pick the identical variant set"
     );
-    assert_eq!(
-        simd_set, naive_sel_set,
-        "naive-enumeration selection must pick the identical variant set"
-    );
 
-    let scalar_vs_simd = scalar_s / simd_s;
     let enum_speedup = enum_naive_s / enum_memo_s;
     let speedup_vs_pr3 = PR3_SERIAL_MS / (simd_s * 1e3);
     let parallel_speedup = simd_s / parallel_s;
@@ -266,12 +244,10 @@ fn main() {
         "serial vs threaded candidate scan on the same pool"
     };
     println!(
-        "selection n=7 pool=132 (cold session): scalar {:7.3} ms   {} {:7.3} ms ({:.2}x)   \
+        "selection n=7 pool=132 (cold session): {} {:7.3} ms   \
          jobs={} {:7.3} ms   warm {:7.3} ms   vs PR3 baseline {:.2} ms: {:.2}x",
-        scalar_s * 1e3,
         simd_level.name(),
         simd_s * 1e3,
-        scalar_vs_simd,
         parallel_jobs,
         parallel_s * 1e3,
         warm_s * 1e3,
@@ -279,12 +255,10 @@ fn main() {
         speedup_vs_pr3,
     );
     println!(
-        "enumerate n=7 pool=132: naive {:7.3} ms   memoized {:7.3} ms ({:.2}x)   \
-         naive-mode selection {:7.3} ms",
+        "enumerate n=7 pool=132: per-tree {:7.3} ms   memoized {:7.3} ms ({:.2}x)",
         enum_naive_s * 1e3,
         enum_memo_s * 1e3,
         enum_speedup,
-        naive_sel_s * 1e3,
     );
     println!(
         "fragment store, 8 related 7-chains: off {:7.3} ms   cold {:7.3} ms   \
@@ -303,9 +277,7 @@ fn main() {
     let _ = writeln!(json, "  \"host_threads\": {host_threads},");
     let _ = writeln!(json, "  \"parallel_feature\": {parallel_feature},");
     let _ = writeln!(json, "  \"simd_level\": \"{}\",", simd_level.name());
-    let _ = writeln!(json, "  \"scalar_ms\": {:.3},", scalar_s * 1e3);
     let _ = writeln!(json, "  \"simd_ms\": {:.3},", simd_s * 1e3);
-    let _ = writeln!(json, "  \"scalar_vs_simd_speedup\": {scalar_vs_simd:.4},");
     let _ = writeln!(json, "  \"pr3_serial_ms\": {PR3_SERIAL_MS},");
     let _ = writeln!(json, "  \"speedup_vs_pr3\": {speedup_vs_pr3:.4},");
     let _ = writeln!(
@@ -315,7 +287,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"regime_note\": \"scalar/simd/serial/parallel rows are cold-session \
+        "  \"regime_note\": \"simd/serial/parallel rows are cold-session \
          (fresh session per rep, enumeration included, comparable to the PR3/PR4 \
          baselines); warm_session_ms is the memo-warm repeat (serving regime)\","
     );
@@ -328,13 +300,8 @@ fn main() {
     let _ = writeln!(json, "  \"enumerate_speedup\": {enum_speedup:.4},");
     let _ = writeln!(
         json,
-        "  \"naive_enum_selection_ms\": {:.3},",
-        naive_sel_s * 1e3
-    );
-    let _ = writeln!(
-        json,
         "  \"frag_workload_note\": \"frag_* rows enumerate 8 related structured 7-chains \
-         sharing a 5-operand prefix: off = GMC_FRAG=off control, cold = fresh store, \
+         sharing a 5-operand prefix: off = capacity-0 store, cold = fresh store, \
          warm = store that has seen the workload (serving/restart regime); pools \
          bit-identical across all three\","
     );
@@ -350,7 +317,6 @@ fn main() {
     let _ = writeln!(json, "  \"frag_pools_bit_identical\": true,");
     let _ = writeln!(json, "  \"enum_pools_bit_identical\": true,");
     let _ = writeln!(json, "  \"selected_variants\": {},", simd_set.len());
-    let _ = writeln!(json, "  \"scalar_simd_sets_bit_identical\": true,");
     let _ = writeln!(json, "  \"note\": \"{note}\"");
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write benchmark json");

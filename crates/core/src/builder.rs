@@ -525,9 +525,9 @@ fn association_order(tree: &ParenTree) -> Vec<(ParenTree, ParenTree)> {
 /// `optimal_cost_reference` for the DP solver): the memoized enumeration
 /// engine ([`crate::pool::PoolBuilder`]) must produce bit-identical
 /// variants, which `crates/core/tests/pool_memo.rs` pins. Pool-sized
-/// work should go through [`crate::enumerate::build_pool_with_mode`] or
-/// a session, which lower each distinct sub-span once instead of once
-/// per containing tree.
+/// work should go through [`crate::pool::PoolBuilder`] or a session,
+/// which lower each distinct sub-span once instead of once per
+/// containing tree.
 ///
 /// # Errors
 ///

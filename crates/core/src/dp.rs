@@ -26,10 +26,10 @@
 //! `HashMap<DescKey, State>`-per-span formulation (kept as
 //! [`optimal_cost_reference`] for benchmarking and cross-checks):
 //!
-//! * descriptors are interned once into dense `u32` ids ([`Interner`]),
+//! * descriptors are interned once into dense `u32` ids (`Interner`),
 //!   so span tables are flat `Vec`s addressed by slot, not hash maps;
 //! * `associate` + `cost_flops` results are memoized per `(left id,
-//!   right id)` pair ([`AssocMemo`]) — sound because the association
+//!   right id)` pair (`AssocMemo`) — sound because the association
 //!   outcome depends only on the interned descriptor fields, never on
 //!   where a value is stored — which collapses the inner relaxation loop
 //!   to table lookups on chains with few distinct descriptors;
@@ -344,8 +344,8 @@ type FinRecipe = [Option<Finalize>; 2];
 
 /// A reusable DP solver for one shape.
 ///
-/// Owns the descriptor [`Interner`], the feature-level [`AssocMemo`], the
-/// span [`StateArena`], and the finalize memo, all of which persist across
+/// Owns the descriptor `Interner`, the feature-level `AssocMemo`, the
+/// span `StateArena`, and the finalize memo, all of which persist across
 /// [`DpSolver::optimal_cost`] calls. The set of descriptors reachable per
 /// span depends only on the shape (never on the instance sizes), so after
 /// the first solve every table is warm and subsequent solves are

@@ -9,36 +9,22 @@
 //! unbounded allocation blowup; use [`crate::dp::optimal_cost`] for the
 //! per-instance optimum without materializing `A`.
 //!
-//! # Enumeration modes
-//!
-//! Two interchangeable engines build the pool, selected by
-//! [`EnumMode`]:
-//!
-//! * [`EnumMode::Memoized`] (the default): the span-DAG engine
-//!   ([`crate::pool::PoolBuilder`]) lowers each distinct sub-span
-//!   parenthesization once and assembles variants by fragment splicing —
-//!   per-fragment instead of per-tree work.
-//! * [`EnumMode::Naive`]: one [`crate::builder::build_variant`] call per
-//!   tree, the cross-checked reference.
-//!
-//! Both produce **bit-identical pools** (same order, same steps and
-//! `ValRef`s, same exact cost polynomials), pinned by
-//! `crates/core/tests/pool_memo.rs`. The `GMC_ENUM` environment variable
-//! (`naive` / `memo`, read once, mirroring `GMC_SIMD`) pins the default
-//! used by sessions and free functions, so the reference rung stays
-//! exercisable on any host and in benches; [`force_enum_mode`] overrides
-//! both for diagnostics, and [`build_pool_with_mode`] takes the mode
-//! explicitly (no global state) for tests and benchmarks.
+//! The pool is built by the memoized span-DAG engine
+//! ([`crate::pool::PoolBuilder`]), which lowers each distinct sub-span
+//! parenthesization once and assembles variants by fragment splicing —
+//! per-fragment instead of per-tree work. Its output is **bit-identical**
+//! to one [`crate::builder::build_variant`] call per tree (same order,
+//! same steps and `ValRef`s, same exact cost polynomials); the per-tree
+//! lowering stays an ordinary function that `crates/core/tests/pool_memo.rs`
+//! calls by name as the reference.
 
-use crate::builder::{build_variant, BuildError};
+use crate::builder::BuildError;
 use crate::paren::ParenTree;
 use crate::pool::PoolBuilder;
 use crate::variant::Variant;
 use gmc_ir::Shape;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Default cap on the number of variants [`all_variants`] will build.
 ///
@@ -88,77 +74,6 @@ impl From<BuildError> for EnumerateError {
     }
 }
 
-/// Which engine builds the variant pool (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnumMode {
-    /// Span-DAG fragment memoization: lower each distinct sub-span once,
-    /// assemble variants by splice + renumber (the default).
-    Memoized,
-    /// One `build_variant` call per tree: the reference lowering.
-    Naive,
-}
-
-impl EnumMode {
-    /// Stable lower-case name (`memo` / `naive`), as accepted by the
-    /// `GMC_ENUM` environment variable.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EnumMode::Memoized => "memo",
-            EnumMode::Naive => "naive",
-        }
-    }
-}
-
-/// Process-global override set by [`force_enum_mode`]: 0 = none, 1 =
-/// memoized, 2 = naive.
-static FORCED_ENUM: AtomicU8 = AtomicU8::new(0);
-
-/// Force every pool build onto one engine (`None` restores the
-/// `GMC_ENUM` / default resolution). For benchmarks and diagnostics —
-/// the override is process-global, like [`crate::simd::force_level`];
-/// callers that need a *specific* engine without global state should use
-/// [`build_pool_with_mode`].
-pub fn force_enum_mode(mode: Option<EnumMode>) {
-    FORCED_ENUM.store(
-        match mode {
-            None => 0,
-            Some(EnumMode::Memoized) => 1,
-            Some(EnumMode::Naive) => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Mode requested by the `GMC_ENUM` environment variable, read once.
-/// Unrecognized values are reported on stderr and ignored — a typo must
-/// not silently disable (or pretend to apply) the pin.
-fn env_enum_mode() -> EnumMode {
-    static MODE: OnceLock<EnumMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("GMC_ENUM").as_deref() {
-        Ok("naive" | "reference") => EnumMode::Naive,
-        Ok("memo" | "memoized") | Err(_) => EnumMode::Memoized,
-        Ok(other) => {
-            eprintln!(
-                "gmc-core: ignoring unrecognized GMC_ENUM=`{other}` \
-                 (expected naive|memo)"
-            );
-            EnumMode::Memoized
-        }
-    })
-}
-
-/// The engine pool builds run on: [`force_enum_mode`] if set, else the
-/// `GMC_ENUM` environment variable, else [`EnumMode::Memoized`].
-#[must_use]
-pub fn active_enum_mode() -> EnumMode {
-    match FORCED_ENUM.load(Ordering::Relaxed) {
-        1 => EnumMode::Memoized,
-        2 => EnumMode::Naive,
-        _ => env_enum_mode(),
-    }
-}
-
 /// Build the deterministic variant for *every* parenthesization of the
 /// chain — the set `A` of Sec. V, one variant per parenthesization —
 /// refusing pools larger than [`DEFAULT_VARIANT_CAP`].
@@ -184,86 +99,8 @@ pub fn all_variants_capped(shape: &Shape, cap: u64) -> Result<Vec<Variant>, Enum
             cap,
         });
     }
-    match active_enum_mode() {
-        EnumMode::Memoized => PoolBuilder::full_pool(shape, 1),
-        EnumMode::Naive => {
-            let trees = ParenTree::enumerate(0, shape.len() - 1);
-            build_pool_naive(shape, &trees, 1)
-        }
-    }
-    .map_err(EnumerateError::Build)
+    PoolBuilder::full_pool(shape, 1).map_err(EnumerateError::Build)
 }
-
-/// Lower a list of parenthesizations into variants with an explicit
-/// [`EnumMode`] (no global state — for tests and benchmarks comparing
-/// the engines), splitting the work across up to `jobs` threads. The
-/// output is bit-identical for every mode and `jobs` value.
-///
-/// # Errors
-///
-/// Propagates [`BuildError`] for the first failing tree (unreachable
-/// for valid shapes and well-formed trees).
-pub fn build_pool_with_mode(
-    shape: &Shape,
-    trees: &[ParenTree],
-    jobs: usize,
-    mode: EnumMode,
-) -> Result<Vec<Variant>, BuildError> {
-    match mode {
-        EnumMode::Memoized => PoolBuilder::new().build_for_trees(None, shape, trees, jobs),
-        EnumMode::Naive => build_pool_naive(shape, trees, jobs),
-    }
-}
-
-/// The reference pool build: one [`build_variant`] per tree, results
-/// written back in tree order (identical output for every `jobs`
-/// value).
-pub(crate) fn build_pool_naive(
-    shape: &Shape,
-    trees: &[ParenTree],
-    jobs: usize,
-) -> Result<Vec<Variant>, BuildError> {
-    map_collect(trees, jobs, |t| build_variant(shape, t))
-}
-
-/// Map `f` over `items` into a `Vec`, fanning the work out across up to
-/// `jobs` threads when the `parallel` feature is on and the slice is
-/// large enough to amortize thread spawns. Results come back in item
-/// order (per-chunk `Vec`s, flattened — no per-element `Option`
-/// bookkeeping), and the first `Err` in item order wins, so output is
-/// identical for every `jobs` value. Shared by the naive per-tree pool
-/// build and the memoized engine's variant assembly.
-pub(crate) fn map_collect<T, V, E, F>(items: &[T], jobs: usize, f: F) -> Result<Vec<V>, E>
-where
-    T: Sync,
-    V: Send,
-    E: Send,
-    F: Fn(&T) -> Result<V, E> + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if jobs > 1 && items.len() >= 2 * PAR_MIN_TREES_PER_JOB {
-        let jobs = jobs.min(items.len() / PAR_MIN_TREES_PER_JOB).max(1);
-        let chunk = items.len().div_ceil(jobs);
-        let mut chunks: Vec<Vec<Result<V, E>>> = items
-            .chunks(chunk)
-            .map(|c| Vec::with_capacity(c.len()))
-            .collect();
-        rayon::scope(|s| {
-            for (ichunk, out) in items.chunks(chunk).zip(chunks.iter_mut()) {
-                let f = &f;
-                s.spawn(move |_| out.extend(ichunk.iter().map(f)));
-            }
-        });
-        return chunks.into_iter().flatten().collect();
-    }
-    let _ = jobs;
-    items.iter().map(&f).collect()
-}
-
-/// Below this many trees per worker, thread spawn overhead dominates
-/// (the vendored rayon shim spawns OS threads, not pool tasks).
-#[cfg(feature = "parallel")]
-const PAR_MIN_TREES_PER_JOB: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -313,19 +150,27 @@ mod tests {
         // n = 7: 132 trees, enough to engage the parallel chunking.
         let shape = Shape::new(vec![g, l.inverted(), g, g.transposed(), l, g, g]).unwrap();
         let trees = ParenTree::enumerate(0, 6);
-        let naive = build_pool_with_mode(&shape, &trees, 1, EnumMode::Naive).unwrap();
-        let memo = build_pool_with_mode(&shape, &trees, 1, EnumMode::Memoized).unwrap();
-        assert_eq!(naive, memo, "exact pool equality across engines");
-        for jobs in [2, 4] {
+        let reference: Vec<Variant> = trees
+            .iter()
+            .map(|t| crate::builder::build_variant(&shape, t).unwrap())
+            .collect();
+        assert_eq!(
+            all_variants(&shape).unwrap(),
+            reference,
+            "exact pool equality: memoized engine vs per-tree lowering"
+        );
+        for jobs in [1, 2, 4] {
             assert_eq!(
-                build_pool_with_mode(&shape, &trees, jobs, EnumMode::Naive).unwrap(),
-                naive,
-                "naive jobs={jobs}"
+                PoolBuilder::new()
+                    .build_for_trees(None, &shape, &trees, jobs)
+                    .unwrap(),
+                reference,
+                "explicit trees, jobs={jobs}"
             );
             assert_eq!(
-                build_pool_with_mode(&shape, &trees, jobs, EnumMode::Memoized).unwrap(),
-                memo,
-                "memo jobs={jobs}"
+                PoolBuilder::full_pool(&shape, jobs).unwrap(),
+                reference,
+                "full pool, jobs={jobs}"
             );
         }
     }

@@ -41,7 +41,7 @@ impl Objective {
     /// Straight left-to-right fold over an arbitrary penalty iterator —
     /// a convenience for external callers. The selection engine itself
     /// reduces slices in the canonical blocked order
-    /// ([`Objective::over`] via [`crate::simd`]), which supersedes this
+    /// (`Objective::over` via [`crate::simd`]), which supersedes this
     /// fold as the reference for selection decisions; the two can
     /// differ in the final ulp for `AvgPenalty`.
     pub fn evaluate(self, penalties: impl Iterator<Item = f64>) -> f64 {
@@ -417,53 +417,28 @@ pub fn expand_set_with(
     scratch: &mut ExpandScratch,
     jobs: usize,
 ) -> Vec<usize> {
-    expand_set_striped(matrix, initial, k, objective, scratch, jobs, 0)
-}
-
-/// [`expand_set_with`] with an explicit candidate-scan stripe size: the
-/// number of candidates each spawned task scans. `0` means one stripe
-/// per thread (`num_variants / jobs`, the default); smaller stripes give
-/// the vendored rayon shim more, finer tasks, which many-core hosts can
-/// tune through [`crate::CompileOptions::scan_stripe`] without
-/// rebuilding. Purely a scheduling knob: stripes are reduced in index
-/// order with the same strict-minimum rule, so the selected set is
-/// bit-identical for every stripe (and jobs) value.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn expand_set_striped(
-    matrix: &CostMatrix,
-    initial: &[usize],
-    k: usize,
-    objective: Objective,
-    scratch: &mut ExpandScratch,
-    jobs: usize,
-    stripe: usize,
-) -> Vec<usize> {
-    expand_set_striped_level(
+    expand_set_level(
         matrix,
         initial,
         k,
         objective,
         scratch,
         jobs,
-        stripe,
         simd::active_level(),
     )
 }
 
-/// [`expand_set_striped`] on an explicit engine rung (requests above the
+/// [`expand_set_with`] on an explicit engine rung (requests above the
 /// CPU's capability are clamped). The selected set is bit-identical for
 /// every rung — the cross-rung property `tests/simd_paths.rs` pins.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn expand_set_striped_level(
+pub fn expand_set_level(
     matrix: &CostMatrix,
     initial: &[usize],
     k: usize,
     objective: Objective,
     scratch: &mut ExpandScratch,
     jobs: usize,
-    stripe: usize,
     level: SimdLevel,
 ) -> Vec<usize> {
     let ni = matrix.num_instances();
@@ -480,7 +455,7 @@ pub fn expand_set_striped_level(
     };
     while set.len() < k {
         let (best_candidate, v_star) =
-            scan_candidates(matrix, &set, &scratch.best, objective, jobs, stripe, level);
+            scan_candidates(matrix, &set, &scratch.best, objective, jobs, level);
         match best_candidate {
             Some(d) if v_star < v_min => {
                 simd::min_in_place(level, &mut scratch.best, matrix.row(d));
@@ -537,25 +512,21 @@ fn scan_range(
     (best_candidate, v_star)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Scan every candidate for the first strict minimum, split into one
+/// index-range stripe per thread when the `parallel` feature is on and
+/// the matrix is large enough to pay for the spawns.
 fn scan_candidates(
     matrix: &CostMatrix,
     set: &[usize],
     best: &[f64],
     objective: Objective,
     jobs: usize,
-    stripe: usize,
     level: SimdLevel,
 ) -> (Option<usize>, f64) {
     let nv = matrix.num_variants();
     #[cfg(feature = "parallel")]
     if jobs > 1 && nv * matrix.num_instances() >= PAR_MIN_CELLS {
-        let per = if stripe == 0 {
-            nv.div_ceil(jobs.min(nv).max(1))
-        } else {
-            stripe
-        }
-        .max(1);
+        let per = nv.div_ceil(jobs.min(nv).max(1)).max(1);
         let tasks = nv.div_ceil(per);
         let mut partial: Vec<(Option<usize>, f64)> = vec![(None, f64::INFINITY); tasks];
         rayon::scope(|s| {
@@ -579,7 +550,7 @@ fn scan_candidates(
         }
         return (best_candidate, v_star);
     }
-    let _ = (jobs, stripe);
+    let _ = jobs;
     scan_range(matrix, set, best, objective, 0..nv, level)
 }
 
@@ -752,10 +723,10 @@ mod tests {
     }
 
     #[test]
-    fn stripe_size_never_changes_the_selection() {
-        // The stripe knob tunes task granularity only; with the parallel
-        // feature the jobs=4 runs actually thread the scan, and without
-        // it the knob must be a no-op either way.
+    fn thread_budget_never_changes_the_selection() {
+        // With the parallel feature the jobs > 1 runs actually thread the
+        // scan (one stripe per thread); without it the budget must be a
+        // no-op either way.
         let (pool, instances, shape) = pool_and_instances();
         let matrix = CostMatrix::flops(&pool, &instances);
         let base = select_base_set(&shape, &instances, matrix.optimal()).unwrap();
@@ -766,18 +737,17 @@ mod tests {
             .collect();
         let k = initial.len() + 3;
         let reference = expand_set(&matrix, &initial, k, Objective::AvgPenalty);
-        for stripe in [0usize, 1, 3, 7, 1000] {
+        for jobs in [1usize, 2, 3, 4, 1000] {
             let mut scratch = ExpandScratch::default();
-            let got = expand_set_striped(
+            let got = expand_set_with(
                 &matrix,
                 &initial,
                 k,
                 Objective::AvgPenalty,
                 &mut scratch,
-                4,
-                stripe,
+                jobs,
             );
-            assert_eq!(reference, got, "stripe = {stripe}");
+            assert_eq!(reference, got, "jobs = {jobs}");
         }
     }
 

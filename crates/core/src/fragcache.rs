@@ -17,7 +17,7 @@
 //! runs are interchangeable no matter which shapes they came from. That makes
 //! a cross-shape store sound: [`FragmentCache`] maps
 //! `(options, descriptor run, tree)` — all renumbered to a span-local frame —
-//! to the lowered [`Fragment`] (or the [`BuildError`] the lowering produced,
+//! to the lowered `Fragment` (or the [`BuildError`] the lowering produced,
 //! so failures are also exact-once).
 //!
 //! # Frames and relocation
@@ -37,13 +37,13 @@
 //! [`DEFAULT_FRAG_CACHE_CAPACITY`](crate::DEFAULT_FRAG_CACHE_CAPACITY)
 //! entries) and keeps [`FragCacheStats`] counters — hits, misses, insertions,
 //! evictions, and snapshot-restored entries — mirroring the chain cache's
-//! [`CacheStats`](crate::CacheStats) treatment. `GMC_FRAG=off|on` (or
-//! [`force_frag_mode`] from code) disables or re-enables store consultation in
-//! [`CompileSession`](crate::CompileSession), mirroring `GMC_SIMD`/`GMC_ENUM`.
+//! [`CacheStats`](crate::CacheStats) treatment. Capacity 0
+//! ([`CompileSession::set_fragment_cache_capacity`](crate::CompileSession::set_fragment_cache_capacity))
+//! is the one off switch: the session then never hands the store to the
+//! pool builder, so no key is built and no lookup is counted.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::builder::{BuildError, BuildOptions, Fragment, NodeDesc};
 use crate::variant::ValRef;
@@ -116,67 +116,6 @@ impl std::hash::BuildHasher for FxBuildHasher {
     #[inline]
     fn build_hasher(&self) -> FxHasher64 {
         FxHasher64::default()
-    }
-}
-
-/// Whether [`CompileSession`](crate::CompileSession) consults the fragment
-/// store during enumeration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FragMode {
-    /// Consult and populate the cross-shape fragment store (default).
-    On,
-    /// Bypass the store entirely; every node is lowered from scratch.
-    Off,
-}
-
-impl FragMode {
-    /// Stable lowercase name, as accepted by `GMC_FRAG`.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FragMode::On => "on",
-            FragMode::Off => "off",
-        }
-    }
-}
-
-/// Process-wide override: 0 = none, 1 = on, 2 = off.
-static FORCED_FRAG: AtomicU8 = AtomicU8::new(0);
-
-/// Force a fragment-store mode for the current process, overriding the
-/// `GMC_FRAG` environment variable. `None` restores env-driven selection.
-///
-/// Used by benches to measure the store-off control without re-spawning.
-pub fn force_frag_mode(mode: Option<FragMode>) {
-    let v = match mode {
-        None => 0,
-        Some(FragMode::On) => 1,
-        Some(FragMode::Off) => 2,
-    };
-    FORCED_FRAG.store(v, Ordering::Relaxed);
-}
-
-/// Read `GMC_FRAG` once; unrecognized values warn and fall back to `on`.
-fn env_frag_mode() -> FragMode {
-    static MODE: OnceLock<FragMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("GMC_FRAG").as_deref() {
-        Ok("off") => FragMode::Off,
-        Ok("on") | Err(_) => FragMode::On,
-        Ok(other) => {
-            eprintln!("gmc: unrecognized GMC_FRAG={other:?}; expected \"off\" or \"on\"");
-            FragMode::On
-        }
-    })
-}
-
-/// The fragment-store mode in effect: a [`force_frag_mode`] override if one
-/// is set, otherwise the `GMC_FRAG` environment variable, otherwise `On`.
-#[must_use]
-pub fn active_frag_mode() -> FragMode {
-    match FORCED_FRAG.load(Ordering::Relaxed) {
-        1 => FragMode::On,
-        2 => FragMode::Off,
-        _ => env_frag_mode(),
     }
 }
 
@@ -688,18 +627,5 @@ mod tests {
         let again = cache.lookup(&key, &frame).unwrap().unwrap();
         assert!(Arc::ptr_eq(&again, &arc));
         assert_eq!(cache.stats().restored, 1);
-    }
-
-    #[test]
-    fn forced_mode_overrides_and_restores_env_selection() {
-        force_frag_mode(Some(FragMode::Off));
-        assert_eq!(active_frag_mode(), FragMode::Off);
-        force_frag_mode(Some(FragMode::On));
-        assert_eq!(active_frag_mode(), FragMode::On);
-        force_frag_mode(None);
-        // Unset env (the default test environment) selects On.
-        if std::env::var("GMC_FRAG").is_err() {
-            assert_eq!(active_frag_mode(), FragMode::On);
-        }
     }
 }

@@ -32,7 +32,9 @@
 //! reductions follow one *canonical blocked order* — eight partial
 //! accumulators plus a deterministic tree reduce — on every rung, so
 //! scalar and SIMD selection are bit-identical and results never depend
-//! on the host CPU (see the [`simd`] module docs).
+//! on the host CPU (see the [`simd`] module docs). Production selection
+//! runs on the best rung the CPU supports; tests pin every rung against
+//! the portable one through the explicit `*_level` entry points.
 //!
 //! Stage 1 runs on the **memoized enumeration engine** ([`pool`]): the
 //! parenthesizations of a chain form a span DAG ([`paren::SpanDag`],
@@ -42,9 +44,8 @@
 //! the builder's total order with a constant `Temp` renumber — turning
 //! `build_pool` from per-tree into per-fragment work (~4x for `n = 7`)
 //! while staying **bit-identical** to per-tree [`build_variant`]
-//! lowering, which remains the cross-checked reference. `GMC_ENUM=naive`
-//! pins the reference engine at runtime (mirroring `GMC_SIMD`); see the
-//! [`enumerate`] module docs.
+//! lowering, which remains the reference the tests call by name; see
+//! the [`pool`] module docs.
 //!
 //! Above the per-shape memo sits the **cross-shape fragment store**
 //! ([`fragcache`]): fragments are keyed by the hash of their span's
@@ -54,8 +55,8 @@
 //! LRU-bounded, owned by the session (capacity/stats knobs next to the
 //! chain cache's), serialized as a versioned section of the
 //! `gmc-session-snapshot` format so restarted daemons warm-start from
-//! persisted fragments, and disabled via `GMC_FRAG=off` (mirroring
-//! `GMC_SIMD`/`GMC_ENUM`); see the [`fragcache`] module docs.
+//! persisted fragments, and turned off by capacity 0, which the tests
+//! use as the store-off reference; see the [`fragcache`] module docs.
 //!
 //! The whole pipeline is **traced** through the `gmc-obs` substrate:
 //! every session owns a [`gmc_obs::Recorder`] that accounts each stage
@@ -66,8 +67,8 @@
 //! observability only — it never changes selection decisions or
 //! emitted artifacts — and is toggled per session
 //! ([`session::CompileSession::set_tracing`]) or process-wide with
-//! `GMC_TRACE=off` (mirroring `GMC_SIMD`/`GMC_ENUM`/`GMC_FRAG`); when
-//! off, each instrumented site pays a single branch.
+//! `GMC_TRACE=off`, the one environment mode switch the compiler reads;
+//! when off, each instrumented site pays a single branch.
 //!
 //! ```
 //! use gmc_core::CompiledChain;
@@ -110,15 +111,11 @@ pub mod variant;
 pub use alpha::{alpha_hat, catalogue_alpha_hat, shape_penalty_bound, TermKind};
 pub use builder::{build_variant, build_variant_with, BuildError, BuildOptions};
 pub use dp::{optimal_cost, optimal_variant, DpSolver};
-pub use enumerate::{
-    active_enum_mode, all_variants, all_variants_capped, build_pool_with_mode, force_enum_mode,
-    EnumMode, EnumerateError, DEFAULT_VARIANT_CAP,
-};
+pub use enumerate::{all_variants, all_variants_capped, EnumerateError, DEFAULT_VARIANT_CAP};
 pub use expand::{
-    expand_set, expand_set_striped, expand_set_striped_level, expand_set_with, CostMatrix,
-    ExpandScratch, Objective,
+    expand_set, expand_set_level, expand_set_with, CostMatrix, ExpandScratch, Objective,
 };
-pub use fragcache::{active_frag_mode, force_frag_mode, FragCacheStats, FragMode, FragmentCache};
+pub use fragcache::{FragCacheStats, FragmentCache};
 pub use gmc_obs::{active_trace_mode, force_trace_mode, Recorder, Stage, StageProfile, TraceMode};
 pub use library::ChainLibrary;
 pub use paren::{NodeId, ParenTree, SpanDag};

@@ -31,8 +31,8 @@
 //! [`CompileOptions`] field that influences selection — snapshots only
 //! restore into sessions with matching options, because the recorded
 //! decisions would otherwise silently misrepresent what the session
-//! would have selected. Scheduling-only knobs (`scan_stripe`, thread
-//! counts) are deliberately excluded: they never change selection.
+//! would have selected. Thread counts are deliberately excluded: they
+//! never change selection.
 //!
 //! The optional trailing **fragment section** (since PR 7) persists the
 //! hot entries of the session's cross-shape fragment store
@@ -1062,13 +1062,6 @@ mod tests {
     #[test]
     fn options_key_tracks_selection_inputs_only() {
         let base = CompileOptions::default();
-        let mut stripe = base.clone();
-        stripe.scan_stripe = 64;
-        assert_eq!(
-            options_key(&base, 100),
-            options_key(&stripe, 100),
-            "scheduling knob"
-        );
         let mut seeded = base.clone();
         seeded.seed += 1;
         assert_ne!(options_key(&base, 100), options_key(&seeded, 100));

@@ -10,19 +10,19 @@
 //! 1. enumerates parenthesizations as a [`SpanDag`] (each distinct
 //!    sub-tree interned once per span — 301 nodes instead of 792
 //!    per-tree associations for `n = 7`),
-//! 2. lowers each DAG node **exactly once** into a
-//!    [`Fragment`](crate::builder::Fragment) — the association's
-//!    rewrite/kernel/feature results with span-local `ValRef`s plus the
-//!    exact cumulative cost polynomial — and
+//! 2. lowers each DAG node **exactly once** into a `Fragment` — the
+//!    association's rewrite/kernel/feature results with span-local
+//!    `ValRef`s plus the exact cumulative cost polynomial — and
 //! 3. assembles each full variant by walking its root's sub-DAG in the
 //!    builder's leftmost-available-first order, splicing fragment steps
 //!    with a constant `Temp`-offset renumber.
 //!
-//! The output is **bit-identical** to per-tree [`build_variant`] lowering
-//! — same steps, same `ValRef`s, same finalizes, same (exact-rational)
-//! cost polynomials, same pool order — pinned by
-//! `crates/core/tests/pool_memo.rs` and selectable at runtime via the
-//! `GMC_ENUM` environment variable (see [`crate::enumerate`]).
+//! The output is **bit-identical** to per-tree
+//! [`build_variant`](crate::builder::build_variant) lowering — same
+//! steps, same `ValRef`s, same finalizes, same (exact-rational) cost
+//! polynomials, same pool order — pinned by
+//! `crates/core/tests/pool_memo.rs`, which calls the per-tree lowering
+//! by name as the reference.
 //!
 //! A [`crate::session::CompileSession`] owns one `PoolBuilder` and reuses
 //! its scratch across compiles; the memo is invalidated whenever the
@@ -322,7 +322,7 @@ impl PoolBuilder {
     fn assemble_many(&mut self, roots: &[NodeId], jobs: usize) -> Result<Vec<Variant>, BuildError> {
         self.stats.variants_assembled += roots.len();
         let this = &*self;
-        crate::enumerate::map_collect(roots, jobs, |&id| this.assemble(id))
+        map_collect(roots, jobs, |&id| this.assemble(id))
     }
 
     /// Build the variant for **every** parenthesization of `shape`, in
@@ -350,7 +350,7 @@ impl PoolBuilder {
     /// [`PoolBuilder::build_full`] consulting (and populating) a
     /// cross-shape [`FragmentCache`] for every association node the
     /// per-shape memo has not already lowered. Sessions pass their store
-    /// here when the fragment cache is active (`GMC_FRAG`).
+    /// here whenever its capacity is above 0.
     ///
     /// # Errors
     ///
@@ -419,7 +419,7 @@ impl PoolBuilder {
     }
 }
 
-/// One-shot conveniences mirroring the naive free functions.
+/// One-shot convenience for the free functions.
 impl PoolBuilder {
     /// [`PoolBuilder::build_full`] through a throwaway builder.
     ///
@@ -430,6 +430,44 @@ impl PoolBuilder {
         PoolBuilder::new().build_full(None, shape, jobs)
     }
 }
+
+/// Map `f` over `items` into a `Vec`, fanning the work out across up to
+/// `jobs` threads when the `parallel` feature is on and the slice is
+/// large enough to amortize thread spawns. Results come back in item
+/// order (per-chunk `Vec`s, flattened — no per-element `Option`
+/// bookkeeping), and the first `Err` in item order wins, so output is
+/// identical for every `jobs` value.
+fn map_collect<T, V, E, F>(items: &[T], jobs: usize, f: F) -> Result<Vec<V>, E>
+where
+    T: Sync,
+    V: Send,
+    E: Send,
+    F: Fn(&T) -> Result<V, E> + Sync,
+{
+    #[cfg(feature = "parallel")]
+    if jobs > 1 && items.len() >= 2 * PAR_MIN_TREES_PER_JOB {
+        let jobs = jobs.min(items.len() / PAR_MIN_TREES_PER_JOB).max(1);
+        let chunk = items.len().div_ceil(jobs);
+        let mut chunks: Vec<Vec<Result<V, E>>> = items
+            .chunks(chunk)
+            .map(|c| Vec::with_capacity(c.len()))
+            .collect();
+        rayon::scope(|s| {
+            for (ichunk, out) in items.chunks(chunk).zip(chunks.iter_mut()) {
+                let f = &f;
+                s.spawn(move |_| out.extend(ichunk.iter().map(f)));
+            }
+        });
+        return chunks.into_iter().flatten().collect();
+    }
+    let _ = jobs;
+    items.iter().map(&f).collect()
+}
+
+/// Below this many trees per worker, thread spawn overhead dominates
+/// (the vendored rayon shim spawns OS threads, not pool tasks).
+#[cfg(feature = "parallel")]
+const PAR_MIN_TREES_PER_JOB: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -458,6 +496,15 @@ mod tests {
         assert_eq!(stats.nodes, 301, "shared sub-trees");
         assert_eq!(stats.fragments_lowered, 301, "each node lowered once");
         assert_eq!(stats.variants_assembled, 132);
+        // 132 trees engage the parallel assembly's chunking; the output
+        // must not depend on the thread budget.
+        for jobs in [2, 4] {
+            assert_eq!(
+                PoolBuilder::full_pool(&shape, jobs).unwrap(),
+                reference,
+                "jobs = {jobs}"
+            );
+        }
     }
 
     #[test]

@@ -52,13 +52,6 @@ pub struct CompileOptions {
     pub objective: Objective,
     /// RNG seed for reproducible selection.
     pub seed: u64,
-    /// Candidate-scan stripe size for the parallel expansion: how many
-    /// candidates each spawned task scans (`0` = one stripe per thread).
-    /// A pure scheduling knob for many-core hosts — the selected set is
-    /// bit-identical for every value (see
-    /// [`crate::expand::expand_set_striped`]), so it is excluded from
-    /// the persistence options fingerprint.
-    pub scan_stripe: usize,
 }
 
 impl Default for CompileOptions {
@@ -70,7 +63,6 @@ impl Default for CompileOptions {
             expand_by: 0,
             objective: Objective::AvgPenalty,
             seed: 0x5e1ec7,
-            scan_stripe: 0,
         }
     }
 }

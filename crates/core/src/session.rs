@@ -25,9 +25,9 @@
 //!   snapshot-restored sessions) splice shared sub-spans instead of
 //!   re-lowering them. Bounded at
 //!   [`DEFAULT_FRAG_CACHE_CAPACITY`], tunable via
-//!   [`CompileSession::set_fragment_cache_capacity`], instrumented via
-//!   [`CompileSession::fragment_cache_stats`], and disabled with
-//!   `GMC_FRAG=off`.
+//!   [`CompileSession::set_fragment_cache_capacity`] (capacity 0 turns
+//!   it off), and instrumented via
+//!   [`CompileSession::fragment_cache_stats`].
 //! * **DP solver reuse** ([`crate::dp::DpSolver`]): one solver per shape
 //!   keeps its descriptor interner, association memo, and state arena
 //!   warm, so per-instance optimal costs in dispatch loops are
@@ -84,11 +84,9 @@
 
 use crate::builder::BuildError;
 use crate::dp::DpSolver;
-use crate::enumerate::{
-    active_enum_mode, build_pool_naive, EnumMode, EnumerateError, DEFAULT_VARIANT_CAP,
-};
-use crate::expand::{expand_set_striped, CostMatrix, ExpandScratch};
-use crate::fragcache::{active_frag_mode, FragCacheStats, FragMode, FragmentCache};
+use crate::enumerate::{EnumerateError, DEFAULT_VARIANT_CAP};
+use crate::expand::{expand_set_with, CostMatrix, ExpandScratch};
+use crate::fragcache::{FragCacheStats, FragmentCache};
 use crate::paren::ParenTree;
 use crate::persist::{options_key, PersistError, SessionSnapshot};
 use crate::pool::PoolBuilder;
@@ -324,10 +322,10 @@ impl CompileSession {
         pool
     }
 
-    /// The full variant pool for an interned shape, through the engine
-    /// [`active_enum_mode`] selects. The memoized engine reuses the
-    /// session's [`PoolBuilder`] scratch, invalidated whenever the
-    /// interned shape (the memo key) changes.
+    /// The full variant pool for an interned shape, through the
+    /// session's [`PoolBuilder`] (its memo is invalidated whenever the
+    /// interned shape, the memo key, changes) and, when its capacity is
+    /// above 0, the cross-shape fragment store.
     fn full_pool(&mut self, id: ShapeId) -> Result<Vec<Variant>, BuildError> {
         let CompileSession {
             shapes,
@@ -336,22 +334,12 @@ impl CompileSession {
             jobs,
             ..
         } = self;
-        let shape = shapes.get(id);
-        match active_enum_mode() {
-            EnumMode::Memoized => {
-                let cache = (active_frag_mode() == FragMode::On).then_some(&mut *frags);
-                pool.build_full_cached(Some(id), shape, *jobs, cache)
-            }
-            EnumMode::Naive => {
-                let trees = ParenTree::enumerate(0, shape.len() - 1);
-                build_pool_naive(shape, &trees, *jobs)
-            }
-        }
+        let cache = (frags.capacity() > 0).then_some(frags);
+        pool.build_full_cached(Some(id), shapes.get(id), *jobs, cache)
     }
 
     /// Lower an explicit list of parenthesizations for an interned shape
-    /// (the restore path), sharing sub-span fragments across trees in
-    /// the memoized mode.
+    /// (the restore path), sharing sub-span fragments across trees.
     fn pool_for_trees(
         &mut self,
         id: ShapeId,
@@ -364,14 +352,8 @@ impl CompileSession {
             jobs,
             ..
         } = self;
-        let shape = shapes.get(id);
-        match active_enum_mode() {
-            EnumMode::Memoized => {
-                let cache = (active_frag_mode() == FragMode::On).then_some(&mut *frags);
-                pool.build_for_trees_cached(Some(id), shape, trees, *jobs, cache)
-            }
-            EnumMode::Naive => build_pool_naive(shape, trees, *jobs),
-        }
+        let cache = (frags.capacity() > 0).then_some(frags);
+        pool.build_for_trees_cached(Some(id), shapes.get(id), trees, *jobs, cache)
     }
 
     /// The per-instance optimal cost for `shape`, through the session's
@@ -467,14 +449,13 @@ impl CompileSession {
         objective: crate::expand::Objective,
     ) -> Vec<usize> {
         let span = self.recorder.start();
-        let set = expand_set_striped(
+        let set = expand_set_with(
             &self.matrix,
             initial,
             k,
             objective,
             &mut self.expand,
             self.jobs,
-            self.options.scan_stripe,
         );
         self.recorder.stop(Stage::Expand, span);
         set
@@ -597,14 +578,13 @@ impl CompileSession {
         self.recorder.stop(Stage::Select, span);
         if options.expand_by > 0 {
             let span = self.recorder.start();
-            indices = expand_set_striped(
+            indices = expand_set_with(
                 &self.matrix,
                 &indices,
                 indices.len() + options.expand_by,
                 options.objective,
                 &mut self.expand,
                 self.jobs,
-                options.scan_stripe,
             );
             self.recorder.stop(Stage::Expand, span);
         }
@@ -671,8 +651,7 @@ impl CompileSession {
 
     /// Override the session-level tracing toggle. Tracing never changes
     /// selection decisions or emitted artifacts (it is excluded from
-    /// the persistence options fingerprint, like
-    /// [`CompileOptions::scan_stripe`]); disabled tracing costs one
+    /// the persistence options fingerprint); disabled tracing costs one
     /// branch per instrumented site.
     pub fn set_tracing(&mut self, enabled: bool) {
         self.recorder.set_enabled(enabled);
@@ -753,10 +732,11 @@ impl CompileSession {
     }
 
     /// Bound the cross-shape fragment store: at most `capacity` lowered
-    /// fragments stay resident, evicted least-recently-used. `0` disables
-    /// the store (equivalent to `GMC_FRAG=off` for this session). Like
-    /// the chain cache, eviction never changes results — an evicted
-    /// fragment is re-lowered bit-identically on its next encounter.
+    /// fragments stay resident, evicted least-recently-used. `0` turns
+    /// the store off: enumeration then never consults it, so no key is
+    /// built and no lookup is counted. Like the chain cache, eviction
+    /// never changes results — an evicted fragment is re-lowered
+    /// bit-identically on its next encounter.
     pub fn set_fragment_cache_capacity(&mut self, capacity: usize) {
         self.frags.set_capacity(capacity);
     }
@@ -843,11 +823,10 @@ impl CompileSession {
         // Warm the fragment store *before* re-lowering the recorded
         // chains, so the very first rebuild of each shape splices
         // snapshot-carried fragments instead of lowering from scratch
-        // (fragment warmth is correctness-neutral: hits are exact).
-        if active_frag_mode() == FragMode::On {
-            for (key, frag) in snapshot.frag_entries() {
-                self.frags.insert_restored(key.clone(), frag.clone());
-            }
+        // (fragment warmth is correctness-neutral: hits are exact). A
+        // capacity-0 store ignores them.
+        for (key, frag) in snapshot.frag_entries() {
+            self.frags.insert_restored(key.clone(), frag.clone());
         }
         // Rebuild everything first, insert only if the whole snapshot
         // lowers: a corrupt entry must not leave the cache half-warm.

@@ -41,11 +41,12 @@
 //!
 //! # Dispatch ladder
 //!
-//! [`active_level`] picks the best rung the executing CPU supports,
-//! capped by the `GMC_SIMD` environment variable (`portable`/`off`,
-//! `avx2`, or `avx512`; read once) and by [`force_level`] (benchmarks).
-//! Every public function also clamps an explicitly requested
-//! [`SimdLevel`] to what the CPU supports, so the `unsafe`
+//! [`active_level`] is the best rung the executing CPU supports
+//! (detected once); production selection always runs on it. The
+//! `*_level` entry points take an explicit [`SimdLevel`] instead, which
+//! is how tests and benches pin the portable reference against every
+//! rung of [`available_levels`]. Every public function clamps an
+//! explicitly requested level to what the CPU supports, so the `unsafe`
 //! `#[target_feature]` kernels are only ever entered after a positive
 //! runtime feature check — the same contract `gmc_linalg::gemm` uses.
 //!
@@ -58,7 +59,6 @@
 //! bit-identity guarantee (and nothing else) would be lost.
 
 use gmc_ir::{Instance, Poly};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Number of f64 lanes in the widest rung (one 512-bit register); also
@@ -79,8 +79,7 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lower-case name (`portable` / `avx2` / `avx512`), as
-    /// accepted by the `GMC_SIMD` environment variable.
+    /// Stable lower-case name (`portable` / `avx2` / `avx512`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -91,9 +90,10 @@ impl SimdLevel {
     }
 }
 
-/// The best rung the executing CPU supports (cached; ignores overrides).
+/// The rung selection runs on: the best one the executing CPU supports
+/// (detected once, then cached).
 #[must_use]
-pub fn detected_level() -> SimdLevel {
+pub fn active_level() -> SimdLevel {
     static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -109,57 +109,10 @@ pub fn detected_level() -> SimdLevel {
     })
 }
 
-/// Process-global override set by [`force_level`]: 0 = none, else
-/// `1 + level as u8`.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Force the engine onto one rung (`None` restores runtime dispatch).
-///
-/// For benchmarks and diagnostics — the override is process-global, so
-/// concurrent callers that need a *specific* rung should use the
-/// `_level` entry points instead. Requests above what the CPU supports
-/// are clamped, never trusted.
-pub fn force_level(level: Option<SimdLevel>) {
-    FORCED.store(level.map_or(0, |l| 1 + l as u8), Ordering::Relaxed);
-}
-
-/// Cap requested by the `GMC_SIMD` environment variable, read once.
-/// Unrecognized values are reported on stderr and ignored — a typo must
-/// not silently disable (or pretend to apply) the pin.
-fn env_cap() -> SimdLevel {
-    static CAP: OnceLock<SimdLevel> = OnceLock::new();
-    *CAP.get_or_init(|| match std::env::var("GMC_SIMD").as_deref() {
-        Ok("portable" | "off" | "scalar" | "0") => SimdLevel::Portable,
-        Ok("avx2") => SimdLevel::Avx2,
-        Ok("avx512") | Err(_) => SimdLevel::Avx512,
-        Ok(other) => {
-            eprintln!(
-                "gmc-core: ignoring unrecognized GMC_SIMD=`{other}` \
-                 (expected portable|avx2|avx512)"
-            );
-            SimdLevel::Avx512
-        }
-    })
-}
-
-/// The rung selection runs on: the detected level, capped by `GMC_SIMD`
-/// and by [`force_level`] (a forced rung never exceeds either the CPU's
-/// capability or the environment pin).
-#[must_use]
-pub fn active_level() -> SimdLevel {
-    let cap = detected_level().min(env_cap());
-    match FORCED.load(Ordering::Relaxed) {
-        1 => SimdLevel::Portable,
-        2 => SimdLevel::Avx2.min(cap),
-        3 => SimdLevel::Avx512.min(cap),
-        _ => cap,
-    }
-}
-
 /// Clamp an explicitly requested level to what the CPU can actually
 /// run: the safety gate in front of every `#[target_feature]` kernel.
 fn clamp(level: SimdLevel) -> SimdLevel {
-    level.min(detected_level())
+    level.min(active_level())
 }
 
 /// The penalty of one instance (Eq. 2), in the exact operation order
@@ -788,10 +741,10 @@ impl CompiledPoly {
 #[must_use]
 pub fn available_levels() -> Vec<SimdLevel> {
     let mut levels = vec![SimdLevel::Portable];
-    if detected_level() >= SimdLevel::Avx2 {
+    if active_level() >= SimdLevel::Avx2 {
         levels.push(SimdLevel::Avx2);
     }
-    if detected_level() >= SimdLevel::Avx512 {
+    if active_level() >= SimdLevel::Avx512 {
         levels.push(SimdLevel::Avx512);
     }
     levels
@@ -945,12 +898,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_level_is_clamped_and_restored() {
-        force_level(Some(SimdLevel::Portable));
-        assert_eq!(active_level(), SimdLevel::Portable);
-        force_level(Some(SimdLevel::Avx512));
-        assert!(active_level() <= detected_level());
-        force_level(None);
-        assert!(active_level() <= detected_level());
+    fn active_level_is_the_top_available_rung() {
+        let levels = available_levels();
+        assert_eq!(levels[0], SimdLevel::Portable);
+        assert_eq!(levels.last(), Some(&active_level()));
+        assert_eq!(clamp(SimdLevel::Avx512), active_level());
     }
 }

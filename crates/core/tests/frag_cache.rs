@@ -4,26 +4,14 @@
 //! and hits warmed from a persisted snapshot — must equal the pools a
 //! store-less session builds, by whole-[`Variant`] equality (steps,
 //! `ValRef`s, finalizes, exact-rational cost polynomials). The
-//! off-reference is a capacity-0 store (every lookup misses, nothing is
-//! ever inserted — the same lowering work `GMC_FRAG=off` does) rather
-//! than [`gmc_core::force_frag_mode`], which is process-global and would
-//! race the other tests in this binary.
+//! off-reference is a capacity-0 session, the store's one off switch: it
+//! never consults the store, so it counts nothing at all.
 
-use gmc_core::{CompileOptions, CompileSession, SessionSnapshot, Variant};
+use gmc_core::{CompileOptions, CompileSession, FragCacheStats, SessionSnapshot, Variant};
 use gmc_ir::{Operand, Shape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Counter assertions only hold when the store is actually consulted.
-/// Under `GMC_FRAG=off` (the CI rung) every session lowers store-less,
-/// and under `GMC_ENUM=naive` the per-tree reference lowering never
-/// reaches the store either — in both cases the bit-identity checks
-/// below still run, but hits/inserts/evictions are legitimately zero.
-fn store_active() -> bool {
-    gmc_core::active_frag_mode() == gmc_core::FragMode::On
-        && gmc_core::active_enum_mode() == gmc_core::EnumMode::Memoized
-}
 
 /// The paper's experiment operands plus valid transposed forms, so
 /// structured/inverted/transposed descriptor runs all reach the store.
@@ -65,7 +53,7 @@ proptest! {
 
     /// Store-assembled pools are bit-identical to store-less pools for
     /// random shape sequences and `jobs` in {1, 4} — with the store
-    /// actually doing work (hits occur across the sequence).
+    /// actually doing work, and the capacity-0 session counting nothing.
     #[test]
     fn store_assembled_pools_equal_storeless_pools_exactly(
         seq_seed in 0u64..50_000,
@@ -86,11 +74,13 @@ proptest! {
             let b: Vec<Variant> = without.all_variants(shape).unwrap();
             prop_assert_eq!(&a, &b, "jobs = {}", jobs);
         }
-        if store_active() {
-            let stats = with_store.fragment_cache_stats();
-            prop_assert!(stats.hits + stats.misses > 0, "store was consulted");
-        }
-        prop_assert_eq!(without.fragment_cache_stats().inserts, 0);
+        let stats = with_store.fragment_cache_stats();
+        prop_assert!(stats.hits + stats.misses > 0, "store was consulted");
+        prop_assert_eq!(
+            without.fragment_cache_stats(),
+            FragCacheStats::default(),
+            "capacity 0 never consults the store"
+        );
     }
 
     /// Under LRU pressure (a store far smaller than the working set)
@@ -119,14 +109,12 @@ proptest! {
             }
             prop_assert!(tiny.num_cached_fragments() <= 3, "capacity respected");
         }
-        if store_active() {
-            let stats = tiny.fragment_cache_stats();
-            prop_assert!(
-                stats.evictions > 0,
-                "8 shapes x capacity 3 must evict (inserts = {})",
-                stats.inserts
-            );
-        }
+        let stats = tiny.fragment_cache_stats();
+        prop_assert!(
+            stats.evictions > 0,
+            "8 shapes x capacity 3 must evict (inserts = {})",
+            stats.inserts
+        );
     }
 }
 
@@ -145,15 +133,11 @@ fn related_shapes_share_fragments_across_the_store() {
         }
     }
     let stats = session.fragment_cache_stats();
-    if store_active() {
-        assert!(
-            stats.hits > 0,
-            "shared prefix spans must hit ({} misses)",
-            stats.misses
-        );
-    } else {
-        assert_eq!(stats.inserts, 0, "GMC_FRAG=off bypasses the store");
-    }
+    assert!(
+        stats.hits > 0,
+        "shared prefix spans must hit ({} misses)",
+        stats.misses
+    );
 }
 
 #[test]
@@ -176,9 +160,7 @@ fn snapshot_round_trip_restores_fragments_and_emits_identically() {
         want.push(rust);
     }
     let snap = original.snapshot();
-    if store_active() {
-        assert!(snap.num_fragments() > 0, "hot fragments are persisted");
-    }
+    assert!(snap.num_fragments() > 0, "hot fragments are persisted");
     let text = snap.encode();
     drop(original);
 
@@ -190,17 +172,15 @@ fn snapshot_round_trip_restores_fragments_and_emits_identically() {
     let mut restored = CompileSession::with_options(opts);
     assert_eq!(restored.restore(&snap).unwrap(), shapes.len());
     let stats = restored.fragment_cache_stats();
-    if store_active() {
-        assert_eq!(
-            stats.restored,
-            snap.num_fragments() as u64,
-            "every persisted fragment restored exactly once"
-        );
-        assert!(
-            stats.hits > 0,
-            "the restore rebuild must hit warm fragments"
-        );
-    }
+    assert_eq!(
+        stats.restored,
+        snap.num_fragments() as u64,
+        "every persisted fragment restored exactly once"
+    );
+    assert!(
+        stats.hits > 0,
+        "the restore rebuild must hit warm fragments"
+    );
     for (i, shape) in shapes.iter().enumerate() {
         let chain = restored.compile(shape).unwrap();
         let mut rust = String::new();

@@ -1,11 +1,12 @@
 //! The memoized enumeration engine's contract: for any shape, the
 //! span-DAG fragment engine must produce **exactly** the pool the
-//! per-tree reference lowering produces — same order, same steps, same
-//! `ValRef`s, same finalizes, same (exact-rational) cost polynomials —
-//! for every thread count. `Variant` derives `PartialEq` over all of
-//! those, so the pin is whole-value equality.
+//! per-tree reference lowering ([`build_variant`], one call per tree)
+//! produces — same order, same steps, same `ValRef`s, same finalizes,
+//! same (exact-rational) cost polynomials — for every thread count.
+//! `Variant` derives `PartialEq` over all of those, so the pin is
+//! whole-value equality.
 
-use gmc_core::{build_pool_with_mode, CompileSession, EnumMode, ParenTree, Variant};
+use gmc_core::{build_variant, CompileSession, ParenTree, PoolBuilder, Variant};
 use gmc_ir::{Operand, Shape};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -34,12 +35,20 @@ fn random_shape(rng: &mut StdRng, n: usize) -> Option<Shape> {
     Shape::new(ops).ok()
 }
 
+/// The reference pool: one per-tree lowering per parenthesization.
+fn per_tree_pool(shape: &Shape, trees: &[ParenTree]) -> Vec<Variant> {
+    trees
+        .iter()
+        .map(|t| build_variant(shape, t).unwrap())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Exact pool equality, memoized vs naive, across random shapes with
-    /// inverted/transposed/structured operands, chain lengths up to 10,
-    /// and `jobs` in {1, 4}.
+    /// Exact pool equality, memoized vs per-tree, across random shapes
+    /// with inverted/transposed/structured operands, chain lengths up to
+    /// 10, and `jobs` in {1, 4}.
     #[test]
     fn memoized_pool_equals_naive_pool_exactly(
         n in 1usize..=10,
@@ -51,15 +60,10 @@ proptest! {
             None => return Ok(()),
         };
         let trees = ParenTree::enumerate(0, n - 1);
-        let naive = build_pool_with_mode(&shape, &trees, 1, EnumMode::Naive).unwrap();
+        let naive = per_tree_pool(&shape, &trees);
         for jobs in [1usize, 4] {
-            let memo = build_pool_with_mode(&shape, &trees, jobs, EnumMode::Memoized).unwrap();
+            let memo = PoolBuilder::new().build_for_trees(None, &shape, &trees, jobs).unwrap();
             prop_assert_eq!(&naive, &memo, "jobs = {}", jobs);
-            if jobs > 1 {
-                let naive_par =
-                    build_pool_with_mode(&shape, &trees, jobs, EnumMode::Naive).unwrap();
-                prop_assert_eq!(&naive, &naive_par, "naive jobs = {}", jobs);
-            }
         }
         // Spot-check the invariants the equality is standing in for.
         for (v, tree) in naive.iter().zip(&trees) {
@@ -69,8 +73,8 @@ proptest! {
     }
 
     /// A session's pool (memoized, shape-keyed scratch reused across
-    /// calls) matches the one-shot naive pool, including after the
-    /// session compiles *other* shapes in between (memo invalidation).
+    /// calls) matches the per-tree pool, including after the session
+    /// compiles *other* shapes in between (memo invalidation).
     #[test]
     fn session_pools_survive_memo_invalidation(
         n in 2usize..=7,
@@ -82,8 +86,7 @@ proptest! {
             _ => return Ok(()),
         };
         let trees = ParenTree::enumerate(0, n - 1);
-        let reference: Vec<Variant> =
-            build_pool_with_mode(&shape, &trees, 1, EnumMode::Naive).unwrap();
+        let reference = per_tree_pool(&shape, &trees);
         let mut session = CompileSession::new();
         session.set_jobs(1);
         prop_assert_eq!(&session.all_variants(&shape).unwrap(), &reference);

@@ -2,15 +2,15 @@
 //! scalar, AVX2, and AVX-512 scan paths must produce bit-identical
 //! `CostMatrix` contents, `candidate_value` scores, and selected sets —
 //! across ragged instance counts (1, 7, 8, 9, 63, 400, exercising every
-//! block/tail split of the canonical 8-lane reduction) and every
-//! `scan_stripe` value. On hosts without AVX-512 (or AVX2) the missing
-//! rungs are skipped; the portable rung always runs, so the ladder's
-//! bottom stays pinned (CI additionally forces it via `GMC_SIMD`).
+//! block/tail split of the canonical 8-lane reduction) and thread
+//! budgets. On hosts without AVX-512 (or AVX2) the missing rungs are
+//! skipped; the portable rung is the reference every run compares
+//! against, so the ladder's bottom stays pinned on any host.
 
 use gmc_core::expand::candidate_value;
 use gmc_core::simd::{self, SimdLevel};
 use gmc_core::{
-    all_variants, expand_set_striped_level, select_base_set, CostMatrix, ExpandScratch, Objective,
+    all_variants, expand_set_level, select_base_set, CostMatrix, ExpandScratch, Objective,
 };
 use gmc_ir::{Instance, InstanceSampler, Operand, Shape};
 use proptest::prelude::*;
@@ -99,7 +99,7 @@ proptest! {
             }
         }
 
-        // Stage 3: selected sets — every rung x every stripe value.
+        // Stage 3: selected sets — every rung x every thread budget.
         let base = select_base_set(&shape, &training, matrix.optimal()).unwrap();
         let initial: Vec<usize> = base
             .variants
@@ -108,34 +108,32 @@ proptest! {
             .collect();
         let k = initial.len() + 3;
         let mut scratch = ExpandScratch::default();
-        let reference = expand_set_striped_level(
+        let reference = expand_set_level(
             &matrix,
             &initial,
             k,
             Objective::AvgPenalty,
             &mut scratch,
             1,
-            0,
             SimdLevel::Portable,
         );
         for level in simd::available_levels() {
-            for stripe in [0usize, 1, 3, 7, 1000] {
-                let got = expand_set_striped_level(
+            for jobs in [1usize, 2, 3, 4, 1000] {
+                let got = expand_set_level(
                     &matrix,
                     &initial,
                     k,
                     Objective::AvgPenalty,
                     &mut scratch,
-                    4,
-                    stripe,
+                    jobs,
                     level,
                 );
                 prop_assert_eq!(
                     &reference,
                     &got,
-                    "selected set on {:?} stripe {} (ni = {})",
+                    "selected set on {:?} jobs {} (ni = {})",
                     level,
-                    stripe,
+                    jobs,
                     ni
                 );
             }
@@ -163,25 +161,23 @@ fn paper_scale_chain_is_rung_identical_on_every_ragged_count() {
             .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
             .collect();
         let mut scratch = ExpandScratch::default();
-        let reference = expand_set_striped_level(
+        let reference = expand_set_level(
             &matrix,
             &initial,
             initial.len() + 4,
             Objective::AvgPenalty,
             &mut scratch,
             1,
-            0,
             SimdLevel::Portable,
         );
         for level in simd::available_levels() {
-            let got = expand_set_striped_level(
+            let got = expand_set_level(
                 &matrix,
                 &initial,
                 initial.len() + 4,
                 Objective::AvgPenalty,
                 &mut scratch,
                 1,
-                0,
                 level,
             );
             assert_eq!(reference, got, "{level:?} with {ni} instances");

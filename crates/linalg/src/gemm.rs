@@ -206,9 +206,10 @@ pub fn gemm(
 /// Use this when the caller executes many multiplies and wants packing
 /// buffers reused deterministically instead of per-thread. With the
 /// `parallel` feature on a multi-threaded host, wide problems still take
-/// the column-stripe split (per-thread workspaces; `ws` goes unused for
-/// that call) so the session path never loses GEMM parallelism — the
-/// result is bitwise identical either way.
+/// the column-stripe split so the session path never loses GEMM
+/// parallelism: the calling thread packs its own stripe into `ws`, the
+/// other stripes use their threads' workspaces, and the result is
+/// bitwise identical either way.
 ///
 /// # Panics
 ///
@@ -233,41 +234,7 @@ pub fn gemm_with(
         scalar_core(alpha, a, ta, b, tb, c);
         return;
     }
-    let (ars, acs) = op_strides(a, ta);
-    let (brs, bcs) = op_strides(b, tb);
-    let ldc = c.rows();
-    #[cfg(feature = "parallel")]
-    if parallel_stripes(
-        m,
-        n,
-        k,
-        alpha,
-        a.as_slice(),
-        ars,
-        acs,
-        b.as_slice(),
-        brs,
-        bcs,
-        c.as_mut_slice(),
-        ldc,
-    ) {
-        return;
-    }
-    gemm_core(
-        ws,
-        m,
-        n,
-        k,
-        alpha,
-        a.as_slice(),
-        ars,
-        acs,
-        b.as_slice(),
-        brs,
-        bcs,
-        c.as_mut_slice(),
-        ldc,
-    );
+    blocked_with(ws, m, n, k, alpha, a, ta, b, tb, c);
 }
 
 /// Force the blocked kernel regardless of problem size (test/bench entry
@@ -371,8 +338,28 @@ fn scale_beta(c: &mut Matrix, beta: f64) {
 // Blocked core
 // ---------------------------------------------------------------------------
 
+/// The blocked kernel on the calling thread's workspace.
 #[allow(clippy::too_many_arguments)]
 fn blocked_entry(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &Matrix,
+    ta: Transpose,
+    b: &Matrix,
+    tb: Transpose,
+    c: &mut Matrix,
+) {
+    TLS_WS.with(|ws| blocked_with(&mut ws.borrow_mut(), m, n, k, alpha, a, ta, b, tb, c));
+}
+
+/// The blocked kernel packing into `ws` (split into column stripes under
+/// the `parallel` feature, the calling thread's stripe still packing
+/// into `ws`).
+#[allow(clippy::too_many_arguments)]
+fn blocked_with(
+    ws: &mut GemmWorkspace,
     m: usize,
     n: usize,
     k: usize,
@@ -386,9 +373,9 @@ fn blocked_entry(
     let (ars, acs) = op_strides(a, ta);
     let (brs, bcs) = op_strides(b, tb);
     let ldc = c.rows();
-
     #[cfg(feature = "parallel")]
     if parallel_stripes(
+        ws,
         m,
         n,
         k,
@@ -404,35 +391,34 @@ fn blocked_entry(
     ) {
         return;
     }
-
-    TLS_WS.with(|ws| {
-        gemm_core(
-            &mut ws.borrow_mut(),
-            m,
-            n,
-            k,
-            alpha,
-            a.as_slice(),
-            ars,
-            acs,
-            b.as_slice(),
-            brs,
-            bcs,
-            c.as_mut_slice(),
-            ldc,
-        );
-    });
+    gemm_core(
+        ws,
+        m,
+        n,
+        k,
+        alpha,
+        a.as_slice(),
+        ars,
+        acs,
+        b.as_slice(),
+        brs,
+        bcs,
+        c.as_mut_slice(),
+        ldc,
+    );
 }
 
 /// Split C's columns into tile-aligned stripes across threads; each
-/// thread runs the serial core on its stripe with its own thread-local
-/// workspace. Stripes are disjoint, so results are bitwise identical to
-/// the serial kernel. Returns `false` (doing nothing) when one thread —
-/// or too few columns — makes the split pointless; the caller then runs
-/// the serial core itself.
+/// stripe runs the serial core. The first stripe runs on the calling
+/// thread with `ws`, every other one on a spawned thread with that
+/// thread's thread-local workspace. Stripes are disjoint, so results are
+/// bitwise identical to the serial kernel. Returns `false` (doing
+/// nothing) when one thread — or too few columns — makes the split
+/// pointless; the caller then runs the serial core itself.
 #[cfg(feature = "parallel")]
 #[allow(clippy::too_many_arguments)]
 fn parallel_stripes(
+    ws: &mut GemmWorkspace,
     m: usize,
     n: usize,
     k: usize,
@@ -452,30 +438,32 @@ fn parallel_stripes(
         return false;
     }
     let cols_per = n.div_ceil(threads).div_ceil(nrv) * nrv;
+    let stripe = |ws: &mut GemmWorkspace, jc0: usize, c_chunk: &mut [f64]| {
+        let nc = c_chunk.len() / ldc;
+        gemm_core(
+            ws,
+            m,
+            nc,
+            k,
+            alpha,
+            a,
+            ars,
+            acs,
+            &b[jc0 * bcs..],
+            brs,
+            bcs,
+            c_chunk,
+            ldc,
+        );
+    };
     rayon::scope(|s| {
-        for (chunk_idx, c_chunk) in c.chunks_mut(cols_per * ldc).enumerate() {
-            let jc0 = chunk_idx * cols_per;
-            s.spawn(move |_| {
-                let nc = c_chunk.len() / ldc;
-                TLS_WS.with(|ws| {
-                    gemm_core(
-                        &mut ws.borrow_mut(),
-                        m,
-                        nc,
-                        k,
-                        alpha,
-                        a,
-                        ars,
-                        acs,
-                        &b[jc0 * bcs..],
-                        brs,
-                        bcs,
-                        c_chunk,
-                        ldc,
-                    );
-                });
-            });
+        let mut chunks = c.chunks_mut(cols_per * ldc);
+        let first = chunks.next().expect("threads > 1 implies n > 0");
+        for (chunk_idx, c_chunk) in chunks.enumerate() {
+            let jc0 = (chunk_idx + 1) * cols_per;
+            s.spawn(move |_| TLS_WS.with(|tls| stripe(&mut tls.borrow_mut(), jc0, c_chunk)));
         }
+        stripe(ws, 0, first);
     });
     true
 }

@@ -103,14 +103,14 @@ pub fn bucket_le(index: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Trace toggle (same pattern as GMC_SIMD / GMC_ENUM / GMC_FRAG).
+// Trace toggle: `GMC_TRACE`, the one environment mode switch the
+// compiler reads.
 // ---------------------------------------------------------------------------
 
 /// Whether pipeline tracing (stage spans, kernel timers) is active.
 ///
 /// Tracing never changes selection decisions or emitted artifacts, so
-/// the mode is excluded from persistence fingerprints (like
-/// `CompileOptions::scan_stripe`).
+/// the mode is excluded from persistence fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// Record stage spans and kernel timings (the default).

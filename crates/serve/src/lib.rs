@@ -95,8 +95,9 @@
 //!   any restart. Fragment counters (hits/misses/evictions/restored)
 //!   ride the same `{"op":"stats"}` response as the chain-cache
 //!   counters, and `{"op":"health"}` reports both layers' hit rates
-//!   from lock-free atomics. `GMC_FRAG=off` disables the store
-//!   end-to-end (pools are asserted bit-identical either way).
+//!   from lock-free atomics. `frag_cache_capacity = 0` turns the store
+//!   off end to end: nothing is looked up, inserted, persisted or
+//!   restored, and the fragment counters stay at zero.
 //! * **Graceful drain.** The intended shutdown sequence — what the
 //!   `gmcc --serve` daemon runs on SIGTERM/SIGINT or stdin EOF — is:
 //!   stop accepting, answer everything in flight (the [`transport`]
@@ -280,14 +281,24 @@ mod tests {
         // Fragment-store counters ride the same status report. The two
         // distinct compiles populated the store; whether lookups *hit*
         // depends on shape overlap, but lookups definitely happened.
-        if gmc_core::active_frag_mode() == gmc_core::FragMode::On {
-            assert!(stats.iter().map(|s| s.frags.inserts).sum::<u64>() > 0);
-            assert!(stats.iter().map(|s| s.frags.misses).sum::<u64>() > 0);
-        } else {
-            assert_eq!(stats.iter().map(|s| s.frags.inserts).sum::<u64>(), 0);
-        }
+        assert!(stats.iter().map(|s| s.frags.inserts).sum::<u64>() > 0);
+        assert!(stats.iter().map(|s| s.frags.misses).sum::<u64>() > 0);
         assert_eq!(service.drain().len(), 3, "responses still stream");
         let _ = service.shutdown();
+
+        // Capacity 0 is the store's off switch: the same traffic never
+        // touches it, so every shard reports zeroed fragment counters.
+        let mut cfg = config(2);
+        cfg.frag_cache_capacity = 0;
+        let mut off = CompileService::start(cfg).unwrap();
+        for (i, src) in [SRC_A, SRC_B, SRC_A].iter().enumerate() {
+            off.submit(request(i as u64, src));
+        }
+        for s in off.stats() {
+            assert_eq!(s.frags, gmc_core::FragCacheStats::default());
+        }
+        assert_eq!(off.drain().len(), 3);
+        let _ = off.shutdown();
     }
 
     #[test]
@@ -386,10 +397,8 @@ mod tests {
         // daemon rebuilt its chains *through* restored fragments, so its
         // very first service of a previously seen shape was warm at the
         // fragment layer too.
-        if gmc_core::active_frag_mode() == gmc_core::FragMode::On {
-            assert!(warm_stats.frag_restored() >= 1, "fragments restored");
-            assert!(warm_stats.frag_hits() >= 1, "restore-rebuild hit the store");
-        }
+        assert!(warm_stats.frag_restored() >= 1, "fragments restored");
+        assert!(warm_stats.frag_hits() >= 1, "restore-rebuild hit the store");
 
         // Resharding still works: shapes re-route, nothing is lost.
         let mut resharded_cfg = config(3);

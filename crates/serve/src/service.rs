@@ -1101,7 +1101,7 @@ impl CompileService {
     /// drops so routing and admission see the truth, and its end-to-end
     /// latency sample is recorded like every other shard-attributed
     /// outcome. The shard may still be working on the request; its
-    /// eventual reply hits [`accept`](Self::accept)'s unknown-sequence
+    /// eventual reply hits `accept`'s unknown-sequence
     /// path and is dropped and counted (`late_drops`) — exactly-once
     /// stays exact. Returns `false` if no such request is outstanding
     /// (it already completed or was shed).

@@ -1,7 +1,7 @@
 //! Shard supervision: the worker loop that keeps a shard alive through
 //! panics.
 //!
-//! Each shard runs [`shard_main`] on its own thread. The loop owns one
+//! Each shard runs `shard_main` on its own thread. The loop owns one
 //! [`CompileSession`] and wraps every compile attempt in
 //! [`std::panic::catch_unwind`], so a panic — injected by
 //! [`fault`](crate::fault) or real — is a *request-level* failure, not a

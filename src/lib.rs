@@ -145,7 +145,8 @@
 //! Algorithm-1 expansion) runs on a SIMD engine behind the same
 //! runtime-dispatch ladder the GEMM micro-kernel uses
 //! (AVX-512 > AVX2 > portable, chosen per process by CPU feature
-//! detection, cappable with `GMC_SIMD=portable|avx2`):
+//! detection; the lower rungs run only when a test or bench names them
+//! through the explicit `*_level` entry points):
 //!
 //! * **Cost-matrix fill**: each variant's symbolic FLOP polynomial is
 //!   compiled once per row into a flat multiply chain
@@ -161,13 +162,13 @@
 //!   *every* rung, scalar included, follows it. Scalar, AVX2, and
 //!   AVX-512 selection are therefore bit-identical (pinned by
 //!   `crates/core/tests/simd_paths.rs` across ragged instance counts
-//!   and every `scan_stripe`), and this blocked order **supersedes**
+//!   and thread budgets), and this blocked order **supersedes**
 //!   the pre-engine straight left-to-right fold as the selection
 //!   reference. The DP solver's final-state fold shares the engine's
 //!   first-strict-minimum helper.
-//! * **Trajectory**: `BENCH_select.json` records scalar-vs-SIMD and
-//!   the cumulative speedup over the PR 3 pipeline (~25x on the matrix
-//!   fill itself).
+//! * **Trajectory**: `BENCH_select.json` records the single-thread
+//!   selection time and the cumulative speedup over the pre-engine
+//!   scalar pipeline (~25x on the matrix fill itself).
 //!
 //! # The memoized enumeration engine (`gmc_core::pool`)
 //!
@@ -191,12 +192,11 @@
 //!   always form one contiguous, relocatable block.
 //!
 //! The assembled pool is **bit-identical** to per-tree `build_variant`
-//! lowering (which stays as the cross-checked reference), pinned by a
-//! property test over random structured/inverted/transposed shapes ×
-//! thread counts (`crates/core/tests/pool_memo.rs`). `GMC_ENUM=naive`
-//! pins the reference engine at runtime — the same pattern as
-//! `GMC_SIMD` — and CI runs the core tests plus the selection smoke on
-//! that rung. On the dev host the memoized engine builds the `n = 7`
+//! lowering (an ordinary function the tests and `bench_select` call by
+//! name as the reference), pinned by a property test over random
+//! structured/inverted/transposed shapes × thread counts
+//! (`crates/core/tests/pool_memo.rs`). Every session builds its pools
+//! through the memoized engine. On the dev host it builds the `n = 7`
 //! pool ~4.1x faster than naive lowering, taking cold single-thread
 //! end-to-end selection from ~2.9 ms to ~1.05 ms — ~0.70 ms on the
 //! memo-warm repeat a serving session sees (`BENCH_select.json`:
@@ -217,9 +217,9 @@
 //! frame is a zero-copy `Arc` clone, a cross-frame hit relocates the
 //! fragment's `ValRef`s/polynomials into the new frame — exact rational
 //! arithmetic, so store-assembled pools stay **bit-identical** to
-//! store-off builds (pinned by `crates/core/tests/frag_cache.rs`; CI
-//! re-runs core + serve under `GMC_FRAG=off`). The store is LRU-bounded
-//! with hit/miss/insert/eviction/restored counters
+//! store-off builds (pinned by `crates/core/tests/frag_cache.rs`
+//! against a capacity-0 session, the store's one off switch). The store
+//! is LRU-bounded with hit/miss/insert/eviction/restored counters
 //! (`CompileSession::fragment_cache_stats`), failed lowerings are
 //! negatively cached (the exactly-once contract covers failures), hot
 //! fragments persist in a versioned snapshot section
@@ -263,16 +263,13 @@
 //!   exactly one sample per shard-attributed response — an invariant
 //!   the chaos proptest pins alongside exactly-one-response.
 //!
-//! Three knobs scale the pipeline:
+//! Two knobs scale the pipeline:
 //!
 //! * the `parallel` cargo feature threads variant enumeration, the
-//!   cost-matrix fill, and the Algorithm-1 candidate scan (plus GEMM
-//!   column stripes in `gmc-linalg`) through the vendored rayon shim —
-//!   with results pinned bit-identical to serial by a property test
-//!   (`crates/core/tests/session_reuse.rs`);
-//! * `CompileOptions::scan_stripe` tunes the candidate-scan task
-//!   granularity for many-core hosts without rebuilding (bit-identical
-//!   for every value);
+//!   cost-matrix fill, and the Algorithm-1 candidate scan (one stripe
+//!   per thread; plus GEMM column stripes in `gmc-linalg`) through the
+//!   vendored rayon shim — with results pinned bit-identical to serial
+//!   by a property test (`crates/core/tests/session_reuse.rs`);
 //! * the `gmcc` driver compiles whole batches (`gmcc a.gmc b.gmc
 //!   --jobs N`), one session per worker thread — or serves forever with
 //!   `--serve`.
