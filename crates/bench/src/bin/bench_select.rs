@@ -11,8 +11,8 @@
 //! and host. An `enumerate_*` breakdown isolates `build_pool` itself —
 //! the dominant stage once the cost-matrix fill was vectorized —
 //! per-tree `build_variant` lowering versus the memoized engine, and the
-//! `frag_*` rows compare a capacity-0 fragment store with a cold and a
-//! warm one.
+//! `frag_*` rows compare a capacity-0 fragment store with a cold, a full
+//! and a warm one.
 //!
 //! Run with `cargo run --release [--features parallel] --bin
 //! bench_select [--smoke] [output.json]`.
@@ -79,6 +79,25 @@ fn frag_workload() -> Vec<Shape> {
             Shape::new(ops).expect("workload shapes are valid")
         })
         .collect()
+}
+
+/// Random 7-chains over operands whose (structure, property) pairs never
+/// occur in [`frag_workload`], so no span of theirs shares a descriptor
+/// run, and therefore a store key, with a workload span: filling a store
+/// from them leaves it full of entries the workload never hits.
+fn filler_shapes() -> impl Iterator<Item = Shape> {
+    let gn = Operand::plain(Features::new(Structure::General, Property::NonSingular));
+    let ls = Operand::plain(Features::new(Structure::LowerTri, Property::Singular));
+    let us = Operand::plain(Features::new(Structure::UpperTri, Property::Singular));
+    let ops = [gn, gn.inverted(), gn.transposed(), ls, us];
+    let mut rng = StdRng::seed_from_u64(4096);
+    std::iter::from_fn(move || {
+        let chain = (0..7)
+            .map(|_| ops[rand::Rng::gen_range(&mut rng, 0..ops.len())])
+            .collect();
+        Some(Shape::new(chain).ok())
+    })
+    .flatten()
 }
 
 fn best_of<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
@@ -189,6 +208,34 @@ fn main() {
         session.set_jobs(1);
         enumerate_workload(&mut session)
     });
+    // Full store: the long-lived serving regime, where the store has
+    // already filled to capacity and every insert evicts. Each rep fills a
+    // fresh session's store from unrelated shapes off the clock, then
+    // times the same cold pass over the workload.
+    let mut frag_full_s = f64::INFINITY;
+    let mut full_pools = Vec::new();
+    let mut full_evictions = 0;
+    for _ in 0..reps {
+        let mut session = CompileSession::new();
+        session.set_jobs(1);
+        for shape in filler_shapes() {
+            if session.num_cached_fragments() == session.fragment_cache_capacity() {
+                break;
+            }
+            let _ = session.all_variants(&shape).expect("filler under cap");
+        }
+        let filled = session.fragment_cache_stats();
+        let t = Instant::now();
+        full_pools = std::hint::black_box(enumerate_workload(&mut session));
+        frag_full_s = frag_full_s.min(t.elapsed().as_secs_f64());
+        let after = session.fragment_cache_stats();
+        full_evictions = after.evictions - filled.evictions;
+        assert!(
+            full_evictions > 0 && full_evictions == after.inserts - filled.inserts,
+            "every insert into the full store must evict"
+        );
+    }
+
     let mut warm_store = CompileSession::new();
     warm_store.set_jobs(1);
     let _ = enumerate_workload(&mut warm_store);
@@ -198,6 +245,10 @@ fn main() {
     assert_eq!(
         off_pools, cold_pools,
         "cold-store pools must be bit-identical to the capacity-0 control"
+    );
+    assert_eq!(
+        off_pools, full_pools,
+        "full-store pools must be bit-identical to the capacity-0 control"
     );
     assert_eq!(
         off_pools, warm_pools,
@@ -262,9 +313,10 @@ fn main() {
     );
     println!(
         "fragment store, 8 related 7-chains: off {:7.3} ms   cold {:7.3} ms   \
-         warm {:7.3} ms ({:.2}x vs cold)   warm hit rate {:.3}",
+         full {:7.3} ms   warm {:7.3} ms ({:.2}x vs cold)   warm hit rate {:.3}",
         frag_off_s * 1e3,
         frag_cold_s * 1e3,
+        frag_full_s * 1e3,
         frag_warm_s * 1e3,
         frag_speedup,
         warm_stats.hit_rate(),
@@ -302,11 +354,14 @@ fn main() {
         json,
         "  \"frag_workload_note\": \"frag_* rows enumerate 8 related structured 7-chains \
          sharing a 5-operand prefix: off = capacity-0 store, cold = fresh store, \
-         warm = store that has seen the workload (serving/restart regime); pools \
-         bit-identical across all three\","
+         full = store first filled to capacity from unrelated shapes (every insert \
+         evicts), warm = store that has seen the workload (serving/restart regime); \
+         pools bit-identical across all four\","
     );
     let _ = writeln!(json, "  \"frag_off_ms\": {:.3},", frag_off_s * 1e3);
     let _ = writeln!(json, "  \"frag_cold_ms\": {:.3},", frag_cold_s * 1e3);
+    let _ = writeln!(json, "  \"frag_full_ms\": {:.3},", frag_full_s * 1e3);
+    let _ = writeln!(json, "  \"frag_full_evictions\": {full_evictions},");
     let _ = writeln!(json, "  \"frag_warm_ms\": {:.3},", frag_warm_s * 1e3);
     let _ = writeln!(json, "  \"frag_speedup\": {frag_speedup:.4},");
     let _ = writeln!(

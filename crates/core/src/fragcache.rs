@@ -35,17 +35,23 @@
 //!
 //! The store is LRU-bounded (default
 //! [`DEFAULT_FRAG_CACHE_CAPACITY`](crate::DEFAULT_FRAG_CACHE_CAPACITY)
-//! entries) and keeps [`FragCacheStats`] counters — hits, misses, insertions,
+//! entries). A hit, an insert and an eviction each cost O(1) however full
+//! the store is: entries sit in a hash map over a recency-linked list,
+//! and a full store's victim is the list's tail.
+//! The victim is the entry least recently refreshed by a hit, an insert or
+//! a snapshot restore (a frame-mismatch miss refreshes nothing), and
+//! export walks the same order oldest first. The store keeps
+//! [`FragCacheStats`] counters — hits, misses, insertions,
 //! evictions, and snapshot-restored entries — mirroring the chain cache's
 //! [`CacheStats`](crate::CacheStats) treatment. Capacity 0
 //! ([`CompileSession::set_fragment_cache_capacity`](crate::CompileSession::set_fragment_cache_capacity))
 //! is the one off switch: the session then never hands the store to the
 //! pool builder, so no key is built and no lookup is counted.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::builder::{BuildError, BuildOptions, Fragment, NodeDesc};
+use crate::lru::Lru;
 use crate::variant::ValRef;
 
 /// Multiply-rotate hasher (the classic `fxhash` recipe) for the hot-path
@@ -107,7 +113,7 @@ impl std::hash::Hasher for FxHasher64 {
 }
 
 /// `BuildHasher` for [`FxHasher64`].
-#[derive(Default, Clone)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct FxBuildHasher;
 
 impl std::hash::BuildHasher for FxBuildHasher {
@@ -276,11 +282,10 @@ impl Frame {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Entry {
     value: Result<Arc<Fragment>, BuildError>,
     frame: Frame,
-    last_used: u64,
 }
 
 /// Rewrite `frag` from frame `from` into frame `to`.
@@ -353,9 +358,7 @@ fn fragment_fits_frame(frag: &Fragment, nsyms: usize, nleaves: usize) -> bool {
 /// on repeat encounters exactly like successes.
 #[derive(Debug)]
 pub struct FragmentCache {
-    map: HashMap<FragKey, Entry, FxBuildHasher>,
-    capacity: usize,
-    tick: u64,
+    entries: Lru<FragKey, Entry, FxBuildHasher>,
     stats: FragCacheStats,
 }
 
@@ -364,9 +367,7 @@ impl FragmentCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         FragmentCache {
-            map: HashMap::default(),
-            capacity,
-            tick: 0,
+            entries: Lru::new(capacity),
             stats: FragCacheStats::default(),
         }
     }
@@ -374,52 +375,31 @@ impl FragmentCache {
     /// Maximum number of entries retained.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity()
     }
 
     /// Change the bound, evicting least-recently-used entries if the store
     /// is over the new capacity. Capacity 0 disables retention entirely.
     pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.evict_down_to(capacity);
+        self.stats.evictions += self.entries.set_capacity(capacity) as u64;
     }
 
     /// Number of entries currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// `true` iff the store holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.len() == 0
     }
 
     /// Cumulative counters.
     #[must_use]
     pub fn stats(&self) -> FragCacheStats {
         self.stats
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    fn evict_down_to(&mut self, bound: usize) {
-        while self.map.len() > bound {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            self.stats.evictions += 1;
-        }
     }
 
     /// Look up the fragment for `key`, relocated into `frame`.
@@ -432,28 +412,21 @@ impl FragmentCache {
         key: &FragKey,
         frame: &Frame,
     ) -> Option<Result<Arc<Fragment>, BuildError>> {
-        let tick = self.next_tick();
-        let Some(entry) = self.map.get_mut(key) else {
+        // Impossible for honestly-constructed keys (the run fixes the
+        // symbol count), so a mismatched frame is a miss that leaves the
+        // entry's recency alone rather than a mis-relocation.
+        let fits = |e: &Entry| e.value.is_err() || e.frame.syms.len() == frame.syms.len();
+        if !self.entries.peek(key).is_some_and(fits) {
             self.stats.misses += 1;
             return None;
-        };
-        if let Ok(frag) = &entry.value {
-            if entry.frame.syms.len() != frame.syms.len() {
-                // Impossible for honestly-constructed keys (the run fixes the
-                // symbol count); treat as a miss rather than mis-relocate.
-                self.stats.misses += 1;
-                return None;
-            }
-            entry.last_used = tick;
-            self.stats.hits += 1;
-            if entry.frame == *frame {
-                return Some(Ok(Arc::clone(frag)));
-            }
-            return Some(Ok(Arc::new(relocate(frag, &entry.frame, frame))));
         }
-        entry.last_used = tick;
         self.stats.hits += 1;
-        Some(entry.value.clone())
+        let entry = self.entries.get(key).expect("peeked above");
+        match &entry.value {
+            Ok(frag) if entry.frame == *frame => Some(Ok(Arc::clone(frag))),
+            Ok(frag) => Some(Ok(Arc::new(relocate(frag, &entry.frame, frame)))),
+            Err(e) => Some(Err(e.clone())),
+        }
     }
 
     /// Insert the outcome of a fresh lowering under `key`, remembered in the
@@ -464,24 +437,19 @@ impl FragmentCache {
         value: Result<&Arc<Fragment>, &BuildError>,
         frame: &Frame,
     ) {
-        if self.capacity == 0 {
+        if self.capacity() == 0 {
             return;
         }
-        let tick = self.next_tick();
         let value = match value {
             Ok(frag) => Ok(Arc::clone(frag)),
             Err(e) => Err(e.clone()),
         };
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                frame: frame.clone(),
-                last_used: tick,
-            },
-        );
+        let entry = Entry {
+            value,
+            frame: frame.clone(),
+        };
         self.stats.inserts += 1;
-        self.evict_down_to(self.capacity);
+        self.stats.evictions += self.entries.insert(key, entry) as u64;
     }
 
     /// Export resident successful fragments for snapshotting, oldest first.
@@ -490,15 +458,12 @@ impl FragmentCache {
     /// snapshot is position-independent; cached failures are skipped (they
     /// are cheap to re-derive and not worth persisting).
     pub(crate) fn export(&self) -> Vec<(FragKey, Fragment)> {
-        let mut entries: Vec<(&FragKey, &Entry)> =
-            self.map.iter().filter(|(_, e)| e.value.is_ok()).collect();
-        entries.sort_by_key(|(_, e)| e.last_used);
-        entries
-            .into_iter()
-            .map(|(k, e)| {
-                let frag = e.value.as_ref().expect("filtered to Ok entries");
+        self.entries
+            .iter()
+            .filter_map(|(k, e)| {
+                let frag = e.value.as_ref().ok()?;
                 let local = Frame::local(e.frame.syms.len());
-                (k.clone(), relocate(frag, &e.frame, &local))
+                Some((k.clone(), relocate(frag, &e.frame, &local)))
             })
             .collect()
     }
@@ -509,7 +474,7 @@ impl FragmentCache {
     /// symbols or leaves outside their own frame (possible only with a
     /// hand-corrupted snapshot) are ignored rather than trusted.
     pub(crate) fn insert_restored(&mut self, key: FragKey, frag: Fragment) {
-        if self.capacity == 0 || self.map.contains_key(&key) {
+        if self.capacity() == 0 || self.entries.peek(&key).is_some() {
             return;
         }
         let nsyms = key.num_syms();
@@ -517,17 +482,12 @@ impl FragmentCache {
         if !fragment_fits_frame(&frag, nsyms, nleaves) {
             return;
         }
-        let tick = self.next_tick();
-        self.map.insert(
-            key,
-            Entry {
-                value: Ok(Arc::new(frag)),
-                frame: Frame::local(nsyms),
-                last_used: tick,
-            },
-        );
+        let entry = Entry {
+            value: Ok(Arc::new(frag)),
+            frame: Frame::local(nsyms),
+        };
         self.stats.restored += 1;
-        self.evict_down_to(self.capacity);
+        self.stats.evictions += self.entries.insert(key, entry) as u64;
     }
 }
 

@@ -847,6 +847,16 @@ fn decode_frag(body: &str) -> Result<(FragKey, Fragment), String> {
     if run.len() < 2 {
         return Err("fragment runs span at least two leaves".into());
     }
+    // A run of w leaves has at most w + 1 local size symbols, numbered in
+    // first-occurrence order; restore sizes the entry's frame by the
+    // largest one, so an out-of-range symbol must not get that far.
+    if let Some(d) = run.iter().find(|d| d.rows.max(d.cols) > run.len()) {
+        return Err(format!(
+            "size symbol {} out of range for a {}-leaf run",
+            d.rows.max(d.cols),
+            run.len()
+        ));
+    }
     let frag = Fragment {
         step: Some(decode_step(step)?),
         cost: decode_poly(cost)?,
@@ -997,6 +1007,37 @@ mod tests {
                 ),
                 "expected parse error for {text:?}"
             );
+        }
+    }
+
+    #[test]
+    fn out_of_range_run_symbols_are_rejected() {
+        // A size symbol past the run's w + 1 local symbols would make
+        // restore allocate a frame that large (or overflow computing its
+        // size): the snapshot must fail to decode and be quarantined.
+        let good = sample_with_frags().encode();
+        let lines: Vec<&str> = good.lines().collect();
+        let at = lines
+            .iter()
+            .position(|l| l.starts_with("frag "))
+            .expect("sample carries a fragment line");
+        let fields: Vec<&str> = lines[at].split(' ').collect();
+        let (head, tail) = fields[3].split_once(':').expect("descriptor head");
+        let (_, tail) = tail.split_once(':').expect("rows symbol");
+        for huge in ["18446744073709551614", "1000000000"] {
+            let bad_run = format!("{head}:{huge}:{tail}");
+            let mut bad_fields = fields.clone();
+            bad_fields[3] = &bad_run;
+            let bad_line = bad_fields.join(" ");
+            let mut bad = lines.clone();
+            bad[at] = &bad_line;
+            match SessionSnapshot::decode(&bad.join("\n")) {
+                Err(PersistError::Parse { line, msg }) => {
+                    assert_eq!(line, at + 1);
+                    assert!(msg.contains("out of range"), "{msg}");
+                }
+                other => panic!("expected a parse error for symbol {huge}, got {other:?}"),
+            }
         }
     }
 

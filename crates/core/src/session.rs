@@ -14,7 +14,9 @@
 //!   compiled-chain cache instead of re-running selection. The cache is
 //!   **bounded** (LRU eviction at
 //!   [`DEFAULT_CHAIN_CACHE_CAPACITY`], tunable via
-//!   [`CompileSession::set_chain_cache_capacity`]) and instrumented
+//!   [`CompileSession::set_chain_cache_capacity`]; a hit, an insert and
+//!   an eviction each cost O(1), and the victim is always the chain
+//!   least recently compiled or restored) and instrumented
 //!   ([`CompileSession::cache_stats`]), and its contents can be
 //!   persisted and restored bit-identically for warm service restarts
 //!   ([`CompileSession::snapshot`] / [`CompileSession::restore`]; see
@@ -23,7 +25,8 @@
 //!   the memoized enumeration engine consults a descriptor-run–keyed LRU
 //!   store before lowering each span-DAG node, so related shapes (and
 //!   snapshot-restored sessions) splice shared sub-spans instead of
-//!   re-lowering them. Bounded at
+//!   re-lowering them. Its hits, inserts and evictions are O(1) in the
+//!   same least-recently-used order. Bounded at
 //!   [`DEFAULT_FRAG_CACHE_CAPACITY`], tunable via
 //!   [`CompileSession::set_fragment_cache_capacity`] (capacity 0 turns
 //!   it off), and instrumented via
@@ -87,6 +90,7 @@ use crate::dp::DpSolver;
 use crate::enumerate::{EnumerateError, DEFAULT_VARIANT_CAP};
 use crate::expand::{expand_set_with, CostMatrix, ExpandScratch};
 use crate::fragcache::{FragCacheStats, FragmentCache};
+use crate::lru::Lru;
 use crate::paren::ParenTree;
 use crate::persist::{options_key, PersistError, SessionSnapshot};
 use crate::pool::PoolBuilder;
@@ -161,12 +165,6 @@ impl CacheStats {
     }
 }
 
-/// A cached chain plus its LRU clock reading.
-struct CachedChain {
-    chain: CompiledChain,
-    last_used: u64,
-}
-
 /// A long-lived compiler pipeline: owns the descriptor interner, DP state
 /// arenas, cost-matrix scratch, and GEMM workspace, and reuses all of
 /// them across compiles and evaluations (see the [module docs](self)).
@@ -176,9 +174,7 @@ pub struct CompileSession {
     variant_cap: u64,
     shapes: ShapeInterner,
     solvers: HashMap<ShapeId, DpSolver>,
-    compiled: HashMap<ShapeId, CachedChain>,
-    cache_capacity: usize,
-    cache_tick: u64,
+    compiled: Lru<ShapeId, CompiledChain>,
     cache_stats: CacheStats,
     pool: PoolBuilder,
     frags: FragmentCache,
@@ -210,9 +206,7 @@ impl CompileSession {
             variant_cap: DEFAULT_VARIANT_CAP,
             shapes: ShapeInterner::new(),
             solvers: HashMap::new(),
-            compiled: HashMap::new(),
-            cache_capacity: DEFAULT_CHAIN_CACHE_CAPACITY,
-            cache_tick: 0,
+            compiled: Lru::new(DEFAULT_CHAIN_CACHE_CAPACITY),
             cache_stats: CacheStats::default(),
             pool: PoolBuilder::new(),
             frags: FragmentCache::new(DEFAULT_FRAG_CACHE_CAPACITY),
@@ -473,12 +467,9 @@ impl CompileSession {
     /// Returns [`ProgramError`] if selection fails.
     pub fn compile(&mut self, shape: &Shape) -> Result<CompiledChain, ProgramError> {
         let id = self.shapes.intern(shape);
-        self.cache_tick += 1;
-        let tick = self.cache_tick;
-        if let Some(entry) = self.compiled.get_mut(&id) {
-            entry.last_used = tick;
+        if let Some(chain) = self.compiled.get(&id) {
             self.cache_stats.hits += 1;
-            return Ok(entry.chain.clone());
+            return Ok(chain.clone());
         }
         self.cache_stats.misses += 1;
         let chain = self.compile_uncached(id)?;
@@ -486,35 +477,10 @@ impl CompileSession {
         Ok(chain)
     }
 
-    /// Insert a freshly compiled (or restored) chain, evicting
-    /// least-recently-used entries down to capacity first.
+    /// Insert a freshly compiled (or restored) chain as the most recently
+    /// used one, evicting least-recently-used entries down to capacity.
     fn insert_cached(&mut self, id: ShapeId, chain: CompiledChain) {
-        if self.cache_capacity == 0 {
-            return;
-        }
-        self.evict_down_to(self.cache_capacity - 1);
-        self.compiled.insert(
-            id,
-            CachedChain {
-                chain,
-                last_used: self.cache_tick,
-            },
-        );
-    }
-
-    fn evict_down_to(&mut self, capacity: usize) {
-        while self.compiled.len() > capacity {
-            // Ticks are unique, so the LRU victim is unambiguous; the
-            // O(len) scan is fine at the capacities a shard runs with.
-            let victim = self
-                .compiled
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&id, _)| id)
-                .expect("cache is non-empty");
-            self.compiled.remove(&victim);
-            self.cache_stats.evictions += 1;
-        }
+        self.cache_stats.evictions += self.compiled.insert(id, chain) as u64;
     }
 
     /// Compile every shape in order, sharing the session caches (repeat
@@ -703,7 +669,7 @@ impl CompileSession {
     /// (default [`DEFAULT_CHAIN_CACHE_CAPACITY`]).
     #[must_use]
     pub fn chain_cache_capacity(&self) -> usize {
-        self.cache_capacity
+        self.compiled.capacity()
     }
 
     /// Bound the compiled-chain cache: at most `capacity` chains stay
@@ -713,8 +679,7 @@ impl CompileSession {
     /// re-selects). Eviction never changes results — an evicted shape is
     /// simply re-selected on its next compile, bit-identically.
     pub fn set_chain_cache_capacity(&mut self, capacity: usize) {
-        self.cache_capacity = capacity;
-        self.evict_down_to(capacity);
+        self.cache_stats.evictions += self.compiled.set_capacity(capacity) as u64;
     }
 
     /// Cumulative hit/miss/eviction counters for the compiled-chain
@@ -763,13 +728,9 @@ impl CompileSession {
     pub fn snapshot(&self) -> SessionSnapshot {
         let mut entries = Vec::with_capacity(self.compiled.len());
         for (id, shape) in self.shapes.iter() {
-            if let Some(entry) = self.compiled.get(&id) {
-                let parens: Vec<ParenTree> = entry
-                    .chain
-                    .variants()
-                    .iter()
-                    .map(|v| v.paren().clone())
-                    .collect();
+            if let Some(chain) = self.compiled.peek(&id) {
+                let parens: Vec<ParenTree> =
+                    chain.variants().iter().map(|v| v.paren().clone()).collect();
                 entries.push((shape.clone(), parens));
             }
         }
@@ -836,7 +797,7 @@ impl CompileSession {
                 continue;
             }
             let id = self.shapes.intern(shape);
-            if self.compiled.contains_key(&id) || pending.iter().any(|(pid, ..)| *pid == id) {
+            if self.compiled.peek(&id).is_some() || pending.iter().any(|(pid, ..)| *pid == id) {
                 continue;
             }
             let variants = self
@@ -846,7 +807,6 @@ impl CompileSession {
         }
         let restored = pending.len();
         for (id, shape, variants) in pending {
-            self.cache_tick += 1;
             self.insert_cached(id, CompiledChain::from_variants(shape, variants));
         }
         self.cache_stats.restored += restored as u64;

@@ -115,6 +115,12 @@ proptest! {
             "8 shapes x capacity 3 must evict (inserts = {})",
             stats.inserts
         );
+        // Every insert follows a miss, so it adds an entry; whatever is
+        // no longer resident was evicted, and counted, exactly once.
+        prop_assert_eq!(
+            stats.evictions,
+            stats.inserts + stats.restored - tiny.num_cached_fragments() as u64
+        );
     }
 }
 

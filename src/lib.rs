@@ -47,7 +47,10 @@
 //! * **Bounded chain cache**: each session's compiled-chain cache is
 //!   LRU-bounded (`CompileSession::set_chain_cache_capacity`) with
 //!   hit/miss/eviction counters (`cache_stats`) for observability; the
-//!   one-shot CLI and the service share the same implementation.
+//!   one-shot CLI and the service share the same implementation. It and
+//!   the fragment store below sit on one hash-map-plus-linked-list LRU,
+//!   so a hit, an insert and an eviction each cost O(1) however full the
+//!   cache is.
 //! * **Warm-restart persistence** (`gmc_core::persist`): the cache
 //!   snapshots to a compact text format — shape descriptors (via
 //!   `ShapeInterner` dense ids) plus selected parenthesizations, never
