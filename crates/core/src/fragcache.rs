@@ -38,15 +38,18 @@
 //! entries). A hit, an insert and an eviction each cost O(1) however full
 //! the store is: entries sit in a hash map over a recency-linked list,
 //! and a full store's victim is the list's tail.
-//! The victim is the entry least recently refreshed by a hit, an insert or
-//! a snapshot restore (a frame-mismatch miss refreshes nothing), and
-//! export walks the same order oldest first. The store keeps
-//! [`FragCacheStats`] counters — hits, misses, insertions,
-//! evictions, and snapshot-restored entries — mirroring the chain cache's
+//! The victim is the entry least recently refreshed by a hit or an insert
+//! (a frame-mismatch miss refreshes nothing). The store keeps
+//! [`FragCacheStats`] counters — hits, misses, insertions and
+//! evictions — mirroring the chain cache's
 //! [`CacheStats`](crate::CacheStats) treatment. Capacity 0
 //! ([`CompileSession::set_fragment_cache_capacity`](crate::CompileSession::set_fragment_cache_capacity))
 //! is the one off switch: the session then never hands the store to the
 //! pool builder, so no key is built and no lookup is counted.
+//!
+//! The store lives only in memory. Snapshots ([`crate::persist`]) record
+//! decisions, not fragments: a restored session refills its store while
+//! restore re-lowers the recorded trees through it.
 
 use std::sync::Arc;
 
@@ -127,9 +130,8 @@ impl std::hash::BuildHasher for FxBuildHasher {
 
 /// Hit/miss/insert/eviction counters for a [`FragmentCache`].
 ///
-/// `restored` counts entries imported from a session snapshot; all counters
-/// are cumulative over the cache's lifetime (capacity changes and evictions
-/// do not reset them).
+/// All counters are cumulative over the cache's lifetime (capacity
+/// changes and evictions do not reset them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FragCacheStats {
     /// Lookups served from the store (same-frame and relocated alike).
@@ -140,8 +142,6 @@ pub struct FragCacheStats {
     pub inserts: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
-    /// Entries imported from a session snapshot.
-    pub restored: u64,
 }
 
 impl FragCacheStats {
@@ -162,7 +162,6 @@ impl FragCacheStats {
         self.misses += other.misses;
         self.inserts += other.inserts;
         self.evictions += other.evictions;
-        self.restored += other.restored;
     }
 }
 
@@ -180,25 +179,13 @@ impl FragCacheStats {
 /// cold store pays per miss.
 #[derive(Debug, Clone)]
 pub(crate) struct FragKey {
-    pub(crate) options: BuildOptions,
-    pub(crate) tree: u128,
-    pub(crate) run: Arc<[NodeDesc]>,
+    options: BuildOptions,
+    tree: u128,
+    run: Arc<[NodeDesc]>,
     run_hash: u64,
 }
 
 impl FragKey {
-    /// Key a span-local tree over a descriptor run (hashing the run once;
-    /// callers sharing a span pass clones of one `Arc`).
-    pub(crate) fn new(options: BuildOptions, tree: u128, run: Arc<[NodeDesc]>) -> Self {
-        let run_hash = Self::hash_run(&run);
-        FragKey {
-            options,
-            tree,
-            run,
-            run_hash,
-        }
-    }
-
     /// Content hash of a descriptor run, computed once per span and shared
     /// by every key over that span (see [`FragKey::from_hashed`]).
     pub(crate) fn hash_run(run: &[NodeDesc]) -> u64 {
@@ -226,15 +213,6 @@ impl FragKey {
             run_hash,
         }
     }
-
-    /// Number of local size symbols the run references (max index + 1).
-    pub(crate) fn num_syms(&self) -> usize {
-        let mut n = 0;
-        for d in self.run.iter() {
-            n = n.max(d.rows + 1).max(d.cols + 1);
-        }
-        n
-    }
 }
 
 impl PartialEq for FragKey {
@@ -254,8 +232,8 @@ impl std::hash::Hash for FragKey {
         self.options.hash(state);
         self.tree.hash(state);
         // The run's content hash stands in for the run: equal runs hash
-        // equal by construction, and the O(len) work happened once in
-        // `FragKey::new`.
+        // equal by construction, and the O(len) work happened once per
+        // span in `FragKey::hash_run`.
         self.run_hash.hash(state);
     }
 }
@@ -270,16 +248,6 @@ pub(crate) struct Frame {
     /// Shared (`Arc`) so the pool builder can stamp one frame onto every
     /// node of a span without a per-node allocation.
     pub(crate) syms: Arc<[usize]>,
-}
-
-impl Frame {
-    /// The canonical span-local frame for `n` symbols (used by snapshots).
-    pub(crate) fn local(n: usize) -> Frame {
-        Frame {
-            lo: 0,
-            syms: (0..n).collect::<Vec<_>>().into(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -323,36 +291,10 @@ fn relocate(frag: &Fragment, from: &Frame, to: &Frame) -> Fragment {
     }
 }
 
-/// Defensive check that a fragment only references symbols and leaves its
-/// frame can relocate; snapshot-restored entries are validated with this
-/// before insertion so a corrupt section cannot panic a later lookup.
-fn fragment_fits_frame(frag: &Fragment, nsyms: usize, nleaves: usize) -> bool {
-    let sym_ok = |s: usize| s < nsyms;
-    let val_ok = |v: ValRef| match v {
-        ValRef::Leaf(i) => i < nleaves,
-        ValRef::Temp(t) => t < nleaves,
-    };
-    let poly_ok = frag
-        .cost
-        .iter()
-        .all(|(m, _)| m.factors().iter().all(|&(v, _)| sym_ok(v)));
-    let result_ok =
-        sym_ok(frag.result.rows) && sym_ok(frag.result.cols) && val_ok(frag.result.source);
-    let step_ok = frag.step.is_none_or(|s| {
-        val_ok(s.left)
-            && val_ok(s.right)
-            && sym_ok(s.triplet.0)
-            && sym_ok(s.triplet.1)
-            && sym_ok(s.triplet.2)
-    });
-    poly_ok && result_ok && step_ok
-}
-
 /// Cross-shape, LRU-bounded store of lowered fragments.
 ///
 /// Owned by [`CompileSession`](crate::CompileSession) (one per session, and
-/// in `gmc_serve` one per shard, warmed by merged snapshots — see the serve
-/// crate docs for the sharing model). Keys are span-local
+/// in `gmc_serve` one per shard). Keys are span-local
 /// (options, descriptor run, tree) triples; values are the lowered fragment
 /// *or* the error the lowering produced, so failed lowerings short-circuit
 /// on repeat encounters exactly like successes.
@@ -451,44 +393,6 @@ impl FragmentCache {
         self.stats.inserts += 1;
         self.stats.evictions += self.entries.insert(key, entry) as u64;
     }
-
-    /// Export resident successful fragments for snapshotting, oldest first.
-    ///
-    /// Fragments are rewritten into the canonical span-local frame so the
-    /// snapshot is position-independent; cached failures are skipped (they
-    /// are cheap to re-derive and not worth persisting).
-    pub(crate) fn export(&self) -> Vec<(FragKey, Fragment)> {
-        self.entries
-            .iter()
-            .filter_map(|(k, e)| {
-                let frag = e.value.as_ref().ok()?;
-                let local = Frame::local(e.frame.syms.len());
-                Some((k.clone(), relocate(frag, &e.frame, &local)))
-            })
-            .collect()
-    }
-
-    /// Import a snapshot entry (already in the canonical span-local frame).
-    ///
-    /// Existing entries win over restored ones; entries that reference
-    /// symbols or leaves outside their own frame (possible only with a
-    /// hand-corrupted snapshot) are ignored rather than trusted.
-    pub(crate) fn insert_restored(&mut self, key: FragKey, frag: Fragment) {
-        if self.capacity() == 0 || self.entries.peek(&key).is_some() {
-            return;
-        }
-        let nsyms = key.num_syms();
-        let nleaves = key.run.len();
-        if !fragment_fits_frame(&frag, nsyms, nleaves) {
-            return;
-        }
-        let entry = Entry {
-            value: Ok(Arc::new(frag)),
-            frame: Frame::local(nsyms),
-        };
-        self.stats.restored += 1;
-        self.stats.evictions += self.entries.insert(key, entry) as u64;
-    }
 }
 
 #[cfg(test)]
@@ -511,7 +415,8 @@ mod tests {
             lo: 0,
             syms: vec![0, 1, 2].into(),
         };
-        let key = FragKey::new(options, 0b100, leaves[..2].to_vec().into());
+        let run: Arc<[NodeDesc]> = leaves[..2].to_vec().into();
+        let key = FragKey::from_hashed(options, 0b100, run.clone(), FragKey::hash_run(&run));
         (frag, frame, key)
     }
 
@@ -567,25 +472,5 @@ mod tests {
         assert!(cache.is_empty());
         cache.insert(key, Ok(&arc), &frame);
         assert!(cache.is_empty(), "capacity 0 disables retention");
-    }
-
-    #[test]
-    fn restored_entries_yield_hits_but_never_clobber_live_ones() {
-        let (frag, frame, key) = lowered_pair();
-        let mut cache = FragmentCache::new(16);
-        let local = relocate(&frag, &frame, &Frame::local(frame.syms.len()));
-        cache.insert_restored(key.clone(), local);
-        assert_eq!(cache.stats().restored, 1);
-
-        let hit = cache.lookup(&key, &frame).unwrap().unwrap();
-        assert_eq!(*hit, frag, "restore + relocate round-trips exactly");
-
-        // A live insert is not displaced by a later restore of the same key.
-        let arc = Arc::new(frag.clone());
-        cache.insert(key.clone(), Ok(&arc), &frame);
-        cache.insert_restored(key.clone(), Fragment::leaf(key.run[0]));
-        let again = cache.lookup(&key, &frame).unwrap().unwrap();
-        assert!(Arc::ptr_eq(&again, &arc));
-        assert_eq!(cache.stats().restored, 1);
     }
 }

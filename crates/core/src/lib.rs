@@ -53,10 +53,10 @@
 //! [`BuildOptions`] fingerprint, so shapes that differ outside a span
 //! assemble that span by splice instead of re-lowering it. The store is
 //! LRU-bounded, owned by the session (capacity/stats knobs next to the
-//! chain cache's), serialized as a versioned section of the
-//! `gmc-session-snapshot` format so restarted daemons warm-start from
-//! persisted fragments, and turned off by capacity 0, which the tests
-//! use as the store-off reference; see the [`fragcache`] module docs.
+//! chain cache's), kept in memory only — snapshots record decisions,
+//! and a restore refills the store as it re-lowers them — and turned
+//! off by capacity 0, which the tests use as the store-off reference;
+//! see the [`fragcache`] module docs.
 //!
 //! The whole pipeline is **traced** through the `gmc-obs` substrate:
 //! every session owns a [`gmc_obs::Recorder`] that accounts each stage

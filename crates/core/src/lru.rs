@@ -113,7 +113,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
         self.oldest = NIL;
     }
 
-    /// Resident entries, oldest first.
+    /// Resident entries, oldest first (the tests' view of the order).
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         let mut slot = self.oldest;
         std::iter::from_fn(move || {

@@ -20,43 +20,28 @@
 //! chain 0 ((0,1),2) (0,(1,2))
 //! shape 1 ...
 //! chain 1 ...
-//! frags v1 2
-//! frag 11 c Gn..:0:1:l0,Gn..:1:2:l1 l0~l1~GEMM~L~..~nn~.~0~1~2 Gs..:0:2:t0 2/1:0^1.1^1.2^1
-//! frag ...
 //! ```
 //!
 //! Shapes are numbered densely in snapshot order; `chain k` lists the
 //! selected parenthesizations of `shape k` (leaves are operand indices,
-//! nodes `(left,right)`). The `options` line fingerprints every
-//! [`CompileOptions`] field that influences selection — snapshots only
-//! restore into sessions with matching options, because the recorded
-//! decisions would otherwise silently misrepresent what the session
-//! would have selected. Thread counts are deliberately excluded: they
-//! never change selection.
+//! nodes `(left,right)`), each tree at most once. The `options` line
+//! fingerprints every [`CompileOptions`] field that influences
+//! selection — snapshots only restore into sessions with matching
+//! options, because the recorded decisions would otherwise silently
+//! misrepresent what the session would have selected. Thread counts are
+//! deliberately excluded: they never change selection.
 //!
-//! The optional trailing **fragment section** (since PR 7) persists the
-//! hot entries of the session's cross-shape fragment store
-//! ([`crate::fragcache`]): `frags v1 <count>` followed by exactly
-//! `<count>` `frag` lines, each one store entry in the canonical
-//! span-local frame — build options, the span tree's preorder bit code
-//! (hex), the localized leaf-descriptor run, the association step, the
-//! result descriptor, and the exact rational cost polynomial. The
-//! declared count makes torn writes detectable: a truncated section
-//! fails decoding (and the serving layer quarantines the file) instead
-//! of silently warm-starting from half a store. Snapshots without the
-//! section — every pre-PR-7 snapshot — still decode; snapshots with an
-//! empty store encode without it, byte-identical to the old format.
+//! Nothing else is stored: the session's cross-shape fragment store
+//! ([`crate::fragcache`]) refills itself as restore re-lowers the trees.
+//! Older files may end in a `frags v1 <count>` section of lowered
+//! fragments; [`SessionSnapshot::decode`] reads such a file up to its
+//! `frags` line and ignores the rest, so a daemon upgraded in place
+//! still warms from its old snapshot.
 
-use crate::builder::{BuildOptions, Fragment, NodeDesc};
 use crate::expand::Objective;
-use crate::fragcache::FragKey;
 use crate::paren::ParenTree;
 use crate::program::CompileOptions;
-use crate::variant::{Step, ValRef};
-use gmc_ir::poly::Monomial;
-use gmc_ir::{Poly, Property, Ratio, Shape, Structure};
-use gmc_kernels::Kernel;
-use gmc_linalg::{Side, Triangle};
+use gmc_ir::Shape;
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -141,21 +126,13 @@ pub(crate) fn options_key(o: &CompileOptions, variant_cap: u64) -> String {
 pub struct SessionSnapshot {
     options_key: String,
     entries: Vec<(Shape, Vec<ParenTree>)>,
-    /// Hot cross-shape fragments in the canonical span-local frame (see
-    /// [`crate::fragcache`]), oldest first. Empty for pre-PR-7 snapshots.
-    frags: Vec<(FragKey, Fragment)>,
 }
 
 impl SessionSnapshot {
-    pub(crate) fn from_parts(
-        options_key: String,
-        entries: Vec<(Shape, Vec<ParenTree>)>,
-        frags: Vec<(FragKey, Fragment)>,
-    ) -> Self {
+    pub(crate) fn from_parts(options_key: String, entries: Vec<(Shape, Vec<ParenTree>)>) -> Self {
         SessionSnapshot {
             options_key,
             entries,
-            frags,
         }
     }
 
@@ -197,16 +174,6 @@ impl SessionSnapshot {
         &self.entries
     }
 
-    pub(crate) fn frag_entries(&self) -> &[(FragKey, Fragment)] {
-        &self.frags
-    }
-
-    /// Number of cross-shape fragments recorded.
-    #[must_use]
-    pub fn num_fragments(&self) -> usize {
-        self.frags.len()
-    }
-
     /// Fold `other`'s entries into this snapshot, skipping shapes already
     /// present. Returns the number of chains added.
     ///
@@ -228,13 +195,6 @@ impl SessionSnapshot {
                 added += 1;
             }
         }
-        // Fragments merge too (deduped by key) so per-shard snapshots
-        // pool their stores into one service-wide warming set.
-        for (key, frag) in other.frags {
-            if !self.frags.iter().any(|(k, _)| *k == key) {
-                self.frags.push((key, frag));
-            }
-        }
         Ok(added)
     }
 
@@ -253,23 +213,20 @@ impl SessionSnapshot {
             }
             out.push('\n');
         }
-        if !self.frags.is_empty() {
-            let _ = writeln!(out, "frags v1 {}", self.frags.len());
-            for (key, frag) in &self.frags {
-                encode_frag(key, frag, &mut out);
-                out.push('\n');
-            }
-        }
         out
     }
 
-    /// Parse the `gmc-session-snapshot v1` text format.
+    /// Parse the `gmc-session-snapshot v1` text format. A `frags ` line,
+    /// which older files may carry, ends the snapshot: it and everything
+    /// after it are ignored.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::Parse`] with the offending line on any
     /// malformed input, including parenthesizations that do not cover
-    /// their shape's operands exactly.
+    /// their shape's operands exactly and a chain line that lists one
+    /// tree twice (compile never selects a tree twice, so restoring the
+    /// repeat would serve a chain compile cannot produce).
     pub fn decode(text: &str) -> Result<Self, PersistError> {
         let err = |line: usize, msg: String| PersistError::Parse { line, msg };
         let mut lines = text.lines().enumerate();
@@ -288,40 +245,12 @@ impl SessionSnapshot {
             .to_string();
 
         let mut entries: Vec<(Shape, Vec<ParenTree>)> = Vec::new();
-        let mut frags: Vec<(FragKey, Fragment)> = Vec::new();
         while let Some((i, line)) = lines.next() {
             let lineno = i + 1;
             if line.trim().is_empty() {
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("frags ") {
-                // Versioned trailing fragment section: `frags v1 <count>`
-                // then exactly <count> `frag` lines and nothing else. The
-                // declared count is what makes torn writes detectable.
-                let count = rest
-                    .strip_prefix("v1 ")
-                    .and_then(|c| c.parse::<usize>().ok())
-                    .ok_or_else(|| err(lineno, format!("bad fragment section header `{line}`")))?;
-                let mut last = lineno;
-                for _ in 0..count {
-                    let (j, frag_line) = lines.next().ok_or_else(|| {
-                        err(
-                            last,
-                            format!("fragment section truncated: expected {count} entries"),
-                        )
-                    })?;
-                    last = j + 1;
-                    let body = frag_line.strip_prefix("frag ").ok_or_else(|| {
-                        err(last, format!("expected `frag ...`, got `{frag_line}`"))
-                    })?;
-                    frags.push(decode_frag(body).map_err(|e| err(last, e))?);
-                }
-                if let Some((j, extra)) = lines.find(|(_, l)| !l.trim().is_empty()) {
-                    return Err(err(
-                        j + 1,
-                        format!("fragment section must end the snapshot, got `{extra}`"),
-                    ));
-                }
+            if line.starts_with("frags ") {
                 break;
             }
             let rest = line
@@ -371,6 +300,12 @@ impl SessionSnapshot {
                         ),
                     ));
                 }
+                if parens.contains(&tree) {
+                    return Err(err(
+                        chainno,
+                        format!("parenthesization `{tok}` is listed twice"),
+                    ));
+                }
                 parens.push(tree);
             }
             if parens.is_empty() {
@@ -381,7 +316,6 @@ impl SessionSnapshot {
         Ok(SessionSnapshot {
             options_key,
             entries,
-            frags,
         })
     }
 
@@ -532,339 +466,6 @@ fn decode_paren(s: &str) -> Result<ParenTree, String> {
     Ok(tree)
 }
 
-// --- fragment section codecs -------------------------------------------
-//
-// One store entry per `frag` line, six space-separated fields:
-//
-//   frag <opts> <tree> <run> <step> <result> <cost>
-//
-// * opts   — `propagate_single_inversion` and `infer_structures` as
-//            `1`/`0` chars;
-// * tree   — the span tree's preorder bit code, lowercase hex;
-// * run    — comma-joined localized leaf descriptors;
-// * desc   — `<structure><property><T|.><I|.>:<rows>:<cols>:<source>`
-//            with structure in `GYLU`, property in `snpo`, and sources
-//            `l<i>` (leaf) / `t<i>` (temp);
-// * step   — ten `~`-joined fields: operands, kernel name, side,
-//            transposition flags, stored triangles (`l`/`u`/`n`), the
-//            cheap-cost flag, and the size-symbol triplet;
-// * cost   — `;`-joined exact-rational terms `num/den[:v^e.v^e...]`,
-//            or `_` for the zero polynomial.
-
-fn structure_char(s: Structure) -> char {
-    match s {
-        Structure::General => 'G',
-        Structure::Symmetric => 'Y',
-        Structure::LowerTri => 'L',
-        Structure::UpperTri => 'U',
-    }
-}
-
-fn structure_from(c: char) -> Result<Structure, String> {
-    match c {
-        'G' => Ok(Structure::General),
-        'Y' => Ok(Structure::Symmetric),
-        'L' => Ok(Structure::LowerTri),
-        'U' => Ok(Structure::UpperTri),
-        other => Err(format!("bad structure `{other}`")),
-    }
-}
-
-fn property_char(p: Property) -> char {
-    match p {
-        Property::Singular => 's',
-        Property::NonSingular => 'n',
-        Property::Spd => 'p',
-        Property::Orthogonal => 'o',
-    }
-}
-
-fn property_from(c: char) -> Result<Property, String> {
-    match c {
-        's' => Ok(Property::Singular),
-        'n' => Ok(Property::NonSingular),
-        'p' => Ok(Property::Spd),
-        'o' => Ok(Property::Orthogonal),
-        other => Err(format!("bad property `{other}`")),
-    }
-}
-
-fn flag_char(on: bool, c: char) -> char {
-    if on {
-        c
-    } else {
-        '.'
-    }
-}
-
-fn tri_char(t: Option<Triangle>) -> char {
-    match t {
-        Some(Triangle::Lower) => 'l',
-        Some(Triangle::Upper) => 'u',
-        None => 'n',
-    }
-}
-
-fn tri_from(c: char) -> Result<Option<Triangle>, String> {
-    match c {
-        'l' => Ok(Some(Triangle::Lower)),
-        'u' => Ok(Some(Triangle::Upper)),
-        'n' => Ok(None),
-        other => Err(format!("bad triangle `{other}`")),
-    }
-}
-
-fn encode_valref(v: ValRef, out: &mut String) {
-    match v {
-        ValRef::Leaf(i) => {
-            let _ = write!(out, "l{i}");
-        }
-        ValRef::Temp(t) => {
-            let _ = write!(out, "t{t}");
-        }
-    }
-}
-
-fn decode_valref(s: &str) -> Result<ValRef, String> {
-    let idx = |t: &str| {
-        t.parse::<usize>()
-            .map_err(|_| format!("bad value index `{s}`"))
-    };
-    match s.split_at_checked(1) {
-        Some(("l", rest)) => Ok(ValRef::Leaf(idx(rest)?)),
-        Some(("t", rest)) => Ok(ValRef::Temp(idx(rest)?)),
-        _ => Err(format!("bad value reference `{s}`")),
-    }
-}
-
-fn encode_desc(d: &NodeDesc, out: &mut String) {
-    out.push(structure_char(d.structure));
-    out.push(property_char(d.property));
-    out.push(flag_char(d.transposed, 'T'));
-    out.push(flag_char(d.inverted, 'I'));
-    let _ = write!(out, ":{}:{}:", d.rows, d.cols);
-    encode_valref(d.source, out);
-}
-
-fn decode_desc(s: &str) -> Result<NodeDesc, String> {
-    let mut parts = s.split(':');
-    let head = parts.next().unwrap_or("");
-    let (rows, cols, src) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(r), Some(c), Some(v), None) => (r, c, v),
-        _ => return Err(format!("bad descriptor `{s}`")),
-    };
-    let chars: Vec<char> = head.chars().collect();
-    let [st, pr, tr, inv] = chars.as_slice() else {
-        return Err(format!("bad descriptor head `{head}`"));
-    };
-    let sym = |t: &str| {
-        t.parse::<usize>()
-            .map_err(|_| format!("bad size symbol `{t}`"))
-    };
-    Ok(NodeDesc {
-        structure: structure_from(*st)?,
-        property: property_from(*pr)?,
-        transposed: match tr {
-            'T' => true,
-            '.' => false,
-            other => return Err(format!("bad transpose flag `{other}`")),
-        },
-        inverted: match inv {
-            'I' => true,
-            '.' => false,
-            other => return Err(format!("bad inverse flag `{other}`")),
-        },
-        rows: sym(rows)?,
-        cols: sym(cols)?,
-        source: decode_valref(src)?,
-    })
-}
-
-fn encode_step(s: &Step, out: &mut String) {
-    encode_valref(s.left, out);
-    out.push('~');
-    encode_valref(s.right, out);
-    let _ = write!(out, "~{}~", s.kernel.name());
-    out.push(match s.side {
-        Side::Left => 'L',
-        Side::Right => 'R',
-    });
-    out.push('~');
-    out.push(flag_char(s.left_trans, 'T'));
-    out.push(flag_char(s.right_trans, 'T'));
-    out.push('~');
-    out.push(tri_char(s.left_tri));
-    out.push(tri_char(s.right_tri));
-    out.push('~');
-    out.push(flag_char(s.cheap, 'c'));
-    let _ = write!(out, "~{}~{}~{}", s.triplet.0, s.triplet.1, s.triplet.2);
-}
-
-fn decode_step(s: &str) -> Result<Step, String> {
-    let parts: Vec<&str> = s.split('~').collect();
-    let [left, right, kernel, side, trans, tris, cheap, a, b, c] = parts.as_slice() else {
-        return Err(format!("bad step `{s}`"));
-    };
-    let kernel = *Kernel::ALL
-        .iter()
-        .find(|k| k.name() == *kernel)
-        .ok_or_else(|| format!("unknown kernel `{kernel}`"))?;
-    let side = match *side {
-        "L" => Side::Left,
-        "R" => Side::Right,
-        other => return Err(format!("bad side `{other}`")),
-    };
-    let flags = |t: &str| -> Result<(bool, bool), String> {
-        let chars: Vec<char> = t.chars().collect();
-        let on = |c: char| c != '.';
-        match chars.as_slice() {
-            [l, r] => Ok((on(*l), on(*r))),
-            _ => Err(format!("bad flag pair `{t}`")),
-        }
-    };
-    let (left_trans, right_trans) = flags(trans)?;
-    let tri_chars: Vec<char> = tris.chars().collect();
-    let [lt, rt] = tri_chars.as_slice() else {
-        return Err(format!("bad triangle pair `{tris}`"));
-    };
-    let sym = |t: &str| {
-        t.parse::<usize>()
-            .map_err(|_| format!("bad size symbol `{t}`"))
-    };
-    Ok(Step {
-        left: decode_valref(left)?,
-        right: decode_valref(right)?,
-        kernel,
-        side,
-        left_trans,
-        right_trans,
-        left_tri: tri_from(*lt)?,
-        right_tri: tri_from(*rt)?,
-        cheap: *cheap == "c",
-        triplet: (sym(a)?, sym(b)?, sym(c)?),
-    })
-}
-
-fn encode_poly(p: &Poly, out: &mut String) {
-    if p.num_terms() == 0 {
-        out.push('_');
-        return;
-    }
-    for (i, (mono, coeff)) in p.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        let _ = write!(out, "{}/{}", coeff.numer(), coeff.denom());
-        for (j, &(var, exp)) in mono.factors().iter().enumerate() {
-            out.push(if j == 0 { ':' } else { '.' });
-            let _ = write!(out, "{var}^{exp}");
-        }
-    }
-}
-
-fn decode_poly(s: &str) -> Result<Poly, String> {
-    let mut p = Poly::zero();
-    if s == "_" {
-        return Ok(p);
-    }
-    for term in s.split(';') {
-        let (ratio, factors) = match term.split_once(':') {
-            Some((r, f)) => (r, Some(f)),
-            None => (term, None),
-        };
-        let (num, den) = ratio
-            .split_once('/')
-            .ok_or_else(|| format!("bad coefficient `{ratio}`"))?;
-        let num: i128 = num.parse().map_err(|_| format!("bad numerator `{num}`"))?;
-        let den: i128 = den
-            .parse()
-            .map_err(|_| format!("bad denominator `{den}`"))?;
-        if den <= 0 {
-            return Err(format!("non-positive denominator `{den}`"));
-        }
-        let mut factor_list: Vec<(usize, u32)> = Vec::new();
-        if let Some(factors) = factors {
-            for f in factors.split('.') {
-                let (v, e) = f
-                    .split_once('^')
-                    .ok_or_else(|| format!("bad factor `{f}`"))?;
-                let v: usize = v.parse().map_err(|_| format!("bad variable `{v}`"))?;
-                let e: u32 = e.parse().map_err(|_| format!("bad exponent `{e}`"))?;
-                factor_list.push((v, e));
-            }
-        }
-        p.add_term(Ratio::new(num, den), Monomial::from_factors(&factor_list));
-    }
-    Ok(p)
-}
-
-fn encode_frag(key: &FragKey, frag: &Fragment, out: &mut String) {
-    let _ = write!(
-        out,
-        "frag {}{} {:x} ",
-        u8::from(key.options.propagate_single_inversion),
-        u8::from(key.options.infer_structures),
-        key.tree
-    );
-    for (i, d) in key.run.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_desc(d, out);
-    }
-    out.push(' ');
-    let step = frag
-        .step
-        .as_ref()
-        .expect("only association fragments are exported");
-    encode_step(step, out);
-    out.push(' ');
-    encode_desc(&frag.result, out);
-    out.push(' ');
-    encode_poly(&frag.cost, out);
-}
-
-fn decode_frag(body: &str) -> Result<(FragKey, Fragment), String> {
-    let parts: Vec<&str> = body.split_whitespace().collect();
-    let [opts, tree, run, step, result, cost] = parts.as_slice() else {
-        return Err(format!("fragment line needs 6 fields, got {}", parts.len()));
-    };
-    let opt_chars: Vec<char> = opts.chars().collect();
-    let [psi, is] = opt_chars.as_slice() else {
-        return Err(format!("bad options `{opts}`"));
-    };
-    let bit = |c: char| match c {
-        '1' => Ok(true),
-        '0' => Ok(false),
-        other => Err(format!("bad option bit `{other}`")),
-    };
-    let options = BuildOptions {
-        propagate_single_inversion: bit(*psi)?,
-        infer_structures: bit(*is)?,
-    };
-    let tree = u128::from_str_radix(tree, 16).map_err(|_| format!("bad tree code `{tree}`"))?;
-    let run: Vec<NodeDesc> = run.split(',').map(decode_desc).collect::<Result<_, _>>()?;
-    if run.len() < 2 {
-        return Err("fragment runs span at least two leaves".into());
-    }
-    // A run of w leaves has at most w + 1 local size symbols, numbered in
-    // first-occurrence order; restore sizes the entry's frame by the
-    // largest one, so an out-of-range symbol must not get that far.
-    if let Some(d) = run.iter().find(|d| d.rows.max(d.cols) > run.len()) {
-        return Err(format!(
-            "size symbol {} out of range for a {}-leaf run",
-            d.rows.max(d.cols),
-            run.len()
-        ));
-    }
-    let frag = Fragment {
-        step: Some(decode_step(step)?),
-        cost: decode_poly(cost)?,
-        result: decode_desc(result)?,
-    };
-    Ok((FragKey::new(options, tree, run.into()), frag))
-}
-
 /// `true` if the tree's in-order leaves are exactly `0..n` — i.e. it is a
 /// valid parenthesization of an `n`-operand chain (not just a tree with a
 /// plausible span).
@@ -912,23 +513,7 @@ mod tests {
                 ),
                 (shape2, vec![ParenTree::left_to_right(0, 1)]),
             ],
-            vec![],
         )
-    }
-
-    /// A snapshot carrying one real fragment-store entry, exported from a
-    /// lowered 3-chain.
-    fn sample_with_frags() -> SessionSnapshot {
-        let shape = Shape::new(vec![g(); 3]).unwrap();
-        let mut cache = crate::fragcache::FragmentCache::new(16);
-        let mut pool = crate::pool::PoolBuilder::new();
-        pool.build_full_cached(None, &shape, 1, Some(&mut cache))
-            .unwrap();
-        let frags = cache.export();
-        assert!(!frags.is_empty(), "3-chain must export fragments");
-        let mut snap = sample();
-        snap.frags = frags;
-        snap
     }
 
     #[test]
@@ -944,101 +529,29 @@ mod tests {
     }
 
     #[test]
-    fn fragment_section_round_trips_and_is_omitted_when_empty() {
-        let empty = sample();
-        assert!(
-            !empty.encode().contains("frags "),
-            "empty stores add no section"
+    fn a_repeated_tree_on_a_chain_line_is_rejected() {
+        // Compile never selects one tree twice, so a chain line that
+        // repeats one is corrupt: restoring it would serve a chain that
+        // no compile produces.
+        let text = sample().encode().replace(
+            "chain 0 ((0,1),2) (0,(1,2))",
+            "chain 0 ((0,1),2) ((0,1),2) (0,(1,2))",
         );
-
-        let snap = sample_with_frags();
-        let text = snap.encode();
-        assert!(text.contains(&format!("frags v1 {}", snap.num_fragments())));
-        let back = SessionSnapshot::decode(&text).unwrap();
-        assert_eq!(snap, back, "fragment entries must survive a round trip");
-        assert_eq!(text, back.encode(), "re-encoding is byte-identical");
-    }
-
-    #[test]
-    fn fragment_section_merge_dedups_by_key() {
-        let mut a = sample_with_frags();
-        let n = a.num_fragments();
-        let b = sample_with_frags();
-        assert_eq!(a.merge(b).unwrap(), 0);
-        assert_eq!(a.num_fragments(), n, "identical fragments add nothing");
-    }
-
-    #[test]
-    fn torn_or_trailing_fragment_sections_are_rejected() {
-        let good = sample_with_frags().encode();
-        // Tearing the write anywhere inside the fragment section leaves
-        // fewer lines than the declared count — the restart must see a
-        // parse error (and quarantine), never a silently smaller store.
-        let torn: String = good
-            .lines()
-            .take(good.lines().count() - 1)
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(matches!(
-            SessionSnapshot::decode(&torn),
-            Err(PersistError::Parse { .. })
-        ));
-
-        let trailing = format!("{} \nchain 0 (0,(1,2))", good.trim_end());
-        assert!(matches!(
-            SessionSnapshot::decode(&trailing),
-            Err(PersistError::Parse { .. })
-        ));
-
-        let cases: &[&str] = &[
-            &format!("{SNAPSHOT_HEADER}\noptions k\nfrags v2 0"),
-            &format!("{SNAPSHOT_HEADER}\noptions k\nfrags v1 x"),
-            &format!("{SNAPSHOT_HEADER}\noptions k\nfrags v1 1"),
-            &format!("{SNAPSHOT_HEADER}\noptions k\nfrags v1 1\nfrag bogus"),
-            &format!(
-                "{SNAPSHOT_HEADER}\noptions k\nfrags v1 1\nfrag 10 c G..:0:1:l0 x G..:0:2:t0 _"
-            ),
-        ];
-        for text in cases {
-            assert!(
-                matches!(
-                    SessionSnapshot::decode(text),
-                    Err(PersistError::Parse { .. })
-                ),
-                "expected parse error for {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_range_run_symbols_are_rejected() {
-        // A size symbol past the run's w + 1 local symbols would make
-        // restore allocate a frame that large (or overflow computing its
-        // size): the snapshot must fail to decode and be quarantined.
-        let good = sample_with_frags().encode();
-        let lines: Vec<&str> = good.lines().collect();
-        let at = lines
-            .iter()
-            .position(|l| l.starts_with("frag "))
-            .expect("sample carries a fragment line");
-        let fields: Vec<&str> = lines[at].split(' ').collect();
-        let (head, tail) = fields[3].split_once(':').expect("descriptor head");
-        let (_, tail) = tail.split_once(':').expect("rows symbol");
-        for huge in ["18446744073709551614", "1000000000"] {
-            let bad_run = format!("{head}:{huge}:{tail}");
-            let mut bad_fields = fields.clone();
-            bad_fields[3] = &bad_run;
-            let bad_line = bad_fields.join(" ");
-            let mut bad = lines.clone();
-            bad[at] = &bad_line;
-            match SessionSnapshot::decode(&bad.join("\n")) {
-                Err(PersistError::Parse { line, msg }) => {
-                    assert_eq!(line, at + 1);
-                    assert!(msg.contains("out of range"), "{msg}");
-                }
-                other => panic!("expected a parse error for symbol {huge}, got {other:?}"),
+        match SessionSnapshot::decode(&text) {
+            Err(PersistError::Parse { line, msg }) => {
+                assert_eq!(line, 4);
+                assert!(msg.contains("listed twice"), "{msg}");
             }
+            other => panic!("expected a parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_old_fragment_section_ends_the_snapshot() {
+        // Whatever follows a `frags` line, malformed or not, is ignored.
+        let snap = sample();
+        let text = format!("{}frags v1 3\nfrag bogus\nshape 9 Qs\n", snap.encode());
+        assert_eq!(SessionSnapshot::decode(&text).unwrap(), snap);
     }
 
     #[test]
@@ -1089,11 +602,10 @@ mod tests {
                 Shape::new(vec![g(); 4]).unwrap(),
                 vec![ParenTree::left_to_right(0, 3)],
             )],
-            vec![],
         );
         assert_eq!(a.merge(extra).unwrap(), 1);
         assert_eq!(a.len(), 3);
-        let alien = SessionSnapshot::from_parts("other".into(), vec![], vec![]);
+        let alien = SessionSnapshot::from_parts("other".into(), vec![]);
         assert!(matches!(
             a.merge(alien),
             Err(PersistError::OptionsMismatch { .. })

@@ -388,9 +388,9 @@ impl PoolBuilder {
     }
 
     /// [`PoolBuilder::build_for_trees`] consulting (and populating) a
-    /// cross-shape [`FragmentCache`] — the warm-restart path uses this so
-    /// a snapshot-restored store lets the very first rebuild of a
-    /// previously seen shape splice warm fragments.
+    /// cross-shape [`FragmentCache`] — the warm-restart path uses this, so
+    /// shapes restored later in a snapshot splice the fragments that
+    /// earlier ones lowered.
     ///
     /// # Errors
     ///

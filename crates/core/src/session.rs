@@ -23,10 +23,11 @@
 //!   [`crate::persist`]).
 //! * **Cross-shape fragment store** ([`crate::fragcache::FragmentCache`]):
 //!   the memoized enumeration engine consults a descriptor-run–keyed LRU
-//!   store before lowering each span-DAG node, so related shapes (and
-//!   snapshot-restored sessions) splice shared sub-spans instead of
-//!   re-lowering them. Its hits, inserts and evictions are O(1) in the
-//!   same least-recently-used order. Bounded at
+//!   store before lowering each span-DAG node, so related shapes splice
+//!   shared sub-spans instead of re-lowering them. It is never persisted:
+//!   a restore refills it by re-lowering the recorded trees through it.
+//!   Its hits, inserts and evictions are O(1) in the same
+//!   least-recently-used order. Bounded at
 //!   [`DEFAULT_FRAG_CACHE_CAPACITY`], tunable via
 //!   [`CompileSession::set_fragment_cache_capacity`] (capacity 0 turns
 //!   it off), and instrumented via
@@ -706,8 +707,8 @@ impl CompileSession {
         self.frags.set_capacity(capacity);
     }
 
-    /// Cumulative hit/miss/insert/eviction/restore counters for the
-    /// cross-shape fragment store.
+    /// Cumulative hit/miss/insert/eviction counters for the cross-shape
+    /// fragment store.
     #[must_use]
     pub fn fragment_cache_stats(&self) -> FragCacheStats {
         self.frags.stats()
@@ -722,8 +723,8 @@ impl CompileSession {
     /// Snapshot the compiled-chain cache for warm-restart persistence:
     /// shape descriptors plus selected parenthesizations, in dense
     /// [`ShapeId`] order (see [`crate::persist`] for the format). The
-    /// snapshot records decisions, not emitted code, so it stays small
-    /// and restores bit-identically.
+    /// snapshot records decisions, not emitted code or lowered
+    /// fragments, so it stays small and restores bit-identically.
     #[must_use]
     pub fn snapshot(&self) -> SessionSnapshot {
         let mut entries = Vec::with_capacity(self.compiled.len());
@@ -734,11 +735,7 @@ impl CompileSession {
                 entries.push((shape.clone(), parens));
             }
         }
-        SessionSnapshot::from_parts(
-            options_key(&self.options, self.variant_cap),
-            entries,
-            self.frags.export(),
-        )
+        SessionSnapshot::from_parts(options_key(&self.options, self.variant_cap), entries)
     }
 
     /// Restore every chain recorded in `snapshot` into the cache,
@@ -780,14 +777,6 @@ impl CompileSession {
                 expected,
                 found: snapshot.options_fingerprint().to_string(),
             });
-        }
-        // Warm the fragment store *before* re-lowering the recorded
-        // chains, so the very first rebuild of each shape splices
-        // snapshot-carried fragments instead of lowering from scratch
-        // (fragment warmth is correctness-neutral: hits are exact). A
-        // capacity-0 store ignores them.
-        for (key, frag) in snapshot.frag_entries() {
-            self.frags.insert_restored(key.clone(), frag.clone());
         }
         // Rebuild everything first, insert only if the whole snapshot
         // lowers: a corrupt entry must not leave the cache half-warm.

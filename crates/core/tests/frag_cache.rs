@@ -1,11 +1,12 @@
 //! The cross-shape fragment store's contract: consulting the store must
 //! never change a single emitted bit. Pools assembled from store hits —
 //! including hits relocated across frames, hits surviving LRU pressure,
-//! and hits warmed from a persisted snapshot — must equal the pools a
+//! and hits during a snapshot restore — must equal the pools a
 //! store-less session builds, by whole-[`Variant`] equality (steps,
 //! `ValRef`s, finalizes, exact-rational cost polynomials). The
 //! off-reference is a capacity-0 session, the store's one off switch: it
-//! never consults the store, so it counts nothing at all.
+//! never consults the store, so it counts nothing at all. Snapshots carry
+//! no fragments: the `frag` lines of an old snapshot have no effect.
 
 use gmc_core::{CompileOptions, CompileSession, FragCacheStats, SessionSnapshot, Variant};
 use gmc_ir::{Operand, Shape};
@@ -119,7 +120,7 @@ proptest! {
         // no longer resident was evicted, and counted, exactly once.
         prop_assert_eq!(
             stats.evictions,
-            stats.inserts + stats.restored - tiny.num_cached_fragments() as u64
+            stats.inserts - tiny.num_cached_fragments() as u64
         );
     }
 }
@@ -156,7 +157,7 @@ fn snapshot_round_trip_restores_fragments_and_emits_identically() {
     let mut rng = StdRng::seed_from_u64(777);
     let shapes = random_sequence(&mut rng, 5);
 
-    // Original daemon: compile, emit, snapshot (chains + hot fragments).
+    // Original daemon: compile, emit, snapshot the chains.
     let mut original = CompileSession::with_options(opts.clone());
     let mut want = Vec::new();
     for (i, shape) in shapes.iter().enumerate() {
@@ -165,32 +166,106 @@ fn snapshot_round_trip_restores_fragments_and_emits_identically() {
         gmc_codegen::emit_rust_into(&mut rust, &chain, &format!("f{i}"));
         want.push(rust);
     }
-    let snap = original.snapshot();
-    assert!(snap.num_fragments() > 0, "hot fragments are persisted");
-    let text = snap.encode();
+    let text = original.snapshot().encode();
     drop(original);
 
-    // Restarted daemon: fragments are warmed before the chain rebuild,
-    // so the rebuild itself assembles from store hits; every persisted
-    // entry lands (fresh store, ample capacity) and the re-emit is
-    // byte-identical.
+    // Restarted daemon: the chain rebuild runs through a cold store, and
+    // the re-emit is byte-identical.
     let snap = SessionSnapshot::decode(&text).unwrap();
     let mut restored = CompileSession::with_options(opts);
     assert_eq!(restored.restore(&snap).unwrap(), shapes.len());
-    let stats = restored.fragment_cache_stats();
-    assert_eq!(
-        stats.restored,
-        snap.num_fragments() as u64,
-        "every persisted fragment restored exactly once"
-    );
-    assert!(
-        stats.hits > 0,
-        "the restore rebuild must hit warm fragments"
-    );
     for (i, shape) in shapes.iter().enumerate() {
         let chain = restored.compile(shape).unwrap();
         let mut rust = String::new();
         gmc_codegen::emit_rust_into(&mut rust, &chain, &format!("f{i}"));
         assert_eq!(rust, want[i], "byte-identical emit for shape {i}");
+    }
+}
+
+/// A snapshot written before snapshots stopped carrying fragments, by
+/// `gmcc --serve - --jobs 1 --train 50 --persist` for
+/// `X := A * B^-1 * C * D^T` (A, C, D general singular; B lower
+/// triangular non-singular): 4 trees and a 12-line `frags` section.
+const OLD_SNAPSHOT: &str = "\
+gmc-session-snapshot v1
+options train=50 lo=2 hi=1000 expand=0 obj=avg seed=6168263 vcap=65536
+shape 0 Gs Lni Gs Gst
+chain 0 (((0,1),2),3) ((0,1),(2,3)) ((0,(1,2)),3) (0,(1,(2,3)))
+frags v1 12
+frag 11 c Gs..:0:1:l0,Ln.I:1:1:l1 l0~l1~TRSM~R~..~nl~.~0~1~1 Gs..:0:1:t0 1/1:0^1.1^2
+frag 11 c Ln.I:0:0:l0,Gs..:0:1:l1 l0~l1~TRSM~L~..~ln~.~0~0~1 Gs..:0:1:t0 1/1:0^2.1^1
+frag 11 c Gs..:0:1:l0,GsT.:2:1:l1 l0~l1~GEMM~L~.T~nn~.~0~1~2 Gs..:0:2:t0 2/1:0^1.1^1.2^1
+frag 11 34 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2 l0~t0~GEMM~L~..~nn~.~0~1~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:1^2.2^1
+frag 11 38 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2 t0~l2~GEMM~L~..~nn~.~0~1~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:0^1.1^2
+frag 11 34 Ln.I:0:0:l0,Gs..:0:1:l1,GsT.:2:1:l2 l0~t0~TRSM~L~..~ln~.~0~0~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:0^2.2^1
+frag 11 38 Ln.I:0:0:l0,Gs..:0:1:l1,GsT.:2:1:l2 t0~l2~GEMM~L~.T~nn~.~0~1~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:0^2.1^1
+frag 11 d4 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 l0~t1~GEMM~L~..~nn~.~0~1~3 Gs..:0:3:t2 2/1:0^1.1^1.3^1;2/1:1^1.2^1.3^1;1/1:1^2.3^1
+frag 11 d8 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 l0~t1~GEMM~L~..~nn~.~0~1~3 Gs..:0:3:t2 2/1:0^1.1^1.3^1;2/1:1^1.2^1.3^1;1/1:1^2.2^1
+frag 11 e4 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 t0~t1~GEMM~L~..~nn~.~0~1~3 Gs..:0:3:t2 2/1:0^1.1^1.3^1;1/1:0^1.1^2;2/1:1^1.2^1.3^1
+frag 11 e8 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 t1~l3~GEMM~L~.T~nn~.~0~2~3 Gs..:0:3:t2 2/1:0^1.1^1.2^1;2/1:0^1.2^1.3^1;1/1:1^2.2^1
+frag 11 f0 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 t1~l3~GEMM~L~.T~nn~.~0~2~3 Gs..:0:3:t2 2/1:0^1.1^1.2^1;1/1:0^1.1^2;2/1:0^1.2^1.3^1
+";
+
+const OLD_SNAPSHOT_SOURCE: &str = "
+    Matrix A <General, Singular>;
+    Matrix B <LowerTri, NonSingular>;
+    Matrix C <General, Singular>;
+    Matrix D <General, Singular>;
+    X := A * B^-1 * C * D^T;
+";
+
+/// `OLD_SNAPSHOT` with the first `frag` line starting `frag <prefix>`
+/// rewritten by `edit`.
+fn edit_frag_line(prefix: &str, edit: impl Fn(&str) -> String) -> String {
+    let at = OLD_SNAPSHOT
+        .lines()
+        .position(|l| l.starts_with(&format!("frag {prefix}")))
+        .expect("fixture has the line");
+    let lines: Vec<String> = OLD_SNAPSHOT
+        .lines()
+        .enumerate()
+        .map(|(i, l)| if i == at { edit(l) } else { l.to_string() })
+        .collect();
+    let edited = lines.join("\n");
+    assert_ne!(
+        edited.trim_end(),
+        OLD_SNAPSHOT.trim_end(),
+        "the edit landed"
+    );
+    edited
+}
+
+#[test]
+fn old_snapshots_restore_byte_identically_whatever_their_fragment_lines_say() {
+    let opts = CompileOptions {
+        training_instances: 50,
+        ..CompileOptions::default()
+    };
+    let mut cold = CompileSession::with_options(opts.clone());
+    let (program, _) = cold.parse(OLD_SNAPSHOT_SOURCE).unwrap();
+    let want = gmc_codegen::emit_cpp(&cold.compile(program.shape()).unwrap(), "x");
+
+    // A cost coefficient the store would have served, and a run size
+    // symbol far past the run's frame.
+    let scaled = edit_frag_line("11 d4 ", |l| {
+        let (head, cost) = l.rsplit_once(' ').unwrap();
+        format!("{head} {}", cost.replacen("2/1", "9/1", 1))
+    });
+    let huge = edit_frag_line("11 c ", |l| {
+        l.replacen("Gs..:0:1:l0", "Gs..:18446744073709551614:1:l0", 1)
+    });
+    for (label, text) in [
+        ("original", OLD_SNAPSHOT),
+        ("9/1", &scaled),
+        ("symbol", &huge),
+    ] {
+        let snap = SessionSnapshot::decode(text).unwrap();
+        assert_eq!(snap.shapes().collect::<Vec<_>>(), [program.shape()]);
+        let mut session = CompileSession::with_options(opts.clone());
+        assert_eq!(session.restore(&snap).unwrap(), 1, "{label}");
+        let chain = session.compile(program.shape()).unwrap();
+        assert_eq!(session.cache_stats().hits, 1, "{label}: served restored");
+        assert_eq!(chain.variants().len(), 4, "{label}");
+        assert_eq!(gmc_codegen::emit_cpp(&chain, "x"), want, "{label}");
     }
 }

@@ -79,9 +79,6 @@ pub struct DriverConfig {
     /// pipeline the request lines from the input file (or stdin), and
     /// print one response line each to stdout.
     pub connect: Option<String>,
-    /// Shard-selection policy (serve mode): power-of-two-choices over
-    /// live queue depths (default) or plain `hash % shards`.
-    pub routing: gmc_serve::RoutingMode,
     /// Snapshot generations kept by `--persist` rotation (serve mode):
     /// each save shifts `path` → `path.1` → … before writing, and
     /// startup warms from the newest decodable generation.
@@ -179,7 +176,6 @@ pub fn parse_args(args: &[String]) -> Result<DriverConfig, DriverError> {
         serve: None,
         listen: None,
         connect: None,
-        routing: gmc_serve::RoutingMode::default(),
         persist_keep: 1,
         cache_cap: gmc_core::DEFAULT_CHAIN_CACHE_CAPACITY,
         persist: None,
@@ -229,12 +225,6 @@ pub fn parse_args(args: &[String]) -> Result<DriverConfig, DriverError> {
                         })?
                         .clone(),
                 );
-            }
-            "--routing" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| DriverError::Usage("--routing needs a value".into()))?;
-                config.routing = gmc_serve::RoutingMode::parse(v).map_err(DriverError::Usage)?;
             }
             "--persist-keep" => {
                 config.persist_keep = it
@@ -771,9 +761,9 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         queue_cap: config.queue_cap,
         default_deadline: config.deadline_ms.map(std::time::Duration::from_millis),
         restart: gmc_serve::RestartPolicy::default(),
-        routing: config.routing,
         faults: faults.clone(),
         slow_request: config.slow_ms.map(std::time::Duration::from_millis),
+        ..ServeConfig::default()
     })
     .map_err(|e| DriverError::Compile(e.to_string()))?;
 
@@ -1026,7 +1016,7 @@ USAGE:
          [--persist FILE] [--persist-keep K] [--deadline-ms MS]
          [--queue-cap N] [--max-line-bytes N] [--enable-faults]
          [--metrics-file FILE] [--slow-ms MS] [--emit cpp|rust|both]
-         [--expand K] [--train N] [--routing two-choices|hash-mod]
+         [--expand K] [--train N]
     gmcc --listen <unix:PATH|tcp:HOST:PORT> [same flags as --serve]
          [--conn-in-flight-cap N] [--max-conns N] [--idle-timeout-ms MS]
     gmcc --connect <unix:PATH|tcp:HOST:PORT> [requests.jsonl|-] [--retry N]
@@ -1046,18 +1036,17 @@ request source is a JSON object like
 and each response is streamed back as one JSON line. --jobs sets the
 shard count. Requests route by power-of-two-choices over live queue
 depths: each shape has a stable cache-warm home shard and routes there
-unless its queue is markedly deeper than the shape's alternate
-(--routing hash-mod pins the plain modulo policy instead). --persist
-FILE snapshots the compiled-chain caches on shutdown and restores them
-on the next start; --persist-keep K rotates the last K snapshot
-generations (FILE, FILE.1, ...) and startup warms from the newest one
-that decodes, quarantining corrupt generations to FILE.bad. Shards are
-supervised: a
-panicking shard restarts warm from the latest snapshot, with a circuit
-breaker after repeated failures. --queue-cap bounds each shard's queue
-(overflow is shed with an in-band `overloaded` error), --deadline-ms
-sets the default per-request deadline (requests may override it with a
-`deadline_ms` field), and --max-line-bytes bounds request lines.
+unless its queue is markedly deeper than the shape's alternate.
+--persist FILE snapshots the compiled-chain caches on shutdown and
+restores them on the next start; --persist-keep K rotates the last K
+snapshot generations (FILE, FILE.1, ...) and startup warms from the
+newest one that decodes, quarantining corrupt generations to FILE.bad.
+Shards are supervised: a panicking shard restarts warm from the latest
+snapshot, with a circuit breaker after repeated failures. --queue-cap
+bounds each shard's queue (overflow is shed with an in-band
+`overloaded` error), --deadline-ms sets the default per-request
+deadline (requests may override it with a `deadline_ms` field), and
+--max-line-bytes bounds request lines.
 SIGTERM/SIGINT or EOF drain gracefully: in-flight requests are
 answered and the final snapshot is written before exit. A line of
 {\"op\": \"stats\"} returns per-shard cache counters, {\"op\":

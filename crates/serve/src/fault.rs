@@ -21,7 +21,6 @@
 //! | `panic:<shard>:<nth>` | shard `<shard>` panics on its `<nth>` compile attempt (1-based, cumulative across restarts) | panic catch, warm restart, backoff, circuit breaker, exactly-one-response |
 //! | `delay:<ms>` | every compile on every shard sleeps `<ms>` ms first | queue growth, admission control (shedding), deadline expiry at dequeue and in the submitter |
 //! | `snapshot_torn` | snapshot saves write a truncated file directly to the target path, bypassing the atomic rename | corrupt-snapshot quarantine and cold start on the next boot |
-//! | `frag_torn` | snapshot saves cut the file mid-way through its trailing fragment section (truncated write, no rename) | the fragment section's count check: a torn fragment tail must corrupt the whole snapshot, never restore a partial store |
 //! | `conn_drop:<conn>:<nth>` | socket connection `<conn>` (1-based accept order) is severed in place of its `<nth>` outbound line — an abrupt disconnect mid-response | killed-connection write-off: in-flight work leaves the exactly-once tables, late shard replies are dropped and counted |
 //! | `conn_stall:<conn>:<ms>` | connection `<conn>`'s writer sleeps `<ms>` ms before every line it writes (a slow reader / slowloris peer) | bounded writer queues: overflow, the slow-consumer grace window, and slow-close |
 //! | `conn_garbage:<conn>` | connection `<conn>`'s 2nd request line is read as non-UTF-8 garbage | in-band `bad_request` answers keep per-connection id accounting exact even mid-stream |
@@ -48,8 +47,6 @@ struct Spec {
     delay: Option<Duration>,
     /// Tear the next snapshot saves (truncated write, no rename).
     snapshot_torn: bool,
-    /// Tear snapshot saves mid-way through the fragment section.
-    frag_torn: bool,
     /// `(connection, nth outbound line)` pairs that sever the
     /// connection in place of that line, 1-based.
     conn_drops: Vec<(u64, u64)>,
@@ -145,7 +142,6 @@ impl FaultPlan {
                     add.delay = Some(Duration::from_millis(ms));
                 }
                 "snapshot_torn" => add.snapshot_torn = true,
-                "frag_torn" => add.frag_torn = true,
                 "conn_drop" => {
                     let conn: u64 = parts
                         .next()
@@ -193,14 +189,12 @@ impl FaultPlan {
             spec.delay = add.delay;
         }
         spec.snapshot_torn |= add.snapshot_torn;
-        spec.frag_torn |= add.frag_torn;
         spec.conn_drops.extend(add.conn_drops);
         spec.conn_stalls.extend(add.conn_stalls);
         spec.conn_garbage.extend(add.conn_garbage);
         let armed = !spec.panics.is_empty()
             || spec.delay.is_some()
             || spec.snapshot_torn
-            || spec.frag_torn
             || !spec.conn_drops.is_empty()
             || !spec.conn_stalls.is_empty()
             || !spec.conn_garbage.is_empty();
@@ -249,12 +243,6 @@ impl FaultPlan {
                 .lock()
                 .expect("fault spec lock")
                 .snapshot_torn
-    }
-
-    /// `true` if snapshot saves should be cut mid-way through the
-    /// trailing fragment section (truncated, non-atomic).
-    pub(crate) fn tear_frag_section(&self) -> bool {
-        self.is_armed() && self.inner.spec.lock().expect("fault spec lock").frag_torn
     }
 
     /// Transport hook: `true` if connection `conn`'s `nth` outbound
@@ -313,13 +301,12 @@ mod tests {
     #[test]
     fn parses_the_full_matrix() {
         let plan = FaultPlan::parse(
-            "panic:0:3, delay:7 ,snapshot_torn,panic:1:2,frag_torn,\
+            "panic:0:3, delay:7 ,snapshot_torn,panic:1:2,\
              conn_drop:2:5,conn_stall:1:40,conn_garbage:3",
         )
         .unwrap();
         assert!(plan.is_armed());
         assert!(plan.tear_snapshot());
-        assert!(plan.tear_frag_section());
         let spec = plan.inner.spec.lock().unwrap();
         assert_eq!(spec.panics, vec![(0, 3), (1, 2)]);
         assert_eq!(spec.delay, Some(Duration::from_millis(7)));
@@ -351,7 +338,6 @@ mod tests {
         let plan = FaultPlan::parse("").unwrap();
         assert!(!plan.is_armed());
         assert!(!plan.tear_snapshot());
-        assert!(!plan.tear_frag_section());
         plan.before_compile(0, 1); // must not panic or sleep
     }
 
@@ -367,7 +353,6 @@ mod tests {
             "delay:x",
             "frobnicate",
             "snapshot_torn:5",
-            "frag_torn:1",
             "conn_drop",
             "conn_drop:1",
             "conn_drop:0:1",

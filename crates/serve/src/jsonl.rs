@@ -35,7 +35,7 @@
 //!   {"id":3,"ok":true,"op":"stats","shards":[{"shard":0,"requests":2,
 //!    "hits":1,"misses":1,"evictions":0,"hit_rate":0.5000,"restored":0,
 //!    "frag_hits":9,"frag_misses":3,"frag_evictions":0,
-//!    "frag_hit_rate":0.7500,"frag_restored":0}],
+//!    "frag_hit_rate":0.7500}],
 //!    "total_requests":2,"total_hits":1,"total_frag_hits":9}
 //!   ```
 //!
@@ -204,8 +204,8 @@ pub fn response_line(response: &CompileResponse) -> String {
 /// Render the response line of an in-band `{"op":"stats"}` request:
 /// one object per live shard (hits/misses/evictions/hit-rate of its
 /// compiled-chain cache, the `frag_*` counters of its cross-shape
-/// fragment store, requests served, chains/fragments restored at
-/// startup) plus service-wide totals.
+/// fragment store, requests served, chains restored at startup) plus
+/// service-wide totals.
 #[must_use]
 pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
     let mut out = String::new();
@@ -222,7 +222,7 @@ pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
             "{{\"shard\":{},\"requests\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
              \"hit_rate\":{:.4},\"restored\":{},\
              \"frag_hits\":{},\"frag_misses\":{},\"frag_evictions\":{},\
-             \"frag_hit_rate\":{:.4},\"frag_restored\":{}}}",
+             \"frag_hit_rate\":{:.4}}}",
             s.shard,
             s.requests,
             s.cache.hits,
@@ -234,7 +234,6 @@ pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
             s.frags.misses,
             s.frags.evictions,
             s.frags.hit_rate(),
-            s.frags.restored,
         );
     }
     let total_requests: u64 = shards.iter().map(|s| s.requests).sum();
@@ -718,7 +717,6 @@ mod tests {
                     misses: 3,
                     inserts: 3,
                     evictions: 0,
-                    restored: 0,
                 },
             },
             crate::ShardStatus {
@@ -735,7 +733,6 @@ mod tests {
                     misses: 4,
                     inserts: 2,
                     evictions: 1,
-                    restored: 2,
                 },
             },
         ];
@@ -746,11 +743,11 @@ mod tests {
              {\"shard\":0,\"requests\":3,\"hits\":1,\"misses\":2,\"evictions\":0,\
              \"hit_rate\":0.3333,\"restored\":0,\
              \"frag_hits\":9,\"frag_misses\":3,\"frag_evictions\":0,\
-             \"frag_hit_rate\":0.7500,\"frag_restored\":0},\
+             \"frag_hit_rate\":0.7500},\
              {\"shard\":1,\"requests\":1,\"hits\":0,\"misses\":1,\"evictions\":0,\
              \"hit_rate\":0.0000,\"restored\":1,\
              \"frag_hits\":4,\"frag_misses\":4,\"frag_evictions\":1,\
-             \"frag_hit_rate\":0.5000,\"frag_restored\":2}],\
+             \"frag_hit_rate\":0.5000}],\
              \"total_requests\":4,\"total_hits\":1,\"total_frag_hits\":13}"
         );
     }

@@ -227,21 +227,6 @@ pub enum RoutingMode {
     HashMod,
 }
 
-impl RoutingMode {
-    /// Parse a routing selector (`two-choices` or `hash-mod`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unknown value.
-    pub fn parse(s: &str) -> Result<RoutingMode, String> {
-        match s {
-            "two-choices" => Ok(RoutingMode::TwoChoices),
-            "hash-mod" => Ok(RoutingMode::HashMod),
-            other => Err(format!("unknown routing mode `{other}`")),
-        }
-    }
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -255,9 +240,8 @@ pub struct ServeConfig {
     /// Per-shard cross-shape fragment-store capacity
     /// ([`CompileSession::set_fragment_cache_capacity`]); `0` disables
     /// the store. Each shard owns its store (sessions are
-    /// single-threaded), but snapshot merges carry every shard's hot
-    /// fragments, so restarts and restores warm all shards from the
-    /// union.
+    /// single-threaded), and snapshots do not carry it: a restarted
+    /// shard refills its store as it re-lowers its restored chains.
     pub frag_cache_capacity: usize,
     /// Snapshot file for warm restarts: the newest decodable generation
     /// is loaded on start (missing files = cold start; a corrupt
@@ -345,12 +329,6 @@ impl ServiceStats {
     #[must_use]
     pub fn frag_hits(&self) -> u64 {
         self.shards.iter().map(|s| s.frags.hits).sum()
-    }
-
-    /// Total fragments restored from snapshots across shards.
-    #[must_use]
-    pub fn frag_restored(&self) -> u64 {
-        self.shards.iter().map(|s| s.frags.restored).sum()
     }
 
     /// Total panics caught by shard supervisors.
@@ -1316,41 +1294,18 @@ impl CompileService {
     /// rotation when [`ServeConfig::snapshot_keep`] > 1 (the previous
     /// generations shift to `<path>.1`, `<path>.2`, ... first, see
     /// [`SessionSnapshot::save_rotated`]) — unless the
-    /// `snapshot_torn` or `frag_torn` fault is armed, in which case a
-    /// truncated file is written directly to the target path to
-    /// simulate a crash mid-write (`frag_torn` cuts inside the trailing
-    /// fragment section specifically).
+    /// `snapshot_torn` fault is armed, in which case a truncated file is
+    /// written directly to the target path to simulate a crash
+    /// mid-write.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
         let snap = self.snapshot();
-        if self.faults.tear_frag_section() {
+        if self.faults.tear_snapshot() {
             // Simulated crash mid-save: the rotation shift completed
             // (renames are atomic), the final write did not.
-            SessionSnapshot::rotate_generations(path.as_ref(), self.snapshot_keep)?;
-            // Cut mid-way through the final line. The fragment section
-            // is the snapshot's tail, so when the snapshot carries
-            // fragments this lands inside a `frag` line and the
-            // declared entry count no longer matches — the case the
-            // count check exists for. (With an empty store the cut
-            // degrades to an ordinary torn write.)
-            let encoded = snap.encode();
-            let body = encoded.trim_end_matches('\n');
-            let last_line_start = body.rfind('\n').map_or(0, |i| i + 1);
-            let cut = last_line_start + (body.len() - last_line_start) / 2;
-            std::fs::write(path.as_ref(), &encoded.as_bytes()[..cut])
-                .map_err(PersistError::from)?;
-            eprintln!(
-                "gmc-serve: injected fault: frag_torn ({cut} of {} bytes written, \
-                 {} fragment(s) in the section, no rename)",
-                encoded.len(),
-                snap.num_fragments()
-            );
-            return Ok(());
-        }
-        if self.faults.tear_snapshot() {
             SessionSnapshot::rotate_generations(path.as_ref(), self.snapshot_keep)?;
             // Cut mid-way through the final line: the tail of the write
             // never made it to disk. (Cutting at an arbitrary byte could

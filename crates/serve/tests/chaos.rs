@@ -320,36 +320,6 @@ fn torn_snapshot_writes_are_quarantined_on_the_next_start() {
 }
 
 #[test]
-fn torn_fragment_sections_are_quarantined_on_the_next_start() {
-    let dir = std::env::temp_dir().join("gmc_serve_torn_frag_test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("snapshot.txt");
-
-    // The fragment section is the snapshot's tail, so a write that dies
-    // mid-way through it must corrupt the *whole* file — the count check
-    // may never let a partial fragment store restore silently.
-    let faults = FaultPlan::parse("frag_torn").unwrap();
-    let mut cfg = config(1, faults);
-    cfg.snapshot_path = Some(path.clone());
-    let mut service = CompileService::start(cfg.clone()).unwrap();
-    service.submit(request(1, SRC_A));
-    assert!(service.drain().remove(0).result.is_ok());
-    service.save_snapshot(&path).unwrap();
-    let _ = service.shutdown();
-    assert!(path.exists(), "torn file landed on the final path");
-
-    cfg.faults = FaultPlan::new();
-    let mut reborn = CompileService::start(cfg).unwrap();
-    service_compiles_cold(&mut reborn);
-    let stats = reborn.shutdown();
-    assert_eq!(stats.restored(), 0, "no chains from the torn file");
-    assert_eq!(stats.frag_restored(), 0, "no partial fragment store");
-    assert!(!path.exists(), "torn snapshot moved aside");
-    assert!(dir.join("snapshot.txt.bad").exists(), "kept for inspection");
-}
-
-#[test]
 fn repeated_corruption_quarantines_without_clobbering_evidence() {
     let dir = std::env::temp_dir().join("gmc_serve_quarantine_suffix_test");
     let _ = std::fs::remove_dir_all(&dir);

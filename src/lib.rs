@@ -40,9 +40,9 @@
 //!   routes away from home only when home's queue is deeper by more
 //!   than a stickiness margin — so repeat shapes stay on the shard
 //!   whose caches are warm until that shard is genuinely backed up
-//!   (`RoutingMode::HashMod` / `--routing hash` pins the old pure
-//!   hash%N policy for comparison; ties break deterministically toward
-//!   home). Routing is purely a performance hint — compilation is
+//!   (ties break deterministically toward home; `RoutingMode::HashMod`,
+//!   set through `ServeConfig::routing`, pins the old pure hash%N
+//!   policy for `bench_serve`'s comparison). Routing is purely a performance hint — compilation is
 //!   deterministic, so artifacts are identical wherever a request lands.
 //! * **Bounded chain cache**: each session's compiled-chain cache is
 //!   LRU-bounded (`CompileSession::set_chain_cache_capacity`) with
@@ -54,7 +54,8 @@
 //! * **Warm-restart persistence** (`gmc_core::persist`): the cache
 //!   snapshots to a compact text format — shape descriptors (via
 //!   `ShapeInterner` dense ids) plus selected parenthesizations, never
-//!   emitted code — and `restore()` re-lowers each tree with the
+//!   emitted code or lowered fragments — and `restore()` re-lowers each
+//!   tree with the
 //!   deterministic builder, yielding **byte-identical** artifacts
 //!   without re-running enumeration/DP/expansion.
 //! * **`gmcc --serve <path|->`**: a JSONL daemon fronting the service
@@ -137,9 +138,7 @@
 //!   `GMC_FAULT` environment variable (or an in-band `{"op":"fault"}`
 //!   request behind `--enable-faults`) arms shard panics
 //!   (`panic:<shard>:<nth>`), compile delays (`delay:<ms>`), and torn
-//!   snapshot writes (`snapshot_torn`, plus `frag_torn` for a write
-//!   that dies mid-way through the trailing fragment section) — the
-//!   same hooks the chaos tests, the CI fault smoke, and the
+//!   snapshot writes (`snapshot_torn`) — the same hooks the chaos tests, the CI fault smoke, and the
 //!   `bench_serve` overload row drive.
 //!
 //! # The vectorized selection engine (`gmc_core::simd`)
@@ -222,14 +221,13 @@
 //! arithmetic, so store-assembled pools stay **bit-identical** to
 //! store-off builds (pinned by `crates/core/tests/frag_cache.rs`
 //! against a capacity-0 session, the store's one off switch). The store
-//! is LRU-bounded with hit/miss/insert/eviction/restored counters
+//! is LRU-bounded with hit/miss/insert/eviction counters
 //! (`CompileSession::fragment_cache_stats`), failed lowerings are
-//! negatively cached (the exactly-once contract covers failures), hot
-//! fragments persist in a versioned snapshot section
-//! (`gmc_core::persist`, old snapshots still decode), and the serving
-//! layer keeps per-shard stores whose snapshots merge into one
-//! deduplicated union — so a restarted shard warms from fragments *any*
-//! shard lowered. On the dev host a warm store builds the
+//! negatively cached (the exactly-once contract covers failures), and
+//! it lives in memory only: the serving layer keeps one store per
+//! shard, snapshots record decisions rather than fragments, and a
+//! restore refills the store as it re-lowers the recorded trees (the
+//! `frags` section older snapshots end with is ignored). On the dev host a warm store builds the
 //! diverse-shape workload's pools ~2.4x faster than a cold one
 //! (`BENCH_select.json`: `frag_cold_ms` / `frag_warm_ms` /
 //! `frag_speedup`).
