@@ -1,21 +1,20 @@
 //! End-to-end selection-latency trajectory: enumerate the Catalan-132
 //! pool of a 7-operand chain, fill the cost matrix, select the Theorem-2
-//! base set, and run the Algorithm-1 expansion — once at `jobs = 1` on
-//! the host's best SIMD rung, once with the session's full thread budget,
-//! and once in a warm session — writing `BENCH_select.json`.
+//! base set, and run the Algorithm-1 expansion on the host's best SIMD
+//! rung — once in a fresh session per rep and once in a warm session —
+//! writing `BENCH_select.json`.
 //!
-//! All runs must select identical variant sets: the session pins
-//! parallel == serial bit for bit; only wall-clock may differ. The
-//! recorded `speedup_vs_pr3` compares the single-thread time to the
-//! 7.498 ms the pre-engine scalar pipeline measured on the same workload
-//! and host. An `enumerate_*` breakdown isolates `build_pool` itself —
+//! Both regimes must select identical variant sets; only wall-clock may
+//! differ. The recorded `speedup_vs_pr3` compares the cold-session time
+//! to the 7.498 ms the pre-engine scalar pipeline measured on the same
+//! workload and host. An `enumerate_*` breakdown isolates `build_pool` itself —
 //! the dominant stage once the cost-matrix fill was vectorized —
 //! per-tree `build_variant` lowering versus the memoized engine, and the
 //! `frag_*` rows compare a capacity-0 fragment store with a cold, a full
 //! and a warm one.
 //!
-//! Run with `cargo run --release [--features parallel] --bin
-//! bench_select [--smoke] [output.json]`.
+//! Run with `cargo run --release --bin bench_select [--smoke]
+//! [output.json]`.
 
 use gmc_core::simd;
 use gmc_core::{build_variant, CompileSession, Objective, ParenTree, PoolBuilder, Variant};
@@ -125,37 +124,21 @@ fn main() {
     // n = 7: Catalan(6) = 132 variants, the paper's experiment scale.
     let shape = Shape::new(vec![g; 7]).unwrap();
 
-    let host_threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let parallel_feature = cfg!(feature = "parallel");
     let simd_level = simd::active_level();
 
     let reps = if smoke { 2 } else { 20 };
 
-    // Headline rows use a **fresh session per rep** (cold-compile
+    // The headline row uses a **fresh session per rep** (cold-compile
     // regime: what the first selection of a shape pays, enumeration
-    // memo included), so they stay comparable with the PR 3/PR 4
-    // baselines, which re-enumerated the pool on every rep. The
-    // memo-warm repeat — the serving regime — is recorded separately
-    // below as `warm_session_ms`.
-    let cold_select = |jobs: usize| {
-        let mut session = CompileSession::new();
-        session.set_jobs(jobs);
-        select_once(&mut session, &shape)
-    };
-
-    // Best SIMD rung, jobs = 1: the single-thread headline.
-    let (simd_s, simd_set) = best_of(reps, || cold_select(1));
-
-    // Full thread budget on the SIMD rung (1x on the 1-core dev host).
-    let parallel_jobs = host_threads.max(2);
-    let (parallel_s, parallel_set) = best_of(reps, || cold_select(parallel_jobs));
+    // memo included), so it stays comparable with the pre-engine
+    // baseline (`pr3_serial_ms`), which re-enumerated the pool on every
+    // rep. The memo-warm repeat — the serving regime — is recorded
+    // separately below as `warm_session_ms`.
+    let (simd_s, simd_set) = best_of(reps, || select_once(&mut CompileSession::new(), &shape));
 
     // Warm-session regime: one session re-selecting its shape, the
     // PoolBuilder fragment memo and matrix scratch already hot.
     let mut warm_session = CompileSession::new();
-    warm_session.set_jobs(1);
     let _ = select_once(&mut warm_session, &shape);
     let (warm_s, warm_set) = best_of(reps, || select_once(&mut warm_session, &shape));
 
@@ -173,7 +156,7 @@ fn main() {
     });
     let (enum_memo_s, memo_pool) = best_of(reps, || {
         PoolBuilder::new()
-            .build_for_trees(None, &shape, &trees, 1)
+            .build_for_trees(None, &shape, &trees)
             .expect("memoized pool")
     });
     assert_eq!(
@@ -199,15 +182,11 @@ fn main() {
     };
     let (frag_off_s, off_pools) = best_of(reps, || {
         let mut session = CompileSession::new();
-        session.set_jobs(1);
         session.set_fragment_cache_capacity(0);
         enumerate_workload(&mut session)
     });
-    let (frag_cold_s, cold_pools) = best_of(reps, || {
-        let mut session = CompileSession::new();
-        session.set_jobs(1);
-        enumerate_workload(&mut session)
-    });
+    let (frag_cold_s, cold_pools) =
+        best_of(reps, || enumerate_workload(&mut CompileSession::new()));
     // Full store: the long-lived serving regime, where the store has
     // already filled to capacity and every insert evicts. Each rep fills a
     // fresh session's store from unrelated shapes off the clock, then
@@ -217,7 +196,6 @@ fn main() {
     let mut full_evictions = 0;
     for _ in 0..reps {
         let mut session = CompileSession::new();
-        session.set_jobs(1);
         for shape in filler_shapes() {
             if session.num_cached_fragments() == session.fragment_cache_capacity() {
                 break;
@@ -237,7 +215,6 @@ fn main() {
     }
 
     let mut warm_store = CompileSession::new();
-    warm_store.set_jobs(1);
     let _ = enumerate_workload(&mut warm_store);
     let (frag_warm_s, warm_pools) = best_of(reps, || enumerate_workload(&mut warm_store));
     let warm_stats = warm_store.fragment_cache_stats();
@@ -262,7 +239,6 @@ fn main() {
     // cover the dominant work without gross double-counting.
     if smoke {
         let mut session = CompileSession::new();
-        session.set_jobs(1);
         session.set_tracing(true);
         let t = Instant::now();
         let _ = std::hint::black_box(select_once(&mut session, &shape));
@@ -276,31 +252,17 @@ fn main() {
     }
 
     assert_eq!(
-        simd_set, parallel_set,
-        "parallel selection must pick the identical variant set"
-    );
-    assert_eq!(
         simd_set, warm_set,
         "warm-session selection must pick the identical variant set"
     );
 
     let enum_speedup = enum_naive_s / enum_memo_s;
     let speedup_vs_pr3 = PR3_SERIAL_MS / (simd_s * 1e3);
-    let parallel_speedup = simd_s / parallel_s;
-    let note = if !parallel_feature {
-        "parallel feature disabled: the parallel row ran the serial scan"
-    } else if host_threads == 1 {
-        "single-core host: thread budget caps the parallel path at 1x"
-    } else {
-        "serial vs threaded candidate scan on the same pool"
-    };
     println!(
         "selection n=7 pool=132 (cold session): {} {:7.3} ms   \
-         jobs={} {:7.3} ms   warm {:7.3} ms   vs PR3 baseline {:.2} ms: {:.2}x",
+         warm {:7.3} ms   vs PR3 baseline {:.2} ms: {:.2}x",
         simd_level.name(),
         simd_s * 1e3,
-        parallel_jobs,
-        parallel_s * 1e3,
         warm_s * 1e3,
         PR3_SERIAL_MS,
         speedup_vs_pr3,
@@ -326,8 +288,6 @@ fn main() {
     let _ = writeln!(json, "  \"chain\": \"general-7\",");
     let _ = writeln!(json, "  \"pool_variants\": 132,");
     let _ = writeln!(json, "  \"training_instances\": 400,");
-    let _ = writeln!(json, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(json, "  \"parallel_feature\": {parallel_feature},");
     let _ = writeln!(json, "  \"simd_level\": \"{}\",", simd_level.name());
     let _ = writeln!(json, "  \"simd_ms\": {:.3},", simd_s * 1e3);
     let _ = writeln!(json, "  \"pr3_serial_ms\": {PR3_SERIAL_MS},");
@@ -339,13 +299,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"regime_note\": \"simd/serial/parallel rows are cold-session \
+        "  \"regime_note\": \"simd/serial rows are cold-session \
          (fresh session per rep, enumeration included, comparable to the PR3/PR4 \
          baselines); warm_session_ms is the memo-warm repeat (serving regime)\","
     );
     let _ = writeln!(json, "  \"serial_ms\": {:.3},", simd_s * 1e3);
-    let _ = writeln!(json, "  \"parallel_ms\": {:.3},", parallel_s * 1e3);
-    let _ = writeln!(json, "  \"speedup\": {parallel_speedup:.4},");
     let _ = writeln!(json, "  \"warm_session_ms\": {:.3},", warm_s * 1e3);
     let _ = writeln!(json, "  \"enumerate_naive_ms\": {:.3},", enum_naive_s * 1e3);
     let _ = writeln!(json, "  \"enumerate_memo_ms\": {:.3},", enum_memo_s * 1e3);
@@ -371,8 +329,7 @@ fn main() {
     );
     let _ = writeln!(json, "  \"frag_pools_bit_identical\": true,");
     let _ = writeln!(json, "  \"enum_pools_bit_identical\": true,");
-    let _ = writeln!(json, "  \"selected_variants\": {},", simd_set.len());
-    let _ = writeln!(json, "  \"note\": \"{note}\"");
+    let _ = writeln!(json, "  \"selected_variants\": {}", simd_set.len());
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write benchmark json");
     println!("wrote {out_path}");

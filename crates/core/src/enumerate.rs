@@ -99,7 +99,7 @@ pub fn all_variants_capped(shape: &Shape, cap: u64) -> Result<Vec<Variant>, Enum
             cap,
         });
     }
-    PoolBuilder::full_pool(shape, 1).map_err(EnumerateError::Build)
+    PoolBuilder::full_pool(shape).map_err(EnumerateError::Build)
 }
 
 #[cfg(test)]
@@ -147,7 +147,7 @@ mod tests {
             gmc_ir::Structure::LowerTri,
             gmc_ir::Property::NonSingular,
         ));
-        // n = 7: 132 trees, enough to engage the parallel chunking.
+        // n = 7: 132 trees.
         let shape = Shape::new(vec![g, l.inverted(), g, g.transposed(), l, g, g]).unwrap();
         let trees = ParenTree::enumerate(0, 6);
         let reference: Vec<Variant> = trees
@@ -159,20 +159,18 @@ mod tests {
             reference,
             "exact pool equality: memoized engine vs per-tree lowering"
         );
-        for jobs in [1, 2, 4] {
-            assert_eq!(
-                PoolBuilder::new()
-                    .build_for_trees(None, &shape, &trees, jobs)
-                    .unwrap(),
-                reference,
-                "explicit trees, jobs={jobs}"
-            );
-            assert_eq!(
-                PoolBuilder::full_pool(&shape, jobs).unwrap(),
-                reference,
-                "full pool, jobs={jobs}"
-            );
-        }
+        assert_eq!(
+            PoolBuilder::new()
+                .build_for_trees(None, &shape, &trees)
+                .unwrap(),
+            reference,
+            "explicit trees"
+        );
+        assert_eq!(
+            PoolBuilder::full_pool(&shape).unwrap(),
+            reference,
+            "full pool"
+        );
     }
 
     #[test]

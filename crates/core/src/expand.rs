@@ -7,8 +7,9 @@
 //! most, stopping early when no candidate improves it.
 //!
 //! The cost matrix is stored flat (one `variants x instances` buffer) and
-//! can be refilled in place ([`CostMatrix::fill_with`]), so a long-lived
-//! [`crate::session::CompileSession`] reuses one buffer across compiles.
+//! can be refilled in place ([`CostMatrix::fill_rows_with`]), so a
+//! long-lived [`crate::session::CompileSession`] reuses one buffer across
+//! compiles.
 //! FLOP fills ([`CostMatrix::fill_flops`]) compile each variant's cost
 //! polynomial into a flat multiply chain ([`crate::simd::CompiledPoly`])
 //! and stream it over transposed instance lanes
@@ -19,10 +20,9 @@
 //! value is bit-identical to the textbook re-evaluation. Candidate
 //! scores and objective seeds are reduced in the engine's **canonical
 //! blocked order** (see [`crate::simd`]), so the scalar, AVX2, and
-//! AVX-512 rungs select identical sets bit for bit; with the `parallel`
-//! feature the candidate scan additionally splits across threads,
-//! again without changing a single bit of the outcome (candidates are
-//! scored independently and the tie-break scan order is preserved).
+//! AVX-512 rungs select identical sets bit for bit. Every stage runs on
+//! the calling thread: concurrency comes from running one session per
+//! thread, not from threads inside a session.
 
 use crate::simd::{self, CompiledPoly, SimdLevel, SizeLanes};
 use crate::variant::Variant;
@@ -96,7 +96,7 @@ pub struct CostMatrix {
 }
 
 impl CostMatrix {
-    /// An empty matrix, ready to be [`CostMatrix::fill_with`]ed.
+    /// An empty matrix, ready to be refilled in place.
     #[must_use]
     pub fn new() -> Self {
         CostMatrix::default()
@@ -107,103 +107,65 @@ impl CostMatrix {
     #[must_use]
     pub fn flops(pool: &[Variant], instances: &[Instance]) -> Self {
         let mut m = CostMatrix::new();
-        m.fill_flops(pool, instances, 1);
-        m
-    }
-
-    /// Compute a cost matrix over a *partial* pool with externally supplied
-    /// per-instance optima (e.g. from the DP solver when the full pool is
-    /// too large to enumerate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `optimal.len() != instances.len()`.
-    #[must_use]
-    pub fn flops_with_optimal(pool: &[Variant], instances: &[Instance], optimal: Vec<f64>) -> Self {
-        let mut m = CostMatrix::new();
-        m.fill_flops_with_optimal(pool, instances, optimal, 1);
+        m.fill_flops(pool, instances);
         m
     }
 
     /// Compute a cost matrix with a custom cost function (e.g. a
     /// performance-model time estimate).
     #[must_use]
-    pub fn with<F: Fn(&Variant, &Instance) -> f64 + Sync>(
+    pub fn with<F: Fn(&Variant, &Instance) -> f64>(
         pool: &[Variant],
         instances: &[Instance],
         cost: F,
     ) -> Self {
         let mut m = CostMatrix::new();
-        m.fill_with(pool, instances, cost, 1);
+        m.fill_rows_with(pool, instances, |v, qs, row| {
+            for (c, q) in row.iter_mut().zip(qs) {
+                *c = cost(v, q);
+            }
+        });
         m
     }
 
-    /// Refill the matrix in place (reusing its buffers) with a custom
-    /// per-cell cost function, splitting the row fill across up to
-    /// `jobs` threads when the `parallel` feature is enabled. Every row
-    /// is computed independently, so the contents are identical for
-    /// every `jobs` value; the per-instance optima are folded
-    /// element-wise in pool order (exact `min` — identical on every
-    /// engine rung).
-    pub fn fill_with<F: Fn(&Variant, &Instance) -> f64 + Sync>(
-        &mut self,
-        pool: &[Variant],
-        instances: &[Instance],
-        cost: F,
-        jobs: usize,
-    ) {
-        self.fill_rows_with(
-            pool,
-            instances,
-            |v, qs, row| {
-                for (c, q) in row.iter_mut().zip(qs) {
-                    *c = cost(v, q);
-                }
-            },
-            jobs,
-        );
-    }
-
-    /// Refill the matrix in place with a **batched row** cost function:
-    /// `fill_row(variant, instances, row)` writes the variant's cost on
-    /// every instance at once, letting the cost model hoist per-variant
-    /// work (kernel-model lookups, axis resolution, polynomial
-    /// compilation) out of the per-instance loop — see
-    /// `gmc_perfmodel::PerfModels::fill_cost_matrix`. Rows are
-    /// independent, so the parallel split never changes the contents.
-    pub fn fill_rows_with<F: Fn(&Variant, &[Instance], &mut [f64]) + Sync>(
+    /// Refill the matrix in place (reusing its buffers) with a **batched
+    /// row** cost function: `fill_row(variant, instances, row)` writes
+    /// the variant's cost on every instance at once, letting the cost
+    /// model hoist per-variant work (kernel-model lookups, axis
+    /// resolution, polynomial compilation) out of the per-instance loop
+    /// — see `gmc_perfmodel::PerfModels::fill_cost_matrix`. The
+    /// per-instance optima are folded element-wise in pool order (exact
+    /// `min` — identical on every engine rung).
+    pub fn fill_rows_with<F: Fn(&Variant, &[Instance], &mut [f64])>(
         &mut self,
         pool: &[Variant],
         instances: &[Instance],
         fill_row: F,
-        jobs: usize,
     ) {
-        self.fill_rows(pool, instances, &fill_row, jobs);
+        let ni = self.reset_rows(pool, instances);
+        for (v, row) in pool.iter().zip(self.costs.chunks_mut(ni)) {
+            fill_row(v, instances, row);
+        }
         self.fold_optimal(simd::active_level());
     }
 
     /// Refill in place with FLOP costs through the vectorized
     /// compiled-polynomial engine, on the active ladder rung.
-    pub fn fill_flops(&mut self, pool: &[Variant], instances: &[Instance], jobs: usize) {
-        self.fill_flops_level(pool, instances, jobs, simd::active_level());
+    pub fn fill_flops(&mut self, pool: &[Variant], instances: &[Instance]) {
+        self.fill_flops_level(pool, instances, simd::active_level());
     }
 
     /// [`CostMatrix::fill_flops`] on an explicit engine rung (requests
     /// above the CPU's capability are clamped). The contents are
-    /// bit-identical for every rung *and* every `jobs` value — pinned
-    /// by `tests/simd_paths.rs`.
-    pub fn fill_flops_level(
-        &mut self,
-        pool: &[Variant],
-        instances: &[Instance],
-        jobs: usize,
-        level: SimdLevel,
-    ) {
-        self.fill_flops_rows(pool, instances, jobs, level);
+    /// bit-identical for every rung — pinned by `tests/simd_paths.rs`.
+    pub fn fill_flops_level(&mut self, pool: &[Variant], instances: &[Instance], level: SimdLevel) {
+        self.fill_flops_rows(pool, instances, level);
         self.fold_optimal(level);
     }
 
-    /// Refill in place with FLOP costs and externally supplied optima.
+    /// Refill in place with FLOP costs and externally supplied optima
+    /// (e.g. from the DP solver when the full pool is too large to
+    /// enumerate).
     ///
     /// # Panics
     ///
@@ -213,10 +175,9 @@ impl CostMatrix {
         pool: &[Variant],
         instances: &[Instance],
         optimal: Vec<f64>,
-        jobs: usize,
     ) {
         assert_eq!(optimal.len(), instances.len(), "one optimum per instance");
-        self.fill_flops_rows(pool, instances, jobs, simd::active_level());
+        self.fill_flops_rows(pool, instances, simd::active_level());
         self.optimal = optimal;
     }
 
@@ -241,76 +202,16 @@ impl CostMatrix {
         instances.len().max(1)
     }
 
-    fn fill_rows<F: Fn(&Variant, &[Instance], &mut [f64]) + Sync>(
-        &mut self,
-        pool: &[Variant],
-        instances: &[Instance],
-        fill_row: &F,
-        jobs: usize,
-    ) {
-        let ni = self.reset_rows(pool, instances);
-
-        #[cfg(feature = "parallel")]
-        if jobs > 1 && pool.len() * instances.len() >= PAR_MIN_CELLS {
-            let jobs = jobs.min(pool.len()).max(1);
-            let rows_per = pool.len().div_ceil(jobs);
-            rayon::scope(|s| {
-                for (vchunk, cchunk) in pool
-                    .chunks(rows_per)
-                    .zip(self.costs.chunks_mut(rows_per * ni))
-                {
-                    s.spawn(move |_| {
-                        for (v, row) in vchunk.iter().zip(cchunk.chunks_mut(ni)) {
-                            fill_row(v, instances, row);
-                        }
-                    });
-                }
-            });
-            return;
-        }
-        let _ = jobs;
-        for (v, row) in pool.iter().zip(self.costs.chunks_mut(ni)) {
-            fill_row(v, instances, row);
-        }
-    }
-
     /// The FLOP row fill: transpose the instances into symbol lanes
     /// once, then compile each variant's cost polynomial and stream it
     /// across the lanes on the requested rung.
-    fn fill_flops_rows(
-        &mut self,
-        pool: &[Variant],
-        instances: &[Instance],
-        jobs: usize,
-        level: SimdLevel,
-    ) {
+    fn fill_flops_rows(&mut self, pool: &[Variant], instances: &[Instance], level: SimdLevel) {
         let ni = self.reset_rows(pool, instances);
         self.lanes.fill(instances);
-        let CostMatrix { costs, lanes, .. } = self;
-        let lanes: &SizeLanes = lanes;
-
-        #[cfg(feature = "parallel")]
-        if jobs > 1 && pool.len() * instances.len() >= PAR_MIN_CELLS {
-            let jobs = jobs.min(pool.len()).max(1);
-            let rows_per = pool.len().div_ceil(jobs);
-            rayon::scope(|s| {
-                for (vchunk, cchunk) in pool.chunks(rows_per).zip(costs.chunks_mut(rows_per * ni)) {
-                    s.spawn(move |_| {
-                        let mut program = CompiledPoly::new();
-                        for (v, row) in vchunk.iter().zip(cchunk.chunks_mut(ni)) {
-                            program.compile(v.cost_poly());
-                            program.eval_rows(level, lanes, row);
-                        }
-                    });
-                }
-            });
-            return;
-        }
-        let _ = jobs;
         let mut program = CompiledPoly::new();
-        for (v, row) in pool.iter().zip(costs.chunks_mut(ni)) {
+        for (v, row) in pool.iter().zip(self.costs.chunks_mut(ni)) {
             program.compile(v.cost_poly());
-            program.eval_rows(level, lanes, row);
+            program.eval_rows(level, &self.lanes, row);
         }
     }
 
@@ -366,11 +267,6 @@ impl CostMatrix {
     }
 }
 
-/// Below this many matrix cells the parallel fill/scan is not worth the
-/// per-call OS-thread spawns of the vendored rayon shim.
-#[cfg(feature = "parallel")]
-const PAR_MIN_CELLS: usize = 1 << 14;
-
 /// Reusable buffers for [`expand_set_with`]: the per-instance best-in-set
 /// cost vector — the lane buffer the engine's 8-wide candidate scoring
 /// streams (and nothing else). A session keeps one across compiles so
@@ -392,22 +288,10 @@ pub fn expand_set(
     k: usize,
     objective: Objective,
 ) -> Vec<usize> {
-    expand_set_with(
-        matrix,
-        initial,
-        k,
-        objective,
-        &mut ExpandScratch::default(),
-        1,
-    )
+    expand_set_with(matrix, initial, k, objective, &mut ExpandScratch::default())
 }
 
-/// [`expand_set`] with caller-owned scratch and a thread budget for the
-/// candidate scan (effective only with the `parallel` feature).
-///
-/// The result is bit-identical for every `jobs` value: candidate scores
-/// are computed independently and the winner is the first strict minimum
-/// in candidate order, exactly as in the serial scan.
+/// [`expand_set`] with caller-owned scratch.
 #[must_use]
 pub fn expand_set_with(
     matrix: &CostMatrix,
@@ -415,17 +299,8 @@ pub fn expand_set_with(
     k: usize,
     objective: Objective,
     scratch: &mut ExpandScratch,
-    jobs: usize,
 ) -> Vec<usize> {
-    expand_set_level(
-        matrix,
-        initial,
-        k,
-        objective,
-        scratch,
-        jobs,
-        simd::active_level(),
-    )
+    expand_set_level(matrix, initial, k, objective, scratch, simd::active_level())
 }
 
 /// [`expand_set_with`] on an explicit engine rung (requests above the
@@ -438,9 +313,9 @@ pub fn expand_set_level(
     k: usize,
     objective: Objective,
     scratch: &mut ExpandScratch,
-    jobs: usize,
     level: SimdLevel,
 ) -> Vec<usize> {
+    let nv = matrix.num_variants();
     let ni = matrix.num_instances();
     let mut set: Vec<usize> = initial.to_vec();
     scratch.best.clear();
@@ -455,7 +330,7 @@ pub fn expand_set_level(
     };
     while set.len() < k {
         let (best_candidate, v_star) =
-            scan_candidates(matrix, &set, &scratch.best, objective, jobs, level);
+            scan_range(matrix, &set, &scratch.best, objective, 0..nv, level);
         match best_candidate {
             Some(d) if v_star < v_min => {
                 simd::min_in_place(level, &mut scratch.best, matrix.row(d));
@@ -510,48 +385,6 @@ fn scan_range(
         }
     }
     (best_candidate, v_star)
-}
-
-/// Scan every candidate for the first strict minimum, split into one
-/// index-range stripe per thread when the `parallel` feature is on and
-/// the matrix is large enough to pay for the spawns.
-fn scan_candidates(
-    matrix: &CostMatrix,
-    set: &[usize],
-    best: &[f64],
-    objective: Objective,
-    jobs: usize,
-    level: SimdLevel,
-) -> (Option<usize>, f64) {
-    let nv = matrix.num_variants();
-    #[cfg(feature = "parallel")]
-    if jobs > 1 && nv * matrix.num_instances() >= PAR_MIN_CELLS {
-        let per = nv.div_ceil(jobs.min(nv).max(1)).max(1);
-        let tasks = nv.div_ceil(per);
-        let mut partial: Vec<(Option<usize>, f64)> = vec![(None, f64::INFINITY); tasks];
-        rayon::scope(|s| {
-            for (c, out) in partial.iter_mut().enumerate() {
-                let lo = c * per;
-                let hi = ((c + 1) * per).min(nv);
-                s.spawn(move |_| {
-                    *out = scan_range(matrix, set, best, objective, lo..hi, level);
-                });
-            }
-        });
-        // Combine stripes in index order with the same strict-< rule, so
-        // the winner is the global first minimum, as in the serial scan.
-        let mut best_candidate: Option<usize> = None;
-        let mut v_star = f64::INFINITY;
-        for (cand, val) in partial {
-            if cand.is_some() && val < v_star {
-                v_star = val;
-                best_candidate = cand;
-            }
-        }
-        return (best_candidate, v_star);
-    }
-    let _ = jobs;
-    scan_range(matrix, set, best, objective, 0..nv, level)
 }
 
 #[cfg(test)]
@@ -677,7 +510,6 @@ mod tests {
                 initial.len() + k_extra,
                 Objective::AvgPenalty,
                 &mut scratch,
-                1,
             );
             assert_eq!(fresh, reused);
         }
@@ -688,9 +520,9 @@ mod tests {
         let (pool, instances, _) = pool_and_instances();
         let fresh = CostMatrix::flops(&pool, &instances);
         let mut reused = CostMatrix::new();
-        reused.fill_flops(&pool, &instances, 1);
+        reused.fill_flops(&pool, &instances);
         let cap_before = reused.costs.capacity();
-        reused.fill_flops(&pool, &instances, 1);
+        reused.fill_flops(&pool, &instances);
         assert_eq!(reused.costs.capacity(), cap_before, "no regrowth on refill");
         assert_eq!(fresh.num_variants(), reused.num_variants());
         for v in 0..fresh.num_variants() {
@@ -719,35 +551,6 @@ mod tests {
                     "variant {v} instance {i}: {cell} vs {direct}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn thread_budget_never_changes_the_selection() {
-        // With the parallel feature the jobs > 1 runs actually thread the
-        // scan (one stripe per thread); without it the budget must be a
-        // no-op either way.
-        let (pool, instances, shape) = pool_and_instances();
-        let matrix = CostMatrix::flops(&pool, &instances);
-        let base = select_base_set(&shape, &instances, matrix.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
-        let k = initial.len() + 3;
-        let reference = expand_set(&matrix, &initial, k, Objective::AvgPenalty);
-        for jobs in [1usize, 2, 3, 4, 1000] {
-            let mut scratch = ExpandScratch::default();
-            let got = expand_set_with(
-                &matrix,
-                &initial,
-                k,
-                Objective::AvgPenalty,
-                &mut scratch,
-                jobs,
-            );
-            assert_eq!(reference, got, "jobs = {jobs}");
         }
     }
 

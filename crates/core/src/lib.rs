@@ -21,9 +21,8 @@
 //! compiles many programs or dispatches over many size vectors should
 //! hold a [`session::CompileSession`], which owns and reuses every
 //! stage's state (shape interner, per-shape DP solvers, cost-matrix and
-//! expansion scratch, GEMM workspace) and — behind the `parallel`
-//! feature — threads enumeration, the cost-matrix fill, and the
-//! Algorithm-1 candidate scan with bit-identical results.
+//! expansion scratch, GEMM workspace). A session is single-threaded;
+//! services run one session per worker thread or shard.
 //!
 //! Stages 2–3 run on the **vectorized selection engine** ([`simd`]): a
 //! runtime-dispatch ladder (AVX-512 > AVX2 > portable, the same pattern
@@ -127,8 +126,5 @@ pub use session::{
     CacheStats, CompileSession, DEFAULT_CHAIN_CACHE_CAPACITY, DEFAULT_FRAG_CACHE_CAPACITY,
 };
 pub use simd::SimdLevel;
-pub use theory::{
-    fanning_out_set, penalty, select_base_set, select_base_set_with, select_base_set_with_rows,
-    TheoryError,
-};
+pub use theory::{fanning_out_set, penalty, select_base_set, select_base_set_with, TheoryError};
 pub use variant::{ExecVariantError, Finalize, Step, ValRef, Variant};

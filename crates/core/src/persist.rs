@@ -28,8 +28,9 @@
 //! fingerprints every [`CompileOptions`] field that influences
 //! selection — snapshots only restore into sessions with matching
 //! options, because the recorded decisions would otherwise silently
-//! misrepresent what the session would have selected. Thread counts are
-//! deliberately excluded: they never change selection.
+//! misrepresent what the session would have selected. The number of
+//! shards or batch workers is deliberately excluded: it never changes
+//! selection.
 //!
 //! Nothing else is stored: the session's cross-shape fragment store
 //! ([`crate::fragcache`]) refills itself as restore re-lowers the trees.

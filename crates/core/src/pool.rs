@@ -316,13 +316,11 @@ impl PoolBuilder {
         })
     }
 
-    /// Assemble the variants for `roots`, in order, splitting the work
-    /// across up to `jobs` threads over the read-only fragment table.
-    /// Output order and contents are identical for every `jobs` value.
-    fn assemble_many(&mut self, roots: &[NodeId], jobs: usize) -> Result<Vec<Variant>, BuildError> {
+    /// Assemble the variants for `roots`, in order; the first failing
+    /// root's error wins.
+    fn assemble_many(&mut self, roots: &[NodeId]) -> Result<Vec<Variant>, BuildError> {
         self.stats.variants_assembled += roots.len();
-        let this = &*self;
-        map_collect(roots, jobs, |&id| this.assemble(id))
+        roots.iter().map(|&id| self.assemble(id)).collect()
     }
 
     /// Build the variant for **every** parenthesization of `shape`, in
@@ -342,9 +340,8 @@ impl PoolBuilder {
         &mut self,
         key: Option<ShapeId>,
         shape: &Shape,
-        jobs: usize,
     ) -> Result<Vec<Variant>, BuildError> {
-        self.build_full_cached(key, shape, jobs, None)
+        self.build_full_cached(key, shape, None)
     }
 
     /// [`PoolBuilder::build_full`] consulting (and populating) a
@@ -360,13 +357,12 @@ impl PoolBuilder {
         &mut self,
         key: Option<ShapeId>,
         shape: &Shape,
-        jobs: usize,
         cache: Option<&mut FragmentCache>,
     ) -> Result<Vec<Variant>, BuildError> {
         self.prepare(key, shape, BuildOptions::default());
         let roots = self.dag.enumerate_roots();
         self.lower_pending(BuildOptions::default(), cache);
-        self.assemble_many(&roots, jobs)
+        self.assemble_many(&roots)
     }
 
     /// Build the variants for an explicit list of parenthesizations (the
@@ -382,9 +378,8 @@ impl PoolBuilder {
         key: Option<ShapeId>,
         shape: &Shape,
         trees: &[ParenTree],
-        jobs: usize,
     ) -> Result<Vec<Variant>, BuildError> {
-        self.build_for_trees_cached(key, shape, trees, jobs, None)
+        self.build_for_trees_cached(key, shape, trees, None)
     }
 
     /// [`PoolBuilder::build_for_trees`] consulting (and populating) a
@@ -400,7 +395,6 @@ impl PoolBuilder {
         key: Option<ShapeId>,
         shape: &Shape,
         trees: &[ParenTree],
-        jobs: usize,
         cache: Option<&mut FragmentCache>,
     ) -> Result<Vec<Variant>, BuildError> {
         self.prepare(key, shape, BuildOptions::default());
@@ -415,7 +409,7 @@ impl PoolBuilder {
             })
             .collect::<Result<_, _>>()?;
         self.lower_pending(BuildOptions::default(), cache);
-        self.assemble_many(&roots, jobs)
+        self.assemble_many(&roots)
     }
 }
 
@@ -426,48 +420,10 @@ impl PoolBuilder {
     /// # Errors
     ///
     /// As [`PoolBuilder::build_full`].
-    pub fn full_pool(shape: &Shape, jobs: usize) -> Result<Vec<Variant>, BuildError> {
-        PoolBuilder::new().build_full(None, shape, jobs)
+    pub fn full_pool(shape: &Shape) -> Result<Vec<Variant>, BuildError> {
+        PoolBuilder::new().build_full(None, shape)
     }
 }
-
-/// Map `f` over `items` into a `Vec`, fanning the work out across up to
-/// `jobs` threads when the `parallel` feature is on and the slice is
-/// large enough to amortize thread spawns. Results come back in item
-/// order (per-chunk `Vec`s, flattened — no per-element `Option`
-/// bookkeeping), and the first `Err` in item order wins, so output is
-/// identical for every `jobs` value.
-fn map_collect<T, V, E, F>(items: &[T], jobs: usize, f: F) -> Result<Vec<V>, E>
-where
-    T: Sync,
-    V: Send,
-    E: Send,
-    F: Fn(&T) -> Result<V, E> + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if jobs > 1 && items.len() >= 2 * PAR_MIN_TREES_PER_JOB {
-        let jobs = jobs.min(items.len() / PAR_MIN_TREES_PER_JOB).max(1);
-        let chunk = items.len().div_ceil(jobs);
-        let mut chunks: Vec<Vec<Result<V, E>>> = items
-            .chunks(chunk)
-            .map(|c| Vec::with_capacity(c.len()))
-            .collect();
-        rayon::scope(|s| {
-            for (ichunk, out) in items.chunks(chunk).zip(chunks.iter_mut()) {
-                let f = &f;
-                s.spawn(move |_| out.extend(ichunk.iter().map(f)));
-            }
-        });
-        return chunks.into_iter().flatten().collect();
-    }
-    let _ = jobs;
-    items.iter().map(&f).collect()
-}
-
-/// Below this many trees per worker, thread spawn overhead dominates
-/// (the vendored rayon shim spawns OS threads, not pool tasks).
-#[cfg(feature = "parallel")]
-const PAR_MIN_TREES_PER_JOB: usize = 16;
 
 #[cfg(test)]
 mod tests {
@@ -490,28 +446,19 @@ mod tests {
             .map(|t| build_variant(&shape, t).unwrap())
             .collect();
         let mut builder = PoolBuilder::new();
-        let pool = builder.build_full(None, &shape, 1).unwrap();
+        let pool = builder.build_full(None, &shape).unwrap();
         assert_eq!(pool, reference, "exact Variant equality");
         let stats = builder.stats();
         assert_eq!(stats.nodes, 301, "shared sub-trees");
         assert_eq!(stats.fragments_lowered, 301, "each node lowered once");
         assert_eq!(stats.variants_assembled, 132);
-        // 132 trees engage the parallel assembly's chunking; the output
-        // must not depend on the thread budget.
-        for jobs in [2, 4] {
-            assert_eq!(
-                PoolBuilder::full_pool(&shape, jobs).unwrap(),
-                reference,
-                "jobs = {jobs}"
-            );
-        }
     }
 
     #[test]
     fn single_matrix_chain_assembles_finalizers() {
         let spd = Operand::plain(Features::new(Structure::Symmetric, Property::Spd)).inverted();
         let shape = Shape::new(vec![spd]).unwrap();
-        let pool = PoolBuilder::full_pool(&shape, 1).unwrap();
+        let pool = PoolBuilder::full_pool(&shape).unwrap();
         let reference = build_variant(&shape, &ParenTree::Leaf(0)).unwrap();
         assert_eq!(pool, vec![reference]);
     }
@@ -524,9 +471,9 @@ mod tests {
             interner.intern(&shape)
         };
         let mut builder = PoolBuilder::new();
-        let first = builder.build_full(Some(key), &shape, 1).unwrap();
+        let first = builder.build_full(Some(key), &shape).unwrap();
         let lowered = builder.stats().fragments_lowered;
-        let again = builder.build_full(Some(key), &shape, 1).unwrap();
+        let again = builder.build_full(Some(key), &shape).unwrap();
         assert_eq!(first, again);
         assert_eq!(
             builder.stats().fragments_lowered,
@@ -542,7 +489,7 @@ mod tests {
             i2.intern(&shape);
             i2.intern(&other)
         };
-        let pool = builder.build_full(Some(other_key), &other, 1).unwrap();
+        let pool = builder.build_full(Some(other_key), &other).unwrap();
         assert_eq!(pool.len(), 5);
         assert_eq!(builder.stats().nodes, 4 + 3 + 2 * 2 + 5, "fresh DAG");
     }
@@ -557,10 +504,10 @@ mod tests {
         let mut cache = crate::fragcache::FragmentCache::new(1 << 12);
         let mut builder = PoolBuilder::new();
         let pool_a = builder
-            .build_full_cached(None, &a, 1, Some(&mut cache))
+            .build_full_cached(None, &a, Some(&mut cache))
             .unwrap();
         let pool_b = builder
-            .build_full_cached(None, &b, 1, Some(&mut cache))
+            .build_full_cached(None, &b, Some(&mut cache))
             .unwrap();
         let hits = cache.stats().hits;
         assert!(hits > 0, "shared prefix spans must hit the store");
@@ -571,12 +518,12 @@ mod tests {
             builder.stats().nodes
         );
         // Bit-identical to the store-less builds.
-        assert_eq!(pool_a, PoolBuilder::new().build_full(None, &a, 1).unwrap());
-        assert_eq!(pool_b, PoolBuilder::new().build_full(None, &b, 1).unwrap());
+        assert_eq!(pool_a, PoolBuilder::new().build_full(None, &a).unwrap());
+        assert_eq!(pool_b, PoolBuilder::new().build_full(None, &b).unwrap());
         // Rebuilding shape `a` cold (memo dropped by the `b` build) now
         // hits the store for every association node.
         let pool_a2 = builder
-            .build_full_cached(None, &a, 1, Some(&mut cache))
+            .build_full_cached(None, &a, Some(&mut cache))
             .unwrap();
         assert_eq!(pool_a2, pool_a);
         assert_eq!(
@@ -595,7 +542,7 @@ mod tests {
             ParenTree::left_to_right(0, 4),
         ];
         let mut builder = PoolBuilder::new();
-        let got = builder.build_for_trees(None, &shape, &trees, 1).unwrap();
+        let got = builder.build_for_trees(None, &shape, &trees).unwrap();
         for (v, t) in got.iter().zip(&trees) {
             assert_eq!(v, &build_variant(&shape, t).unwrap());
         }
@@ -604,7 +551,7 @@ mod tests {
         // A tree over the wrong span is rejected like the reference.
         let short = [ParenTree::left_to_right(0, 3)];
         assert_eq!(
-            builder.build_for_trees(None, &shape, &short, 1),
+            builder.build_for_trees(None, &shape, &short),
             Err(BuildError::TreeShapeMismatch)
         );
     }

@@ -48,10 +48,10 @@
 //!
 //! Every session method is bit-identical to its one-shot counterpart:
 //! warm caches change *where* intermediate state lives, never the
-//! relaxation, summation, or tie-break order. This also holds for the
-//! thread count — see [`CompileSession::set_jobs`] — which is what makes
-//! the `parallel` feature safe to enable in production: a property test
-//! pins `parallel == serial` selection bit for bit.
+//! relaxation, summation, or tie-break order (a property test pins each
+//! stage against the one-shot functions). Every stage runs on the
+//! calling thread; a service scales by running one session per worker
+//! thread or shard, never by threading inside a session.
 //!
 //! # Variant-pool growth
 //!
@@ -171,7 +171,6 @@ impl CacheStats {
 /// them across compiles and evaluations (see the [module docs](self)).
 pub struct CompileSession {
     options: CompileOptions,
-    jobs: usize,
     variant_cap: u64,
     shapes: ShapeInterner,
     solvers: HashMap<ShapeId, DpSolver>,
@@ -203,7 +202,6 @@ impl CompileSession {
     pub fn with_options(options: CompileOptions) -> Self {
         CompileSession {
             options,
-            jobs: default_jobs(),
             variant_cap: DEFAULT_VARIANT_CAP,
             shapes: ShapeInterner::new(),
             solvers: HashMap::new(),
@@ -231,20 +229,10 @@ impl CompileSession {
         self.compiled.clear();
     }
 
-    /// The thread budget for the parallel stages.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Set the thread budget for variant enumeration, cost-matrix fill,
-    /// and the expansion candidate scan. Effective only with the
-    /// `parallel` feature; results are bit-identical for every value
-    /// (work is split by index range and reduced in scan order). `0` is
-    /// treated as `1`.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
+    /// Does nothing: every session stage is single-threaded. Kept so
+    /// existing callers still build; concurrency comes from running one
+    /// session per thread.
+    pub fn set_jobs(&mut self, _jobs: usize) {}
 
     /// Cap on the number of variants [`CompileSession::all_variants`]
     /// will materialize (default [`DEFAULT_VARIANT_CAP`]). The pool grows
@@ -295,8 +283,8 @@ impl CompileSession {
     }
 
     /// Build the full variant pool `A` for `shape` (see
-    /// [`crate::all_variants`]), parallelized over parenthesizations
-    /// across the session's thread budget.
+    /// [`crate::all_variants`]) through the session's memoized
+    /// [`PoolBuilder`] and fragment store.
     ///
     /// # Errors
     ///
@@ -326,11 +314,10 @@ impl CompileSession {
             shapes,
             pool,
             frags,
-            jobs,
             ..
         } = self;
         let cache = (frags.capacity() > 0).then_some(frags);
-        pool.build_full_cached(Some(id), shapes.get(id), *jobs, cache)
+        pool.build_full_cached(Some(id), shapes.get(id), cache)
     }
 
     /// Lower an explicit list of parenthesizations for an interned shape
@@ -344,11 +331,10 @@ impl CompileSession {
             shapes,
             pool,
             frags,
-            jobs,
             ..
         } = self;
         let cache = (frags.capacity() > 0).then_some(frags);
-        pool.build_for_trees_cached(Some(id), shapes.get(id), trees, *jobs, cache)
+        pool.build_for_trees_cached(Some(id), shapes.get(id), trees, cache)
     }
 
     /// The per-instance optimal cost for `shape`, through the session's
@@ -410,32 +396,18 @@ impl CompileSession {
 
     /// Fill the session cost matrix with FLOP costs for `pool` ×
     /// `instances` through the vectorized selection engine (compiled
-    /// cost polynomials streamed over instance lanes; parallel row fill
-    /// under the thread budget) and return it.
+    /// cost polynomials streamed over instance lanes, refilling the
+    /// session's buffer in place) and return it.
     pub fn cost_matrix(&mut self, pool: &[Variant], instances: &[Instance]) -> &CostMatrix {
         let span = self.recorder.start();
-        self.matrix.fill_flops(pool, instances, self.jobs);
-        self.recorder.stop(Stage::Select, span);
-        &self.matrix
-    }
-
-    /// [`CompileSession::cost_matrix`] with a custom cost function (e.g. a
-    /// measured performance model).
-    pub fn cost_matrix_with<F: Fn(&Variant, &Instance) -> f64 + Sync>(
-        &mut self,
-        pool: &[Variant],
-        instances: &[Instance],
-        cost: F,
-    ) -> &CostMatrix {
-        let span = self.recorder.start();
-        self.matrix.fill_with(pool, instances, cost, self.jobs);
+        self.matrix.fill_flops(pool, instances);
         self.recorder.stop(Stage::Select, span);
         &self.matrix
     }
 
     /// Algorithm-1 expansion over the session's current cost matrix (the
-    /// one filled by the latest `cost_matrix*` / `compile` call), reusing
-    /// the session's expansion scratch and thread budget.
+    /// one filled by the latest `cost_matrix` / `compile` call), reusing
+    /// the session's expansion scratch.
     #[must_use]
     pub fn expand_set(
         &mut self,
@@ -444,14 +416,7 @@ impl CompileSession {
         objective: crate::expand::Objective,
     ) -> Vec<usize> {
         let span = self.recorder.start();
-        let set = expand_set_with(
-            &self.matrix,
-            initial,
-            k,
-            objective,
-            &mut self.expand,
-            self.jobs,
-        );
+        let set = expand_set_with(&self.matrix, initial, k, objective, &mut self.expand);
         self.recorder.stop(Stage::Expand, span);
         set
     }
@@ -515,7 +480,7 @@ impl CompileSession {
         self.recorder.stop(Stage::Enumerate, span);
         if enumerable {
             let span = self.recorder.start();
-            self.matrix.fill_flops(&pool, &training, self.jobs);
+            self.matrix.fill_flops(&pool, &training);
             self.recorder.stop(Stage::Select, span);
         } else {
             let span = self.recorder.start();
@@ -527,7 +492,7 @@ impl CompileSession {
             self.recorder.stop(Stage::Dp, span);
             let span = self.recorder.start();
             self.matrix
-                .fill_flops_with_optimal(&pool, &training, optimal, self.jobs);
+                .fill_flops_with_optimal(&pool, &training, optimal);
             self.recorder.stop(Stage::Select, span);
         }
 
@@ -551,7 +516,6 @@ impl CompileSession {
                 indices.len() + options.expand_by,
                 options.objective,
                 &mut self.expand,
-                self.jobs,
             );
             self.recorder.stop(Stage::Expand, span);
         }
@@ -800,17 +764,6 @@ impl CompileSession {
         }
         self.cache_stats.restored += restored as u64;
         Ok(restored)
-    }
-}
-
-fn default_jobs() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::current_num_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
     }
 }
 

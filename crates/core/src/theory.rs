@@ -21,6 +21,14 @@ pub enum TheoryError {
     Build(BuildError),
     /// The training set is empty.
     EmptyTraining,
+    /// The optima do not match the training set: `optimal` must hold
+    /// one cost per training instance.
+    OptimaLengthMismatch {
+        /// Number of training instances.
+        training: usize,
+        /// Number of optimal costs supplied.
+        optimal: usize,
+    },
 }
 
 impl fmt::Display for TheoryError {
@@ -28,6 +36,10 @@ impl fmt::Display for TheoryError {
         match self {
             TheoryError::Build(e) => write!(f, "variant construction failed: {e}"),
             TheoryError::EmptyTraining => write!(f, "training instance set is empty"),
+            TheoryError::OptimaLengthMismatch { training, optimal } => write!(
+                f,
+                "{optimal} optimal cost(s) supplied for {training} training instance(s)"
+            ),
         }
     }
 }
@@ -99,8 +111,9 @@ pub struct BaseSet {
 ///
 /// # Errors
 ///
-/// Returns [`TheoryError::EmptyTraining`] for an empty training set and
-/// propagates build failures.
+/// Returns [`TheoryError::EmptyTraining`] for an empty training set,
+/// [`TheoryError::OptimaLengthMismatch`] unless `optimal` holds exactly
+/// one cost per training instance, and propagates build failures.
 pub fn select_base_set(
     shape: &Shape,
     training: &[Instance],
@@ -126,7 +139,9 @@ pub fn select_base_set(
 ///
 /// # Errors
 ///
-/// Same as [`select_base_set`].
+/// Returns [`TheoryError::EmptyTraining`] for an empty training set,
+/// [`TheoryError::OptimaLengthMismatch`] unless `optimal` holds exactly
+/// one cost per training instance, and propagates build failures.
 pub fn select_base_set_with<F>(
     shape: &Shape,
     training: &[Instance],
@@ -136,38 +151,10 @@ pub fn select_base_set_with<F>(
 where
     F: Fn(&Variant, &Instance) -> f64,
 {
-    select_base_set_with_rows(shape, training, optimal, |v, qs, row| {
-        for (c, q) in row.iter_mut().zip(qs) {
+    select_base_set_rows(shape, training, optimal, &mut |v, row| {
+        for (c, q) in row.iter_mut().zip(training) {
             *c = cost(v, q);
         }
-    })
-}
-
-/// [`select_base_set_with`] with a **batched row** cost function:
-/// `fill_row(variant, instances, row)` writes the variant's cost on every
-/// training instance at once, letting the cost model hoist per-variant
-/// work (kernel-model lookups, axis resolution, polynomial compilation)
-/// out of the per-instance loop — the same treatment
-/// [`CostMatrix::fill_rows_with`](crate::CostMatrix::fill_rows_with)
-/// gives the expansion stage. The per-instance [`select_base_set_with`]
-/// wraps its closure into a row fill and routes through here, so both
-/// entry points score candidates with the engine's canonical blocked
-/// reduction and pick identical representatives.
-///
-/// # Errors
-///
-/// Same as [`select_base_set`].
-pub fn select_base_set_with_rows<F>(
-    shape: &Shape,
-    training: &[Instance],
-    optimal: &[f64],
-    fill_row: F,
-) -> Result<BaseSet, TheoryError>
-where
-    F: Fn(&Variant, &[Instance], &mut [f64]),
-{
-    select_base_set_rows(shape, training, optimal, &mut |v, row| {
-        fill_row(v, training, row)
     })
 }
 
@@ -182,8 +169,14 @@ fn select_base_set_rows(
     optimal: &[f64],
     fill_row: &mut dyn FnMut(&Variant, &mut [f64]),
 ) -> Result<BaseSet, TheoryError> {
-    if training.is_empty() || optimal.len() != training.len() {
+    if training.is_empty() {
         return Err(TheoryError::EmptyTraining);
+    }
+    if optimal.len() != training.len() {
+        return Err(TheoryError::OptimaLengthMismatch {
+            training: training.len(),
+            optimal: optimal.len(),
+        });
     }
     let level = simd::active_level();
     let classes = shape.size_classes();
@@ -404,38 +397,38 @@ mod tests {
     }
 
     #[test]
-    fn batched_row_selection_is_bit_identical_to_per_instance() {
-        // The batched entry point must pick the same representatives
-        // AND the same variants as the per-instance closure for any
-        // cost model — here a non-linear one so ties break differently
-        // from FLOPs and the equality is not vacuous.
-        let shape = Shape::new(vec![g(), spd_inv(), g(), g()]).unwrap();
-        let mut rng = StdRng::seed_from_u64(47);
-        let sampler = InstanceSampler::new(&shape, 2, 300);
-        let training = sampler.sample_many(&mut rng, 100);
-        let all = all_variants(&shape).unwrap();
-        let optimal: Vec<f64> = training
-            .iter()
-            .map(|q| all.iter().map(|v| v.flops(q)).fold(f64::INFINITY, f64::min))
-            .collect();
-        let model = |v: &Variant, q: &Instance| (1.0 + v.flops(q)).ln() * v.steps().len() as f64;
-        let cell = select_base_set_with(&shape, &training, &optimal, model).unwrap();
-        let rows = select_base_set_with_rows(&shape, &training, &optimal, |v, qs, row| {
-            for (c, q) in row.iter_mut().zip(qs) {
-                *c = model(v, q);
-            }
-        })
-        .unwrap();
-        assert_eq!(cell.representatives, rows.representatives);
-        assert_eq!(cell.variants, rows.variants);
-    }
-
-    #[test]
     fn empty_training_rejected() {
         let shape = Shape::new(vec![g(), g()]).unwrap();
         assert!(matches!(
             select_base_set(&shape, &[], &[]),
             Err(TheoryError::EmptyTraining)
         ));
+    }
+
+    #[test]
+    fn optima_of_another_training_set_are_a_length_mismatch() {
+        let shape = Shape::new(vec![g(), g()]).unwrap();
+        let training = [Instance::new(vec![2, 3, 4]), Instance::new(vec![5, 6, 7])];
+        let err = select_base_set(&shape, &training, &[24.0]).unwrap_err();
+        assert_eq!(
+            err,
+            TheoryError::OptimaLengthMismatch {
+                training: 2,
+                optimal: 1,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "1 optimal cost(s) supplied for 2 training instance(s)"
+        );
+        let err = select_base_set_with(&shape, &training, &[24.0, 210.0, 1.0], |v, q| v.flops(q))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TheoryError::OptimaLengthMismatch {
+                training: 2,
+                optimal: 3,
+            }
+        );
     }
 }

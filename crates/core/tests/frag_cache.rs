@@ -53,27 +53,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Store-assembled pools are bit-identical to store-less pools for
-    /// random shape sequences and `jobs` in {1, 4} — with the store
-    /// actually doing work, and the capacity-0 session counting nothing.
+    /// random shape sequences — with the store actually doing work, and
+    /// the capacity-0 session counting nothing.
     #[test]
     fn store_assembled_pools_equal_storeless_pools_exactly(
         seq_seed in 0u64..50_000,
-        jobs_sel in 0usize..2,
     ) {
-        let jobs = [1usize, 4][jobs_sel];
         let mut rng = StdRng::seed_from_u64(seq_seed);
         let shapes = random_sequence(&mut rng, 8);
 
         let mut with_store = CompileSession::new();
-        with_store.set_jobs(jobs);
         let mut without = CompileSession::new();
-        without.set_jobs(jobs);
         without.set_fragment_cache_capacity(0);
 
         for shape in &shapes {
             let a: Vec<Variant> = with_store.all_variants(shape).unwrap();
             let b: Vec<Variant> = without.all_variants(shape).unwrap();
-            prop_assert_eq!(&a, &b, "jobs = {}", jobs);
+            prop_assert_eq!(&a, &b);
         }
         let stats = with_store.fragment_cache_stats();
         prop_assert!(stats.hits + stats.misses > 0, "store was consulted");
@@ -94,10 +90,8 @@ proptest! {
         let shapes = random_sequence(&mut rng, 8);
 
         let mut tiny = CompileSession::new();
-        tiny.set_jobs(1);
         tiny.set_fragment_cache_capacity(3);
         let mut reference = CompileSession::new();
-        reference.set_jobs(1);
         reference.set_fragment_cache_capacity(0);
 
         for shape in &shapes {
@@ -131,7 +125,6 @@ fn related_shapes_share_fragments_across_the_store() {
     // that prefix; after the first compile the rest must hit.
     let options = operand_options();
     let mut session = CompileSession::new();
-    session.set_jobs(1);
     for tail in options.iter().take(8) {
         let mut ops = vec![options[0], options[1], options[2]];
         ops.push(*tail);

@@ -1,15 +1,14 @@
 //! Session-reuse guarantees: a long-lived [`CompileSession`] must behave
-//! exactly like a procession of fresh one-shot pipelines — same selected
-//! variants, bit-identical costs — while reusing its arenas, and the
-//! parallel feature must not change a single selected index. The same
-//! bar holds for the bounded cache and warm-restart persistence: LRU
+//! exactly like a procession of fresh one-shot pipelines — same pools,
+//! bit-identical costs, same selected indices — while reusing its
+//! arenas. The same bar holds for the bounded cache and warm-restart persistence: LRU
 //! eviction only ever forgets (re-compiles are bit-identical), and a
 //! save → drop → load round trip emits byte-identical C++/Rust.
 
 use gmc_core::dp::optimal_cost_reference;
 use gmc_core::{
-    expand_set, select_base_set, CompileOptions, CompileSession, CompiledChain, CostMatrix,
-    Objective, SessionSnapshot,
+    all_variants, expand_set, select_base_set, CompileOptions, CompileSession, CompiledChain,
+    CostMatrix, Objective, SessionSnapshot,
 };
 use gmc_ir::{Instance, InstanceSampler, Operand, Shape};
 use proptest::prelude::*;
@@ -213,13 +212,11 @@ fn save_drop_load_round_trip_emits_byte_identical_artifacts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel and serial selection must pick identical variant sets —
-    /// pool order, cost matrix contents, base set, and every expansion
-    /// step. Under `--features parallel` the jobs=4 session actually
-    /// threads the scan; without it the property still pins the jobs
-    /// knob as a no-op.
+    /// One session must match the one-shot functions at every stage —
+    /// pool order and contents, cost matrix contents bit for bit, every
+    /// expansion step, and the whole compile.
     #[test]
-    fn parallel_and_serial_selection_are_identical(
+    fn session_selection_matches_one_shot(
         n in 3usize..=6,
         code_seed in 0u64..5_000,
         expand_by in 0usize..4,
@@ -231,29 +228,24 @@ proptest! {
         };
         let sampler = InstanceSampler::new(&shape, 2, 300);
         let training: Vec<Instance> = sampler.sample_many(&mut rng, 150);
-
-        let mut serial = CompileSession::new();
-        serial.set_jobs(1);
-        let mut threaded = CompileSession::new();
-        threaded.set_jobs(4);
+        let mut session = CompileSession::new();
 
         // Stage 1: enumeration order and contents.
-        let pool_s = serial.all_variants(&shape).unwrap();
-        let pool_p = threaded.all_variants(&shape).unwrap();
-        prop_assert_eq!(pool_s.len(), pool_p.len());
-        for (a, b) in pool_s.iter().zip(&pool_p) {
-            prop_assert_eq!(a.paren(), b.paren());
-            prop_assert_eq!(a.cost_poly(), b.cost_poly());
-        }
+        let pool = all_variants(&shape).unwrap();
+        let from_session = session.all_variants(&shape).unwrap();
+        prop_assert_eq!(&pool, &from_session);
 
         // Stage 2: cost matrix contents, bit for bit.
-        let one_shot = CostMatrix::flops(&pool_s, &training);
+        let one_shot = CostMatrix::flops(&pool, &training);
         {
-            let m_p = threaded.cost_matrix(&pool_p, &training);
+            let m = session.cost_matrix(&from_session, &training);
             for v in 0..one_shot.num_variants() {
                 for i in 0..one_shot.num_instances() {
-                    prop_assert_eq!(one_shot.cost(v, i).to_bits(), m_p.cost(v, i).to_bits());
+                    prop_assert_eq!(one_shot.cost(v, i).to_bits(), m.cost(v, i).to_bits());
                 }
+            }
+            for (a, b) in one_shot.optimal().iter().zip(m.optimal()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
 
@@ -262,15 +254,12 @@ proptest! {
         let initial: Vec<usize> = base
             .variants
             .iter()
-            .map(|v| pool_s.iter().position(|p| p.paren() == v.paren()).unwrap())
+            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
             .collect();
         let k = initial.len() + expand_by;
         let reference = expand_set(&one_shot, &initial, k, Objective::AvgPenalty);
-        let _ = serial.cost_matrix(&pool_s, &training);
-        let from_serial = serial.expand_set(&initial, k, Objective::AvgPenalty);
-        let from_threaded = threaded.expand_set(&initial, k, Objective::AvgPenalty);
-        prop_assert_eq!(&reference, &from_serial);
-        prop_assert_eq!(&reference, &from_threaded);
+        let expanded = session.expand_set(&initial, k, Objective::AvgPenalty);
+        prop_assert_eq!(&reference, &expanded);
 
         // Stage 4: whole-pipeline compile.
         let opts = CompileOptions {
@@ -278,13 +267,9 @@ proptest! {
             expand_by,
             ..CompileOptions::default()
         };
-        serial.set_options(opts.clone());
-        threaded.set_options(opts);
-        let chain_s = serial.compile(&shape).unwrap();
-        let chain_p = threaded.compile(&shape).unwrap();
-        prop_assert_eq!(chain_s.variants().len(), chain_p.variants().len());
-        for (a, b) in chain_s.variants().iter().zip(chain_p.variants()) {
-            prop_assert_eq!(a.paren(), b.paren());
-        }
+        session.set_options(opts.clone());
+        let chain = session.compile(&shape).unwrap();
+        let fresh = CompiledChain::compile_with(shape, &opts).unwrap();
+        prop_assert_eq!(chain.variants(), fresh.variants());
     }
 }

@@ -2,8 +2,7 @@
 //! scalar, AVX2, and AVX-512 scan paths must produce bit-identical
 //! `CostMatrix` contents, `candidate_value` scores, and selected sets —
 //! across ragged instance counts (1, 7, 8, 9, 63, 400, exercising every
-//! block/tail split of the canonical 8-lane reduction) and thread
-//! budgets. On hosts without AVX-512 (or AVX2) the missing rungs are
+//! block/tail split of the canonical 8-lane reduction). On hosts without AVX-512 (or AVX2) the missing rungs are
 //! skipped; the portable rung is the reference every run compares
 //! against, so the ladder's bottom stays pinned on any host.
 
@@ -33,10 +32,10 @@ fn random_shape(rng: &mut StdRng, n: usize) -> Option<Shape> {
 /// cells and optima; returns the portable-rung matrix as the reference.
 fn matrix_identical_across_rungs(pool: &[gmc_core::Variant], instances: &[Instance]) -> CostMatrix {
     let mut reference = CostMatrix::new();
-    reference.fill_flops_level(pool, instances, 1, SimdLevel::Portable);
+    reference.fill_flops_level(pool, instances, SimdLevel::Portable);
     for level in simd::available_levels() {
         let mut m = CostMatrix::new();
-        m.fill_flops_level(pool, instances, 1, level);
+        m.fill_flops_level(pool, instances, level);
         assert_eq!(m.num_variants(), reference.num_variants());
         assert_eq!(m.num_instances(), reference.num_instances());
         for v in 0..reference.num_variants() {
@@ -99,7 +98,7 @@ proptest! {
             }
         }
 
-        // Stage 3: selected sets — every rung x every thread budget.
+        // Stage 3: selected sets — every rung.
         let base = select_base_set(&shape, &training, matrix.optimal()).unwrap();
         let initial: Vec<usize> = base
             .variants
@@ -114,29 +113,24 @@ proptest! {
             k,
             Objective::AvgPenalty,
             &mut scratch,
-            1,
             SimdLevel::Portable,
         );
         for level in simd::available_levels() {
-            for jobs in [1usize, 2, 3, 4, 1000] {
-                let got = expand_set_level(
-                    &matrix,
-                    &initial,
-                    k,
-                    Objective::AvgPenalty,
-                    &mut scratch,
-                    jobs,
-                    level,
-                );
-                prop_assert_eq!(
-                    &reference,
-                    &got,
-                    "selected set on {:?} jobs {} (ni = {})",
-                    level,
-                    jobs,
-                    ni
-                );
-            }
+            let got = expand_set_level(
+                &matrix,
+                &initial,
+                k,
+                Objective::AvgPenalty,
+                &mut scratch,
+                level,
+            );
+            prop_assert_eq!(
+                &reference,
+                &got,
+                "selected set on {:?} (ni = {})",
+                level,
+                ni
+            );
         }
     }
 }
@@ -167,7 +161,6 @@ fn paper_scale_chain_is_rung_identical_on_every_ragged_count() {
             initial.len() + 4,
             Objective::AvgPenalty,
             &mut scratch,
-            1,
             SimdLevel::Portable,
         );
         for level in simd::available_levels() {
@@ -177,7 +170,6 @@ fn paper_scale_chain_is_rung_identical_on_every_ragged_count() {
                 initial.len() + 4,
                 Objective::AvgPenalty,
                 &mut scratch,
-                1,
                 level,
             );
             assert_eq!(reference, got, "{level:?} with {ni} instances");

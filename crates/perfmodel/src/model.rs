@@ -129,12 +129,9 @@ impl PerfModels {
         instances: &[Instance],
         matrix: &mut gmc_core::expand::CostMatrix,
     ) {
-        matrix.fill_rows_with(
-            pool,
-            instances,
-            |v, qs, row| self.variant_times_into(v, qs, row),
-            1,
-        );
+        matrix.fill_rows_with(pool, instances, |v, qs, row| {
+            self.variant_times_into(v, qs, row);
+        });
     }
 
     /// Batched [`PerfModels::variant_time`]: one row of estimated times
@@ -234,16 +231,34 @@ impl CostModel for PerfModels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::{measure_models, MeasureOptions};
     use gmc_core::{all_variants, CompiledChain};
     use gmc_ir::{Features, Operand, Shape};
 
+    /// Models with one fixed FLOP/s rate per kernel, flat over its
+    /// [`kernel_dims`] axes, so the tests check the time formulas rather
+    /// than the host's timing noise.
     fn tiny_models() -> PerfModels {
-        measure_models(&MeasureOptions {
-            grid: vec![8, 32],
-            reps: 1,
-            seed: 3,
-        })
+        let axis = vec![8.0, 32.0];
+        let grid = |dims: usize, rate: f64| {
+            GridInterpolator::new(axis.clone(), dims, vec![rate; axis.len().pow(dims as u32)])
+        };
+        let assoc = Kernel::ALL
+            .into_iter()
+            .zip(1..)
+            .map(|(k, i)| (k, grid(kernel_dims(k), f64::from(i) * 1e8)))
+            .collect();
+        let finalize = [
+            FinalizeKernel::Getri,
+            FinalizeKernel::Sytri,
+            FinalizeKernel::Potri,
+            FinalizeKernel::Trtri,
+            FinalizeKernel::Transpose,
+        ]
+        .into_iter()
+        .zip(1..)
+        .map(|(k, i)| (k, grid(1, f64::from(i) * 5e7)))
+        .collect();
+        PerfModels::new(assoc, finalize)
     }
 
     #[test]

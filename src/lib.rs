@@ -163,8 +163,8 @@
 //!   into `acc[i % 8]`), scalar tail, deterministic tree reduce — and
 //!   *every* rung, scalar included, follows it. Scalar, AVX2, and
 //!   AVX-512 selection are therefore bit-identical (pinned by
-//!   `crates/core/tests/simd_paths.rs` across ragged instance counts
-//!   and thread budgets), and this blocked order **supersedes**
+//!   `crates/core/tests/simd_paths.rs` across ragged instance counts),
+//!   and this blocked order **supersedes**
 //!   the pre-engine straight left-to-right fold as the selection
 //!   reference. The DP solver's final-state fold shares the engine's
 //!   first-strict-minimum helper.
@@ -196,7 +196,7 @@
 //! The assembled pool is **bit-identical** to per-tree `build_variant`
 //! lowering (an ordinary function the tests and `bench_select` call by
 //! name as the reference), pinned by a property test over random
-//! structured/inverted/transposed shapes × thread counts
+//! structured/inverted/transposed shapes
 //! (`crates/core/tests/pool_memo.rs`). Every session builds its pools
 //! through the memoized engine. On the dev host it builds the `n = 7`
 //! pool ~4.1x faster than naive lowering, taking cold single-thread
@@ -264,19 +264,15 @@
 //!   exactly one sample per shard-attributed response — an invariant
 //!   the chaos proptest pins alongside exactly-one-response.
 //!
-//! Two knobs scale the pipeline:
-//!
-//! * the `parallel` cargo feature threads variant enumeration, the
-//!   cost-matrix fill, and the Algorithm-1 candidate scan (one stripe
-//!   per thread; plus GEMM column stripes in `gmc-linalg`) through the
-//!   vendored rayon shim — with results pinned bit-identical to serial
-//!   by a property test (`crates/core/tests/session_reuse.rs`);
-//! * the `gmcc` driver compiles whole batches (`gmcc a.gmc b.gmc
-//!   --jobs N`), one session per worker thread — or serves forever with
-//!   `--serve`.
+//! Compilation scales across sessions, never inside one: every
+//! `CompileSession` stage runs on its caller's thread, and the `gmcc`
+//! driver compiles whole batches (`gmcc a.gmc b.gmc --jobs N`) with one
+//! session per worker thread — or serves forever with `--serve`, one
+//! session per shard. The `parallel` cargo feature only splits the
+//! blocked GEMM into column stripes (`gmc-linalg`).
 //!
 //! Selection latency is tracked in `BENCH_select.json`
-//! (`cargo run --release --features parallel --bin bench_select`), the
+//! (`cargo run --release --bin bench_select`), the
 //! serving trajectory (cold vs. warm vs. restored-from-disk, plus the
 //! `--load` closed-loop socket sweep: connections × shards QPS/latency
 //! table and the skewed-workload two-choices-vs-hash%N comparison) in
