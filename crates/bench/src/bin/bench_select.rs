@@ -36,16 +36,7 @@ fn select_once(session: &mut CompileSession, shape: &Shape) -> Vec<usize> {
     let training = sampler.sample_many(&mut rng, 400);
     let pool = session.all_variants(shape).expect("pool under cap");
     let matrix = session.cost_matrix(&pool, &training);
-    let base = gmc_core::select_base_set(shape, &training, matrix.optimal()).expect("base set");
-    let initial: Vec<usize> = base
-        .variants
-        .iter()
-        .map(|v| {
-            pool.iter()
-                .position(|p| p.paren() == v.paren())
-                .expect("base variant in pool")
-        })
-        .collect();
+    let initial = gmc_core::select_base_set_in(shape, &pool, matrix).expect("base set");
     session.expand_set(&initial, initial.len() + 4, Objective::AvgPenalty)
 }
 

@@ -19,7 +19,7 @@ use gmc_bench::report::{arg_u64, arg_usize, arg_value, print_header, print_row};
 use gmc_bench::workload::{enumerate_shapes, sample_shapes, ShapeSampler};
 use gmc_core::all_variants;
 use gmc_core::{
-    builder::left_to_right_variant, expand::CostMatrix, expand_set, select_base_set, Objective,
+    builder::left_to_right_variant, expand::CostMatrix, expand_set, select_base_set_in, Objective,
 };
 use gmc_ir::InstanceSampler;
 use rand::rngs::StdRng;
@@ -72,12 +72,7 @@ fn main() {
             let pool = all_variants(shape).expect("valid shape");
             let matrix = CostMatrix::flops(&pool, &training);
 
-            let base = select_base_set(shape, &training, matrix.optimal()).expect("base set");
-            let base_idx: Vec<usize> = base
-                .variants
-                .iter()
-                .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-                .collect();
+            let base_idx = select_base_set_in(shape, &pool, &matrix).expect("base set");
             // One and two greedy expansion steps, minimizing average penalty
             // on the training set (Sec. VII-A).
             let es1 = expand_set(

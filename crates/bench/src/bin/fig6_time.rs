@@ -21,7 +21,7 @@ use gmc_bench::report::{arg_flag, arg_u64, arg_usize, arg_value, print_header, p
 use gmc_bench::workload::{instantiate, sample_shapes, ShapeSampler};
 use gmc_core::all_variants;
 use gmc_core::{
-    builder::left_to_right_variant, expand::CostMatrix, expand_set, select_base_set, Objective,
+    builder::left_to_right_variant, expand::CostMatrix, expand_set, select_base_set_in, Objective,
     Variant,
 };
 use gmc_ir::InstanceSampler;
@@ -103,12 +103,7 @@ fn main() {
         let pool = all_variants(shape).expect("valid shape");
         let flop_matrix = CostMatrix::flops(&pool, &training);
 
-        let base = select_base_set(shape, &training, flop_matrix.optimal()).expect("base set");
-        let base_idx: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let base_idx = select_base_set_in(shape, &pool, &flop_matrix).expect("base set");
         // Expansion by one variant: once with FLOPs, once with models.
         let es1f = expand_set(
             &flop_matrix,

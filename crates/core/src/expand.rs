@@ -391,7 +391,7 @@ fn scan_range(
 mod tests {
     use super::*;
     use crate::enumerate::all_variants;
-    use crate::theory::select_base_set;
+    use crate::theory::select_base_set_in;
     use gmc_ir::{Features, InstanceSampler, Operand, Shape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -410,12 +410,7 @@ mod tests {
     fn expansion_never_worsens_objective() {
         let (pool, instances, shape) = pool_and_instances();
         let matrix = CostMatrix::flops(&pool, &instances);
-        let base = select_base_set(&shape, &instances, matrix.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let initial = select_base_set_in(&shape, &pool, &matrix).unwrap();
         let before = matrix.objective(&initial, Objective::AvgPenalty);
         let expanded = expand_set(&matrix, &initial, initial.len() + 2, Objective::AvgPenalty);
         let after = matrix.objective(&expanded, Objective::AvgPenalty);
@@ -490,12 +485,7 @@ mod tests {
     fn scratch_reuse_is_identical() {
         let (pool, instances, shape) = pool_and_instances();
         let matrix = CostMatrix::flops(&pool, &instances);
-        let base = select_base_set(&shape, &instances, matrix.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let initial = select_base_set_in(&shape, &pool, &matrix).unwrap();
         let mut scratch = ExpandScratch::default();
         for k_extra in 0..3 {
             let fresh = expand_set(
@@ -558,12 +548,7 @@ mod tests {
     fn objectives_differ() {
         let (pool, instances, shape) = pool_and_instances();
         let matrix = CostMatrix::flops(&pool, &instances);
-        let base = select_base_set(&shape, &instances, matrix.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let initial = select_base_set_in(&shape, &pool, &matrix).unwrap();
         // Both objectives run; results may or may not coincide, but both
         // must be supersets of the initial set with bounded size.
         for obj in [Objective::MaxPenalty, Objective::AvgPenalty] {

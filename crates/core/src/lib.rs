@@ -10,7 +10,9 @@
 //!    propagation, feature/size inference).
 //! 2. [`theory`] selects the base set `E_s` of at most `n + 1` fanning-out
 //!    variants whose best-in-set cost is within a constant factor of optimal
-//!    on *every* instance (Theorems 1 and 2).
+//!    on *every* instance (Theorems 1 and 2). It chooses them from the
+//!    pool and the cost matrix that stage 3 scans, so a compile lowers
+//!    and costs each variant once.
 //! 3. [`expand`] grows the set greedily on sampled instances to tighten the
 //!    gap (Algorithm 1).
 //! 4. [`program`] packages the selected variants behind a run-time dispatch
@@ -126,5 +128,5 @@ pub use session::{
     CacheStats, CompileSession, DEFAULT_CHAIN_CACHE_CAPACITY, DEFAULT_FRAG_CACHE_CAPACITY,
 };
 pub use simd::SimdLevel;
-pub use theory::{fanning_out_set, penalty, select_base_set, select_base_set_with, TheoryError};
+pub use theory::{fanning_out_set, penalty, select_base_set, select_base_set_in, TheoryError};
 pub use variant::{ExecVariantError, Finalize, Step, ValRef, Variant};

@@ -124,7 +124,7 @@ impl ParenTree {
     }
 
     /// The number of distinct parenthesizations of an `n`-matrix chain
-    /// (`Catalan(n - 1)`).
+    /// (`Catalan(n - 1)`), saturated at `u128::MAX` from `n = 67`.
     ///
     /// # Panics
     ///
@@ -136,7 +136,10 @@ impl ParenTree {
         let k = (n - 1) as u128;
         let mut c: u128 = 1;
         for i in 0..k {
-            c = c * 2 * (2 * i + 1) / (i + 2);
+            match c.checked_mul(2 * (2 * i + 1)) {
+                Some(product) => c = product / (i + 2),
+                None => return u128::MAX,
+            }
         }
         c
     }
@@ -406,6 +409,21 @@ mod tests {
         assert_eq!(ParenTree::count(5), 14);
         assert_eq!(ParenTree::count(7), 132);
         assert_eq!(ParenTree::count(15), 2_674_440);
+    }
+
+    #[test]
+    fn catalan_count_is_exact_until_it_saturates() {
+        // From n = 67 the intermediate product Catalan(65) * 262 no
+        // longer fits in a u128.
+        assert_eq!(
+            ParenTree::count(66),
+            1_440_418_573_150_919_668_872_489_894_243_865_350
+        );
+        assert_eq!(ParenTree::count(67), u128::MAX);
+        assert_eq!(ParenTree::count(200), u128::MAX);
+        for n in 2..=300 {
+            assert!(ParenTree::count(n) >= ParenTree::count(n - 1), "n = {n}");
+        }
     }
 
     #[test]

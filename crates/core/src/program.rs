@@ -333,8 +333,7 @@ impl CompiledChain {
     /// the paper (Linnea's fixed-size mode): it always executes the
     /// FLOP-optimal variant but pays the search and lowering latency per
     /// call, making it unsuitable for the low-latency settings that
-    /// motivate the code generator (see the `dispatch_vs_runtime_search`
-    /// benchmark).
+    /// motivate the code generator.
     ///
     /// # Errors
     ///

@@ -39,7 +39,8 @@
 //! * **Selection scratch** ([`CostMatrix`], [`ExpandScratch`]): the
 //!   variant × instance cost matrix and the greedy expansion's
 //!   best-in-set vector live in session buffers that are refilled in
-//!   place.
+//!   place. A compile lowers each tree once ([`PoolBuilder`]) and costs
+//!   each pool row once: base-set selection and expansion share the rows.
 //! * **Execution scratch** ([`GemmWorkspace`]): numeric evaluation packs
 //!   GEMM panels into the session workspace instead of thread-local
 //!   buffers.
@@ -61,7 +62,7 @@
 //! past a configurable cap ([`CompileSession::set_variant_cap`]) with a
 //! typed [`EnumerateError::PoolTooLarge`], and
 //! [`CompileSession::compile`] automatically switches long chains to the
-//! DP-backed fanning-out path, which never materializes `A`.
+//! DP-backed fanning-out path, which lowers only the fanning-out trees.
 //!
 //! # Example
 //!
@@ -96,7 +97,7 @@ use crate::paren::ParenTree;
 use crate::persist::{options_key, PersistError, SessionSnapshot};
 use crate::pool::PoolBuilder;
 use crate::program::{CompileOptions, CompiledChain, CostModel, ProgramError};
-use crate::theory::{fanning_out_set, select_base_set};
+use crate::theory::{fanning_out_trees, select_base_set_in};
 use crate::variant::Variant;
 use gmc_ir::grammar::{parse_program, ParseError, Program};
 use gmc_ir::{Instance, InstanceSampler, Shape, ShapeId, ShapeInterner};
@@ -321,7 +322,8 @@ impl CompileSession {
     }
 
     /// Lower an explicit list of parenthesizations for an interned shape
-    /// (the restore path), sharing sub-span fragments across trees.
+    /// (the restore path, and the fanning-out pool of a chain too long to
+    /// enumerate), sharing sub-span fragments across trees.
     fn pool_for_trees(
         &mut self,
         id: ShapeId,
@@ -424,6 +426,11 @@ impl CompileSession {
     /// Compile `shape` into a multi-versioned chain with the session's
     /// options, caching the result per distinct shape.
     ///
+    /// A miss lowers the pool (`A`, or the fanning-out trees past the
+    /// cap), fills the session [`CostMatrix`] once, and chooses the base
+    /// set ([`crate::theory::select_base_set_in`]) and its expansion from
+    /// that matrix.
+    ///
     /// Semantics (and selected variants, bit for bit) match
     /// [`CompiledChain::compile_with`]; the session reuses its scratch
     /// and caches instead of allocating per call.
@@ -472,10 +479,11 @@ impl CompileSession {
         let pool: Vec<Variant> = if enumerable {
             self.full_pool(id)?
         } else {
-            fanning_out_set(&shape)?
+            let trees: Vec<ParenTree> = fanning_out_trees(shape.len())
                 .into_iter()
-                .map(|(_, v)| v)
-                .collect()
+                .map(|(_, tree)| tree)
+                .collect();
+            self.pool_for_trees(id, &trees)?
         };
         self.recorder.stop(Stage::Enumerate, span);
         if enumerable {
@@ -497,16 +505,7 @@ impl CompileSession {
         }
 
         let span = self.recorder.start();
-        let base = select_base_set(&shape, &training, self.matrix.optimal())?;
-        let mut indices: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| {
-                pool.iter()
-                    .position(|p| p.paren() == v.paren())
-                    .expect("base variants come from the pool")
-            })
-            .collect();
+        let mut indices = select_base_set_in(&shape, &pool, &self.matrix)?;
         self.recorder.stop(Stage::Select, span);
         if options.expand_by > 0 {
             let span = self.recorder.start();
@@ -993,6 +992,19 @@ mod tests {
             assert_eq!(a.paren(), b.paren());
             assert_eq!(a.cost_poly(), b.cost_poly());
         }
+        // So are evaluated results: the silent session executes without
+        // the per-kernel observer and still records nothing.
+        let leaves: Vec<Matrix> = [(4, 6), (6, 3), (3, 5), (5, 7), (7, 2)]
+            .iter()
+            .enumerate()
+            .map(|(k, &(r, c))| Matrix::from_fn(r, c, |i, j| (i + 2 * j + k) as f64 * 0.5 - 1.0))
+            .collect();
+        let x_traced = traced.evaluate(&with, &leaves).unwrap();
+        let x_silent = silent.evaluate(&without, &leaves).unwrap();
+        let bits = |x: &Matrix| -> Vec<u64> { x.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!((x_silent.rows(), x_silent.cols()), (4, 2));
+        assert_eq!(bits(&x_traced), bits(&x_silent));
+        assert!(silent.stage_profile().is_empty(), "no spans when off");
         assert_eq!(
             silent.take_stage_profile(),
             StageProfile::new(),
@@ -1012,5 +1024,26 @@ mod tests {
         let chain = session.compile(&shape).unwrap();
         assert!(!chain.variants().is_empty());
         assert!(chain.variants().len() <= 13);
+    }
+
+    #[test]
+    fn chain_with_two_to_the_64_representative_combinations_compiles() {
+        // 128 operands alternating <Symmetric, SPD> and <General,
+        // Singular>: 64 size classes of two plus one singleton. Their
+        // 2^64 representative combinations must send the search down
+        // the greedy branch, not wrap to 0 and enumerate forever.
+        let spd = Operand::plain(Features::new(Structure::Symmetric, Property::Spd));
+        let operands: Vec<Operand> = (0..128)
+            .map(|i| if i % 2 == 0 { spd } else { g() })
+            .collect();
+        let shape = Shape::new(operands).unwrap();
+        assert_eq!(shape.size_classes().num_classes(), 65);
+        let mut session = CompileSession::with_options(CompileOptions {
+            training_instances: 4,
+            ..CompileOptions::default()
+        });
+        let chain = session.compile(&shape).unwrap();
+        assert!(!chain.variants().is_empty());
+        assert!(chain.variants().len() <= 65);
     }
 }

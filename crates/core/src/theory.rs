@@ -5,10 +5,15 @@
 //! suffices (Theorem 2), giving a base set `E_s` of at most `n + 1`
 //! variants whose best member is within a constant factor of optimal on
 //! *every* instance.
+//!
+//! [`select_base_set_in`] chooses `E_s` from a pool that holds every `E_h`
+//! and its filled [`CostMatrix`], lowering and costing nothing itself;
+//! [`select_base_set`] is the one-shot form that does both first.
 
 use crate::builder::{build_variant, BuildError};
+use crate::expand::CostMatrix;
 use crate::paren::ParenTree;
-use crate::simd::{self, CompiledPoly, SizeLanes};
+use crate::simd;
 use crate::variant::Variant;
 use gmc_ir::{Instance, Shape};
 use std::error::Error;
@@ -65,26 +70,31 @@ pub fn penalty(best_in_set: f64, optimal: f64) -> f64 {
     best_in_set / optimal - 1.0
 }
 
+/// The distinct fanning-out trees `E_h` of an `n`-matrix chain, each
+/// paired with the smallest `h in 0..=n` that produces it.
+pub(crate) fn fanning_out_trees(n: usize) -> Vec<(usize, ParenTree)> {
+    let mut out: Vec<(usize, ParenTree)> = Vec::new();
+    for h in 0..=n {
+        let tree = ParenTree::fanning_out(n, h);
+        if !out.iter().any(|(_, t)| *t == tree) {
+            out.push((h, tree));
+        }
+    }
+    out
+}
+
 /// Build all *distinct* fanning-out variants `E_h` for `h in 0..=n`,
 /// returning `(h, variant)` pairs (duplicate parenthesizations keep the
-/// smallest `h`).
+/// smallest `h`). Each tree is lowered on its own by [`build_variant`].
 ///
 /// # Errors
 ///
 /// Propagates [`BuildError`] (unreachable for valid shapes).
 pub fn fanning_out_set(shape: &Shape) -> Result<Vec<(usize, Variant)>, BuildError> {
-    let n = shape.len();
-    let mut seen: Vec<ParenTree> = Vec::new();
-    let mut out = Vec::new();
-    for h in 0..=n {
-        let tree = ParenTree::fanning_out(n, h);
-        if seen.contains(&tree) {
-            continue;
-        }
-        seen.push(tree.clone());
-        out.push((h, build_variant(shape, &tree)?));
-    }
-    Ok(out)
+    fanning_out_trees(shape.len())
+        .into_iter()
+        .map(|(h, tree)| Ok((h, build_variant(shape, &tree)?)))
+        .collect()
 }
 
 /// The Theorem-2 base set `E_s`.
@@ -96,18 +106,11 @@ pub struct BaseSet {
     pub variants: Vec<Variant>,
 }
 
-/// Construct the base set `E_s` of Theorem 2: one fanning-out variant per
-/// size-symbol equivalence class, choosing the representative of each class
-/// so the *average training penalty* of the whole set is minimized (the
-/// tuning used in the paper's experiments, Sec. VII-A).
+/// [`select_base_set_in`] in one shot: lower the fanning-out variants
+/// ([`fanning_out_set`]) and cost them in FLOPs on `training` first.
 ///
 /// `optimal` must hold the optimal cost for each training instance (e.g.
-/// from [`crate::dp::optimal_cost`] or an enumeration minimum), and
-/// `training` the instances themselves.
-///
-/// When the number of representative combinations exceeds an internal cap
-/// the search falls back to a per-class greedy choice; the Theorem-2
-/// guarantee (one representative per class) holds either way.
+/// from [`crate::dp::optimal_cost`] or an enumeration minimum).
 ///
 /// # Errors
 ///
@@ -119,56 +122,6 @@ pub fn select_base_set(
     training: &[Instance],
     optimal: &[f64],
 ) -> Result<BaseSet, TheoryError> {
-    // FLOP costs go through the vectorized compiled-polynomial engine:
-    // transpose the training set into symbol lanes once, then stream
-    // each fanning-out variant's cost polynomial across them.
-    let mut lanes = SizeLanes::default();
-    lanes.fill(training);
-    let mut program = CompiledPoly::new();
-    let level = simd::active_level();
-    select_base_set_rows(shape, training, optimal, &mut |v, row| {
-        program.compile(v.cost_poly());
-        program.eval_rows(level, &lanes, row);
-    })
-}
-
-/// [`select_base_set`] with an arbitrary cost function (e.g. a
-/// performance-model time estimate) used both for scoring candidate
-/// representatives and — through the caller-supplied `optimal` vector —
-/// for the penalty denominator.
-///
-/// # Errors
-///
-/// Returns [`TheoryError::EmptyTraining`] for an empty training set,
-/// [`TheoryError::OptimaLengthMismatch`] unless `optimal` holds exactly
-/// one cost per training instance, and propagates build failures.
-pub fn select_base_set_with<F>(
-    shape: &Shape,
-    training: &[Instance],
-    optimal: &[f64],
-    cost: F,
-) -> Result<BaseSet, TheoryError>
-where
-    F: Fn(&Variant, &Instance) -> f64,
-{
-    select_base_set_rows(shape, training, optimal, &mut |v, row| {
-        for (c, q) in row.iter_mut().zip(training) {
-            *c = cost(v, q);
-        }
-    })
-}
-
-/// Shared base-set search over a batched row cost function
-/// (`fill_row(variant, row)` writes the variant's cost on every
-/// training instance). Representative sets are scored with the
-/// engine's canonical blocked reduction, so the choice is identical on
-/// every ladder rung.
-fn select_base_set_rows(
-    shape: &Shape,
-    training: &[Instance],
-    optimal: &[f64],
-    fill_row: &mut dyn FnMut(&Variant, &mut [f64]),
-) -> Result<BaseSet, TheoryError> {
     if training.is_empty() {
         return Err(TheoryError::EmptyTraining);
     }
@@ -178,42 +131,94 @@ fn select_base_set_rows(
             optimal: optimal.len(),
         });
     }
-    let level = simd::active_level();
-    let classes = shape.size_classes();
-    let class_members = classes.classes();
-    let fanning: Vec<(usize, Variant)> = fanning_out_set(shape)?;
-    // Cost of each fanning-out variant h on each training instance. For
-    // duplicate trees, reuse the representative variant.
-    let variant_for_h = |h: usize| -> &Variant {
-        let tree = ParenTree::fanning_out(shape.len(), h);
-        &fanning
-            .iter()
-            .find(|(_, v)| *v.paren() == tree)
-            .expect("every E_h built")
-            .1
-    };
-    let n_sym = shape.num_sizes();
-    let mut cost_by_h: Vec<Vec<f64>> = Vec::with_capacity(n_sym);
-    for h in 0..n_sym {
-        let mut row = vec![0.0; training.len()];
-        fill_row(variant_for_h(h), &mut row);
-        cost_by_h.push(row);
+    let fanning: Vec<Variant> = fanning_out_set(shape)?
+        .into_iter()
+        .map(|(_, v)| v)
+        .collect();
+    let mut matrix = CostMatrix::new();
+    matrix.fill_flops_with_optimal(&fanning, training, optimal.to_vec());
+    let (representatives, indices) = search(shape, &fanning, &matrix)?;
+    Ok(BaseSet {
+        representatives,
+        variants: indices.into_iter().map(|i| fanning[i].clone()).collect(),
+    })
+}
+
+/// Construct the base set `E_s` of Theorem 2: one fanning-out variant per
+/// size-symbol equivalence class, choosing the representative of each
+/// class so the *average training penalty* of the whole set is minimized
+/// (the tuning used in the paper's experiments, Sec. VII-A). Returns the
+/// chosen pool indices, distinct, in ascending representative order.
+///
+/// `matrix` holds one row per `pool` variant ([`CostMatrix::flops`], or
+/// [`CostMatrix::with`] for a time model), and each `E_h` is found in
+/// `pool` by its tree. The search is exhaustive up to 4096 combinations
+/// and greedy per class above that; sets are scored with the engine's
+/// canonical blocked reduction, so the choice is identical on every rung.
+///
+/// # Errors
+///
+/// Returns [`TheoryError::EmptyTraining`] for a matrix over no
+/// instances.
+///
+/// # Panics
+///
+/// Panics if `pool` lacks some fanning-out tree `E_h`, or if `matrix`
+/// does not hold one row per `pool` variant.
+pub fn select_base_set_in(
+    shape: &Shape,
+    pool: &[Variant],
+    matrix: &CostMatrix,
+) -> Result<Vec<usize>, TheoryError> {
+    search(shape, pool, matrix).map(|(_, indices)| indices)
+}
+
+/// The shared representative search behind both entry points: the chosen
+/// representatives `h` (ascending) and their distinct pool indices.
+fn search(
+    shape: &Shape,
+    pool: &[Variant],
+    matrix: &CostMatrix,
+) -> Result<(Vec<usize>, Vec<usize>), TheoryError> {
+    let ni = matrix.num_instances();
+    if ni == 0 {
+        return Err(TheoryError::EmptyTraining);
     }
+    assert_eq!(
+        matrix.num_variants(),
+        pool.len(),
+        "one matrix row per pool variant"
+    );
+    let n = shape.len();
+    // The pool row of each E_h.
+    let rows: Vec<usize> = (0..=n)
+        .map(|h| {
+            let tree = ParenTree::fanning_out(n, h);
+            pool.iter()
+                .position(|v| *v.paren() == tree)
+                .unwrap_or_else(|| panic!("the pool lacks the fanning-out variant E_{h}"))
+        })
+        .collect();
+    let class_members = shape.size_classes().classes();
+    let level = simd::active_level();
 
     // Best-in-set scratch, reused by every candidate representative set.
-    let mut best_scratch = vec![0.0f64; training.len()];
+    let mut best_scratch = vec![0.0f64; ni];
     let mut avg_penalty = |reps: &[usize]| -> f64 {
         best_scratch.clear();
-        best_scratch.resize(training.len(), f64::INFINITY);
+        best_scratch.resize(ni, f64::INFINITY);
         for &h in reps {
-            simd::min_in_place(level, &mut best_scratch, &cost_by_h[h]);
+            simd::min_in_place(level, &mut best_scratch, matrix.row(rows[h]));
         }
-        simd::penalty_sum(level, &best_scratch, None, optimal) / training.len() as f64
+        simd::penalty_sum(level, &best_scratch, None, matrix.optimal()) / ni as f64
     };
 
     const MAX_COMBOS: usize = 4096;
-    let combos: usize = class_members.iter().map(Vec::len).product();
-    let representatives = if combos <= MAX_COMBOS {
+    // `None` when the count overflows: 64 classes of two already make 2^64.
+    let combos = class_members
+        .iter()
+        .try_fold(1usize, |acc, class| acc.checked_mul(class.len()));
+    let mut reps = if combos.is_some_and(|c| c <= MAX_COMBOS) {
         // Exhaustive search over one representative per class.
         let mut best_reps: Vec<usize> = class_members.iter().map(|c| c[0]).collect();
         let mut best_val = avg_penalty(&best_reps);
@@ -264,21 +269,14 @@ fn select_base_set_rows(
         reps
     };
 
-    let mut reps = representatives;
     reps.sort_unstable();
-    // Distinct trees only (two representatives can induce the same tree for
-    // short chains).
-    let mut variants: Vec<Variant> = Vec::new();
+    let mut indices: Vec<usize> = Vec::with_capacity(reps.len());
     for &h in &reps {
-        let v = variant_for_h(h).clone();
-        if !variants.iter().any(|u| u.paren() == v.paren()) {
-            variants.push(v);
+        if !indices.contains(&rows[h]) {
+            indices.push(rows[h]);
         }
     }
-    Ok(BaseSet {
-        representatives: reps,
-        variants,
-    })
+    Ok((reps, indices))
 }
 
 #[cfg(test)]
@@ -378,22 +376,20 @@ mod tests {
 
     #[test]
     fn custom_cost_model_changes_selection_inputs() {
-        // select_base_set_with accepts an arbitrary cost; using a model
-        // that doubles every cost must leave the (ratio-based) choice
-        // identical to FLOPs, while a structurally different model may not.
+        // A time model enters as a custom-cost matrix; one that doubles
+        // every cost must leave the (ratio-based) choice identical to
+        // FLOPs, while a structurally different model may not.
         let shape = Shape::new(vec![g(), spd_inv(), g()]).unwrap();
         let mut rng = StdRng::seed_from_u64(23);
         let sampler = InstanceSampler::new(&shape, 2, 300);
         let training = sampler.sample_many(&mut rng, 100);
-        let all = all_variants(&shape).unwrap();
-        let optimal: Vec<f64> = training
-            .iter()
-            .map(|q| all.iter().map(|v| v.flops(q)).fold(f64::INFINITY, f64::min))
-            .collect();
-        let flop_based = select_base_set(&shape, &training, &optimal).unwrap();
-        let scaled =
-            select_base_set_with(&shape, &training, &optimal, |v, q| 2.0 * v.flops(q)).unwrap();
-        assert_eq!(flop_based.representatives, scaled.representatives);
+        let pool = all_variants(&shape).unwrap();
+        let flops = CostMatrix::with(&pool, &training, |v, q| v.flops(q));
+        let doubled = CostMatrix::with(&pool, &training, |v, q| 2.0 * v.flops(q));
+        assert_eq!(
+            select_base_set_in(&shape, &pool, &flops).unwrap(),
+            select_base_set_in(&shape, &pool, &doubled).unwrap()
+        );
     }
 
     #[test]
@@ -403,6 +399,11 @@ mod tests {
             select_base_set(&shape, &[], &[]),
             Err(TheoryError::EmptyTraining)
         ));
+        let pool = all_variants(&shape).unwrap();
+        assert_eq!(
+            select_base_set_in(&shape, &pool, &CostMatrix::flops(&pool, &[])),
+            Err(TheoryError::EmptyTraining)
+        );
     }
 
     #[test]
@@ -420,15 +421,6 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "1 optimal cost(s) supplied for 2 training instance(s)"
-        );
-        let err = select_base_set_with(&shape, &training, &[24.0, 210.0, 1.0], |v, q| v.flops(q))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            TheoryError::OptimaLengthMismatch {
-                training: 2,
-                optimal: 3,
-            }
         );
     }
 }

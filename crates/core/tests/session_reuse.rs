@@ -7,8 +7,8 @@
 
 use gmc_core::dp::optimal_cost_reference;
 use gmc_core::{
-    all_variants, expand_set, select_base_set, CompileOptions, CompileSession, CompiledChain,
-    CostMatrix, Objective, SessionSnapshot,
+    all_variants, expand_set, fanning_out_set, select_base_set, select_base_set_in, CompileOptions,
+    CompileSession, CompiledChain, CostMatrix, Objective, SessionSnapshot, Variant,
 };
 use gmc_ir::{Instance, InstanceSampler, Operand, Shape};
 use proptest::prelude::*;
@@ -250,12 +250,7 @@ proptest! {
         }
 
         // Stage 3: base set + greedy expansion.
-        let base = select_base_set(&shape, &training, one_shot.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let initial = select_base_set_in(&shape, &pool, &one_shot).unwrap();
         let k = initial.len() + expand_by;
         let reference = expand_set(&one_shot, &initial, k, Objective::AvgPenalty);
         let expanded = session.expand_set(&initial, k, Objective::AvgPenalty);
@@ -271,5 +266,73 @@ proptest! {
         let chain = session.compile(&shape).unwrap();
         let fresh = CompiledChain::compile_with(shape, &opts).unwrap();
         prop_assert_eq!(chain.variants(), fresh.variants());
+    }
+}
+
+/// Training-set sizes for the base-set identity property: one instance,
+/// and every full-block/tail split of the 8-lane reduction.
+const TRAINING_COUNTS: [usize; 5] = [1, 7, 9, 63, 200];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Choosing the base set from the pool and its cost matrix selects
+    /// exactly the one-shot `select_base_set` variants, in the same order
+    /// — including chains of up to three matrices, where different `E_h`
+    /// induce the same tree.
+    #[test]
+    fn base_set_from_the_matrix_matches_the_one_shot_path(
+        n in 1usize..=8,
+        code_seed in 0u64..5_000,
+        count_idx in 0usize..TRAINING_COUNTS.len(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(code_seed);
+        let shape = match random_shape(&mut rng, n) {
+            Some(s) => s,
+            None => return Ok(()),
+        };
+        let training = InstanceSampler::new(&shape, 2, 300)
+            .sample_many(&mut rng, TRAINING_COUNTS[count_idx]);
+        let pool = all_variants(&shape).unwrap();
+        let matrix = CostMatrix::flops(&pool, &training);
+        let selected: Vec<&Variant> = select_base_set_in(&shape, &pool, &matrix)
+            .unwrap()
+            .into_iter()
+            .map(|i| &pool[i])
+            .collect();
+        let one_shot = select_base_set(&shape, &training, matrix.optimal()).unwrap();
+        let expected: Vec<&Variant> = one_shot.variants.iter().collect();
+        prop_assert_eq!(selected, expected);
+    }
+}
+
+#[test]
+fn long_chains_select_the_per_tree_fanning_out_variants() {
+    // Past the enumeration cap the session lowers only the fanning-out
+    // trees, through its memoized builder: every selected variant must
+    // equal the per-tree lowering of the same tree, as a whole variant.
+    let opts = CompileOptions {
+        training_instances: 16,
+        size_hi: 200,
+        expand_by: 2,
+        ..CompileOptions::default()
+    };
+    let mut session = CompileSession::with_options(opts);
+    let mut rng = StdRng::seed_from_u64(1013);
+    for n in [10, 12, 13] {
+        let shape = loop {
+            if let Some(s) = random_shape(&mut rng, n) {
+                break s;
+            }
+        };
+        let chain = session.compile(&shape).unwrap();
+        let reference = fanning_out_set(&shape).unwrap();
+        for v in chain.variants() {
+            let (_, want) = reference
+                .iter()
+                .find(|(_, r)| r.paren() == v.paren())
+                .expect("selected from the fanning-out set");
+            assert_eq!(v, want, "n = {n}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 use gmc_core::expand::candidate_value;
 use gmc_core::simd::{self, SimdLevel};
 use gmc_core::{
-    all_variants, expand_set_level, select_base_set, CostMatrix, ExpandScratch, Objective,
+    all_variants, expand_set_level, select_base_set_in, CostMatrix, ExpandScratch, Objective,
 };
 use gmc_ir::{Instance, InstanceSampler, Operand, Shape};
 use proptest::prelude::*;
@@ -99,12 +99,7 @@ proptest! {
         }
 
         // Stage 3: selected sets — every rung.
-        let base = select_base_set(&shape, &training, matrix.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let initial = select_base_set_in(&shape, &pool, &matrix).unwrap();
         let k = initial.len() + 3;
         let mut scratch = ExpandScratch::default();
         let reference = expand_set_level(
@@ -148,12 +143,7 @@ fn paper_scale_chain_is_rung_identical_on_every_ragged_count() {
     for ni in RAGGED_COUNTS {
         let training = sampler.sample_many(&mut rng, ni);
         let matrix = matrix_identical_across_rungs(&pool, &training);
-        let base = select_base_set(&shape, &training, matrix.optimal()).unwrap();
-        let initial: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let initial = select_base_set_in(&shape, &pool, &matrix).unwrap();
         let mut scratch = ExpandScratch::default();
         let reference = expand_set_level(
             &matrix,

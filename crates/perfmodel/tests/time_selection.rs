@@ -3,7 +3,7 @@
 //! execution time instead of FLOPs.
 
 use gmc_core::expand::CostMatrix;
-use gmc_core::{all_variants, expand_set, select_base_set_with, Objective};
+use gmc_core::{all_variants, expand_set, select_base_set_in, Objective};
 use gmc_ir::{Features, InstanceSampler, Operand, Property, Shape, Structure};
 use gmc_perfmodel::{from_text, measure_models, to_text, MeasureOptions, PerfModels};
 use rand::rngs::StdRng;
@@ -33,15 +33,12 @@ fn time_based_base_set_is_valid_and_bounded() {
     let training = sampler.sample_many(&mut rng, 120);
     let pool = all_variants(&shape).unwrap();
 
-    // Time-based optimum per training instance.
+    // Time-based costs and optimum per training instance.
     let matrix = CostMatrix::with(&pool, &training, |v, q| models.variant_time(v, q));
-    let base = select_base_set_with(&shape, &training, matrix.optimal(), |v, q| {
-        models.variant_time(v, q)
-    })
-    .unwrap();
+    let base = select_base_set_in(&shape, &pool, &matrix).unwrap();
     let classes = shape.size_classes().num_classes();
-    assert_eq!(base.representatives.len(), classes);
-    assert!(!base.variants.is_empty());
+    assert!(base.len() <= classes);
+    assert!(!base.is_empty());
 
     // The time-selected set still has finite penalty on fresh instances
     // under the time metric over the enumerated pool.
@@ -51,9 +48,8 @@ fn time_based_base_set_is_valid_and_bounded() {
             .map(|v| models.variant_time(v, &q))
             .fold(f64::INFINITY, f64::min);
         let best = base
-            .variants
             .iter()
-            .map(|v| models.variant_time(v, &q))
+            .map(|&i| models.variant_time(&pool[i], &q))
             .fold(f64::INFINITY, f64::min);
         assert!(best.is_finite() && best >= opt);
     }
@@ -68,15 +64,8 @@ fn time_based_expansion_reduces_time_objective() {
     let pool = all_variants(&shape).unwrap();
     let matrix = CostMatrix::with(&pool, &training, |v, q| models.variant_time(v, q));
 
-    let base = select_base_set_with(&shape, &training, matrix.optimal(), |v, q| {
-        models.variant_time(v, q)
-    })
-    .unwrap();
-    let base_idx: Vec<usize> = base
-        .variants
-        .iter()
-        .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-        .collect();
+    let base_idx = select_base_set_in(&shape, &pool, &matrix).unwrap();
+    assert!(base_idx.len() <= shape.size_classes().num_classes());
     let before = matrix.objective(&base_idx, Objective::AvgPenalty);
     let grown = expand_set(
         &matrix,

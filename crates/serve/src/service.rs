@@ -558,16 +558,6 @@ impl ServiceMetrics {
         out
     }
 
-    /// All shards' compile-time histograms merged into one.
-    #[must_use]
-    pub fn merged_compile_time(&self) -> Snapshot {
-        let mut out = Snapshot::empty();
-        for s in &self.shards {
-            out.merge(&s.compile_time);
-        }
-        out
-    }
-
     /// Render the snapshot in Prometheus text exposition format:
     /// per-shard counters (`gmc_requests_total`, `gmc_restarts_total`,
     /// `gmc_panics_total`, ...) labeled `shard="N"`, the three latency
@@ -1139,19 +1129,6 @@ impl CompileService {
         while self.pending() > 0 {
             if let Wake::Response(r) = self.wait(None) {
                 return Some(r);
-            }
-        }
-        None
-    }
-
-    /// The next response only if one is already available (deadlines
-    /// that have passed are answered `deadline_exceeded` first).
-    pub fn try_recv(&mut self) -> Option<CompileResponse> {
-        while self.pending() > 0 {
-            match self.wait(Some(Instant::now())) {
-                Wake::Response(r) => return Some(r),
-                Wake::Timeout => return None,
-                Wake::Conn(_) => {}
             }
         }
         None

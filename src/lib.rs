@@ -168,6 +168,12 @@
 //!   the pre-engine straight left-to-right fold as the selection
 //!   reference. The DP solver's final-state fold shares the engine's
 //!   first-strict-minimum helper.
+//! * **One fill per compile**: the Theorem-2 base set is chosen from the
+//!   rows of the cost matrix the expansion scans
+//!   (`gmc_core::theory::select_base_set_in`), so a compile costs each
+//!   pool row once and lowers no variant outside its pool. The one-shot
+//!   `select_base_set`, which lowers and costs the fanning-out variants
+//!   itself, runs the same search.
 //! * **Trajectory**: `BENCH_select.json` records the single-thread
 //!   selection time and the cumulative speedup over the pre-engine
 //!   scalar pipeline (~25x on the matrix fill itself).
@@ -198,7 +204,8 @@
 //! name as the reference), pinned by a property test over random
 //! structured/inverted/transposed shapes
 //! (`crates/core/tests/pool_memo.rs`). Every session builds its pools
-//! through the memoized engine. On the dev host it builds the `n = 7`
+//! through the memoized engine, including the fanning-out pool of a
+//! chain too long to enumerate. On the dev host it builds the `n = 7`
 //! pool ~4.1x faster than naive lowering, taking cold single-thread
 //! end-to-end selection from ~2.9 ms to ~1.05 ms — ~0.70 ms on the
 //! memo-warm repeat a serving session sees (`BENCH_select.json`:

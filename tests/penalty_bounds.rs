@@ -4,6 +4,7 @@
 
 use gmc::prelude::*;
 use gmc_core::expand::CostMatrix;
+use gmc_core::select_base_set_in;
 use gmc_core::theory::penalty;
 use proptest::prelude::*;
 
@@ -106,12 +107,7 @@ proptest! {
         let training = sampler.sample_many(&mut rng, 40);
         let pool = all_variants(&shape).unwrap();
         let matrix = CostMatrix::flops(&pool, &training);
-        let base = select_base_set(&shape, &training, matrix.optimal()).unwrap();
-        let base_idx: Vec<usize> = base
-            .variants
-            .iter()
-            .map(|v| pool.iter().position(|p| p.paren() == v.paren()).unwrap())
-            .collect();
+        let base_idx = select_base_set_in(&shape, &pool, &matrix).unwrap();
         let expanded = expand_set(&matrix, &base_idx, base_idx.len() + 2, Objective::AvgPenalty);
 
         let best_of = |set: &[usize]| {
