@@ -99,7 +99,7 @@ pub mod enumerate;
 pub mod expand;
 pub mod fragcache;
 pub mod library;
-mod lru;
+pub mod lru;
 pub mod paren;
 pub mod persist;
 pub mod pool;

@@ -1,4 +1,5 @@
-//! Exact-order least-recently-used map behind the session caches.
+//! Exact-order least-recently-used map behind the session caches and
+//! the serving shards' stored artifacts.
 //!
 //! [`Lru`] is the standard hash map plus doubly linked list: the map
 //! sends each key to its node's slot in a dense slab, and the nodes are
@@ -8,6 +9,23 @@
 //! always the entry whose last refresh (an insert or a [`Lru::get`]) is
 //! the oldest — the same order a per-entry clock with a minimum scan
 //! picks, which the tests below check against exactly that model.
+//!
+//! A [`CompileSession`](crate::CompileSession) keeps its compiled chains
+//! and its [`FragmentCache`](crate::FragmentCache) entries in one each;
+//! a `gmc-serve` shard keeps the artifacts it rendered for each shape in
+//! another, bounded like its chain cache.
+//!
+//! ```
+//! use gmc_core::lru::Lru;
+//!
+//! let mut lru: Lru<&str, u32> = Lru::new(2);
+//! lru.insert("a", 1);
+//! lru.insert("b", 2);
+//! assert_eq!(lru.get(&"a"), Some(&1)); // "a" is now the newest
+//! assert_eq!(lru.insert("c", 3), 1); // evicts "b", the oldest
+//! assert_eq!(lru.peek(&"b"), None);
+//! assert_eq!(lru.len(), 2);
+//! ```
 
 use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::{BuildHasher, Hash};
@@ -25,7 +43,7 @@ struct Node<K, V> {
 
 /// A capacity-bounded map that evicts its least-recently-used entries.
 #[derive(Debug)]
-pub(crate) struct Lru<K, V, S = RandomState> {
+pub struct Lru<K, V, S = RandomState> {
     slots: HashMap<K, usize, S>,
     nodes: Vec<Node<K, V>>,
     newest: usize,
@@ -35,7 +53,7 @@ pub(crate) struct Lru<K, V, S = RandomState> {
 
 impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
     /// An empty map bounded to `capacity` entries.
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Lru {
             slots: HashMap::default(),
             nodes: Vec::new(),
@@ -46,17 +64,22 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
     }
 
     /// Maximum number of entries retained.
-    pub(crate) fn capacity(&self) -> usize {
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of resident entries.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.nodes.len()
     }
 
+    /// Whether no entry is resident.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
     /// The value under `key`, refreshed to most recently used.
-    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
+    pub fn get(&mut self, key: &K) -> Option<&V> {
         let slot = *self.slots.get(key)?;
         self.unlink(slot);
         self.link_newest(slot);
@@ -64,14 +87,14 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
     }
 
     /// The value under `key`, leaving its recency as it is.
-    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
+    pub fn peek(&self, key: &K) -> Option<&V> {
         self.slots.get(key).map(|&slot| &self.nodes[slot].value)
     }
 
     /// Store `value` under `key` as the most recently used entry, then
     /// evict the oldest entries down to the capacity; returns how many
     /// were evicted. A no-op at capacity 0.
-    pub(crate) fn insert(&mut self, key: K, value: V) -> usize {
+    pub fn insert(&mut self, key: K, value: V) -> usize {
         if self.capacity == 0 {
             return 0;
         }
@@ -100,13 +123,13 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
 
     /// Change the bound, evicting the oldest entries down to it; returns
     /// how many were evicted.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) -> usize {
+    pub fn set_capacity(&mut self, capacity: usize) -> usize {
         self.capacity = capacity;
         self.evict_excess()
     }
 
     /// Drop every entry (not an eviction: nothing is counted).
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.slots.clear();
         self.nodes.clear();
         self.newest = NIL;

@@ -78,6 +78,11 @@
 //! /boolean/null values, full string escapes (including `\uXXXX` with
 //! surrogate pairs). Nested containers are rejected — the protocol never
 //! produces them in requests.
+//!
+//! Responses are written by hand too. A compile response is mostly
+//! emitted code, so [`response_line`] sizes the line once and
+//! [`escape_into`] escapes each file and the report straight into it,
+//! copying the runs that need no escape whole.
 
 use crate::CompileResponse;
 use std::fmt::Write as _;
@@ -160,9 +165,23 @@ pub fn parse_request(line: &str) -> Result<RawRequest, String> {
 }
 
 /// Render one response line (newline not included).
+///
+/// The line is sized once up front, and every name, content and report
+/// is escaped straight into it ([`escape_into`]).
 #[must_use]
 pub fn response_line(response: &CompileResponse) -> String {
     let mut out = String::new();
+    if let Ok(artifacts) = &response.result {
+        let text: usize = artifacts
+            .files
+            .iter()
+            .map(|(name, contents)| name.len() + contents.len() + FILE_KEYS.len())
+            .sum::<usize>()
+            + artifacts.report.len();
+        // Room for the fixed keys, and for escapes growing the text by
+        // up to an eighth.
+        out.reserve(text + text / 8 + 96);
+    }
     let _ = write!(out, "{{\"id\":{}", response.id);
     match &response.result {
         Ok(artifacts) => {
@@ -176,30 +195,31 @@ pub fn response_line(response: &CompileResponse) -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"content\":\"{}\"}}",
-                    escape(name),
-                    escape(contents)
-                );
+                out.push_str("{\"name\":\"");
+                escape_into(&mut out, name);
+                out.push_str("\",\"content\":\"");
+                escape_into(&mut out, contents);
+                out.push_str("\"}");
             }
-            let _ = write!(out, "],\"report\":\"{}\"}}", escape(&artifacts.report));
+            out.push_str("],\"report\":\"");
+            escape_into(&mut out, &artifacts.report);
+            out.push_str("\"}");
         }
         Err(e) => {
             out.push_str(",\"ok\":false");
             if let Some(shard) = response.shard {
                 let _ = write!(out, ",\"shard\":{shard}");
             }
-            let _ = write!(
-                out,
-                ",\"kind\":\"{}\",\"error\":\"{}\"}}",
-                e.kind.as_str(),
-                escape(&e.message)
-            );
+            let _ = write!(out, ",\"kind\":\"{}\",\"error\":\"", e.kind.as_str());
+            escape_into(&mut out, &e.message);
+            out.push_str("\"}");
         }
     }
     out
 }
+
+/// The fixed text around one file in a response line.
+const FILE_KEYS: &str = r#",{"name":"","content":""}"#;
 
 /// Render the response line of an in-band `{"op":"stats"}` request:
 /// one object per live shard (hits/misses/evictions/hit-rate of its
@@ -437,20 +457,74 @@ pub fn metrics_line_with_transport(
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// JSON-escape `s` onto the end of `out`: quotes, backslashes, and
+/// control characters (`\n`, `\r` and `\t` by name, the rest as
+/// `\u00XX`); everything else, DEL and non-ASCII included, is copied
+/// as is.
+///
+/// Each run that needs no escape is found eight bytes at a time and
+/// copied whole. Scanning bytes is sound on UTF-8: every byte that needs
+/// an escape is ASCII, and an ASCII byte never occurs inside a
+/// multi-byte sequence, so each run starts and ends on a character
+/// boundary.
+pub fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    loop {
+        let at = next_escape(bytes, run);
+        out.push_str(&s[run..at]);
+        let Some(&b) = bytes.get(at) else {
+            return;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = at + 1;
+    }
+}
+
+/// Index of the first byte at or after `from` that needs an escape (a
+/// control character, `"` or `\`), or `bytes.len()` if none does.
+///
+/// Eight bytes are tested at once with the zero-byte trick: for a byte
+/// `x`, `(x - 0x20) & !x & 0x80` is set exactly when `x < 0x20`, and
+/// `(y - 1) & !y & 0x80` exactly when `y` is 0, which for `y = x ^ b'"'`
+/// means `x` is a quote. In a whole word a borrow can only flag bytes
+/// after a true match, so the lowest flag is always exact.
+fn next_escape(bytes: &[u8], mut from: usize) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    while let Some(word) = bytes.get(from..from + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let quote = w ^ (LO * u64::from(b'"'));
+        let backslash = w ^ (LO * u64::from(b'\\'));
+        let flags = ((w.wrapping_sub(LO * 0x20) & !w)
+            | (quote.wrapping_sub(LO) & !quote)
+            | (backslash.wrapping_sub(LO) & !backslash))
+            & HI;
+        if flags != 0 {
+            return from + flags.trailing_zeros() as usize / 8;
+        }
+        from += 8;
+    }
+    from + bytes[from..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+        .unwrap_or(bytes.len() - from)
 }
 
 struct Parser<'a> {
@@ -608,6 +682,62 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::Artifacts;
+    use proptest::prelude::*;
+
+    /// The char-by-char escaper [`escape`] used to be: the oracle it is
+    /// held to byte for byte.
+    fn escape_by_chars(s: &str) -> String {
+        let mut out = String::with_capacity(s.len() + 2);
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    /// Every C0 control, the characters JSON escapes or may escape
+    /// (`"`, `\`, `/`), DEL, the ASCII letters, and 2-, 3- and 4-byte
+    /// scalars (U+2028 is a line separator JSON leaves as is).
+    fn escape_alphabet() -> Vec<char> {
+        (0u8..0x20)
+            .chain([b'"', b'\\', b'/', 0x7f])
+            .chain(b'a'..=b'z')
+            .chain(b'A'..=b'Z')
+            .map(char::from)
+            .chain(['é', '€', '\u{2028}', '😀'])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `escape` copies unescaped runs whole, eight bytes at a time;
+        /// on any text it still writes exactly what the char-by-char
+        /// escaper wrote, and a request carrying it parses back to the
+        /// text.
+        #[test]
+        fn escape_matches_the_char_by_char_escaper(
+            chars in proptest::collection::vec(proptest::sample::select(escape_alphabet()), 0..64),
+        ) {
+            let text: String = chars.into_iter().collect();
+            let escaped = escape(&text);
+            prop_assert_eq!(&escaped, &escape_by_chars(&text));
+            let line = format!(r#"{{"source":"{escaped}"}}"#);
+            match parse_request(&line) {
+                Ok(request) => prop_assert_eq!(request.source, text),
+                Err(e) => prop_assert!(false, "{line:?} does not parse: {e}"),
+            }
+        }
+    }
 
     #[test]
     fn transport_object_renders_counters_and_connections() {

@@ -10,7 +10,14 @@
 //!
 //! * **Shard pool.** [`CompileService::start`] spawns `shards` worker
 //!   threads, each owning one `CompileSession` (sessions are
-//!   single-threaded by design — one per worker, never shared).
+//!   single-threaded by design — one per worker, never shared). Beside
+//!   its session a shard keeps the artifacts it rendered, per shape, in
+//!   a [`gmc_core::lru::Lru`] as large as its chain cache
+//!   ([`ServeConfig::cache_capacity`]; `0` stores nothing). Every
+//!   request still compiles through the session; a cache hit is
+//!   answered with the stored bytes when they were rendered for the
+//!   same `name` and `emit`, and anything else renders afresh and
+//!   replaces the shape's entry (see [`supervisor`]).
 //! * **Two-choices routing with fallover.** [`CompileService::submit`]
 //!   parses the request in the submitting thread and routes it by
 //!   power-of-two-choices over live queue depths

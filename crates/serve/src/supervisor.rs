@@ -29,6 +29,19 @@
 //! sleep plus a re-lowering pass — the first repeat request afterwards
 //! is a cache hit, not a cold compile.
 //!
+//! Beside its session, each shard keeps the artifacts it rendered — the
+//! emitted files and the [`CompiledChain::describe`] report — in an
+//! [`Lru`] keyed by [`Shape`], bounded by the same capacity as the chain
+//! cache (`0` stores nothing). Every job still goes through
+//! [`CompileSession::compile`], so cache counters, the chain cache's
+//! recency, snapshots and the `cache_hit` flag stay exact; only the
+//! bytes of a hit are reused, and only when the stored entry was
+//! rendered for the same `name` and `emit`. Any other outcome — a miss,
+//! or a hit with no or a mismatched entry — renders and overwrites the
+//! shape's entry, so a stored entry is always the rendering of the chain
+//! the session holds now. A panic discards the stored artifacts together
+//! with the poisoned session.
+//!
 //! Failures are counted in a sliding window; once `max_failures` accrue
 //! the circuit breaker opens and the shard goes [`ShardState::Down`]
 //! permanently (for this process): already-queued jobs are answered
@@ -40,9 +53,12 @@ use crate::fault::FaultPlan;
 use crate::service::{Event, Job, Response, ShardStatus};
 use crate::{route, Artifacts, Emit, Failure, FailureKind};
 use gmc_codegen::{emit_cpp_into, emit_rust_into};
+use gmc_core::lru::Lru;
 use gmc_core::{
-    CacheStats, CompileOptions, CompileSession, FragCacheStats, SessionSnapshot, Stage,
+    CacheStats, CompileOptions, CompileSession, CompiledChain, FragCacheStats, SessionSnapshot,
+    Stage,
 };
+use gmc_ir::Shape;
 use gmc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -174,8 +190,9 @@ pub(crate) struct ShardShared {
     /// *dequeues* — a request written off by the submitter but still
     /// dequeued late records here, so this count can exceed `e2e`'s.
     pub(crate) queue_wait: Histogram,
-    /// Wall-clock of the compile + emit attempt (the `catch_unwind`
-    /// envelope), cache hits included.
+    /// Wall-clock of the compile attempt (the `catch_unwind` envelope),
+    /// cache hits included: compile, plus rendering when nothing stored
+    /// matches.
     pub(crate) compile_time: Histogram,
 }
 
@@ -304,6 +321,8 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     let mut carried_frags = FragCacheStats::default();
     let mut failures: Vec<Instant> = Vec::new();
     let mut buf = String::new();
+    // What this shard rendered, per shape (see the module docs).
+    let mut rendered: Lru<Shape, Rendered> = Lru::new(ctx.cache_capacity);
 
     while let Ok(job) = ctx.jobs.recv() {
         match job {
@@ -351,7 +370,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                 let compile_started = Instant::now();
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     faults.before_compile(index, nth);
-                    serve_compile(live, &mut buf, &job)
+                    serve_compile(live, &mut rendered, &mut buf, &job)
                 }));
                 ctx.shared.compile_time.record(compile_started.elapsed());
                 let elapsed = job.submitted.elapsed();
@@ -401,9 +420,11 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                         let msg = panic_message(payload.as_ref());
                         stats.panics += 1;
                         ctx.shared.panics.fetch_add(1, Ordering::Relaxed);
-                        // Salvage the counters, drop the session: its
-                        // internal invariants can no longer be trusted.
+                        // Salvage the counters, drop the session and
+                        // what was rendered from it: their internal
+                        // invariants can no longer be trusted.
                         let poisoned = session.take().expect("session was live");
+                        rendered.clear();
                         carried.absorb(&poisoned.cache_stats());
                         carried_frags.absorb(&poisoned.fragment_cache_stats());
                         ctx.shared.publish_counters(&carried, &carried_frags);
@@ -494,40 +515,77 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     stats
 }
 
-/// Compile one job on the live session and emit its artifacts. Runs
-/// inside the `catch_unwind` envelope.
+/// The artifacts a shard rendered for one shape, and the `name` and
+/// `emit` they were rendered for.
+struct Rendered {
+    name: String,
+    emit: Emit,
+    artifacts: Artifacts,
+}
+
+/// Compile one job on the live session and answer it with its
+/// artifacts: the stored ones when the compile was a hit and they were
+/// rendered for the job's `name` and `emit`, otherwise a fresh rendering
+/// that replaces the shape's entry. Runs inside the `catch_unwind`
+/// envelope.
 fn serve_compile(
     session: &mut CompileSession,
+    rendered: &mut Lru<Shape, Rendered>,
     buf: &mut String,
     job: &crate::service::CompileJob,
 ) -> (bool, Result<Artifacts, Failure>) {
     let hits_before = session.cache_stats().hits;
-    let result = match session.compile(&job.shape) {
-        Ok(chain) => {
-            let mut files = Vec::new();
-            let span = session.recorder().start();
-            if matches!(job.emit, Emit::Cpp | Emit::Both) {
-                buf.clear();
-                emit_cpp_into(buf, &chain, &job.name);
-                files.push((format!("{}.cpp", job.name), buf.clone()));
-            }
-            if matches!(job.emit, Emit::Rust | Emit::Both) {
-                buf.clear();
-                emit_rust_into(buf, &chain, &job.name);
-                files.push((format!("{}.rs", job.name), buf.clone()));
-            }
-            session.recorder_mut().stop(Stage::Emit, span);
-            Ok(Artifacts {
-                files,
-                report: chain.describe(),
-            })
+    let chain = match session.compile(&job.shape) {
+        Ok(chain) => chain,
+        Err(e) => {
+            let failure = Failure::new(FailureKind::Compile, format!("compile error: {e}"));
+            return (false, Err(failure));
         }
-        Err(e) => Err(Failure {
-            kind: FailureKind::Compile,
-            message: format!("compile error: {e}"),
-        }),
     };
-    (session.cache_stats().hits > hits_before, result)
+    let cache_hit = session.cache_stats().hits > hits_before;
+    if cache_hit {
+        if let Some(stored) = rendered.get(&job.shape) {
+            if stored.name == job.name && stored.emit == job.emit {
+                return (true, Ok(stored.artifacts.clone()));
+            }
+        }
+    }
+    let artifacts = render(session, &chain, buf, job);
+    rendered.insert(
+        job.shape.clone(),
+        Rendered {
+            name: job.name.clone(),
+            emit: job.emit,
+            artifacts: artifacts.clone(),
+        },
+    );
+    (cache_hit, Ok(artifacts))
+}
+
+/// Emit `chain` as `job` asks and describe it.
+fn render(
+    session: &mut CompileSession,
+    chain: &CompiledChain,
+    buf: &mut String,
+    job: &crate::service::CompileJob,
+) -> Artifacts {
+    let mut files = Vec::new();
+    let span = session.recorder().start();
+    if matches!(job.emit, Emit::Cpp | Emit::Both) {
+        buf.clear();
+        emit_cpp_into(buf, chain, &job.name);
+        files.push((format!("{}.cpp", job.name), buf.clone()));
+    }
+    if matches!(job.emit, Emit::Rust | Emit::Both) {
+        buf.clear();
+        emit_rust_into(buf, chain, &job.name);
+        files.push((format!("{}.rs", job.name), buf.clone()));
+    }
+    session.recorder_mut().stop(Stage::Emit, span);
+    Artifacts {
+        files,
+        report: chain.describe(),
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

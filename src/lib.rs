@@ -51,6 +51,15 @@
 //!   the fragment store below sit on one hash-map-plus-linked-list LRU,
 //!   so a hit, an insert and an eviction each cost O(1) however full the
 //!   cache is.
+//! * **Stored artifacts**: beside its session, each shard keeps the
+//!   files and report it rendered for each shape in a third such LRU
+//!   (`gmc_core::lru::Lru`), bounded by the chain cache's capacity. A
+//!   request still compiles through the session, so counters, recency
+//!   and snapshots stay exact; a hit whose stored entry was rendered
+//!   for the same `name` and `emit` is answered with those bytes, and
+//!   anything else renders afresh and replaces the entry. The JSONL
+//!   encoder escapes each file straight into the response line, eight
+//!   bytes at a time.
 //! * **Warm-restart persistence** (`gmc_core::persist`): the cache
 //!   snapshots to a compact text format — shape descriptors (via
 //!   `ShapeInterner` dense ids) plus selected parenthesizations, never
