@@ -32,12 +32,14 @@
 //! sweep records client- and server-side (`{"op":"metrics"}`) p50/p99
 //! per row, the multi-connection speedup over a serial single-client
 //! baseline, and a maximally skewed hot-shape row where
-//! power-of-two-choices routing is A/B'd against plain `hash % shards`
-//! on server-side p99. The sweep also runs the **backpressure A/B**: a
-//! greedy pipeliner bursting its whole budget on one connection while a
-//! polite closed-loop client shares the daemon, measured with the
-//! per-connection in-flight cap on vs. off — the polite client's p99
-//! improvement is the cap's whole point.
+//! power-of-two-choices routing over two shards is A/B'd on server-side
+//! p99 against the same load on one shard — what plain hash routing
+//! amounts to when every request has the same home shard. The sweep
+//! also runs the **backpressure A/B**: a greedy pipeliner bursting its
+//! whole budget on one connection while a polite closed-loop client
+//! shares the daemon, measured with the per-connection in-flight cap
+//! on vs. off — the polite client's p99 improvement is the cap's whole
+//! point.
 //!
 //! `--open-loop` (with `--load`) adds open-loop rows: generators fire
 //! on a fixed schedule regardless of completions and latency is
@@ -49,9 +51,7 @@ use gmc_core::CompileOptions;
 use gmc_obs::{force_trace_mode, Histogram, TraceMode};
 use gmc_serve::fault::FaultPlan;
 use gmc_serve::transport::{self, ListenAddr, SocketListener, SocketStream, TransportOptions};
-use gmc_serve::{
-    CompileRequest, CompileResponse, CompileService, Emit, FailureKind, RoutingMode, ServeConfig,
-};
+use gmc_serve::{CompileRequest, CompileResponse, CompileService, Emit, FailureKind, ServeConfig};
 use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -193,7 +193,6 @@ struct LoadRow {
     label: &'static str,
     connections: usize,
     shards: usize,
-    routing: RoutingMode,
     /// Offered load in requests/s (`0` = unpaced, run at capacity).
     target_qps: f64,
     requests: usize,
@@ -369,7 +368,6 @@ fn run_load_row(
     sources: &[String],
     connections: usize,
     shards: usize,
-    routing: RoutingMode,
     target_qps: f64,
     per_conn: usize,
     window: usize,
@@ -382,7 +380,6 @@ fn run_load_row(
     let config = ServeConfig {
         shards,
         options: options.clone(),
-        routing,
         faults: FaultPlan::parse(&format!("delay:{service_ms}")).expect("delay spec"),
         ..ServeConfig::default()
     };
@@ -441,7 +438,6 @@ fn run_load_row(
         label,
         connections,
         shards,
-        routing,
         target_qps,
         requests,
         qps: requests as f64 / elapsed,
@@ -530,7 +526,6 @@ fn run_open_loop_row(
         label,
         connections,
         shards,
-        routing: RoutingMode::default(),
         target_qps,
         requests,
         qps: requests as f64 / elapsed,
@@ -719,7 +714,6 @@ fn run_serial_baseline(
         label: "serial_baseline",
         connections: 1,
         shards,
-        routing: RoutingMode::default(),
         target_qps: 0.0,
         requests,
         qps: requests as f64 / elapsed,
@@ -857,11 +851,11 @@ fn main() {
     // fixed injected per-compile service time (2 ms sleep) so the rows
     // measure transport concurrency and routing policy, deterministic
     // across host core counts. The last two rows hammer ONE hot shape
-    // (maximal skew, deep per-connection pipelines): under plain
-    // hash%N every request queues on the shape's home shard, while
-    // power-of-two-choices spills to the alternate once the home queue
-    // is markedly deeper — the measured server-side p99 gap is the
-    // routing win.
+    // (maximal skew, deep per-connection pipelines): plain hash routing
+    // would queue every request on the shape's home shard, which is the
+    // one-shard row, while power-of-two-choices over two shards spills
+    // to the alternate once the home queue is markedly deeper — the
+    // measured server-side p99 gap is the routing win.
     type GreedyPair = Option<(GreedyContention, GreedyContention)>;
     let (load_rows, greedy_pair): (Vec<LoadRow>, GreedyPair) = if load {
         const SERVICE_MS: u64 = 2;
@@ -873,7 +867,6 @@ fn main() {
         let skew_rounds = if smoke { 4 } else { 10 };
         let skew_window = 16;
         let hot: Vec<String> = vec![sources[0].clone()];
-        let two = RoutingMode::default();
         let mut rows = vec![
             run_serial_baseline(&sources, 4, per_conn, SERVICE_MS, &load_options),
             run_load_row(
@@ -881,7 +874,6 @@ fn main() {
                 &sources,
                 1,
                 4,
-                two,
                 0.0,
                 per_conn,
                 1,
@@ -893,7 +885,6 @@ fn main() {
                 &sources,
                 2,
                 4,
-                two,
                 0.0,
                 per_conn,
                 1,
@@ -905,7 +896,6 @@ fn main() {
                 &sources,
                 4,
                 4,
-                two,
                 0.0,
                 per_conn,
                 1,
@@ -917,7 +907,6 @@ fn main() {
                 &sources,
                 4,
                 4,
-                two,
                 0.0,
                 per_conn,
                 8,
@@ -929,7 +918,6 @@ fn main() {
                 &sources,
                 4,
                 2,
-                two,
                 0.0,
                 per_conn,
                 1,
@@ -941,7 +929,6 @@ fn main() {
                 &sources,
                 4,
                 4,
-                two,
                 400.0,
                 per_conn,
                 1,
@@ -954,7 +941,6 @@ fn main() {
             &hot,
             4,
             2,
-            RoutingMode::TwoChoices,
             0.0,
             skew_window * skew_rounds,
             skew_window,
@@ -962,11 +948,10 @@ fn main() {
             &load_options,
         ));
         rows.push(run_load_row(
-            "skew_hash_mod",
+            "skew_one_shard",
             &hot,
             4,
-            2,
-            RoutingMode::HashMod,
+            1,
             0.0,
             skew_window * skew_rounds,
             skew_window,
@@ -1019,12 +1004,11 @@ fn main() {
         );
         for r in &rows {
             println!(
-                "load {:>20}: {} conn x {} shard(s) [{:?}]{}  {:7.0} QPS   \
+                "load {:>20}: {} conn x {} shard(s){}  {:7.0} QPS   \
                  client p50 {:7.2} ms  p99 {:7.2} ms   server p50 {:7.2} ms  p99 {:7.2} ms",
                 r.label,
                 r.connections,
                 r.shards,
-                r.routing,
                 if r.target_qps > 0.0 {
                     format!(
                         " @{:.0} QPS offered{}",
@@ -1048,14 +1032,14 @@ fn main() {
             .unwrap()
             .qps;
         let tc = rows.iter().find(|r| r.label == "skew_two_choices").unwrap();
-        let hm = rows.iter().find(|r| r.label == "skew_hash_mod").unwrap();
+        let one = rows.iter().find(|r| r.label == "skew_one_shard").unwrap();
         println!(
             "load summary: multi-conn speedup vs serial {:.2}x (>= 2x target)   \
-             skew p99 two-choices {:.1} ms vs hash-mod {:.1} ms ({:.2}x better)",
+             skew p99 two-choices {:.1} ms vs one shard {:.1} ms ({:.2}x better)",
             multi_qps / baseline_qps,
             tc.server_p99_ms,
-            hm.server_p99_ms,
-            hm.server_p99_ms / tc.server_p99_ms,
+            one.server_p99_ms,
+            one.server_p99_ms / tc.server_p99_ms,
         );
         (rows, Some((caps_off, caps_on)))
     } else {
@@ -1155,9 +1139,9 @@ fn main() {
             .iter()
             .find(|r| r.label == "skew_two_choices")
             .unwrap();
-        let hm = load_rows
+        let one = load_rows
             .iter()
-            .find(|r| r.label == "skew_hash_mod")
+            .find(|r| r.label == "skew_one_shard")
             .unwrap();
         let _ = writeln!(json, "  \"load\": {{");
         let _ = writeln!(json, "    \"transport\": \"unix_socket_jsonl\",");
@@ -1174,13 +1158,13 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "    \"skew_hash_mod_p99_ms\": {:.3},",
-            hm.server_p99_ms
+            "    \"skew_one_shard_p99_ms\": {:.3},",
+            one.server_p99_ms
         );
         let _ = writeln!(
             json,
             "    \"skew_p99_improvement\": {:.2},",
-            hm.server_p99_ms / tc.server_p99_ms
+            one.server_p99_ms / tc.server_p99_ms
         );
         if let Some((caps_off, caps_on)) = &greedy_pair {
             let _ = writeln!(json, "    \"greedy\": {{");
@@ -1240,21 +1224,16 @@ fn main() {
         }
         let _ = writeln!(json, "    \"rows\": [");
         for (i, r) in load_rows.iter().enumerate() {
-            let routing = match r.routing {
-                RoutingMode::TwoChoices => "two-choices",
-                RoutingMode::HashMod => "hash-mod",
-            };
             let _ = writeln!(
                 json,
                 "      {{\"label\": \"{}\", \"connections\": {}, \"shards\": {}, \
-                 \"routing\": \"{}\", \"target_qps\": {:.0}, \"open_loop\": {}, \
+                 \"target_qps\": {:.0}, \"open_loop\": {}, \
                  \"requests\": {}, \
                  \"qps\": {:.1}, \"client_p50_ms\": {:.3}, \"client_p99_ms\": {:.3}, \
                  \"server_p50_ms\": {:.3}, \"server_p99_ms\": {:.3}}}{}",
                 r.label,
                 r.connections,
                 r.shards,
-                routing,
                 r.target_qps,
                 r.open_loop,
                 r.requests,

@@ -34,8 +34,11 @@
 //!   [`CompileSession::fragment_cache_stats`].
 //! * **DP solver reuse** ([`crate::dp::DpSolver`]): one solver per shape
 //!   keeps its descriptor interner, association memo, and state arena
-//!   warm, so per-instance optimal costs in dispatch loops are
-//!   allocation-free after the first call.
+//!   warm, so per-instance optimal costs in dispatch loops
+//!   ([`CompileSession::optimal_cost`]) are allocation-free after the
+//!   first call. A compile past the enumeration cap solves its training
+//!   instances on a solver of its own, dropped with the compile, so the
+//!   session keeps no DP state for the chains it compiles.
 //! * **Selection scratch** ([`CostMatrix`], [`ExpandScratch`]): the
 //!   variant × instance cost matrix and the greedy expansion's
 //!   best-in-set vector live in session buffers that are refilled in
@@ -491,8 +494,11 @@ impl CompileSession {
             self.matrix.fill_flops(&pool, &training);
             self.recorder.stop(Stage::Select, span);
         } else {
+            // A solver local to this compile: the chain cache bounds what
+            // a session keeps per shape, and a long chain's DP state is
+            // not worth keeping once its optimal costs are in the matrix.
             let span = self.recorder.start();
-            let solver = self.solver_for(id);
+            let mut solver = DpSolver::new(&shape);
             let optimal: Vec<f64> = training
                 .iter()
                 .map(|q| solver.optimal_cost(q))
@@ -1024,6 +1030,24 @@ mod tests {
         let chain = session.compile(&shape).unwrap();
         assert!(!chain.variants().is_empty());
         assert!(chain.variants().len() <= 13);
+    }
+
+    #[test]
+    fn long_chain_compiles_keep_no_dp_solver() {
+        // Distinct 10-operand chains (past the enumeration cap): one
+        // triangular operand moves along an otherwise general chain.
+        let lower = Operand::plain(Features::new(Structure::LowerTri, Property::NonSingular));
+        let mut session = CompileSession::with_options(CompileOptions {
+            training_instances: 8,
+            ..CompileOptions::default()
+        });
+        for at in 0..3 {
+            let mut operands = vec![g(); 10];
+            operands[at] = lower;
+            session.compile(&Shape::new(operands).unwrap()).unwrap();
+        }
+        assert_eq!(session.cache_stats().misses, 3);
+        assert!(session.solvers.is_empty(), "DP state is per compile");
     }
 
     #[test]

@@ -763,7 +763,6 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         restart: gmc_serve::RestartPolicy::default(),
         faults: faults.clone(),
         slow_request: config.slow_ms.map(std::time::Duration::from_millis),
-        ..ServeConfig::default()
     })
     .map_err(|e| DriverError::Compile(e.to_string()))?;
 
@@ -773,11 +772,9 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         faults,
         max_line_bytes: config.max_line_bytes,
         metrics_file: config.metrics_file.clone(),
-        attach_runtime_header: true,
         conn_in_flight_cap: config.conn_in_flight_cap,
         max_conns: config.max_conns,
         idle_timeout: config.idle_timeout_ms.map(std::time::Duration::from_millis),
-        ..TransportOptions::default()
     };
     // One dispatcher either way: `--listen` accepts socket connections,
     // otherwise the request source and stdout are its connection 0.
@@ -1049,12 +1046,13 @@ deadline (requests may override it with a `deadline_ms` field), and
 --max-line-bytes bounds request lines.
 SIGTERM/SIGINT or EOF drain gracefully: in-flight requests are
 answered and the final snapshot is written before exit. A line of
-{\"op\": \"stats\"} returns per-shard cache counters, {\"op\":
-\"health\"} per-shard liveness, latency p99s, and robustness
-counters, {\"op\": \"metrics\"} full per-shard latency histograms and
-counters; {\"op\": \"fault\", \"spec\": \"panic:0:3\"} arms fault
-injection when the daemon runs with --enable-faults (the GMC_FAULT
-environment variable arms the same faults at startup).
+{\"op\": \"stats\"} returns per-shard cache counters of the
+requests answered so far, {\"op\": \"health\"} per-shard liveness,
+latency p99s, and robustness counters, {\"op\": \"metrics\"} full
+per-shard latency histograms and counters; {\"op\": \"fault\",
+\"spec\": \"panic:0:3\"} arms fault injection when the daemon runs
+with --enable-faults (the GMC_FAULT environment variable arms the same
+faults at startup).
 
 With --listen, the same daemon serves a Unix-domain or TCP socket
 instead of stdin: many clients connect concurrently, each may pipeline
@@ -1067,9 +1065,10 @@ connections, per-connection in-flight), and the Prometheus dump gains
 a gmc_connections gauge. The socket daemon applies end-to-end
 backpressure: --conn-in-flight-cap N (default 64, 0 = off) sheds a
 connection's requests over N outstanding with a retryable `overloaded`
-error; each connection's outbound queue is bounded, and a client that
-stops reading past a grace window is closed with its in-flight work
-written off (late shard replies are dropped and counted); --max-conns
+error; each connection's outbound queue holds 256 lines, and a client
+that lets it fill, or that accepts no bytes for 2 s, is closed with its
+in-flight work written off (late shard replies are dropped and
+counted); --max-conns
 N refuses connections beyond N with one typed line; --idle-timeout-ms
 MS reaps connections with zero in-flight. gmcc --connect ADDR [FILE|-]
 is the matching client: it pipelines FILE's request lines over one

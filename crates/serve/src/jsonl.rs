@@ -27,9 +27,12 @@
 //! A request may instead carry an `op` field for in-band service
 //! queries (no `source` needed):
 //!
-//! * `{"op": "stats"}` — per-shard cache counters (see [`stats_line`]).
-//!   The `frag_*` fields count the shard's cross-shape fragment store
-//!   (sub-span lookups during pool builds, not requests):
+//! * `{"op": "stats"}` — per-shard cache counters (see [`stats_line`]),
+//!   as each shard last published them: what the shards have answered
+//!   so far, not compiles still queued, so it answers at once even
+//!   when shards are busy. The `frag_*` fields count the shard's
+//!   cross-shape fragment store (sub-span lookups during pool builds,
+//!   not requests):
 //!
 //!   ```text
 //!   {"id":3,"ok":true,"op":"stats","shards":[{"shard":0,"requests":2,
@@ -222,7 +225,7 @@ pub fn response_line(response: &CompileResponse) -> String {
 const FILE_KEYS: &str = r#",{"name":"","content":""}"#;
 
 /// Render the response line of an in-band `{"op":"stats"}` request:
-/// one object per live shard (hits/misses/evictions/hit-rate of its
+/// one object per shard (hits/misses/evictions/hit-rate of its
 /// compiled-chain cache, the `frag_*` counters of its cross-shape
 /// fragment store, requests served, chains restored at startup) plus
 /// service-wide totals.

@@ -29,13 +29,10 @@
 //!   warm cache earning its keep, responsive enough to spill a backed-
 //!   up shard's overflow. Ties break deterministically toward home;
 //!   down shards are skipped (falling over to the least-loaded live
-//!   shard when both candidates are down); [`RoutingMode::HashMod`]
-//!   pins the old pure hash%N policy for `bench_serve`'s A/B comparison
-//!   (set in process through [`ServeConfig::routing`]). Routing is a
-//!   performance hint only: every shard can compile every shape, and
-//!   compilation is deterministic, so artifacts are identical wherever
-//!   a request lands — which is what makes both route-away and
-//!   fallover safe.
+//!   shard when both candidates are down). Routing is a performance
+//!   hint only: every shard can compile every shape, and compilation
+//!   is deterministic, so artifacts are identical wherever a request
+//!   lands — which is what makes both route-away and fallover safe.
 //! * **Supervision.** Each worker wraps every compile in
 //!   `catch_unwind`: a panic costs its request (answered with a typed
 //!   `shard_panic` failure) but not the shard — the supervisor discards
@@ -62,20 +59,19 @@
 //!   ([`TransportOptions::conn_in_flight_cap`]) sheds over-cap requests
 //!   in band with retryable `overloaded` — cap → shed → client
 //!   retry/backoff is the intended control loop, not an error path.
-//!   Outbound writers are bounded ([`TransportOptions::writer_queue`]):
-//!   a connection that stops reading spills to a dispatcher-side
-//!   overflow, and once that overflow outgrows one queue's worth — or
-//!   the queue stays full past [`TransportOptions::writer_grace`] — the
-//!   connection is slow-closed and its in-flight work is *written off*
-//!   through the same exactly-once sequence numbers (late shard replies
-//!   dropped and counted, never delivered to a dead socket). Lifecycle
-//!   limits bound the population: [`TransportOptions::max_conns`]
-//!   refuses extra connections with a typed in-band line before
-//!   closing, and [`TransportOptions::idle_timeout`] reaps silent
-//!   connections (in-flight or undelivered work exempts). Every
-//!   shed/refusal/slow-close/reap/write-off increments a
-//!   [`TransportSnapshot`] counter exposed in band and in the
-//!   Prometheus dump.
+//!   Each connection's bounded writer queue is its only outbound
+//!   buffer: a line that finds it full slow-closes the connection, and
+//!   a writer whose socket write blocks past its 2 s deadline exits, so
+//!   the connection closes on its next line. Either way the
+//!   connection's in-flight work is *written off* through the same
+//!   exactly-once sequence numbers (late shard replies dropped and
+//!   counted, never delivered to a dead socket). Lifecycle limits bound
+//!   the population: [`TransportOptions::max_conns`] refuses extra
+//!   connections with a typed in-band line before closing, and
+//!   [`TransportOptions::idle_timeout`] reaps silent connections
+//!   (in-flight work exempts). Every shed/refusal/slow-close/reap/
+//!   write-off increments a [`TransportSnapshot`] counter exposed in
+//!   band and in the Prometheus dump.
 //! * **Warm-restart persistence.** [`CompileService::snapshot`] merges
 //!   the per-shard caches into one [`gmc_core::SessionSnapshot`] —
 //!   shape descriptors plus selected parenthesizations, *not* emitted
@@ -99,11 +95,11 @@
 //!   in memory only: snapshots record decisions, and a restarted or
 //!   restored shard refills its store as it re-lowers its chains.
 //!   Fragment counters (hits/misses/evictions) ride the same
-//!   `{"op":"stats"}` response as the chain-cache counters, and
-//!   `{"op":"health"}` reports both layers' hit rates from lock-free
-//!   atomics. `frag_cache_capacity = 0` turns the store off end to end:
-//!   nothing is looked up or inserted, and the fragment counters stay
-//!   at zero.
+//!   `{"op":"stats"}` response as the chain-cache counters; both are
+//!   published by each shard after every compile, so `stats` and
+//!   `{"op":"health"}` answer from lock-free atomics.
+//!   `frag_cache_capacity = 0` turns the store off end to end: nothing
+//!   is looked up or inserted, and the fragment counters stay at zero.
 //! * **Graceful drain.** The intended shutdown sequence — what the
 //!   `gmcc --serve` daemon runs on SIGTERM/SIGINT or stdin EOF — is:
 //!   stop accepting, answer everything in flight (the [`transport`]
@@ -151,13 +147,14 @@
 //! shed/deadline behavior under an overload burst in
 //! `BENCH_serve.json`, and `bench_serve --load` drives the socket
 //! stack closed-loop: a connections × shards QPS/latency sweep, a
-//! skewed workload where two-choices routing must beat hash%N tail
-//! latency, and a greedy-contention A/B where a polite client's p99
-//! under a co-resident greedy pipeliner must improve with the
-//! in-flight cap on vs. off. `bench_serve --load --open-loop` adds
-//! fixed-rate open-loop rows whose latency is measured from the
-//! *scheduled* send time, so queueing delay under overload is charged
-//! to the tail instead of hidden by coordinated omission.
+//! skewed one-hot-shape workload whose two-choices tail latency is
+//! recorded against the same load on one shard, and a
+//! greedy-contention A/B where a polite client's p99 under a
+//! co-resident greedy pipeliner must improve with the in-flight cap on
+//! vs. off. `bench_serve --load --open-loop` adds fixed-rate open-loop
+//! rows whose latency is measured from the *scheduled* send time, so
+//! queueing delay under overload is charged to the tail instead of
+//! hidden by coordinated omission.
 
 #![warn(missing_docs)]
 
@@ -170,7 +167,7 @@ pub mod transport;
 pub use gmc_codegen::emit_runtime_header;
 pub use service::{
     pick_two_choices, route, route_alt, Artifacts, CompileRequest, CompileResponse, CompileService,
-    Emit, Failure, FailureKind, RoutingMode, ServeConfig, ServeError, ServiceMetrics, ServiceStats,
+    Emit, Failure, FailureKind, ServeConfig, ServeError, ServiceMetrics, ServiceStats,
     ShardMetrics, ShardStatus, DEFAULT_QUEUE_CAP, ROUTE_AWAY_MARGIN,
 };
 pub use supervisor::{RestartPolicy, ShardHealth, ShardState, ShardStats};
@@ -271,8 +268,8 @@ mod tests {
         for (i, src) in [SRC_A, SRC_B, SRC_A].iter().enumerate() {
             service.submit(request(i as u64, src));
         }
-        // The stats query rides the work queues, so it observes all
-        // three compiles even before their responses are drained.
+        // Stats reports what the shards have answered so far.
+        assert_eq!(service.drain().len(), 3);
         let stats = service.stats();
         assert_eq!(stats.len(), 2, "one status per shard");
         assert_eq!(stats.iter().map(|s| s.requests).sum::<u64>(), 3);
@@ -289,7 +286,6 @@ mod tests {
         // depends on shape overlap, but lookups definitely happened.
         assert!(stats.iter().map(|s| s.frags.inserts).sum::<u64>() > 0);
         assert!(stats.iter().map(|s| s.frags.misses).sum::<u64>() > 0);
-        assert_eq!(service.drain().len(), 3, "responses still stream");
         let _ = service.shutdown();
 
         // Capacity 0 is the store's off switch: the same traffic never
@@ -300,11 +296,33 @@ mod tests {
         for (i, src) in [SRC_A, SRC_B, SRC_A].iter().enumerate() {
             off.submit(request(i as u64, src));
         }
+        assert_eq!(off.drain().len(), 3);
         for s in off.stats() {
             assert_eq!(s.frags, gmc_core::FragCacheStats::default());
         }
-        assert_eq!(off.drain().len(), 3);
         let _ = off.shutdown();
+    }
+
+    /// Stats reads the counters each shard publishes, like health: a
+    /// shard held mid-compile still reports at once, with the request
+    /// it dequeued.
+    #[test]
+    fn stats_answers_at_once_while_the_only_shard_is_busy() {
+        let mut cfg = config(1);
+        cfg.faults = fault::FaultPlan::parse("delay:2500").unwrap();
+        let mut service = CompileService::start(cfg).unwrap();
+        service.submit(request(1, SRC_B));
+        // Let the shard dequeue the request and enter the delay.
+        while service.metrics().shards[0].queue_wait.count == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let started = std::time::Instant::now();
+        let stats = service.stats();
+        assert!(started.elapsed() < std::time::Duration::from_millis(500));
+        assert_eq!(stats.len(), 1, "the busy shard is listed");
+        assert_eq!((stats[0].shard, stats[0].requests), (0, 1));
+        assert_eq!(service.drain().len(), 1);
+        let _ = service.shutdown();
     }
 
     #[test]

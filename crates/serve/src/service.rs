@@ -210,23 +210,6 @@ impl CompileResponse {
     }
 }
 
-/// Which shard-selection policy the submitter runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingMode {
-    /// Power-of-two-choices over live queue depths: candidates are the
-    /// stable home shard ([`route`]) and a second hash-derived shard
-    /// ([`route_alt`]); the home shard wins unless its queue exceeds the
-    /// alternate's by more than [`ROUTE_AWAY_MARGIN`]. Down shards
-    /// never receive traffic; with both candidates down the picker
-    /// falls back to the least-loaded live shard. The default.
-    #[default]
-    TwoChoices,
-    /// Legacy `hash % N` with a fixed forward probe past down shards.
-    /// Kept so `bench_serve --load` can measure the two-choices win on
-    /// skewed workloads instead of asserting it.
-    HashMod,
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -266,8 +249,6 @@ pub struct ServeConfig {
     /// this threshold gets its per-stage breakdown printed to stderr by
     /// the serving shard (`gmcc --slow-ms`). `None` disables the log.
     pub slow_request: Option<Duration>,
-    /// Shard-selection policy (default: power-of-two-choices).
-    pub routing: RoutingMode,
     /// Snapshot generations [`CompileService::save_snapshot`] keeps on
     /// disk (`<path>`, `<path>.1`, ... `<path>.{K-1}`, rotated by atomic
     /// renames). `0` or `1` keeps only the newest — the pre-rotation
@@ -288,7 +269,6 @@ impl Default for ServeConfig {
             restart: RestartPolicy::default(),
             faults: FaultPlan::new(),
             slow_request: None,
-            routing: RoutingMode::default(),
             snapshot_keep: 1,
         }
     }
@@ -465,7 +445,7 @@ pub fn pick_two_choices(home: usize, alt: usize, depths: &[usize], live: &[bool]
     }
 }
 
-/// Live observability counters of one shard, collected in-band by
+/// Live observability counters of one shard, read by
 /// [`CompileService::stats`] (unlike
 /// [`ShardStats`](crate::supervisor::ShardStats), which is only
 /// available at shutdown).
@@ -473,7 +453,8 @@ pub fn pick_two_choices(home: usize, alt: usize, depths: &[usize], live: &[bool]
 pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
-    /// Requests served so far (including panicked and expired ones).
+    /// Requests this shard has taken off its queue so far (including
+    /// panicked and expired ones, and one it may still be compiling).
     pub requests: u64,
     /// Cumulative compiled-chain cache counters (`restored` counts the
     /// chains rewarmed from snapshots), carried across supervisor
@@ -611,7 +592,6 @@ impl ServiceMetrics {
 pub(crate) enum Job {
     Compile(Box<CompileJob>),
     Snapshot(Sender<SessionSnapshot>),
-    Stats(Sender<ShardStatus>),
 }
 
 pub(crate) struct CompileJob {
@@ -688,7 +668,6 @@ pub struct CompileService {
     faults: FaultPlan,
     queue_cap: usize,
     default_deadline: Option<Duration>,
-    routing: RoutingMode,
     snapshot_keep: usize,
     /// Enqueued-but-unanswered requests keyed by sequence number; the
     /// single source of truth for exactly-once delivery.
@@ -766,7 +745,6 @@ impl CompileService {
             faults: config.faults,
             queue_cap: config.queue_cap.max(1),
             default_deadline: config.default_deadline,
-            routing: config.routing,
             snapshot_keep: config.snapshot_keep,
             outstanding: HashMap::new(),
             deadlines: BTreeSet::new(),
@@ -864,22 +842,21 @@ impl CompileService {
         self.ready.len() + self.outstanding.len()
     }
 
-    /// Select the serving shard for `shape` under the configured
-    /// [`RoutingMode`]; `None` when every shard is down.
+    /// Select the serving shard for `shape` by [`pick_two_choices`];
+    /// `None` when every shard is down.
     fn pick_shard(&self, shape: &Shape) -> Option<usize> {
         let n = self.shards();
-        let home = route(shape, n);
-        match self.routing {
-            RoutingMode::TwoChoices => {
-                let live: Vec<bool> = (0..n)
-                    .map(|s| self.shared[s].state() != ShardState::Down)
-                    .collect();
-                pick_two_choices(home, route_alt(shape, n), &self.pending_by_shard, &live)
-            }
-            RoutingMode::HashMod => (0..n)
-                .map(|k| (home + k) % n)
-                .find(|&s| self.shared[s].state() != ShardState::Down),
-        }
+        let live: Vec<bool> = self
+            .shared
+            .iter()
+            .map(|s| s.state() != ShardState::Down)
+            .collect();
+        pick_two_choices(
+            route(shape, n),
+            route_alt(shape, n),
+            &self.pending_by_shard,
+            &live,
+        )
     }
 
     /// Parse, admit, route, and enqueue a request. Every submission is
@@ -891,8 +868,8 @@ impl CompileService {
     /// [`ServeConfig::queue_cap`] requests, the request is shed with an
     /// `overloaded` failure instead of growing the queue — on overload
     /// the service degrades by refusing work it could only serve late.
-    /// Routing is load-aware ([`pick_two_choices`] by default) and never
-    /// targets a shard whose circuit breaker is open.
+    /// Routing is load-aware ([`pick_two_choices`]) and never targets a
+    /// shard whose circuit breaker is open.
     pub fn submit(&mut self, request: CompileRequest) {
         let submitted = Instant::now();
         let id = request.id;
@@ -1178,23 +1155,25 @@ impl CompileService {
         snap
     }
 
-    /// Collect every live shard's observability counters in shard order.
-    /// The query rides the shard work queues, so it observes every
-    /// compile submitted before it; a shard that does not answer within
-    /// 2 s (down, or wedged mid-compile) is skipped rather than hanging
-    /// the caller. This is what the daemon's in-band `{"op":"stats"}`
-    /// request serves.
+    /// Every shard's observability counters in shard order, read like
+    /// [`CompileService::health`] **without** touching the work queues:
+    /// each shard publishes its counters as it dequeues and answers
+    /// requests, so this reports what the shards have answered so far,
+    /// not compiles still queued, and a wedged or down shard still
+    /// reports its last state. This is what the daemon's in-band
+    /// `{"op":"stats"}` request serves.
     #[must_use]
     pub fn stats(&self) -> Vec<ShardStatus> {
-        let mut out = Vec::with_capacity(self.job_txs.len());
-        for tx in &self.job_txs {
-            let (reply_tx, reply_rx) = channel();
-            let _ = tx.send(Job::Stats(reply_tx));
-            if let Ok(status) = reply_rx.recv_timeout(Duration::from_secs(2)) {
-                out.push(status);
-            }
-        }
-        out
+        self.shared
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| ShardStatus {
+                shard,
+                requests: s.requests.load(std::sync::atomic::Ordering::Relaxed),
+                cache: s.cache(),
+                frags: s.frags(),
+            })
+            .collect()
     }
 
     /// Per-shard liveness and robustness counters, collected **without**
@@ -1204,14 +1183,6 @@ impl CompileService {
     #[must_use]
     pub fn health(&self) -> Vec<ShardHealth> {
         use std::sync::atomic::Ordering::Relaxed;
-        fn rate(hits: u64, misses: u64) -> f64 {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
-            }
-        }
         self.shared
             .iter()
             .enumerate()
@@ -1223,8 +1194,8 @@ impl CompileService {
                 queue_depth: self.pending_by_shard[shard],
                 deadline_exceeded: s.deadline_exceeded.load(Relaxed),
                 shed: s.shed.load(Relaxed),
-                chain_hit_rate: rate(s.chain_hits.load(Relaxed), s.chain_misses.load(Relaxed)),
-                frag_hit_rate: rate(s.frag_hits.load(Relaxed), s.frag_misses.load(Relaxed)),
+                chain_hit_rate: s.cache().hit_rate(),
+                frag_hit_rate: s.frags().hit_rate(),
                 p99_ms: s.e2e.quantile_ms(0.99),
                 queue_wait_p99_ms: s.queue_wait.quantile_ms(0.99),
             })
@@ -1244,20 +1215,23 @@ impl CompileService {
             .shared
             .iter()
             .enumerate()
-            .map(|(shard, s)| ShardMetrics {
-                shard,
-                state: s.state(),
-                e2e: s.e2e.snapshot(),
-                queue_wait: s.queue_wait.snapshot(),
-                compile_time: s.compile_time.snapshot(),
-                restarts: s.restarts.load(Relaxed),
-                panics: s.panics.load(Relaxed),
-                deadline_exceeded: s.deadline_exceeded.load(Relaxed),
-                shed: s.shed.load(Relaxed),
-                chain_hits: s.chain_hits.load(Relaxed),
-                chain_misses: s.chain_misses.load(Relaxed),
-                frag_hits: s.frag_hits.load(Relaxed),
-                frag_misses: s.frag_misses.load(Relaxed),
+            .map(|(shard, s)| {
+                let (cache, frags) = (s.cache(), s.frags());
+                ShardMetrics {
+                    shard,
+                    state: s.state(),
+                    e2e: s.e2e.snapshot(),
+                    queue_wait: s.queue_wait.snapshot(),
+                    compile_time: s.compile_time.snapshot(),
+                    restarts: s.restarts.load(Relaxed),
+                    panics: s.panics.load(Relaxed),
+                    deadline_exceeded: s.deadline_exceeded.load(Relaxed),
+                    shed: s.shed.load(Relaxed),
+                    chain_hits: cache.hits,
+                    chain_misses: cache.misses,
+                    frag_hits: frags.hits,
+                    frag_misses: frags.misses,
+                }
             })
             .collect();
         ServiceMetrics {

@@ -50,7 +50,7 @@
 //! without an answer.
 
 use crate::fault::FaultPlan;
-use crate::service::{Event, Job, Response, ShardStatus};
+use crate::service::{Event, Job, Response};
 use crate::{route, Artifacts, Emit, Failure, FailureKind};
 use gmc_codegen::{emit_cpp_into, emit_rust_into};
 use gmc_core::lru::Lru;
@@ -164,17 +164,19 @@ pub struct ShardHealth {
 #[derive(Debug, Default)]
 pub(crate) struct ShardShared {
     state: AtomicU8,
+    /// Compile jobs dequeued (including panicked and expired ones).
+    pub(crate) requests: AtomicU64,
     pub(crate) restarts: AtomicU64,
     pub(crate) panics: AtomicU64,
     pub(crate) deadline_exceeded: AtomicU64,
     pub(crate) shed: AtomicU64,
     /// Cumulative chain-cache and fragment-store counters, published by
-    /// the worker after every compile so [`ShardHealth`] hit rates stay
-    /// pure atomic reads (a wedged shard still reports its last state).
-    pub(crate) chain_hits: AtomicU64,
-    pub(crate) chain_misses: AtomicU64,
-    pub(crate) frag_hits: AtomicU64,
-    pub(crate) frag_misses: AtomicU64,
+    /// the worker after every compile so health, metrics and stats stay
+    /// pure atomic reads (a wedged shard still reports its last state):
+    /// `chain` is `[hits, misses, evictions, restored]` and `frags` is
+    /// `[hits, misses, inserts, evictions]`.
+    chain: [AtomicU64; 4],
+    frags: [AtomicU64; 4],
     /// Compile attempts, for the fault plan's deterministic `nth`.
     compile_attempts: AtomicU64,
     /// End-to-end latency of every *response* attributed to this shard
@@ -207,11 +209,41 @@ impl ShardShared {
 
     /// Publish the cumulative cache counters (worker thread only).
     fn publish_counters(&self, cache: &CacheStats, frags: &FragCacheStats) {
-        self.chain_hits.store(cache.hits, Ordering::Relaxed);
-        self.chain_misses.store(cache.misses, Ordering::Relaxed);
-        self.frag_hits.store(frags.hits, Ordering::Relaxed);
-        self.frag_misses.store(frags.misses, Ordering::Relaxed);
+        let chain = [cache.hits, cache.misses, cache.evictions, cache.restored];
+        let frag = [frags.hits, frags.misses, frags.inserts, frags.evictions];
+        for (cell, v) in self.chain.iter().zip(chain) {
+            cell.store(v, Ordering::Relaxed);
+        }
+        for (cell, v) in self.frags.iter().zip(frag) {
+            cell.store(v, Ordering::Relaxed);
+        }
     }
+
+    /// The chain-cache counters last published.
+    pub(crate) fn cache(&self) -> CacheStats {
+        let [hits, misses, evictions, restored] = self.chain.each_ref().map(load);
+        CacheStats {
+            hits,
+            misses,
+            evictions,
+            restored,
+        }
+    }
+
+    /// The fragment-store counters last published.
+    pub(crate) fn frags(&self) -> FragCacheStats {
+        let [hits, misses, inserts, evictions] = self.frags.each_ref().map(load);
+        FragCacheStats {
+            hits,
+            misses,
+            inserts,
+            evictions,
+        }
+    }
+}
+
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
 }
 
 /// Everything one shard worker owns; [`shard_main`] consumes it.
@@ -314,7 +346,6 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     // `None` while the circuit breaker is open; the loop keeps draining
     // the queue and answering `shard_down` so nothing hangs.
     let mut session: Option<CompileSession> = Some(initial);
-    let mut stats = ShardStats::default();
     // Counters of sessions discarded after a panic; reads of plain u64
     // fields are safe on a poisoned session.
     let mut carried = CacheStats::default();
@@ -327,7 +358,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     while let Ok(job) = ctx.jobs.recv() {
         match job {
             Job::Compile(job) => {
-                stats.requests += 1;
+                ctx.shared.requests.fetch_add(1, Ordering::Relaxed);
                 ctx.shared.queue_wait.record(job.submitted.elapsed());
                 // Deadline at dequeue: a request that went stale in the
                 // queue is answered without compiling — the work would
@@ -418,7 +449,6 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                     }
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
-                        stats.panics += 1;
                         ctx.shared.panics.fetch_add(1, Ordering::Relaxed);
                         // Salvage the counters, drop the session and
                         // what was rendered from it: their internal
@@ -472,7 +502,6 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                             frags.absorb(&fresh.fragment_cache_stats());
                             ctx.shared.publish_counters(&cache, &frags);
                             session = Some(fresh);
-                            stats.restarts += 1;
                             ctx.shared.restarts.fetch_add(1, Ordering::Relaxed);
                             ctx.shared.set_state(ShardState::Up);
                             eprintln!(
@@ -490,29 +519,17 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                     let _ = reply.send(live.snapshot());
                 }
             }
-            Job::Stats(reply) => {
-                let mut cache = carried;
-                let mut frags = carried_frags;
-                if let Some(live) = session.as_ref() {
-                    cache.absorb(&live.cache_stats());
-                    frags.absorb(&live.fragment_cache_stats());
-                }
-                let _ = reply.send(ShardStatus {
-                    shard: index,
-                    requests: stats.requests,
-                    cache,
-                    frags,
-                });
-            }
         }
     }
-    stats.cache = carried;
-    stats.frags = carried_frags;
-    if let Some(live) = session.as_ref() {
-        stats.cache.absorb(&live.cache_stats());
-        stats.frags.absorb(&live.fragment_cache_stats());
+    // Every change to the counters was published as it happened.
+    let shared = &ctx.shared;
+    ShardStats {
+        requests: shared.requests.load(Ordering::Relaxed),
+        cache: shared.cache(),
+        frags: shared.frags(),
+        panics: shared.panics.load(Ordering::Relaxed),
+        restarts: shared.restarts.load(Ordering::Relaxed),
     }
-    stats
 }
 
 /// The artifacts a shard rendered for one shape, and the `name` and

@@ -27,13 +27,13 @@
 //! still exactly one submitter.
 //!
 //! The dispatcher blocks on **one event queue**. The accept loop,
-//! connection readers and writers, and the shard workers all post to
-//! it, so a finished request wakes the dispatcher the moment its shard
-//! posts it and is written straight away. The blocking wait has one
-//! timeout: the nearest instant the dispatcher owes something — the
-//! earliest outstanding request deadline, idle-reap time, or
-//! writer-grace expiry — so deadlines are exact. Only while nothing is
-//! timed does a coarse cap re-check the shutdown flag.
+//! connection readers, and the shard workers all post to it, so a
+//! finished request wakes the dispatcher the moment its shard posts it
+//! and is written straight away. The blocking wait has one timeout: the
+//! nearest instant the dispatcher owes something — the earliest
+//! outstanding request deadline or idle-reap time — so deadlines are
+//! exact. Only while nothing is timed does a coarse cap re-check the
+//! shutdown flag.
 //!
 //! # Stdin/stdout as connection 0
 //!
@@ -70,17 +70,17 @@
 //!   instead of letting a greedy pipeliner fill every shard queue. Ops
 //!   (`stats`/`health`/`metrics`/`fault`) bypass the cap so a saturated
 //!   daemon stays observable.
-//! * **Bounded writers** ([`TransportOptions::writer_queue`]): each
-//!   writer thread is fed through a bounded channel; the dispatcher
-//!   never blocks on a slow peer. Lines that do not fit spill to a
-//!   dispatcher-side overflow buffer, which drains when the writer
-//!   reports a freed slot, and a connection whose overflow stays
-//!   non-empty past [`TransportOptions::writer_grace`] — or grows past
-//!   one queue's worth — is **slow-closed**: the socket is shut down
+//! * **Bounded writers**: each writer thread is fed through a bounded
+//!   queue of 256 lines, the connection's only outbound buffer; the
+//!   dispatcher never blocks on a slow peer. A line that finds the
+//!   queue full **slow-closes** the connection: the socket is shut down
 //!   and its in-flight work written off through the exactly-once
 //!   bookkeeping ([`CompileService::write_off`]; late shard replies are
-//!   dropped and counted). Daemon memory stays bounded under a client
-//!   that pipelines forever and never reads.
+//!   dropped and counted). A peer that stops reading with fewer lines
+//!   queued trips the writer's 2 s write deadline instead; the writer
+//!   exits, and the next line for that connection closes it. Daemon
+//!   memory stays bounded under a client that pipelines forever and
+//!   never reads.
 //! * **Lifecycle limits**: [`TransportOptions::max_conns`] refuses
 //!   connections over the limit with a typed in-band `overloaded` line
 //!   before closing; [`TransportOptions::idle_timeout`] reaps
@@ -121,7 +121,7 @@ use crate::service::{
     CompileRequest, CompileResponse, CompileService, Emit, Event, FailureKind, Wake,
 };
 use gmc_obs::{write_prom_counter, write_prom_gauge};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -136,6 +136,14 @@ use std::time::{Duration, Instant};
 /// flag (a signal handler can only store an atomic), and how long a
 /// socket read blocks before its reader re-checks the closing flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Lines a connection's writer queue holds: its only outbound buffer.
+/// A line that finds it full slow-closes a socket connection.
+const WRITER_QUEUE: usize = 256;
+
+/// How long one socket write may block before the writer gives up on
+/// its peer.
+const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// A parsed `--listen` address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,9 +380,6 @@ pub struct TransportOptions {
     /// Prometheus dump refreshed on every `{"op":"metrics"}` request,
     /// with transport gauges appended (`--metrics-file`).
     pub metrics_file: Option<PathBuf>,
-    /// Attach the C++ runtime header to the first `.cpp`-carrying
-    /// response of **each connection** (every client needs it once).
-    pub attach_runtime_header: bool,
     /// Per-connection admission cap (`--conn-in-flight-cap`): a compile
     /// request arriving while the connection already has this many in
     /// flight is shed in band with retryable `overloaded`. `0` disables
@@ -387,15 +392,6 @@ pub struct TransportOptions {
     /// Reap connections with zero in-flight work after this long
     /// without a request line (`--idle-timeout-ms`); `None` disables.
     pub idle_timeout: Option<Duration>,
-    /// Bounded writer-queue depth per connection (lines). The
-    /// dispatcher never blocks on a full queue — excess lines spill to
-    /// an overflow buffer governed by [`writer_grace`](Self::writer_grace).
-    pub writer_queue: usize,
-    /// Slow-consumer grace window: a connection whose writer queue
-    /// stays full (overflow non-empty) this long — or whose overflow
-    /// outgrows one queue's worth — is closed and its in-flight work
-    /// written off. Also bounds each socket write (write deadline).
-    pub writer_grace: Duration,
 }
 
 impl Default for TransportOptions {
@@ -406,12 +402,9 @@ impl Default for TransportOptions {
             faults: FaultPlan::new(),
             max_line_bytes: 1 << 20,
             metrics_file: None,
-            attach_runtime_header: true,
             conn_in_flight_cap: 64,
             max_conns: 0,
             idle_timeout: None,
-            writer_queue: 128,
-            writer_grace: Duration::from_secs(2),
         }
     }
 }
@@ -433,8 +426,8 @@ pub struct TransportSnapshot {
     pub connections: Vec<(u64, u64)>,
     /// Requests shed at the per-connection in-flight cap.
     pub conn_shed: u64,
-    /// Connections closed by the slow-consumer policy (writer queue
-    /// full past the grace window, or overflow past one queue's worth).
+    /// Connections closed by the slow-consumer policy: a line arrived
+    /// with the connection's writer queue full.
     pub conn_slow_closed: u64,
     /// Connections reaped by the idle timeout.
     pub conn_idle_reaped: u64,
@@ -509,8 +502,8 @@ pub struct TransportReport {
     pub snapshot: TransportSnapshot,
 }
 
-/// What connection readers, writers, and the accept loop post to the
-/// service's event queue (wrapped in [`Event::Conn`]).
+/// What connection readers and the accept loop post to the service's
+/// event queue (wrapped in [`Event::Conn`]).
 pub(crate) enum ConnEvent {
     Opened {
         conn: u64,
@@ -534,9 +527,6 @@ pub(crate) enum ConnEvent {
     Eof {
         conn: u64,
     },
-    /// A writer wrote a line while the dispatcher held spilled lines
-    /// for it (or the writer exited): flush the overflow now.
-    Writable,
 }
 
 const NOT_UTF8: &str = "request line is not valid UTF-8";
@@ -685,10 +675,6 @@ fn spawn_reader<R: Read + Send + 'static>(
 pub(crate) struct WriterHandle {
     lines: SyncSender<String>,
     thread: JoinHandle<()>,
-    /// Set by the dispatcher when it spills lines behind a full queue;
-    /// the writer clears it and posts [`ConnEvent::Writable`] after its
-    /// next write, so the overflow drains without a poll.
-    spilled: Arc<AtomicBool>,
 }
 
 impl WriterHandle {
@@ -702,33 +688,14 @@ impl WriterHandle {
 fn spawn_writer<W: Write + Send + 'static>(
     output: W,
     conn: u64,
-    queue: usize,
-    events: Sender<Event>,
     faults: FaultPlan,
 ) -> WriterHandle {
-    let (lines, rx) = sync_channel::<String>(queue);
-    let spilled = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&spilled);
-    let thread =
-        std::thread::spawn(move || writer_loop(output, &rx, conn, &flag, &events, &faults));
-    WriterHandle {
-        lines,
-        thread,
-        spilled,
-    }
+    let (lines, rx) = sync_channel::<String>(WRITER_QUEUE);
+    let thread = std::thread::spawn(move || writer_loop(output, &rx, conn, &faults));
+    WriterHandle { lines, thread }
 }
 
-fn writer_loop<W: Write>(
-    output: W,
-    lines: &Receiver<String>,
-    conn: u64,
-    spilled: &AtomicBool,
-    events: &Sender<Event>,
-    faults: &FaultPlan,
-) {
-    let writable = || {
-        let _ = events.send(Event::Conn(ConnEvent::Writable));
-    };
+fn writer_loop<W: Write>(output: W, lines: &Receiver<String>, conn: u64, faults: &FaultPlan) {
     let mut out = std::io::BufWriter::new(output);
     while let Ok(line) = lines.recv() {
         // Injected slowloris: this connection's peer reads slowly, so
@@ -741,16 +708,10 @@ fn writer_loop<W: Write>(
             .and_then(|()| out.write_all(b"\n"))
             .and_then(|()| out.flush());
         if write.is_err() {
-            break; // peer gone; the dispatcher notices on its next send
+            // Peer gone, or the write deadline passed: the dispatcher
+            // closes the connection on its next line.
+            break;
         }
-        if spilled.swap(false, Ordering::SeqCst) {
-            writable();
-        }
-    }
-    // A dispatcher holding spilled lines learns the writer is gone now,
-    // not at the grace expiry.
-    if spilled.load(Ordering::SeqCst) {
-        writable();
     }
 }
 
@@ -760,18 +721,12 @@ struct ConnState {
     /// Control clone of the socket for force-closes; `None` for the
     /// stdio connection, which is exempt from the connection policies
     /// (in-flight cap, idle reap, slow-close) and whose writes block
-    /// instead of spilling.
+    /// on a full queue instead.
     ctrl: Option<SocketStream>,
     in_flight: u64,
     header_sent: bool,
-    /// Reader saw EOF: close once `in_flight` and the overflow drain.
+    /// Reader saw EOF: close once `in_flight` drains.
     draining: bool,
-    /// Lines that did not fit the bounded writer queue; flushed when the
-    /// writer frees slots, governed by the slow-consumer policy.
-    overflow: VecDeque<String>,
-    /// When the writer queue first refused a line (overflow became
-    /// non-empty); cleared when the overflow drains.
-    blocked_since: Option<Instant>,
     /// Last request line (or delivery) — feeds the idle timeout.
     last_activity: Instant,
     /// Outbound lines handed to this connection (1-based when the next
@@ -787,8 +742,6 @@ impl ConnState {
             in_flight: 0,
             header_sent: false,
             draining: false,
-            overflow: VecDeque::new(),
-            blocked_since: None,
             last_activity: Instant::now(),
             sent_lines: 0,
         }
@@ -800,19 +753,14 @@ impl ConnState {
 
     /// Idle with nothing owed to it: the idle timeout may reap it.
     fn reapable(&self) -> bool {
-        !self.is_stdio() && self.in_flight == 0 && self.overflow.is_empty() && !self.draining
+        !self.is_stdio() && self.in_flight == 0 && !self.draining
     }
 
-    /// When this connection's timed policy fires: the slow-consumer
-    /// grace expiry while lines are spilled, else the idle reap while it
-    /// is reapable.
-    fn wake_at(&self, idle_timeout: Option<Duration>, grace: Duration) -> Option<Instant> {
-        match self.blocked_since {
-            Some(since) => Some(since + grace),
-            None => idle_timeout
-                .filter(|_| self.reapable())
-                .map(|idle| self.last_activity + idle),
-        }
+    /// When the idle timeout reaps this connection, if it is reapable.
+    fn wake_at(&self, idle_timeout: Option<Duration>) -> Option<Instant> {
+        idle_timeout
+            .filter(|_| self.reapable())
+            .map(|idle| self.last_activity + idle)
     }
 }
 
@@ -825,7 +773,7 @@ enum CloseMode {
     Graceful,
     /// Sever first, then reap: shut the socket down (unblocking a
     /// writer stuck in a send to a non-reading peer), drop the sender,
-    /// join. Queued/overflowed lines are discarded.
+    /// join. Queued lines are discarded.
     Abort,
 }
 
@@ -903,15 +851,14 @@ impl Dispatcher {
     }
 
     /// The instant the dispatcher must wake by if no event arrives: the
-    /// earliest outstanding request deadline, idle-reap time, or
-    /// writer-grace expiry. `None` when nothing is timed — the
-    /// dispatcher then waits for the next event, bounded only by its
-    /// shutdown check.
+    /// earliest outstanding request deadline or idle-reap time. `None`
+    /// when nothing is timed — the dispatcher then waits for the next
+    /// event, bounded only by its shutdown check.
     fn next_wake(&self) -> Option<Instant> {
-        let (idle, grace) = (self.options.idle_timeout, self.options.writer_grace);
+        let idle = self.options.idle_timeout;
         self.conns
             .values()
-            .filter_map(|state| state.wake_at(idle, grace))
+            .filter_map(|state| state.wake_at(idle))
             .chain(self.service.next_deadline())
             .min()
     }
@@ -960,12 +907,11 @@ impl Dispatcher {
     }
 
     /// Hand a rendered line to a connection's writer. Socket
-    /// connections never block the dispatcher: a full queue spills to
-    /// the overflow buffer (slow-consumer policy applies later), a dead
-    /// writer or an injected `conn_drop` closes the connection. The
-    /// stdio connection blocks instead, so a slow consumer stalls the
-    /// daemon and no line is dropped. Returns `false` iff the line will
-    /// never reach the peer.
+    /// connections never block the dispatcher: a full queue slow-closes
+    /// the connection, and a dead writer or an injected `conn_drop`
+    /// closes it. The stdio connection blocks instead, so a slow
+    /// consumer stalls the daemon and no line is dropped. Returns
+    /// `false` iff the line will never reach the peer.
     fn send_line(&mut self, conn: u64, line: String) -> bool {
         let next = match self.conns.get(&conn) {
             Some(state) => state.sent_lines + 1,
@@ -978,106 +924,28 @@ impl Dispatcher {
         }
         let state = self.conns.get_mut(&conn).expect("conn checked above");
         state.sent_lines = next;
-        if state.is_stdio() {
-            if state.writer.lines.send(line).is_ok() {
-                return true;
-            }
-        } else if !state.overflow.is_empty() {
-            state.overflow.push_back(line);
-            return true;
+        let sent = if state.is_stdio() {
+            state.writer.lines.send(line).is_ok()
         } else {
             match state.writer.lines.try_send(line) {
-                Ok(()) => return true,
-                Err(TrySendError::Full(line)) => {
-                    state.blocked_since = Some(Instant::now());
-                    state.overflow.push_back(line);
-                    state.writer.spilled.store(true, Ordering::SeqCst);
-                    return true;
-                }
-                Err(TrySendError::Disconnected(_)) => {}
-            }
-        }
-        // Writer thread exited: the peer is gone.
-        self.close_conn(conn, CloseMode::Abort);
-        false
-    }
-
-    /// Writer maintenance: drain overflow buffers into freed queue
-    /// slots, slow-close connections blocked past the grace window (or
-    /// with more than one queue's worth spilled), and finish the
-    /// graceful close of drained connections. Only connections with
-    /// spilled lines need any of this.
-    fn flush_writers(&mut self) {
-        enum Verdict {
-            Keep,
-            SlowClose,
-            DrainClose,
-            PeerGone,
-        }
-        if !self.has_backlog() {
-            return;
-        }
-        let conns: Vec<u64> = self.conn_order.clone();
-        for conn in conns {
-            let verdict = {
-                let Some(state) = self.conns.get_mut(&conn) else {
-                    continue;
-                };
-                let mut peer_gone = false;
-                while let Some(line) = state.overflow.pop_front() {
-                    match state.writer.lines.try_send(line) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(line)) => {
-                            state.overflow.push_front(line);
-                            break;
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            peer_gone = true;
-                            break;
-                        }
-                    }
-                }
-                if peer_gone {
-                    Verdict::PeerGone
-                } else if state.overflow.is_empty() {
-                    state.blocked_since = None;
-                    if state.draining && state.in_flight == 0 {
-                        Verdict::DrainClose
-                    } else {
-                        Verdict::Keep
-                    }
-                } else {
-                    // Still spilled: ask the writer for another wake-up.
-                    state.writer.spilled.store(true, Ordering::SeqCst);
-                    let over_budget = state.overflow.len() > self.options.writer_queue;
-                    let grace_expired = state
-                        .blocked_since
-                        .get_or_insert_with(Instant::now)
-                        .elapsed()
-                        >= self.options.writer_grace;
-                    if over_budget || grace_expired {
-                        Verdict::SlowClose
-                    } else {
-                        Verdict::Keep
-                    }
-                }
-            };
-            match verdict {
-                Verdict::Keep => {}
-                Verdict::SlowClose => {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
                     self.conn_slow_closed += 1;
-                    self.close_conn(conn, CloseMode::Abort);
+                    false
                 }
-                Verdict::DrainClose => self.close_conn(conn, CloseMode::Graceful),
-                Verdict::PeerGone => self.close_conn(conn, CloseMode::Abort),
+                // Writer thread exited: the peer is gone.
+                Err(TrySendError::Disconnected(_)) => false,
             }
+        };
+        if !sent {
+            self.close_conn(conn, CloseMode::Abort);
         }
+        sent
     }
 
     /// Reap connections with zero in-flight work that have been silent
     /// past the idle timeout. A request that reached the dispatcher
-    /// first wins: its connection has in-flight work (or an undelivered
-    /// overflow) and is exempt.
+    /// first wins: its connection has in-flight work and is exempt.
     fn reap_idle(&mut self) {
         let Some(timeout) = self.options.idle_timeout else {
             return;
@@ -1092,11 +960,6 @@ impl Dispatcher {
             self.conn_idle_reaped += 1;
             self.close_conn(conn, CloseMode::Graceful);
         }
-    }
-
-    /// `true` if any connection has spilled lines waiting on its writer.
-    fn has_backlog(&self) -> bool {
-        self.conns.values().any(|s| !s.overflow.is_empty())
     }
 
     /// Deliver a service response to its submitting connection,
@@ -1118,7 +981,9 @@ impl Dispatcher {
         };
         state.in_flight = state.in_flight.saturating_sub(1);
         state.last_activity = Instant::now();
-        if self.options.attach_runtime_header && !state.header_sent {
+        // Every client needs the C++ runtime header once: it rides the
+        // first `.cpp`-carrying response of each connection.
+        if !state.header_sent {
             if let Ok(artifacts) = &mut response.result {
                 if artifacts.files.iter().any(|(n, _)| n.ends_with(".cpp")) {
                     artifacts.files.insert(
@@ -1129,15 +994,12 @@ impl Dispatcher {
                 }
             }
         }
-        let close = state.draining && state.in_flight == 0 && state.overflow.is_empty();
-        let sent = self.send_line(conn, jsonl::response_line(&response));
-        if !sent {
+        let close = state.draining && state.in_flight == 0;
+        if !self.send_line(conn, jsonl::response_line(&response)) {
             // The connection died with this response in hand; the
             // request is written off like its siblings.
             self.conn_written_off += 1;
-            return;
-        }
-        if close && self.conns.get(&conn).is_some_and(|s| s.overflow.is_empty()) {
+        } else if close {
             self.close_conn(conn, CloseMode::Graceful);
         }
     }
@@ -1165,9 +1027,10 @@ impl Dispatcher {
         // the connection's stream; explicit ids pass through untouched.
         let id = raw.id.unwrap_or(line_no);
         match raw.op.as_deref() {
-            // Stats rides the work queues and observes every compile
-            // submitted before it; health and metrics read atomics and
-            // answer even when shards are wedged.
+            // Stats, health and metrics read the counters each shard
+            // publishes, so they answer at once even when shards are
+            // wedged; stats counts what the shards have answered so
+            // far, not compiles still queued behind it.
             Some("stats") => {
                 let line = jsonl::stats_line(id, &self.service.stats());
                 self.send_line(conn, line);
@@ -1319,7 +1182,7 @@ impl Dispatcher {
                 let close_now = match self.conns.get_mut(&conn) {
                     Some(state) => {
                         state.draining = true;
-                        state.in_flight == 0 && state.overflow.is_empty()
+                        state.in_flight == 0
                     }
                     None => false,
                 };
@@ -1327,8 +1190,6 @@ impl Dispatcher {
                     self.close_conn(conn, CloseMode::Graceful);
                 }
             }
-            // The loop runs writer maintenance after every event.
-            ConnEvent::Writable => {}
         }
     }
 
@@ -1367,11 +1228,6 @@ impl Acceptor {
         let (events, closing) = (events.clone(), Arc::clone(closing));
         let faults = options.faults.clone();
         let max_line = options.max_line_bytes;
-        let writer_queue = options.writer_queue.max(1);
-        // Write deadline: a single socket write may block at most this
-        // long (the grace window, floored so tiny test windows don't
-        // trip healthy peers on a loaded host).
-        let write_timeout = options.writer_grace.max(Duration::from_millis(250));
         let thread = std::thread::spawn(move || {
             let mut next_conn: u64 = 0;
             loop {
@@ -1389,15 +1245,9 @@ impl Acceptor {
                 let conn = next_conn;
                 stream.set_read_timeout(Some(POLL_INTERVAL))?;
                 let write_half = stream.try_clone()?;
-                write_half.set_write_timeout(Some(write_timeout))?;
+                write_half.set_write_timeout(Some(WRITE_DEADLINE))?;
                 let ctrl = stream.try_clone()?;
-                let writer = spawn_writer(
-                    write_half,
-                    conn,
-                    writer_queue,
-                    events.clone(),
-                    faults.clone(),
-                );
+                let writer = spawn_writer(write_half, conn, faults.clone());
                 // Opened is enqueued before the reader spawns, so the
                 // dispatcher never sees a Line for an unknown connection.
                 let opened = ConnEvent::Opened { conn, writer, ctrl };
@@ -1496,19 +1346,13 @@ pub fn serve_front(
         Front::Listen(listener) => Some(Acceptor::spawn(listener, &events, &closing, &d.options)),
         Front::Stdio { input, output } => {
             let faults = d.options.faults.clone();
-            let queue = d.options.writer_queue.max(1);
-            d.open(
-                0,
-                spawn_writer(output, 0, queue, events.clone(), faults.clone()),
-                None,
-            );
+            d.open(0, spawn_writer(output, 0, faults.clone()), None);
             let max_line = d.options.max_line_bytes;
             spawn_reader(input, 0, max_line, events, Arc::clone(&closing), faults);
             None
         }
     };
     loop {
-        d.flush_writers();
         d.reap_idle();
         if acceptor.is_none() && d.conns.is_empty() {
             break; // connection 0 reached EOF and drained
@@ -1529,13 +1373,13 @@ pub fn serve_front(
         d.step(Some(d.next_wake().map_or(check, |wake| wake.min(check))));
     }
 
-    // Graceful drain: answer everything in flight to its connection and
-    // flush spilled lines; a peer that still won't read is slow-closed
-    // by the grace policy, so this terminates.
+    // Graceful drain: answer everything in flight to its connection. A
+    // peer that won't read is slow-closed once its queue fills, and
+    // each writer gives up after its write deadline, so this and the
+    // closes below terminate.
     loop {
-        d.flush_writers();
         d.reap_idle();
-        if d.service.pending() == 0 && !d.has_backlog() {
+        if d.service.pending() == 0 {
             break;
         }
         d.step(d.next_wake());
@@ -1905,44 +1749,42 @@ mod tests {
     }
 
     /// A client that pipelines forever and never reads is slow-closed
-    /// once its overflow outgrows one queue's worth, even though it
-    /// half-closed with the write queue full; its in-flight work is
-    /// written off through the exactly-once tables, daemon memory stays
-    /// bounded, and the daemon keeps serving polite clients.
+    /// the moment a response finds its writer queue full, even though
+    /// it half-closed first; its in-flight work is written off through
+    /// the exactly-once tables, daemon memory stays bounded by the
+    /// queue, and the daemon keeps serving polite clients.
     #[test]
     fn never_reading_pipeliner_is_slow_closed_and_written_off() {
         let dir = std::env::temp_dir().join("gmc_transport_slowclose_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Responses finish every ~40 ms (injected delay, one shard);
-        // the connection's writer stalls 300 ms per line, so the
-        // bounded queue (2) fills and the overflow trips the
-        // one-queue's-worth budget on the 6th response — with 4
-        // requests still in flight behind it.
-        let faults = FaultPlan::parse("delay:40,conn_stall:1:300").unwrap();
+        // The connection's writer stalls 500 ms per line while the shard
+        // answers hits in microseconds, so responses pile up in the
+        // queue and the one past `WRITER_QUEUE` closes the connection.
+        let faults = FaultPlan::parse("conn_stall:1:500").unwrap();
         let mut config = fast_config(1);
         config.faults = faults.clone();
         let options = TransportOptions {
-            writer_queue: 2,
-            writer_grace: Duration::from_millis(10_000),
+            conn_in_flight_cap: 0,
             faults,
             ..TransportOptions::default()
         };
         let (addr, shutdown, handle) = start_daemon(&dir, config, options);
 
+        let sent = WRITER_QUEUE + 64;
         let mut greedy = SocketStream::connect(&addr).unwrap();
-        for id in 1..=10 {
-            greedy.write_all(request_line(id).as_bytes()).unwrap();
-            greedy.write_all(b"\n").unwrap();
-        }
-        greedy.flush().unwrap();
-        // Half-close with the write queue about to fill: the draining
-        // connection must still be torn down by the slow-consumer
-        // policy, not leaked.
-        greedy.shutdown_write().unwrap();
+        let burst: String = (1..=sent as u64)
+            .map(|id| request_line(id) + "\n")
+            .collect();
+        // The write may fail if the daemon closes the connection first.
+        let _ = greedy.write_all(burst.as_bytes());
+        // Half-close before the queue fills: the draining connection
+        // must still be torn down by the slow-consumer policy, not
+        // leaked.
+        let _ = greedy.shutdown_write();
         let lines = read_all_lines(greedy);
         assert!(
-            lines.len() < 10,
+            lines.len() < sent,
             "slow-closed before all responses: {} lines",
             lines.len()
         );
@@ -1960,47 +1802,44 @@ mod tests {
         shutdown.store(true, Ordering::SeqCst);
         let (service, report) = handle.join().unwrap().unwrap();
         assert_eq!(report.snapshot.conn_slow_closed, 1);
-        assert_eq!(
-            report.snapshot.conn_written_off, 4,
-            "responses 7-10 were in flight when the overflow tripped"
+        assert!(
+            report.snapshot.conn_written_off >= 1,
+            "the response that found the queue full is written off"
         );
         assert_eq!(report.snapshot.conn_shed, 0);
         let stats = service.shutdown();
-        // Written-off work still reaches its shard exactly once (late
-        // replies are dropped, not double-served).
-        assert_eq!(stats.requests(), 11);
+        // Every admitted line, written off or not, reaches its shard
+        // exactly once (late replies are dropped, not double-served).
+        assert_eq!(stats.requests(), report.requests);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The grace window alone (without the overflow budget) slow-closes
-    /// a connection whose write queue stays full.
+    /// A burst that exactly fills the writer queue is no slow consumer:
+    /// a client that reads its responses gets all `WRITER_QUEUE` op
+    /// answers, which the dispatcher queues as fast as it reads the
+    /// requests.
     #[test]
-    fn write_queue_full_past_grace_is_slow_closed() {
-        let dir = std::env::temp_dir().join("gmc_transport_grace_test");
+    fn reading_client_gets_a_full_queue_burst() {
+        let dir = std::env::temp_dir().join("gmc_transport_burst_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let faults = FaultPlan::parse("delay:40,conn_stall:1:300").unwrap();
-        let mut config = fast_config(1);
-        config.faults = faults.clone();
-        let options = TransportOptions {
-            writer_queue: 3,
-            writer_grace: Duration::from_millis(100),
-            faults,
-            ..TransportOptions::default()
-        };
-        let (addr, shutdown, handle) = start_daemon(&dir, config, options);
-        let mut greedy = SocketStream::connect(&addr).unwrap();
-        for id in 1..=6 {
-            greedy.write_all(request_line(id).as_bytes()).unwrap();
-            greedy.write_all(b"\n").unwrap();
-        }
-        greedy.flush().unwrap();
-        greedy.shutdown_write().unwrap();
-        let lines = read_all_lines(greedy);
-        assert!(lines.len() < 6, "grace expired: {} lines", lines.len());
+        let (addr, shutdown, handle) =
+            start_daemon(&dir, fast_config(1), TransportOptions::default());
+
+        let mut client = SocketStream::connect(&addr).unwrap();
+        let burst: String = (1..=WRITER_QUEUE)
+            .map(|id| format!("{{\"op\":\"health\",\"id\":{id}}}\n"))
+            .collect();
+        client.write_all(burst.as_bytes()).unwrap();
+        client.shutdown_write().unwrap();
+        let lines = read_all_lines(client);
+        assert_eq!(lines.len(), WRITER_QUEUE);
+        assert!(lines.iter().all(|l| l.contains("\"ok\":true")));
+
         shutdown.store(true, Ordering::SeqCst);
         let (service, report) = handle.join().unwrap().unwrap();
-        assert_eq!(report.snapshot.conn_slow_closed, 1);
+        assert_eq!(report.snapshot.conn_slow_closed, 0);
+        assert_eq!(report.snapshot.conn_written_off, 0);
         let _ = service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2125,15 +1964,12 @@ mod tests {
     /// The dispatcher's wake-up instant is its earliest timed obligation:
     /// with nothing timed it is `None` (wait for the next event, bounded
     /// only by the shutdown check); otherwise it is exactly the one
-    /// request deadline, idle-reap time, or writer-grace expiry — or the
-    /// earliest of several.
+    /// request deadline or idle-reap time — or the earliest of several.
     #[test]
     fn next_wake_is_the_earliest_timed_obligation() {
         let idle = Duration::from_millis(80);
-        let grace = Duration::from_millis(100);
         let options = TransportOptions {
             idle_timeout: Some(idle),
-            writer_grace: grace,
             ..TransportOptions::default()
         };
         let service = CompileService::start(fast_config(1)).unwrap();
@@ -2142,18 +1978,12 @@ mod tests {
             let writer = WriterHandle {
                 lines: sync_channel(1).0,
                 thread: std::thread::spawn(|| {}),
-                spilled: Arc::new(AtomicBool::new(false)),
             };
             let ctrl = socket.then(|| SocketStream::Unix(UnixStream::pair().unwrap().0));
             ConnState {
                 last_activity,
                 ..ConnState::new(writer, ctrl)
             }
-        };
-        let spilled = |mut state: ConnState, since: Instant| {
-            state.overflow.push_back("line".into());
-            state.blocked_since = Some(since);
-            state
         };
         let t0 = Instant::now();
 
@@ -2164,11 +1994,6 @@ mod tests {
         // Only the idle timeout.
         d.conns.insert(1, conn(true, t0));
         assert_eq!(d.next_wake(), Some(t0 + idle));
-
-        // Only the writer grace: spilled lines exempt a connection from
-        // the idle reap.
-        d.conns.insert(1, spilled(conn(true, t0), t0));
-        assert_eq!(d.next_wake(), Some(t0 + grace));
 
         // Only a request deadline.
         d.conns.remove(&1);
@@ -2187,11 +2012,9 @@ mod tests {
 
         // Several at once: the earliest, whichever kind it is.
         d.conns.insert(2, conn(true, t0));
-        d.conns.insert(3, spilled(conn(true, t0), t0));
-        assert_eq!(d.next_wake(), Some(t0 + idle), "idle reap first");
         d.conns
-            .insert(2, conn(true, t0 + Duration::from_millis(50)));
-        assert_eq!(d.next_wake(), Some(t0 + grace), "writer grace first");
+            .insert(3, conn(true, t0 + Duration::from_millis(50)));
+        assert_eq!(d.next_wake(), Some(t0 + idle), "idle reap first");
 
         let mut service = d.service;
         assert_eq!(service.drain().len(), 1);

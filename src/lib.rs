@@ -40,10 +40,9 @@
 //!   routes away from home only when home's queue is deeper by more
 //!   than a stickiness margin — so repeat shapes stay on the shard
 //!   whose caches are warm until that shard is genuinely backed up
-//!   (ties break deterministically toward home; `RoutingMode::HashMod`,
-//!   set through `ServeConfig::routing`, pins the old pure hash%N
-//!   policy for `bench_serve`'s comparison). Routing is purely a performance hint — compilation is
-//!   deterministic, so artifacts are identical wherever a request lands.
+//!   (ties break deterministically toward home). Routing is purely a
+//!   performance hint — compilation is deterministic, so artifacts are
+//!   identical wherever a request lands.
 //! * **Bounded chain cache**: each session's compiled-chain cache is
 //!   LRU-bounded (`CompileSession::set_chain_cache_capacity`) with
 //!   hit/miss/eviction counters (`cache_stats`) for observability; the
@@ -82,9 +81,9 @@
 //!   onto private tokens so clients can **pipeline** requests and
 //!   receive responses out of order (matched by id, ids scoped per
 //!   connection). The dispatcher blocks on one event queue that the
-//!   readers, writers, accept loop, and shard workers all feed, with a
-//!   timeout at its nearest real obligation (request deadline, idle
-//!   reap, writer grace) — no poll timers, so deadlines are exact and
+//!   readers, accept loop, and shard workers all feed, with a timeout
+//!   at its nearest real obligation (request deadline or idle reap) —
+//!   no poll timers, so deadlines are exact and
 //!   a warm hit costs lookup plus encode. Half-close (client shutdown
 //!   of its write side) drains that connection's in-flight work before
 //!   closing; transport
@@ -98,16 +97,18 @@
 //!   over-cap requests *in band* with a retryable `overloaded` error —
 //!   cap → shed → client retry/backoff is the intended control loop,
 //!   and `gmcc --connect --retry N` closes it with jittered capped
-//!   exponential backoff. Outbound writers are **bounded**: a
-//!   connection that stops reading (slowloris, greedy pipeliner) is
-//!   slow-closed once its write queue stays full past a grace window or
-//!   its overflow outgrows one queue's worth, and its in-flight work is
-//!   written off through the exactly-once bookkeeping (late shard
-//!   replies dropped and counted) instead of buffering without bound.
-//!   `--max-conns` refuses connections past a limit with a typed
-//!   in-band line before closing; `--idle-timeout-ms` reaps silent
-//!   connections (in-flight or undelivered work exempts). Every
-//!   shed/refusal/slow-close/reap increments a transport counter
+//!   exponential backoff. Outbound writers are **bounded**: each
+//!   connection's writer queue (256 lines) is its only outbound
+//!   buffer, and a connection that stops reading (slowloris, greedy
+//!   pipeliner) is slow-closed once a line finds that queue full, or
+//!   on its next line once a socket write has blocked for 2 s. Its
+//!   in-flight work is written off through the exactly-once
+//!   bookkeeping (late shard replies dropped and counted) instead of
+//!   buffering without bound. `--max-conns` refuses connections past
+//!   a limit with a typed in-band line before closing;
+//!   `--idle-timeout-ms` reaps silent connections (in-flight work
+//!   exempts). Every shed/refusal/slow-close/reap increments a
+//!   transport counter
 //!   (`gmc_conn_shed_total`, `gmc_conn_slow_closed_total`, …) that
 //!   rides health/metrics and the Prometheus dump, and connection-level
 //!   fault injection (`GMC_FAULT=conn_drop:…`, `conn_stall:…`,
@@ -291,7 +292,7 @@
 //! (`cargo run --release --bin bench_select`), the
 //! serving trajectory (cold vs. warm vs. restored-from-disk, plus the
 //! `--load` closed-loop socket sweep: connections × shards QPS/latency
-//! table and the skewed-workload two-choices-vs-hash%N comparison) in
+//! table and the skewed-workload two-choices-vs-one-shard comparison) in
 //! `BENCH_serve.json` (`cargo run --release --bin bench_serve`),
 //! alongside `BENCH_gemm.json` / `BENCH_dp.json` for the kernel and DP
 //! trajectories.
