@@ -42,7 +42,7 @@
 use crate::expand::Objective;
 use crate::paren::ParenTree;
 use crate::program::CompileOptions;
-use gmc_ir::Shape;
+use gmc_ir::{Shape, MAX_OPERANDS};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -127,6 +127,8 @@ pub(crate) fn options_key(o: &CompileOptions, variant_cap: u64) -> String {
 pub struct SessionSnapshot {
     options_key: String,
     entries: Vec<(Shape, Vec<ParenTree>)>,
+    /// Chains [`SessionSnapshot::decode`] skipped as too long.
+    skipped: usize,
 }
 
 impl SessionSnapshot {
@@ -134,6 +136,7 @@ impl SessionSnapshot {
         SessionSnapshot {
             options_key,
             entries,
+            skipped: 0,
         }
     }
 
@@ -147,6 +150,14 @@ impl SessionSnapshot {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Chains the decoded file recorded but this snapshot left out,
+    /// because they hold more than [`MAX_OPERANDS`] matrices (a build
+    /// without that limit cached them).
+    #[must_use]
+    pub fn skipped(&self) -> usize {
+        self.skipped
     }
 
     /// The snapshot's options fingerprint line (without the `options `
@@ -219,7 +230,9 @@ impl SessionSnapshot {
 
     /// Parse the `gmc-session-snapshot v1` text format. A `frags ` line,
     /// which older files may carry, ends the snapshot: it and everything
-    /// after it are ignored.
+    /// after it are ignored. A chain of more than [`MAX_OPERANDS`]
+    /// matrices is skipped with its chain line and counted
+    /// ([`SessionSnapshot::skipped`]), not restored.
     ///
     /// # Errors
     ///
@@ -246,6 +259,7 @@ impl SessionSnapshot {
             .to_string();
 
         let mut entries: Vec<(Shape, Vec<ParenTree>)> = Vec::new();
+        let mut skipped = 0;
         while let Some((i, line)) = lines.next() {
             let lineno = i + 1;
             if line.trim().is_empty() {
@@ -263,16 +277,21 @@ impl SessionSnapshot {
             let id: usize = id_str
                 .parse()
                 .map_err(|_| err(lineno, format!("bad shape id `{id_str}`")))?;
-            if id != entries.len() {
+            if id != entries.len() + skipped {
                 return Err(err(
                     lineno,
                     format!(
                         "shape ids must be dense: expected {}, got {id}",
-                        entries.len()
+                        entries.len() + skipped
                     ),
                 ));
             }
-            let shape = Shape::from_compact(code).map_err(|e| err(lineno, e))?;
+            let too_long = code.split_whitespace().count() > MAX_OPERANDS;
+            let shape = if too_long {
+                None
+            } else {
+                Some(Shape::from_compact(code).map_err(|e| err(lineno, e))?)
+            };
 
             let (j, chain_line) = lines
                 .next()
@@ -289,6 +308,10 @@ impl SessionSnapshot {
                     format!("chain id `{cid}` != shape id `{id_str}`"),
                 ));
             }
+            let Some(shape) = shape else {
+                skipped += 1;
+                continue;
+            };
             let mut parens = Vec::new();
             for tok in tokens {
                 let tree = decode_paren(tok).map_err(|e| err(chainno, e))?;
@@ -317,6 +340,7 @@ impl SessionSnapshot {
         Ok(SessionSnapshot {
             options_key,
             entries,
+            skipped,
         })
     }
 
@@ -553,6 +577,30 @@ mod tests {
         let snap = sample();
         let text = format!("{}frags v1 3\nfrag bogus\nshape 9 Qs\n", snap.encode());
         assert_eq!(SessionSnapshot::decode(&text).unwrap(), snap);
+    }
+
+    #[test]
+    fn a_chain_past_the_operand_limit_is_skipped_not_fatal() {
+        // A file written before the limit, with a 129-matrix chain
+        // between the two chains of `sample()`: that one is left out
+        // and counted, the rest restore as written.
+        let snap = sample();
+        let text = snap.encode();
+        let long = vec!["Gs"; MAX_OPERANDS + 1].join(" ");
+        let tree = ParenTree::left_to_right(0, MAX_OPERANDS);
+        let mut paren = String::new();
+        encode_paren(&tree, &mut paren);
+        let text = text.replace(
+            "shape 1 ",
+            &format!("shape 1 {long}\nchain 1 {paren}\nshape 2 "),
+        );
+        let text = text.replace("chain 1 (0,1)", "chain 2 (0,1)");
+        let back = SessionSnapshot::decode(&text).unwrap();
+        assert_eq!(back.skipped(), 1);
+        assert_eq!(back.entries(), snap.entries());
+        // A malformed chain line under a skipped shape is still an error.
+        let torn = text.replace(&format!("chain 1 {paren}"), "chain 7 (0,1)");
+        assert!(SessionSnapshot::decode(&torn).is_err());
     }
 
     #[test]

@@ -1065,12 +1065,13 @@ connections, per-connection in-flight), and the Prometheus dump gains
 a gmc_connections gauge. The socket daemon applies end-to-end
 backpressure: --conn-in-flight-cap N (default 64, 0 = off) sheds a
 connection's requests over N outstanding with a retryable `overloaded`
-error; each connection's outbound queue holds 256 lines, and a client
-that lets it fill, or that accepts no bytes for 2 s, is closed with its
-in-flight work written off (late shard replies are dropped and
-counted); --max-conns
-N refuses connections beyond N with one typed line; --idle-timeout-ms
-MS reaps connections with zero in-flight. gmcc --connect ADDR [FILE|-]
+error; each connection's outbound buffer holds 256 lines, and a
+client that lets it fill, or that accepts no bytes for 2 s, is closed
+with its in-flight work written off (late shard replies are dropped
+and counted); a connection with more than 8 MiB unsent is not read
+until it drains; --max-conns N refuses connections beyond N with one
+typed line; --idle-timeout-ms MS reaps connections with zero
+in-flight. gmcc --connect ADDR [FILE|-]
 is the matching client: it pipelines FILE's request lines over one
 connection and prints each response line to stdout; retryable
 failures (overloaded, deadline_exceeded, shard_panic, shard_down) are

@@ -459,6 +459,27 @@ mod tests {
         assert_eq!(err, ParseError::DuplicateDefinition("A".into()));
     }
 
+    /// A source naming `n` distinct general matrices multiplied in order.
+    fn general_chain(n: usize) -> String {
+        let defs: String = (0..n)
+            .map(|i| format!("Matrix M{i} <General, Singular>;"))
+            .collect();
+        let product: Vec<String> = (0..n).map(|i| format!("M{i}")).collect();
+        format!("{defs} X := {};", product.join(" * "))
+    }
+
+    #[test]
+    fn chains_past_the_operand_limit_are_parse_errors() {
+        use crate::shape::MAX_OPERANDS;
+        let program = parse_program(&general_chain(MAX_OPERANDS)).unwrap();
+        assert_eq!(program.shape().len(), MAX_OPERANDS);
+        let err = parse_program(&general_chain(MAX_OPERANDS + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::Shape(ShapeError::TooManyOperands { len: 129 })
+        );
+    }
+
     #[test]
     fn inverse_of_singular_is_error() {
         let err = parse_program(

@@ -57,4 +57,4 @@ pub use intern::{ShapeId, ShapeInterner};
 pub use operand::Operand;
 pub use poly::Poly;
 pub use ratio::Ratio;
-pub use shape::{Shape, ShapeError};
+pub use shape::{Shape, ShapeError, MAX_OPERANDS};

@@ -7,6 +7,12 @@ use crate::operand::Operand;
 use std::error::Error;
 use std::fmt;
 
+/// The most matrices one chain may hold. Enumeration memory grows about
+/// eightfold per doubling of the chain length (a 128-operand chain peaks
+/// near 150 MiB, a 512-operand one exhausts a 4 GiB address space), so
+/// longer chains are refused before any work is done on them.
+pub const MAX_OPERANDS: usize = 128;
+
 /// Errors detected when validating a shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShapeError {
@@ -20,6 +26,11 @@ pub enum ShapeError {
         /// The offending operand.
         operand: Operand,
     },
+    /// The chain holds more than [`MAX_OPERANDS`] matrices.
+    TooManyOperands {
+        /// How many matrices the chain holds.
+        len: usize,
+    },
 }
 
 impl fmt::Display for ShapeError {
@@ -32,6 +43,10 @@ impl fmt::Display for ShapeError {
                     "operand {index} has invalid features/operators: {operand}"
                 )
             }
+            ShapeError::TooManyOperands { len } => write!(
+                f,
+                "a chain may hold at most {MAX_OPERANDS} matrices, this one has {len}"
+            ),
         }
     }
 }
@@ -65,11 +80,18 @@ impl Shape {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError::Empty`] for an empty chain and
-    /// [`ShapeError::InvalidOperand`] if any operand is invalid.
+    /// Returns [`ShapeError::Empty`] for an empty chain,
+    /// [`ShapeError::TooManyOperands`] for one longer than
+    /// [`MAX_OPERANDS`], and [`ShapeError::InvalidOperand`] if any
+    /// operand is invalid.
     pub fn new(operands: Vec<Operand>) -> Result<Self, ShapeError> {
         if operands.is_empty() {
             return Err(ShapeError::Empty);
+        }
+        if operands.len() > MAX_OPERANDS {
+            return Err(ShapeError::TooManyOperands {
+                len: operands.len(),
+            });
         }
         for (index, &operand) in operands.iter().enumerate() {
             if !operand.is_valid() {
@@ -214,6 +236,19 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert_eq!(Shape::new(vec![]), Err(ShapeError::Empty));
+    }
+
+    #[test]
+    fn chains_longer_than_the_operand_limit_are_rejected() {
+        assert!(Shape::new(vec![g(); MAX_OPERANDS]).is_ok());
+        let err = Shape::new(vec![g(); MAX_OPERANDS + 1]).unwrap_err();
+        assert_eq!(err, ShapeError::TooManyOperands { len: 129 });
+        // Snapshot `shape` lines go through the same check.
+        let code = Shape::new(vec![g(); MAX_OPERANDS]).unwrap().compact();
+        assert!(Shape::from_compact(&code).is_ok());
+        let long = format!("{code} {}", code.split_whitespace().next().unwrap());
+        let err = Shape::from_compact(&long).unwrap_err();
+        assert!(err.contains("at most 128 matrices"), "{err}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! | `delay:<ms>` | every compile on every shard sleeps `<ms>` ms first | queue growth, admission control (shedding), deadline expiry at dequeue and in the submitter |
 //! | `snapshot_torn` | snapshot saves write a truncated file directly to the target path, bypassing the atomic rename | corrupt-snapshot quarantine and cold start on the next boot |
 //! | `conn_drop:<conn>:<nth>` | socket connection `<conn>` (1-based accept order) is severed in place of its `<nth>` outbound line — an abrupt disconnect mid-response | killed-connection write-off: in-flight work leaves the exactly-once tables, late shard replies are dropped and counted |
-//! | `conn_stall:<conn>:<ms>` | connection `<conn>`'s writer sleeps `<ms>` ms before every line it writes (a slow reader / slowloris peer) | bounded writer queues: a full queue slow-closes the connection |
+//! | `conn_stall:<conn>:<ms>` | connection `<conn>`'s output is held `<ms>` ms before every line, by a dispatcher timer (a slow reader / slowloris peer) | bounded outbound buffers: a full buffer slow-closes the connection; a graceful close flushes without stalling other connections |
 //! | `conn_garbage:<conn>` | connection `<conn>`'s 2nd request line is read as non-UTF-8 garbage | in-band `bad_request` answers keep per-connection id accounting exact even mid-stream |
 //!
 //! Panics fire *before* the session is touched, so a killed shard's
@@ -259,9 +259,10 @@ impl FaultPlan {
                 .contains(&(conn, nth))
     }
 
-    /// Transport hook: the armed writer stall for connection `conn`,
-    /// slept before every line its writer thread flushes (a slow
-    /// reader from the daemon's point of view).
+    /// Transport hook: the armed output stall for connection `conn`,
+    /// held (as a timer, never a sleep) before every line the
+    /// dispatcher flushes to it (a slow reader from the daemon's point
+    /// of view).
     pub(crate) fn conn_stall(&self, conn: u64) -> Option<Duration> {
         if !self.is_armed() {
             return None;

@@ -59,10 +59,11 @@
 //!   ([`TransportOptions::conn_in_flight_cap`]) sheds over-cap requests
 //!   in band with retryable `overloaded` — cap → shed → client
 //!   retry/backoff is the intended control loop, not an error path.
-//!   Each connection's bounded writer queue is its only outbound
-//!   buffer: a line that finds it full slow-closes the connection, and
-//!   a writer whose socket write blocks past its 2 s deadline exits, so
-//!   the connection closes on its next line. Either way the
+//!   Each socket connection has one output byte buffer, flushed by the
+//!   dispatcher's poll loop: a line that arrives while 256 lines are
+//!   unflushed slow-closes the connection, output that makes no
+//!   progress for 2 s closes it, and while more than 8 MiB are
+//!   unflushed the connection's requests are not read. Either way the
 //!   connection's in-flight work is *written off* through the same
 //!   exactly-once sequence numbers (late shard replies dropped and
 //!   counted, never delivered to a dead socket). Lifecycle limits bound
@@ -132,12 +133,15 @@
 //! Shards post each finished response to the service's one event
 //! queue, tagged with the caller's request id (completion order is not
 //! submission order). The same queue carries shard exits and, under
-//! the [`transport`], connection events, so the submitter wakes the
+//! the [`transport`], stdin's request lines, so the submitter wakes the
 //! moment a response is ready and no later than the earliest
-//! outstanding deadline — there is no poll tick. The [`transport`]
+//! outstanding deadline — there is no poll tick. Once the transport's
+//! `poll(2)` loop arms it, every post also writes one byte to a wake
+//! socket that the loop watches; in-process callers of
+//! [`CompileService::recv`] block on the queue alone. The [`transport`]
 //! module fronts the service with JSONL ([`jsonl`]) through one
 //! dispatcher: over unix/TCP sockets (`gmcc --listen`), with one
-//! reader/writer thread pair per connection and per-connection request
+//! `poll(2)` loop owning every socket and per-connection request
 //! ids remapped onto private tokens, so many clients pipeline
 //! concurrently and each response returns to its submitting connection
 //! (ids are scoped per connection; `gmcc --connect` is the matching
@@ -378,6 +382,35 @@ mod tests {
         assert!(!failure.kind.retryable());
         assert_eq!(responses[0].shard, None);
         assert!(responses[1].result.is_ok(), "stream continues past errors");
+    }
+
+    /// A chain longer than `gmc_ir::MAX_OPERANDS` is refused before any
+    /// work, in band: a 512-operand request (a 20 KB line) gets a typed
+    /// `parse` failure at once, and the request behind it is served.
+    #[test]
+    fn over_long_chains_fail_to_parse_before_any_work() {
+        let n = 512;
+        let defs: String = (0..n)
+            .map(|i| format!("Matrix M{i} <General, Singular>;"))
+            .collect();
+        let product: Vec<String> = (0..n).map(|i| format!("M{i}")).collect();
+        let long = format!("{defs} X := {};", product.join(" * "));
+        let mut service = CompileService::start(config(1)).unwrap();
+        let started = std::time::Instant::now();
+        service.submit(request(1, &long));
+        let first = service.recv().expect("answered in band");
+        let took = started.elapsed();
+        let failure = first.result.unwrap_err();
+        assert_eq!(failure.kind, FailureKind::Parse);
+        assert!(
+            failure.message.contains("at most 128 matrices"),
+            "{failure:?}"
+        );
+        assert!(took < std::time::Duration::from_millis(10), "took {took:?}");
+        service.submit(request(2, SRC_B));
+        let second = service.recv().expect("the next request is served");
+        assert!(second.result.is_ok());
+        let _ = service.shutdown();
     }
 
     #[test]

@@ -19,9 +19,11 @@ use gmc_obs::{write_prom_counter, Snapshot};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -627,8 +629,31 @@ pub(crate) enum Event {
     /// A shard's worker thread exited (posted by a drop guard in
     /// [`shard_main`]); its unanswered requests are written off.
     ShardExited(usize),
-    /// A connection reader, writer, or the accept loop has news.
+    /// The stdin reader of the transport's connection 0 has news.
     Conn(ConnEvent),
+}
+
+/// The sending half of the event queue. Once a poll loop has armed the
+/// wake socket ([`CompileService::arm_wake`]), every post also writes
+/// one byte to it, so the loop's `poll(2)` returns; unarmed, a post is
+/// a plain channel send.
+#[derive(Clone)]
+pub(crate) struct EventTx {
+    tx: Sender<Event>,
+    wake: Arc<OnceLock<UnixStream>>,
+}
+
+impl EventTx {
+    /// Post an event, then wake the poll loop if one is armed.
+    pub(crate) fn send(&self, event: Event) -> Result<(), SendError<Event>> {
+        self.tx.send(event)?;
+        if let Some(mut wake) = self.wake.get() {
+            // A full socket already holds a wake-up the loop has not
+            // read, so a refused byte loses nothing.
+            let _ = wake.write(&[1]);
+        }
+        Ok(())
+    }
 }
 
 /// What [`CompileService::wait`] woke for.
@@ -655,11 +680,14 @@ struct Outstanding {
 pub struct CompileService {
     job_txs: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<ShardStats>>,
-    /// The one event queue: shards post here, and the transport hands
-    /// clones of this sender to its accept loop, readers and writers.
-    /// Holding it also means the queue never disconnects.
-    events_tx: Sender<Event>,
+    /// The one event queue: shards post here, and the transport hands a
+    /// clone of this sender to its stdin reader. Holding it also means
+    /// the queue never disconnects.
+    events_tx: EventTx,
     events_rx: Receiver<Event>,
+    /// Read end of the wake socket, once [`CompileService::arm_wake`]
+    /// has armed it.
+    wake_rx: Option<UnixStream>,
     /// Lock-free per-shard liveness + counters, shared with the workers.
     shared: Vec<Arc<ShardShared>>,
     /// Latest merged snapshot; supervisor restarts rewarm from it.
@@ -709,7 +737,11 @@ impl CompileService {
             None => None,
         };
         let latest = Arc::new(Mutex::new(snapshot));
-        let (events_tx, events_rx) = channel::<Event>();
+        let (tx, events_rx) = channel::<Event>();
+        let events_tx = EventTx {
+            tx,
+            wake: Arc::new(OnceLock::new()),
+        };
         let mut job_txs = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut shared = Vec::with_capacity(shards);
@@ -739,6 +771,7 @@ impl CompileService {
             handles,
             events_tx,
             events_rx,
+            wake_rx: None,
             shared,
             latest,
             options: config.options,
@@ -778,6 +811,14 @@ impl CompileService {
                         eprintln!(
                             "gmc-serve: warm start from snapshot generation {generation} ({})",
                             gen_path.display()
+                        );
+                    }
+                    if snap.skipped() > 0 {
+                        eprintln!(
+                            "gmc-serve: snapshot {} skipped {} chain(s) of more than {} matrices",
+                            gen_path.display(),
+                            snap.skipped(),
+                            gmc_ir::MAX_OPERANDS
                         );
                     }
                     return Ok(Some(snap));
@@ -1007,10 +1048,30 @@ impl CompileService {
         self.deadlines.first().map(|&(deadline, _)| deadline)
     }
 
-    /// A clone of the event queue's sender, for the transport's accept
-    /// loop, connection readers and writers.
-    pub(crate) fn events(&self) -> Sender<Event> {
+    /// A clone of the event queue's sender, for the transport's stdin
+    /// reader.
+    pub(crate) fn events(&self) -> EventTx {
         self.events_tx.clone()
+    }
+
+    /// Arm the wake socket: from now on every post to the event queue
+    /// also writes one byte to it. Returns its non-blocking read end for
+    /// a poll loop, which must drain it before it drains the queue so
+    /// that no wake-up is lost. In-process callers never arm it, and
+    /// their posts stay plain channel sends.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket creation failures.
+    pub(crate) fn arm_wake(&mut self) -> std::io::Result<UnixStream> {
+        if self.wake_rx.is_none() {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            let _ = self.events_tx.wake.set(tx);
+            self.wake_rx = Some(rx);
+        }
+        self.wake_rx.as_ref().expect("armed above").try_clone()
     }
 
     /// A shard's worker thread exited while the service still holds its

@@ -50,7 +50,7 @@
 //! without an answer.
 
 use crate::fault::FaultPlan;
-use crate::service::{Event, Job, Response};
+use crate::service::{Event, EventTx, Job, Response};
 use crate::{route, Artifacts, Emit, Failure, FailureKind};
 use gmc_codegen::{emit_cpp_into, emit_rust_into};
 use gmc_core::lru::Lru;
@@ -61,7 +61,7 @@ use gmc_core::{
 use gmc_ir::Shape;
 use gmc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -253,8 +253,9 @@ pub(crate) struct ShardCtx {
     pub(crate) jobs: Receiver<Job>,
     /// The service's event queue: finished requests go here as
     /// [`Event::Response`], and the thread's exit as
-    /// [`Event::ShardExited`].
-    pub(crate) events: Sender<Event>,
+    /// [`Event::ShardExited`]. Each post also wakes the transport's poll
+    /// loop once it has armed the queue.
+    pub(crate) events: EventTx,
     pub(crate) options: CompileOptions,
     pub(crate) cache_capacity: usize,
     pub(crate) frag_cache_capacity: usize,
@@ -323,7 +324,7 @@ impl ShardCtx {
 /// ends — including a panic that escapes the per-request boundary.
 struct ExitNotice {
     shard: usize,
-    events: Sender<Event>,
+    events: EventTx,
 }
 
 impl Drop for ExitNotice {

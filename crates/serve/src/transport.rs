@@ -6,87 +6,84 @@
 //! # Threading model
 //!
 //! ```text
-//!            accept thread ──┐ (one per socket daemon; blocks in
-//!                            │  accept, woken by a self-connect)
-//!   conn 1: reader thread ───┤
-//!   conn 1: writer thread ───┤ one event queue   ┌── shard 0 thread
-//!   conn 2: reader thread ───┼──────────────────►│── shard 1 thread
-//!   conn 2: writer thread ───┤      dispatcher   └── ...
-//!            ...             │ (owns the          (finished requests
-//!   shard threads ───────────┘  CompileService)    post to the queue)
+//!   listener ────┐   poll(2)                     ┌── shard 0 thread
+//!   conn 1 ◄────►├──────────► dispatcher ────────┤── shard 1 thread
+//!   conn 2 ◄────►│           (owns the           └── ...
+//!     ...        │            CompileService)          │
+//!   wake socket ─┘ ◄── one byte per event-queue post ──┘ (and per
+//!                                            stdin-reader post)
 //! ```
 //!
-//! Every connection gets **one reader thread** (bounded-line JSONL
-//! parsing, so a hostile client cannot grow daemon memory) and **one
-//! writer thread** (owns the write half; responses to one connection
-//! never block another); both loops are generic over `Read`/`Write`.
-//! The single **dispatcher** — the thread that called [`serve`] —
-//! owns the [`CompileService`] unchanged: admission control,
-//! deadlines, two-choices routing, and exactly-once response
-//! bookkeeping are shared across all connections because there is
-//! still exactly one submitter.
-//!
-//! The dispatcher blocks on **one event queue**. The accept loop,
-//! connection readers, and the shard workers all post to it, so a
-//! finished request wakes the dispatcher the moment its shard posts it
-//! and is written straight away. The blocking wait has one timeout: the
-//! nearest instant the dispatcher owes something — the earliest
-//! outstanding request deadline or idle-reap time — so deadlines are
-//! exact. Only while nothing is timed does a coarse cap re-check the
-//! shutdown flag.
+//! One thread owns every socket: the **dispatcher**, the thread that
+//! called [`serve`]. It blocks in `poll(2)` over the listener, every
+//! connection and one wake socket, accepts connections, frames request
+//! lines under the line cap (a hostile client cannot grow daemon
+//! memory), and writes response lines itself, so a socket connection
+//! costs no thread. It owns the [`CompileService`] unchanged:
+//! admission control, deadlines, two-choices routing and exactly-once
+//! bookkeeping are shared by all connections because there is still
+//! exactly one submitter. Shards post finished requests to the
+//! service's **one event queue**, and every post also writes a byte to
+//! the wake socket, so a response is written the moment its shard
+//! finishes; the loop drains the wake socket before the queue, so no
+//! wake-up is lost. The poll timeout is the nearest instant the
+//! dispatcher owes something — a request deadline, idle reap, write
+//! deadline or `conn_stall` hold — so deadlines are exact; only while
+//! nothing is timed does a coarse cap re-check the shutdown flag.
 //!
 //! # Stdin/stdout as connection 0
 //!
-//! [`Front::Stdio`] serves one request stream (stdin or a file) and
-//! its response sink as connection 0 of the same dispatcher: same
-//! reader, writer, op dispatch and id rules. Connection 0 keeps the
-//! stdin daemon's contract: no in-flight cap, idle reap, or slow-close
-//! applies to it, a slow consumer stalls the daemon instead of losing
-//! lines, ops answer without the `"transport"` object, and serving
-//! ends once the stream reaches EOF and everything in flight is
-//! answered.
+//! [`Front::Stdio`] serves one request stream (stdin or a file) and its
+//! response sink as connection 0 of the same dispatcher, with the same
+//! framing, op dispatch and id rules. Its input keeps one reader
+//! thread, because setting `O_NONBLOCK` on an inherited stdin would
+//! leak to the parent's open file description; that thread posts its
+//! lines through the woken event queue. Responses are written with
+//! blocking writes: a slow consumer stalls the daemon instead of losing
+//! lines. No in-flight cap, idle reap or slow-close applies, ops answer
+//! without the `"transport"` object, and serving ends once the stream
+//! reaches EOF and everything in flight is answered.
 //!
 //! # Pipelining and id remapping
 //!
-//! Clients may pipeline requests without waiting: responses come back
-//! on the submitting connection in **completion order**, matched by
-//! `id`. Ids are the client's own namespace — two connections may both
-//! use id 1 — so the dispatcher submits under a private token and
-//! remaps each response back to the submitting connection's id on
-//! delivery. Requests without an id get their 1-based position in that
-//! connection's stream.
+//! Clients may pipeline requests: responses come back on the submitting
+//! connection in **completion order**, matched by `id`. Ids are the
+//! client's own namespace — two connections may both use id 1 — so the
+//! dispatcher submits under a private token and remaps each response
+//! back on delivery. Requests without an id get their 1-based position
+//! in that connection's stream.
 //!
 //! # Backpressure and the connection lifecycle
 //!
 //! Per-shard admission ([`ServeConfig::queue_cap`](crate::ServeConfig))
-//! bounds the *fleet*; this layer bounds each *connection* so one
-//! misbehaving client cannot starve the rest:
+//! bounds the *fleet*; this layer bounds each *connection*:
 //!
 //! * **Per-connection admission**
-//!   ([`TransportOptions::conn_in_flight_cap`]): a request arriving
-//!   while the connection already has `cap` compiles in flight is
-//!   answered in band with retryable `overloaded` — the cap → shed →
-//!   client-retry loop (`gmcc --connect`'s jittered backoff) converges
-//!   instead of letting a greedy pipeliner fill every shard queue. Ops
-//!   (`stats`/`health`/`metrics`/`fault`) bypass the cap so a saturated
-//!   daemon stays observable.
-//! * **Bounded writers**: each writer thread is fed through a bounded
-//!   queue of 256 lines, the connection's only outbound buffer; the
-//!   dispatcher never blocks on a slow peer. A line that finds the
-//!   queue full **slow-closes** the connection: the socket is shut down
-//!   and its in-flight work written off through the exactly-once
-//!   bookkeeping ([`CompileService::write_off`]; late shard replies are
-//!   dropped and counted). A peer that stops reading with fewer lines
-//!   queued trips the writer's 2 s write deadline instead; the writer
-//!   exits, and the next line for that connection closes it. Daemon
-//!   memory stays bounded under a client that pipelines forever and
-//!   never reads.
+//!   ([`TransportOptions::conn_in_flight_cap`]): a compile arriving
+//!   while the connection has `cap` in flight is answered in band with
+//!   retryable `overloaded`, so the cap → shed → client-retry loop
+//!   (`gmcc --connect`'s jittered backoff) converges. Ops bypass the
+//!   cap so a saturated daemon stays observable.
+//! * **Bounded outbound buffers**: a socket connection has one output
+//!   byte buffer; a line is appended and flushed at once, and what the
+//!   socket does not take waits for `POLLOUT`. A line that arrives
+//!   while 256 lines are unflushed **slow-closes** the connection: the
+//!   socket is shut down and its in-flight work written off through the
+//!   exactly-once bookkeeping ([`CompileService::write_off`]; late shard
+//!   replies are dropped and counted). Output that makes no progress
+//!   for 2 s (the write deadline) closes the connection with the same
+//!   write-off. While more than 8 MiB are unflushed the connection's
+//!   requests are not read, so its buffer holds at most 8 MiB plus the
+//!   responses to requests already in flight, and a client that
+//!   pipelines large responses and reads them is held back, not closed.
 //! * **Lifecycle limits**: [`TransportOptions::max_conns`] refuses
-//!   connections over the limit with a typed in-band `overloaded` line
-//!   before closing; [`TransportOptions::idle_timeout`] reaps
-//!   connections with zero in-flight work; reads poll on a timeout and
-//!   writes carry an OS-level deadline, so no socket thread can block
-//!   forever on a dead peer.
+//!   connections over the limit with a typed in-band `overloaded` line;
+//!   [`TransportOptions::idle_timeout`] reaps connections with nothing
+//!   in flight. A graceful close (half-closed and answered, reaped, or
+//!   shutdown) stops reading, flushes through the loop under the write
+//!   deadline, then shuts the socket down, so a slow reader never
+//!   stalls another connection; until then the connection still counts
+//!   against `max_conns`.
 //!
 //! Every shed/refusal/slow-close/reap increments a transport counter
 //! (`conn_shed`, `conn_refused`, `conn_slow_closed`, `conn_idle_reaped`,
@@ -95,15 +92,14 @@
 //!
 //! # Shutdown
 //!
-//! The dispatcher sees the shutdown flag (SIGTERM/SIGINT in `gmcc`) on
-//! its next event or, when idle, within the coarse shutdown check. It
-//! then answers the requests already queued, stops intake — readers
-//! stop pulling lines and the blocked accept is woken by a
-//! self-connect and exits — answers everything in flight to its
-//! connection, flushes the writers, and returns the service (still
-//! running) so the caller can write the final snapshot and metrics
-//! dump before [`CompileService::shutdown`]. Stdin EOF runs the same
-//! drain for connection 0.
+//! The dispatcher sees the shutdown flag (SIGTERM/SIGINT in `gmcc`)
+//! when its poll returns — a signal interrupts it — or within the
+//! coarse check. It answers the requests already queued, stops
+//! accepting and reading, answers everything in flight, flushes every
+//! buffer under the write deadline, closes the connections, unlinks
+//! the socket file, and returns the still-running service so the
+//! caller can write the final snapshot and metrics dump before
+//! [`CompileService::shutdown`]. Stdin EOF runs the same drain.
 //!
 //! # Transport counters
 //!
@@ -118,32 +114,97 @@
 use crate::fault::FaultPlan;
 use crate::jsonl;
 use crate::service::{
-    CompileRequest, CompileResponse, CompileService, Emit, Event, FailureKind, Wake,
+    CompileRequest, CompileResponse, CompileService, Emit, Event, EventTx, FailureKind, Wake,
 };
 use gmc_obs::{write_prom_counter, write_prom_gauge};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::ErrorKind::{Interrupted, WouldBlock};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long an idle dispatcher waits before re-checking the shutdown
-/// flag (a signal handler can only store an atomic), and how long a
-/// socket read blocks before its reader re-checks the closing flag.
+/// flag: a signal handler can only store an atomic.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-/// Lines a connection's writer queue holds: its only outbound buffer.
-/// A line that finds it full slow-closes a socket connection.
+/// Unflushed lines a socket connection may hold; a line that arrives
+/// while it holds this many slow-closes it.
 const WRITER_QUEUE: usize = 256;
 
-/// How long one socket write may block before the writer gives up on
-/// its peer.
+/// Unflushed bytes past which a socket connection's requests are not
+/// read until its output drains back under: it then holds at most this
+/// plus the responses to the requests it already has in flight.
+const OUTBOX_BYTES: usize = 8 << 20;
+
+/// How long a connection's output may make no progress before the
+/// connection is closed.
 const WRITE_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Bytes read per readiness of a request stream.
+const READ_CHUNK: usize = 64 << 10;
+
+/// `poll(2)`, declared against the libc that std already links.
+mod sys {
+    use std::os::raw::{c_int, c_short, c_ulong};
+    use std::time::Duration;
+
+    pub(super) const POLLIN: c_short = 0x001;
+    pub(super) const POLLOUT: c_short = 0x004;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
+    }
+
+    impl PollFd {
+        pub(super) fn new(fd: c_int, events: c_short) -> PollFd {
+            PollFd {
+                fd,
+                events,
+                revents: 0,
+            }
+        }
+    }
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+
+    /// Block until a descriptor in `fds` is ready or `timeout` (rounded up
+    /// to whole ms) passes; a signal ends the wait early, like a timeout.
+    pub(super) fn wait(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<()> {
+        let ms = c_int::try_from(timeout.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `pollfd`s, valid for `fds.len()` elements for the whole call,
+        // and poll(2) writes nothing but their `revents` fields.
+        let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+        let err = std::io::Error::last_os_error();
+        if ready < 0 && err.kind() != std::io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+        Ok(())
+    }
+
+    /// An `accept(2)` error that belongs to one pending connection, not
+    /// to the listener (Linux errno values): `ECONNABORTED`, `EPERM`
+    /// (firewall rules), and the network errors accept(2) passes on —
+    /// `ENETDOWN`, `EPROTO`, `ENOPROTOOPT`, `EHOSTDOWN`, `ENONET`,
+    /// `EHOSTUNREACH`, `EOPNOTSUPP` and `ENETUNREACH`.
+    pub(super) fn peer_error(e: &std::io::Error) -> bool {
+        matches!(
+            e.raw_os_error(),
+            Some(103 | 1 | 100 | 71 | 92 | 112 | 64 | 113 | 95 | 101)
+        )
+    }
+}
 
 /// A parsed `--listen` address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,9 +256,10 @@ pub struct SocketListener {
 }
 
 impl SocketListener {
-    /// Bind the address. A stale Unix socket file at the path is
-    /// removed first — the daemon takes over the address — and removed
-    /// again when [`serve`] returns.
+    /// Bind the address, non-blocking for the dispatcher's poll loop. A
+    /// stale Unix socket file at the path is removed first — the daemon
+    /// takes over the address — and removed again when [`serve`]
+    /// returns.
     ///
     /// # Errors
     ///
@@ -207,6 +269,7 @@ impl SocketListener {
             ListenAddr::Unix(path) => {
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
+                listener.set_nonblocking(true)?;
                 Ok(SocketListener {
                     inner: ListenerKind::Unix(listener),
                     cleanup: Some(path.clone()),
@@ -215,6 +278,7 @@ impl SocketListener {
             }
             ListenAddr::Tcp(spec) => {
                 let listener = TcpListener::bind(spec)?;
+                listener.set_nonblocking(true)?;
                 let local = ListenAddr::Tcp(
                     listener
                         .local_addr()
@@ -237,10 +301,24 @@ impl SocketListener {
         &self.local
     }
 
+    /// Accept a pending connection as a non-blocking stream (Linux
+    /// `accept` does not pass the listener's `O_NONBLOCK` on).
     fn accept(&self) -> std::io::Result<SocketStream> {
+        let stream = match &self.inner {
+            ListenerKind::Unix(l) => SocketStream::Unix(l.accept()?.0),
+            ListenerKind::Tcp(l) => SocketStream::Tcp(l.accept()?.0),
+        };
+        match &stream {
+            SocketStream::Unix(s) => s.set_nonblocking(true)?,
+            SocketStream::Tcp(s) => s.set_nonblocking(true)?,
+        }
+        Ok(stream)
+    }
+
+    fn fd(&self) -> RawFd {
         match &self.inner {
-            ListenerKind::Unix(l) => l.accept().map(|(s, _)| SocketStream::Unix(s)),
-            ListenerKind::Tcp(l) => l.accept().map(|(s, _)| SocketStream::Tcp(s)),
+            ListenerKind::Unix(l) => l.as_raw_fd(),
+            ListenerKind::Tcp(l) => l.as_raw_fd(),
         }
     }
 }
@@ -281,33 +359,6 @@ impl SocketStream {
         }
     }
 
-    /// Bound the blocking time of reads (the transport's readers poll
-    /// the shutdown flag between timeouts).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying setter failure.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            SocketStream::Unix(s) => s.set_read_timeout(timeout),
-            SocketStream::Tcp(s) => s.set_read_timeout(timeout),
-        }
-    }
-
-    /// Bound the blocking time of writes — the transport's write
-    /// deadline, so a writer thread cannot block forever on a peer
-    /// that stopped reading.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying setter failure.
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            SocketStream::Unix(s) => s.set_write_timeout(timeout),
-            SocketStream::Tcp(s) => s.set_write_timeout(timeout),
-        }
-    }
-
     /// Close the write half, signalling EOF to the daemon while
     /// responses can still stream back (how a client says "no more
     /// requests").
@@ -322,18 +373,19 @@ impl SocketStream {
         }
     }
 
-    /// Sever the connection in both directions: blocked reads see EOF
-    /// and blocked writes fail immediately, on every clone of the
-    /// underlying socket — how the dispatcher force-closes a
-    /// connection whose reader/writer threads hold their own handles.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying shutdown failure.
-    pub fn shutdown_both(&self) -> std::io::Result<()> {
-        match self {
+    /// Shut both directions down: the peer sees EOF even if it never
+    /// half-closed.
+    fn sever(&self) {
+        let _ = match self {
             SocketStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
             SocketStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
+        };
+    }
+
+    fn fd(&self) -> RawFd {
+        match self {
+            SocketStream::Unix(s) => s.as_raw_fd(),
+            SocketStream::Tcp(s) => s.as_raw_fd(),
         }
     }
 }
@@ -427,15 +479,15 @@ pub struct TransportSnapshot {
     /// Requests shed at the per-connection in-flight cap.
     pub conn_shed: u64,
     /// Connections closed by the slow-consumer policy: a line arrived
-    /// with the connection's writer queue full.
+    /// while the connection's outbound buffer held 256 unflushed lines.
     pub conn_slow_closed: u64,
     /// Connections reaped by the idle timeout.
     pub conn_idle_reaped: u64,
     /// Connections refused at the `max_conns` limit.
     pub conn_refused: u64,
     /// In-flight requests written off because their connection died
-    /// (slow-close, idle reap with a racing request, peer gone,
-    /// injected `conn_drop`).
+    /// (slow-close, write deadline, idle reap with a racing request,
+    /// peer gone, injected `conn_drop`).
     pub conn_written_off: u64,
 }
 
@@ -502,231 +554,251 @@ pub struct TransportReport {
     pub snapshot: TransportSnapshot,
 }
 
-/// What connection readers and the accept loop post to the service's
+/// What framing a request stream yields: the socket path acts on these
+/// at once, and connection 0's stdin reader posts them to the service's
 /// event queue (wrapped in [`Event::Conn`]).
 pub(crate) enum ConnEvent {
-    Opened {
-        conn: u64,
-        writer: WriterHandle,
-        /// A control clone of the socket: `shutdown_both` on it severs
-        /// the reader's and writer's handles too (force-close).
-        ctrl: SocketStream,
-    },
+    /// The line at 1-based position `line_no`, or why it is not a
+    /// request (oversized or not UTF-8: answered `bad_request` there).
     Line {
         conn: u64,
         line_no: u64,
-        line: String,
+        line: Result<String, String>,
     },
-    /// A line that is not a request (oversized or not UTF-8),
-    /// answered `bad_request` at its position.
-    Rejected {
-        conn: u64,
-        line_no: u64,
-        reason: String,
-    },
-    Eof {
-        conn: u64,
-    },
+    Eof(u64),
 }
 
 const NOT_UTF8: &str = "request line is not valid UTF-8";
 
-/// One bounded line read from a connection.
-enum BoundedLine {
-    /// A complete line within the bound (trailing `\r` stripped).
-    Text(String),
-    /// Not a request: why (oversized lines are consumed, not buffered).
-    Rejected(String),
-    /// Stop reading: end of input, the peer is gone, or the daemon is
-    /// closing.
-    Eof,
+/// Splits one connection's byte stream into `\n`-terminated request
+/// lines without ever holding more than `max_line_bytes` of a line: an
+/// oversized line is *consumed* (so the stream stays in sync) but
+/// reported instead of returned, which keeps a hostile or buggy client
+/// from growing daemon memory without bound.
+#[derive(Default)]
+struct Framer {
+    conn: u64,
+    max: usize,
+    faults: FaultPlan,
+    /// The unfinished line so far (released once it goes oversized).
+    partial: Vec<u8>,
+    oversized: bool,
+    /// Positions handed out so far; blank lines take none.
+    line_no: u64,
+    /// Events framed and not yet taken.
+    frames: Vec<ConnEvent>,
 }
 
-/// Read one `\n`-terminated line without ever buffering more than `max`
-/// bytes of it: an oversized line is *consumed* (so the stream stays in
-/// sync) but reported instead of returned, which keeps a hostile or
-/// buggy client from growing daemon memory without bound. Socket reads
-/// time out so the `closing` flag is re-checked while a peer is quiet.
-fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize, closing: &AtomicBool) -> BoundedLine {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversized = false;
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if closing.load(Ordering::SeqCst) {
-                    // Drain: stop pulling new requests (a partial line
-                    // is abandoned, exactly like unread input).
-                    return BoundedLine::Eof;
+impl Framer {
+    fn new(conn: u64, options: &TransportOptions) -> Framer {
+        let (max, faults) = (options.max_line_bytes, options.faults.clone());
+        Framer {
+            conn,
+            max,
+            faults,
+            ..Framer::default()
+        }
+    }
+
+    /// Read once from `input` into `buf` and frame one event per
+    /// completed line. Returns `false` once the stream has ended (EOF
+    /// or the peer gone), after framing a final unterminated line and
+    /// [`ConnEvent::Eof`].
+    fn read_from(&mut self, input: &mut impl Read, buf: &mut [u8]) -> bool {
+        match input.read(buf) {
+            Ok(0) if !self.partial.is_empty() || self.oversized => self.finish_line(),
+            Ok(0) => {}
+            Ok(n) => {
+                let mut rest = &buf[..n];
+                while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+                    self.extend(&rest[..pos]);
+                    self.finish_line();
+                    rest = &rest[pos + 1..];
                 }
-                continue;
+                self.extend(rest);
+                return true;
             }
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return true,
             // Connection reset and friends: the peer is gone.
-            Err(_) => return BoundedLine::Eof,
+            Err(_) => {}
+        }
+        self.frames.push(ConnEvent::Eof(self.conn));
+        false
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.oversized |= self.partial.len() + bytes.len() > self.max;
+        if self.oversized {
+            self.partial = Vec::new();
+        } else {
+            self.partial.extend_from_slice(bytes);
+        }
+    }
+
+    fn finish_line(&mut self) {
+        let mut bytes = std::mem::take(&mut self.partial);
+        let line = if std::mem::take(&mut self.oversized) {
+            Err(format!("request line exceeds {} bytes", self.max))
+        } else {
+            if bytes.last() == Some(&b'\r') {
+                bytes.pop();
+            }
+            String::from_utf8(bytes).map_err(|_| NOT_UTF8.to_string())
         };
-        if chunk.is_empty() {
-            if buf.is_empty() && !oversized {
-                return BoundedLine::Eof;
-            }
-            break; // final line without trailing newline
+        if line.as_ref().is_ok_and(|line| line.trim().is_empty()) {
+            return;
         }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if !oversized && buf.len() + pos <= max {
-                    buf.extend_from_slice(&chunk[..pos]);
-                } else {
-                    oversized = true;
-                }
-                reader.consume(pos + 1);
-                break;
-            }
-            None => {
-                let len = chunk.len();
-                if !oversized && buf.len() + len <= max {
-                    buf.extend_from_slice(chunk);
-                } else {
-                    oversized = true;
-                    buf.clear();
-                }
-                reader.consume(len);
-            }
-        }
-    }
-    if oversized {
-        return BoundedLine::Rejected(format!("request line exceeds {max} bytes"));
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => BoundedLine::Text(s),
-        Err(_) => BoundedLine::Rejected(NOT_UTF8.into()),
+        self.line_no += 1;
+        let (conn, line_no) = (self.conn, self.line_no);
+        // Injected garbage: this request line arrives as non-UTF-8 bytes.
+        let garbage = line.is_ok() && self.faults.conn_garbage_hit(conn, line_no);
+        self.frames.push(ConnEvent::Line {
+            conn,
+            line_no,
+            line: if garbage { Err(NOT_UTF8.into()) } else { line },
+        });
     }
 }
 
-fn reader_loop<R: Read>(
-    input: R,
-    conn: u64,
-    max_line: usize,
-    events: &Sender<Event>,
-    closing: &AtomicBool,
-    faults: &FaultPlan,
-) {
-    let post = |event: ConnEvent| events.send(Event::Conn(event)).is_ok();
-    let mut reader = BufReader::new(input);
-    let mut line_no: u64 = 0;
-    while !closing.load(Ordering::SeqCst) {
-        let event = match read_bounded_line(&mut reader, max_line, closing) {
-            BoundedLine::Text(line) if line.trim().is_empty() => continue,
-            BoundedLine::Text(line) => {
-                line_no += 1;
-                // Injected garbage: this request line arrives as
-                // non-UTF-8 bytes (answered in band as bad_request).
-                if faults.conn_garbage_hit(conn, line_no) {
-                    ConnEvent::Rejected {
-                        conn,
-                        line_no,
-                        reason: NOT_UTF8.into(),
-                    }
-                } else {
-                    ConnEvent::Line {
-                        conn,
-                        line_no,
-                        line,
-                    }
-                }
-            }
-            BoundedLine::Rejected(reason) => {
-                line_no += 1;
-                ConnEvent::Rejected {
-                    conn,
-                    line_no,
-                    reason,
-                }
-            }
-            BoundedLine::Eof => break,
-        };
-        if !post(event) {
-            break;
-        }
-    }
-    post(ConnEvent::Eof { conn });
-}
-
-fn spawn_reader<R: Read + Send + 'static>(
-    input: R,
-    conn: u64,
-    max_line: usize,
-    events: Sender<Event>,
+/// Connection 0's reader: the one transport thread besides the
+/// dispatcher, since setting `O_NONBLOCK` on an inherited stdin would
+/// leak to the parent's open file description. It frames like the
+/// socket path and posts through the woken event queue until the
+/// stream ends or `closing` is set.
+fn spawn_stdin_reader(
+    mut input: Box<dyn Read + Send>,
+    mut framer: Framer,
+    events: EventTx,
     closing: Arc<AtomicBool>,
-    faults: FaultPlan,
 ) {
-    std::thread::spawn(move || reader_loop(input, conn, max_line, &events, &closing, &faults));
+    std::thread::spawn(move || {
+        let (mut buf, mut open) = (vec![0; READ_CHUNK], true);
+        while open && !closing.load(Ordering::SeqCst) {
+            open = framer.read_from(&mut input, &mut buf);
+            for frame in framer.frames.drain(..) {
+                if events.send(Event::Conn(frame)).is_err() {
+                    return;
+                }
+            }
+        }
+    });
 }
 
-/// The dispatcher's side of a connection's writer thread.
-pub(crate) struct WriterHandle {
-    lines: SyncSender<String>,
-    thread: JoinHandle<()>,
+/// A connection's unflushed output: whole response lines, written as
+/// far as the peer takes them.
+#[derive(Default)]
+struct Outbox {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written.
+    sent: usize,
+    /// Lines not yet written in full.
+    lines: usize,
+    /// The last write stopped partway through a line.
+    mid_line: bool,
+    /// When the peer last refused bytes, with no progress since: the
+    /// write deadline runs from here, and the loop polls for `POLLOUT`.
+    blocked_since: Option<Instant>,
+    /// Injected `conn_stall`: the next line is held until then.
+    held_until: Option<Instant>,
 }
 
-impl WriterHandle {
-    /// Close the queue and wait for the writer to flush it (or fail).
-    fn close(self) {
-        drop(self.lines);
-        let _ = self.thread.join();
+impl Outbox {
+    fn is_empty(&self) -> bool {
+        self.sent == self.buf.len()
+    }
+
+    /// Past `OUTBOX_BYTES` unflushed: the connection is not read until
+    /// its output drains back under.
+    fn is_over_bytes(&self) -> bool {
+        self.buf.len() - self.sent > OUTBOX_BYTES
+    }
+
+    /// When the loop owes this output a retry: a stall hold's end or the
+    /// write deadline.
+    fn wake_at(&self) -> Option<Instant> {
+        let deadline = self.blocked_since.map(|since| since + WRITE_DEADLINE);
+        deadline.into_iter().chain(self.held_until).min()
+    }
+
+    fn push(&mut self, line: String) {
+        if self.is_empty() {
+            // Nothing unflushed: the line's allocation becomes the buffer.
+            self.buf = line.into_bytes();
+            self.sent = 0;
+        } else {
+            if self.sent >= self.buf.len() / 2 {
+                self.buf.drain(..self.sent);
+                self.sent = 0;
+            }
+            self.buf.extend_from_slice(line.as_bytes());
+        }
+        self.buf.push(b'\n');
+        self.lines += 1;
+    }
+
+    /// Write as much as `sink` takes now; under an injected `conn_stall`
+    /// each line first waits out its hold, as a timer. Fails when the
+    /// peer is gone or no progress was made for the write deadline.
+    fn flush(&mut self, sink: &mut impl Write, stall: Option<Duration>) -> std::io::Result<()> {
+        let now = Instant::now();
+        while !self.is_empty() {
+            let mut end = self.buf.len();
+            if let Some(stall) = stall {
+                if !self.mid_line {
+                    let until = *self.held_until.get_or_insert(now + stall);
+                    if now < until {
+                        return Ok(());
+                    }
+                    self.held_until = None;
+                }
+                let newline = self.buf[self.sent..].iter().position(|&b| b == b'\n');
+                end = newline.map_or(end, |p| self.sent + p + 1);
+            }
+            match sink.write(&self.buf[self.sent..end]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    let written = &self.buf[self.sent..self.sent + n];
+                    self.lines -= written.iter().filter(|&&b| b == b'\n').count();
+                    self.mid_line = written.last() != Some(&b'\n');
+                    self.sent += n;
+                    self.blocked_since = None;
+                }
+                Err(e) if e.kind() == Interrupted => {}
+                Err(e) if e.kind() == WouldBlock => {
+                    let since = *self.blocked_since.get_or_insert(now);
+                    if now >= since + WRITE_DEADLINE {
+                        return Err(ErrorKind::TimedOut.into());
+                    }
+                    return Ok(());
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // All out: release the buffer.
+        *self = Outbox::default();
+        Ok(())
     }
 }
 
-fn spawn_writer<W: Write + Send + 'static>(
-    output: W,
-    conn: u64,
-    faults: FaultPlan,
-) -> WriterHandle {
-    let (lines, rx) = sync_channel::<String>(WRITER_QUEUE);
-    let thread = std::thread::spawn(move || writer_loop(output, &rx, conn, &faults));
-    WriterHandle { lines, thread }
-}
-
-fn writer_loop<W: Write>(output: W, lines: &Receiver<String>, conn: u64, faults: &FaultPlan) {
-    let mut out = std::io::BufWriter::new(output);
-    while let Ok(line) = lines.recv() {
-        // Injected slowloris: this connection's peer reads slowly, so
-        // every line takes `conn_stall` ms to leave the daemon.
-        if let Some(stall) = faults.conn_stall(conn) {
-            std::thread::sleep(stall);
-        }
-        let write = out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .and_then(|()| out.flush());
-        if write.is_err() {
-            // Peer gone, or the write deadline passed: the dispatcher
-            // closes the connection on its next line.
-            break;
-        }
-    }
+/// Where a connection's responses go.
+enum Link {
+    /// Connection 0's sink, written with blocking writes.
+    Stdio(Box<dyn Write + Send>),
+    /// A non-blocking socket the loop polls, and its request framing.
+    Socket(SocketStream, Framer),
 }
 
 /// Dispatcher-side state of one open connection.
 struct ConnState {
-    writer: WriterHandle,
-    /// Control clone of the socket for force-closes; `None` for the
-    /// stdio connection, which is exempt from the connection policies
-    /// (in-flight cap, idle reap, slow-close) and whose writes block
-    /// on a full queue instead.
-    ctrl: Option<SocketStream>,
+    link: Link,
+    out: Outbox,
     in_flight: u64,
     header_sent: bool,
     /// Reader saw EOF: close once `in_flight` drains.
     draining: bool,
+    /// Closed gracefully with output unflushed: no longer open or read,
+    /// it is shut down and dropped once the loop has flushed it.
+    closed: bool,
     /// Last request line (or delivery) — feeds the idle timeout.
     last_activity: Instant,
     /// Outbound lines handed to this connection (1-based when the next
@@ -735,125 +807,123 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(writer: WriterHandle, ctrl: Option<SocketStream>) -> ConnState {
+    fn new(link: Link) -> ConnState {
         ConnState {
-            writer,
-            ctrl,
+            link,
+            out: Outbox::default(),
             in_flight: 0,
             header_sent: false,
             draining: false,
+            closed: false,
             last_activity: Instant::now(),
             sent_lines: 0,
         }
     }
 
+    /// Connection 0 is exempt from the connection policies (in-flight
+    /// cap, idle reap, slow-close).
     fn is_stdio(&self) -> bool {
-        self.ctrl.is_none()
+        matches!(self.link, Link::Stdio(_))
     }
 
     /// Idle with nothing owed to it: the idle timeout may reap it.
+    /// Unflushed output is owed: while it is over the byte bound, the
+    /// requests the client sent are still unread.
     fn reapable(&self) -> bool {
-        !self.is_stdio() && self.in_flight == 0 && !self.draining
+        !self.is_stdio() && self.in_flight == 0 && !self.draining && self.out.is_empty()
     }
 
-    /// When the idle timeout reaps this connection, if it is reapable.
+    /// When the loop owes this connection something: its idle reap, if
+    /// it is reapable, or its output's stall hold or write deadline.
     fn wake_at(&self, idle_timeout: Option<Duration>) -> Option<Instant> {
-        idle_timeout
+        let reap = idle_timeout
             .filter(|_| self.reapable())
-            .map(|idle| self.last_activity + idle)
+            .map(|idle| self.last_activity + idle);
+        reap.into_iter().chain(self.out.wake_at()).min()
     }
 }
 
 /// How a connection is torn down.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum CloseMode {
-    /// Flush everything queued to the peer, then sever: drop the
-    /// writer's sender (it drains the queue), join it, shut the socket
-    /// down so the peer sees EOF even if it never half-closed.
+    /// Stop reading, flush through the loop under the write deadline,
+    /// then shut the socket down (the peer sees EOF).
     Graceful,
-    /// Sever first, then reap: shut the socket down (unblocking a
-    /// writer stuck in a send to a non-reading peer), drop the sender,
-    /// join. Queued lines are discarded.
+    /// Shut the socket down at once; queued lines are discarded.
     Abort,
 }
 
 struct Dispatcher {
     service: CompileService,
     options: TransportOptions,
-    /// Serving a listener: ops carry the `"transport"` object and the
-    /// Prometheus dump carries connection gauges.
-    sockets: bool,
-    /// Cleared at shutdown: request lines still in the queue are then
-    /// not accepted.
+    /// Cleared at shutdown: from then on nothing is accepted or read,
+    /// and request lines still in the queue are not accepted.
     accepting: bool,
+    /// Serving a listener: ops also carry the `"transport"` object.
+    listener: Option<SocketListener>,
+    /// The listener failed: serving drains and returns this error.
+    listen_error: Option<std::io::Error>,
+    /// Read end of the service's wake socket.
+    wake: UnixStream,
     conns: HashMap<u64, ConnState>,
     /// Accept order of open connections (snapshot stability).
     conn_order: Vec<u64>,
     /// Private submission token → (connection, client id).
     pending: HashMap<u64, (u64, u64)>,
     next_token: u64,
-    accepted: u64,
-    closed: u64,
+    /// Reused socket read buffer.
+    read_buf: Vec<u8>,
     requests: u64,
     failures: u64,
-    conn_shed: u64,
-    conn_slow_closed: u64,
-    conn_idle_reaped: u64,
-    conn_refused: u64,
-    conn_written_off: u64,
+    /// The transport counters (`open` and `connections` are filled in
+    /// by [`Dispatcher::transport_snapshot`]).
+    counters: TransportSnapshot,
 }
 
 impl Dispatcher {
-    fn new(service: CompileService, options: TransportOptions, sockets: bool) -> Dispatcher {
-        Dispatcher {
+    fn new(mut service: CompileService, options: TransportOptions) -> std::io::Result<Dispatcher> {
+        let wake = service.arm_wake()?;
+        Ok(Dispatcher {
             service,
             options,
-            sockets,
             accepting: true,
+            listener: None,
+            listen_error: None,
+            wake,
             conns: HashMap::new(),
             conn_order: Vec::new(),
             pending: HashMap::new(),
             next_token: 1,
-            accepted: 0,
-            closed: 0,
+            read_buf: vec![0; READ_CHUNK],
             requests: 0,
             failures: 0,
-            conn_shed: 0,
-            conn_slow_closed: 0,
-            conn_idle_reaped: 0,
-            conn_refused: 0,
-            conn_written_off: 0,
-        }
+            counters: TransportSnapshot::default(),
+        })
     }
 
     fn transport_snapshot(&self) -> TransportSnapshot {
         TransportSnapshot {
-            open: self.conns.len() as u64,
-            accepted: self.accepted,
-            closed: self.closed,
+            open: self.conn_order.len() as u64,
             connections: self
                 .conn_order
                 .iter()
                 .filter_map(|conn| self.conns.get(conn).map(|state| (*conn, state.in_flight)))
                 .collect(),
-            conn_shed: self.conn_shed,
-            conn_slow_closed: self.conn_slow_closed,
-            conn_idle_reaped: self.conn_idle_reaped,
-            conn_refused: self.conn_refused,
-            conn_written_off: self.conn_written_off,
+            ..self.counters.clone()
         }
     }
 
-    fn open(&mut self, conn: u64, writer: WriterHandle, ctrl: Option<SocketStream>) {
-        self.accepted += 1;
+    fn open(&mut self, conn: u64, link: Link) {
+        self.counters.accepted += 1;
         self.conn_order.push(conn);
-        self.conns.insert(conn, ConnState::new(writer, ctrl));
+        self.conns.insert(conn, ConnState::new(link));
     }
 
-    /// The instant the dispatcher must wake by if no event arrives: the
-    /// earliest outstanding request deadline or idle-reap time. `None`
-    /// when nothing is timed — the dispatcher then waits for the next
-    /// event, bounded only by its shutdown check.
+    /// The instant the dispatcher must wake by if no socket gets ready:
+    /// the earliest outstanding request deadline, idle-reap time, write
+    /// deadline or stall hold. `None` when nothing is timed — the
+    /// dispatcher then waits for the next event, bounded only by its
+    /// shutdown check.
     fn next_wake(&self) -> Option<Instant> {
         let idle = self.options.idle_timeout;
         self.conns
@@ -868,54 +938,42 @@ impl Dispatcher {
     /// ([`CompileService::write_off`]) so late shard replies are
     /// dropped and counted instead of delivered to nowhere.
     fn close_conn(&mut self, conn: u64, mode: CloseMode) {
-        let Some(state) = self.conns.remove(&conn) else {
+        let Some(state) = self.conns.get_mut(&conn) else {
             return;
         };
-        self.conn_order.retain(|&c| c != conn);
-        self.closed += 1;
-        let tokens: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, (c, _))| *c == conn)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in tokens {
-            self.pending.remove(&token);
-            self.conn_written_off += 1;
-            // `false` means the response already left the service and
-            // sits in our delivery path; `deliver` drops it (the token
-            // is no longer pending) — still exactly once.
-            let _ = self.service.write_off(token);
+        state.draining = true;
+        if !std::mem::replace(&mut state.closed, true) {
+            self.conn_order.retain(|&c| c != conn);
+            self.counters.closed += 1;
+            self.pending.retain(|&token, &mut (c, _)| {
+                if c == conn {
+                    self.counters.conn_written_off += 1;
+                    // `false` means the response already left the service
+                    // and sits in our delivery path; `deliver` drops it
+                    // (the token is no longer pending) — still exactly once.
+                    let _ = self.service.write_off(token);
+                }
+                c != conn
+            });
         }
-        let sever = || {
-            if let Some(ctrl) = &state.ctrl {
-                let _ = ctrl.shutdown_both();
-            }
-        };
-        if mode == CloseMode::Abort {
-            // Sever before joining: a writer blocked mid-send to a
-            // non-reading peer wakes with an error instead of wedging
-            // the dispatcher on the join below.
-            sever();
+        if mode == CloseMode::Graceful && !self.conns[&conn].out.is_empty() {
+            return; // flushed through the loop, then shut down
         }
-        state.writer.close();
-        if mode == CloseMode::Graceful {
-            // Writer has flushed; now tell a peer that never
-            // half-closed that this side is done.
-            sever();
+        if let Some(Link::Socket(sock, _)) = self.conns.remove(&conn).map(|state| state.link) {
+            sock.sever();
         }
     }
 
-    /// Hand a rendered line to a connection's writer. Socket
-    /// connections never block the dispatcher: a full queue slow-closes
-    /// the connection, and a dead writer or an injected `conn_drop`
-    /// closes it. The stdio connection blocks instead, so a slow
-    /// consumer stalls the daemon and no line is dropped. Returns
-    /// `false` iff the line will never reach the peer.
+    /// Hand a rendered line to a connection and flush it. Socket
+    /// connections never block the dispatcher: a line that arrives
+    /// while `WRITER_QUEUE` lines are unflushed slow-closes the
+    /// connection, and a dead peer or an injected `conn_drop` closes
+    /// it. The stdio connection blocks instead, so a slow consumer
+    /// stalls the daemon and no line is dropped. Returns `false` iff
+    /// the line will never reach the peer.
     fn send_line(&mut self, conn: u64, line: String) -> bool {
-        let next = match self.conns.get(&conn) {
-            Some(state) => state.sent_lines + 1,
-            None => return false,
+        let Some(next) = self.conns.get(&conn).map(|state| state.sent_lines + 1) else {
+            return false;
         };
         if self.options.faults.conn_drop_hit(conn, next) {
             // Abrupt disconnect in place of this line.
@@ -924,42 +982,33 @@ impl Dispatcher {
         }
         let state = self.conns.get_mut(&conn).expect("conn checked above");
         state.sent_lines = next;
-        let sent = if state.is_stdio() {
-            state.writer.lines.send(line).is_ok()
-        } else {
-            match state.writer.lines.try_send(line) {
-                Ok(()) => true,
-                Err(TrySendError::Full(_)) => {
-                    self.conn_slow_closed += 1;
-                    false
-                }
-                // Writer thread exited: the peer is gone.
-                Err(TrySendError::Disconnected(_)) => false,
-            }
-        };
-        if !sent {
+        if !state.is_stdio() && state.out.lines >= WRITER_QUEUE {
+            self.counters.conn_slow_closed += 1;
             self.close_conn(conn, CloseMode::Abort);
+            return false;
         }
-        sent
+        state.out.push(line);
+        self.flush(conn)
     }
 
-    /// Reap connections with zero in-flight work that have been silent
-    /// past the idle timeout. A request that reached the dispatcher
-    /// first wins: its connection has in-flight work and is exempt.
-    fn reap_idle(&mut self) {
-        let Some(timeout) = self.options.idle_timeout else {
-            return;
+    /// Write what the peer takes now; the rest waits for `POLLOUT` or its
+    /// stall hold. A dead peer, or output stuck past the write deadline,
+    /// closes the connection. Returns `false` iff it was closed.
+    fn flush(&mut self, conn: u64) -> bool {
+        let stall = self.options.faults.conn_stall(conn);
+        let Some(state) = self.conns.get_mut(&conn) else {
+            return false;
         };
-        let idle: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, s)| s.reapable() && s.last_activity.elapsed() >= timeout)
-            .map(|(&c, _)| c)
-            .collect();
-        for conn in idle {
-            self.conn_idle_reaped += 1;
-            self.close_conn(conn, CloseMode::Graceful);
+        let flushed = match &mut state.link {
+            Link::Socket(sock, _) => state.out.flush(sock, stall),
+            Link::Stdio(sink) => state.out.flush(sink, stall).and_then(|()| sink.flush()),
+        };
+        // A dead peer closes the connection; a closed one whose output
+        // is out is shut down.
+        if flushed.is_err() || (state.closed && state.out.is_empty()) {
+            self.close_conn(conn, CloseMode::Abort);
         }
+        flushed.is_ok()
     }
 
     /// Deliver a service response to its submitting connection,
@@ -998,7 +1047,7 @@ impl Dispatcher {
         if !self.send_line(conn, jsonl::response_line(&response)) {
             // The connection died with this response in hand; the
             // request is written off like its siblings.
-            self.conn_written_off += 1;
+            self.counters.conn_written_off += 1;
         } else if close {
             self.close_conn(conn, CloseMode::Graceful);
         }
@@ -1037,7 +1086,7 @@ impl Dispatcher {
             }
             Some("health") => {
                 let health = self.service.health();
-                let line = if self.sockets {
+                let line = if self.listener.is_some() {
                     jsonl::health_line_with_transport(id, &health, &self.transport_snapshot())
                 } else {
                     jsonl::health_line(id, &health)
@@ -1046,7 +1095,7 @@ impl Dispatcher {
             }
             Some("metrics") => {
                 let metrics = self.service.metrics();
-                let transport = self.sockets.then(|| self.transport_snapshot());
+                let transport = self.listener.is_some().then(|| self.transport_snapshot());
                 // A metrics query also refreshes the Prometheus dump, so
                 // scrapers watching the file see the snapshot the client
                 // got in band.
@@ -1104,7 +1153,7 @@ impl Dispatcher {
                         .get(&conn)
                         .is_some_and(|s| !s.is_stdio() && s.in_flight >= cap as u64)
                 {
-                    self.conn_shed += 1;
+                    self.counters.conn_shed += 1;
                     self.failures += 1;
                     let response = CompileResponse::failure(
                         id,
@@ -1136,49 +1185,22 @@ impl Dispatcher {
 
     fn handle_event(&mut self, event: ConnEvent) {
         match event {
-            ConnEvent::Opened { conn, writer, ctrl } => {
-                if self.options.max_conns > 0 && self.conns.len() >= self.options.max_conns {
-                    // Accept-then-refuse: the peer gets one typed line
-                    // telling it why (and that retrying is sane), then
-                    // the connection closes.
-                    self.accepted += 1;
-                    self.conn_refused += 1;
-                    self.closed += 1;
-                    self.failures += 1;
-                    let refusal = CompileResponse::failure(
-                        0,
-                        FailureKind::Overloaded,
-                        format!(
-                            "connection refused: daemon at max-conns ({}); retry later",
-                            self.options.max_conns
-                        ),
-                    );
-                    let _ = writer.lines.try_send(jsonl::response_line(&refusal));
-                    writer.close();
-                    let _ = ctrl.shutdown_both();
-                    return;
-                }
-                self.open(conn, writer, Some(ctrl));
-            }
             // Shutdown stops intake: request lines still queued behind
             // the shutdown check are not accepted.
-            ConnEvent::Line { .. } | ConnEvent::Rejected { .. } if !self.accepting => {}
+            ConnEvent::Line { .. } if !self.accepting => {}
             ConnEvent::Line {
                 conn,
                 line_no,
                 line,
-            } => self.handle_line(conn, line_no, &line),
-            ConnEvent::Rejected {
-                conn,
-                line_no,
-                reason,
-            } => {
-                if self.conns.contains_key(&conn) {
+            } => match line {
+                Ok(line) => self.handle_line(conn, line_no, &line),
+                Err(reason) if self.conns.contains_key(&conn) => {
                     self.requests += 1;
                     self.bad_request(conn, line_no, reason);
                 }
-            }
-            ConnEvent::Eof { conn } => {
+                Err(_) => {}
+            },
+            ConnEvent::Eof(conn) => {
                 let close_now = match self.conns.get_mut(&conn) {
                     Some(state) => {
                         state.draining = true;
@@ -1193,94 +1215,141 @@ impl Dispatcher {
         }
     }
 
-    /// Block until the next response, connection event, or `until`, and
-    /// act on it; `false` if `until` passed with nothing to do.
-    fn step(&mut self, until: Option<Instant>) -> bool {
-        match self.service.wait(until) {
-            Wake::Response(response) => self.deliver(response),
-            Wake::Conn(event) => self.handle_event(event),
-            Wake::Timeout => return false,
-        }
-        true
-    }
-}
-
-/// The accept thread and what stopping it needs.
-struct Acceptor {
-    thread: JoinHandle<std::io::Result<()>>,
-    addr: ListenAddr,
-    /// The path to unlink when serving ends (Unix sockets only).
-    cleanup: Option<PathBuf>,
-}
-
-impl Acceptor {
-    /// Accept connections until `closing` is set; each gets a reader
-    /// and a writer thread, announced to the dispatcher as
-    /// [`ConnEvent::Opened`].
-    fn spawn(
-        listener: SocketListener,
-        events: &Sender<Event>,
-        closing: &Arc<AtomicBool>,
-        options: &TransportOptions,
-    ) -> Acceptor {
-        let addr = listener.local.clone();
-        let cleanup = listener.cleanup.clone();
-        let (events, closing) = (events.clone(), Arc::clone(closing));
-        let faults = options.faults.clone();
-        let max_line = options.max_line_bytes;
-        let thread = std::thread::spawn(move || {
-            let mut next_conn: u64 = 0;
-            loop {
-                let stream = match listener.accept() {
-                    Ok(stream) => stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                };
-                // Woken by the dispatcher's self-connect (or a client
-                // racing the shutdown): stop accepting.
-                if closing.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                next_conn += 1;
-                let conn = next_conn;
-                stream.set_read_timeout(Some(POLL_INTERVAL))?;
-                let write_half = stream.try_clone()?;
-                write_half.set_write_timeout(Some(WRITE_DEADLINE))?;
-                let ctrl = stream.try_clone()?;
-                let writer = spawn_writer(write_half, conn, faults.clone());
-                // Opened is enqueued before the reader spawns, so the
-                // dispatcher never sees a Line for an unknown connection.
-                let opened = ConnEvent::Opened { conn, writer, ctrl };
-                if events.send(Event::Conn(opened)).is_err() {
-                    return Ok(());
-                }
-                let (events, closing, faults) =
-                    (events.clone(), Arc::clone(&closing), faults.clone());
-                spawn_reader(stream, conn, max_line, events, closing, faults);
+    /// Act on every response and connection event already queued, and
+    /// on every request deadline already due, without blocking.
+    fn drain_events(&mut self) {
+        let now = Instant::now();
+        loop {
+            match self.service.wait(Some(now)) {
+                Wake::Response(response) => self.deliver(response),
+                Wake::Conn(event) => self.handle_event(event),
+                Wake::Timeout => return,
             }
-        });
-        Acceptor {
-            thread,
-            addr,
-            cleanup,
         }
     }
 
-    /// Wake the blocked `accept` with a self-connect, join the thread,
-    /// and unlink the socket file. Call after setting `closing`.
-    fn stop(self) -> std::io::Result<()> {
-        let woke = SocketStream::connect(&self.addr).is_ok();
-        // Without a wake-up (the socket file was removed from under us)
-        // a thread still blocked in accept is left behind, not joined.
-        let result = if woke || self.thread.is_finished() {
-            self.thread.join().unwrap_or(Ok(()))
-        } else {
-            Ok(())
+    /// Read what a socket connection has sent and act on each complete
+    /// request line; end of input starts the connection's drain.
+    fn read_conn(&mut self, conn: u64) {
+        let Some(ConnState {
+            link: Link::Socket(sock, framer),
+            draining: false,
+            ..
+        }) = self.conns.get_mut(&conn)
+        else {
+            return;
         };
-        if let Some(path) = &self.cleanup {
-            let _ = std::fs::remove_file(path);
+        framer.read_from(sock, &mut self.read_buf);
+        for frame in std::mem::take(&mut framer.frames) {
+            self.handle_event(frame);
         }
-        result
+    }
+
+    /// Accept every pending connection. One past `max_conns` is
+    /// accepted, told why in one typed line (and that retrying is sane),
+    /// and closed. A connection still flushing after its close counts
+    /// against the limit: it holds its socket and its output.
+    fn accept(&mut self) {
+        loop {
+            let sock = match self.listener.as_ref().map(SocketListener::accept) {
+                Some(Ok(sock)) => sock,
+                // The listener itself failed (out of descriptors, say):
+                // serving drains and returns the error.
+                Some(Err(e))
+                    if !matches!(e.kind(), WouldBlock | Interrupted) && !sys::peer_error(&e) =>
+                {
+                    self.listen_error = Some(e);
+                    return;
+                }
+                // Nothing pending, or an error of one peer: poll again.
+                _ => return,
+            };
+            let conn = self.counters.accepted + 1; // 1-based, never reused
+            let max = self.options.max_conns;
+            let refuse = max > 0 && self.conns.len() >= max;
+            let framer = Framer::new(conn, &self.options);
+            self.open(conn, Link::Socket(sock, framer));
+            if refuse {
+                self.counters.conn_refused += 1;
+                self.failures += 1;
+                let refusal = CompileResponse::failure(
+                    0,
+                    FailureKind::Overloaded,
+                    format!("connection refused: daemon at max-conns ({max}); retry later"),
+                );
+                if self.send_line(conn, jsonl::response_line(&refusal)) {
+                    self.close_conn(conn, CloseMode::Graceful);
+                }
+            }
+        }
+    }
+
+    /// One turn of the loop: block in `poll(2)` until a socket or the
+    /// wake socket is ready or `until` passes (capped by the shutdown
+    /// check), then act on everything ready and every timer due.
+    fn turn(&mut self, until: Option<Instant>) -> std::io::Result<()> {
+        let now = Instant::now();
+        let timeout = until.map_or(POLL_INTERVAL, |u| {
+            u.saturating_duration_since(now).min(POLL_INTERVAL)
+        });
+        // The wake socket, the listener (poll skips a negative fd), then
+        // every socket that wants input or has output blocked. A socket
+        // over its byte bound is not read: its client is held back until
+        // its output drains.
+        let listener = self.listener.as_ref().filter(|_| self.accepting);
+        let mut fds = vec![
+            sys::PollFd::new(self.wake.as_raw_fd(), sys::POLLIN),
+            sys::PollFd::new(listener.map_or(-1, SocketListener::fd), sys::POLLIN),
+        ];
+        let mut polled = Vec::new();
+        for (&conn, state) in &self.conns {
+            if let Link::Socket(sock, _) = &state.link {
+                let read = self.accepting && !state.draining && !state.out.is_over_bytes();
+                let write = state.out.blocked_since.is_some();
+                let events = (sys::POLLIN * i16::from(read)) | (sys::POLLOUT * i16::from(write));
+                if events != 0 {
+                    fds.push(sys::PollFd::new(sock.fd(), events));
+                    polled.push(conn);
+                }
+            }
+        }
+        sys::wait(&mut fds, timeout)?;
+        if fds[0].revents != 0 {
+            // Drained before the event queue, so no wake-up is lost.
+            while matches!((&self.wake).read(&mut self.read_buf), Ok(READ_CHUNK)) {}
+        }
+        if fds[1].revents != 0 {
+            self.accept();
+        }
+        for (fd, conn) in fds[2..].iter().zip(polled) {
+            if fd.events & sys::POLLIN != 0 && fd.revents & !sys::POLLOUT != 0 {
+                self.read_conn(conn);
+            }
+            if fd.events & sys::POLLOUT != 0 && fd.revents & !sys::POLLIN != 0 {
+                self.flush(conn);
+            }
+        }
+        self.drain_events();
+        // Timers: idle reaps, stall holds and write deadlines. A request
+        // that reached the dispatcher first wins: its connection has work
+        // in flight and is not reaped.
+        let (now, idle) = (Instant::now(), self.options.idle_timeout);
+        let due: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, s)| s.wake_at(idle).is_some_and(|at| at <= now))
+            .map(|(&c, _)| c)
+            .collect();
+        for conn in due {
+            let state = &self.conns[&conn];
+            if idle.is_some_and(|idle| state.reapable() && state.last_activity + idle <= now) {
+                self.counters.conn_idle_reaped += 1;
+                self.close_conn(conn, CloseMode::Graceful);
+            } else {
+                self.flush(conn);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1289,11 +1358,8 @@ pub enum Front {
     /// Accept unix/TCP connections until the shutdown flag is set.
     Listen(SocketListener),
     /// Serve one JSONL stream — stdin/stdout, or a request file — as
-    /// connection 0, until it reaches EOF and drains, or until the
-    /// shutdown flag is set. Connection 0 keeps the stdin daemon's
-    /// contract: no in-flight cap, idle reap, or slow-close applies, a
-    /// slow consumer stalls the daemon instead of losing lines, and ops
-    /// answer without the `"transport"` object.
+    /// connection 0 (see the module docs), until it reaches EOF and
+    /// drains, or until the shutdown flag is set.
     Stdio {
         /// The request stream.
         input: Box<dyn Read + Send>,
@@ -1313,7 +1379,7 @@ pub enum Front {
 ///
 /// # Errors
 ///
-/// Propagates listener I/O failures surfaced by the accept loop.
+/// Propagates listener and poll failures.
 pub fn serve(
     listener: SocketListener,
     service: CompileService,
@@ -1330,68 +1396,64 @@ pub fn serve(
 ///
 /// # Errors
 ///
-/// Propagates listener I/O failures surfaced by the accept loop.
+/// Propagates listener and poll failures.
 pub fn serve_front(
     front: Front,
     service: CompileService,
     options: TransportOptions,
     shutdown: &AtomicBool,
 ) -> std::io::Result<(CompileService, TransportReport)> {
-    let events = service.events();
-    // Set once shutdown is seen: readers stop pulling requests and the
-    // accept loop exits on its next wake-up.
+    let mut d = Dispatcher::new(service, options)?;
+    // Set once shutdown is seen: the stdin reader stops pulling requests.
     let closing = Arc::new(AtomicBool::new(false));
-    let mut d = Dispatcher::new(service, options, matches!(front, Front::Listen(_)));
-    let acceptor = match front {
-        Front::Listen(listener) => Some(Acceptor::spawn(listener, &events, &closing, &d.options)),
+    match front {
+        Front::Listen(listener) => d.listener = Some(listener),
         Front::Stdio { input, output } => {
-            let faults = d.options.faults.clone();
-            d.open(0, spawn_writer(output, 0, faults.clone()), None);
-            let max_line = d.options.max_line_bytes;
-            spawn_reader(input, 0, max_line, events, Arc::clone(&closing), faults);
-            None
+            d.open(0, Link::Stdio(output));
+            let framer = Framer::new(0, &d.options);
+            spawn_stdin_reader(input, framer, d.service.events(), Arc::clone(&closing));
         }
-    };
+    }
     loop {
-        d.reap_idle();
-        if acceptor.is_none() && d.conns.is_empty() {
+        if d.listener.is_none() && d.conns.is_empty() {
             break; // connection 0 reached EOF and drained
         }
-        if shutdown.load(Ordering::SeqCst) {
-            eprintln!("gmc-serve: shutdown signal received; draining connections");
+        if shutdown.load(Ordering::SeqCst) || d.listen_error.is_some() {
+            let why = match &d.listen_error {
+                Some(e) => format!("listener failed ({e})"),
+                None => "shutdown signal received".into(),
+            };
+            eprintln!("gmc-serve: {why}; draining connections");
             closing.store(true, Ordering::SeqCst);
             // Requests that already reached the queue get answered;
             // lines that arrive from now on are not accepted.
-            while d.step(Some(Instant::now())) {}
+            d.drain_events();
             d.accepting = false;
             break;
         }
-        // Block until the next event or timed obligation. The cap only
-        // re-checks the shutdown flag: a signal handler can only store
-        // an atomic.
-        let check = Instant::now() + POLL_INTERVAL;
-        d.step(Some(d.next_wake().map_or(check, |wake| wake.min(check))));
+        d.turn(d.next_wake())?;
     }
 
-    // Graceful drain: answer everything in flight to its connection. A
-    // peer that won't read is slow-closed once its queue fills, and
-    // each writer gives up after its write deadline, so this and the
-    // closes below terminate.
-    loop {
-        d.reap_idle();
-        if d.service.pending() == 0 {
-            break;
-        }
-        d.step(d.next_wake());
+    // Graceful drain: answer everything in flight to its connection,
+    // then close every connection, flushing each buffer under its
+    // write deadline.
+    while d.service.pending() > 0 {
+        d.turn(d.next_wake())?;
     }
     for conn in d.conn_order.clone() {
         d.close_conn(conn, CloseMode::Graceful);
     }
-    if let Some(acceptor) = acceptor {
-        acceptor.stop()?;
+    while !d.conns.is_empty() {
+        d.turn(d.next_wake())?;
+    }
+    if let Some(path) = d.listener.take().and_then(|l| l.cleanup) {
+        let _ = std::fs::remove_file(path);
+    }
+    if let Some(e) = d.listen_error.take() {
+        return Err(e);
     }
     let report = TransportReport {
-        accepted: d.accepted,
+        accepted: d.counters.accepted,
         requests: d.requests,
         failures: d.failures,
         snapshot: d.transport_snapshot(),
@@ -1403,6 +1465,8 @@ pub fn serve_front(
 mod tests {
     use super::*;
     use crate::ServeConfig;
+    use std::io::{BufRead, BufReader};
+    use std::thread::JoinHandle;
 
     #[test]
     fn listen_addresses_parse_both_families() {
@@ -1694,7 +1758,9 @@ mod tests {
 
     /// Over `max_conns`, a connection is accepted, refused with one
     /// typed in-band `overloaded` line, and closed — and once the
-    /// population drops, new connections are served again.
+    /// population drops, new connections are served again. A connection
+    /// that half-closed but is still flushing to a slow reader keeps
+    /// its slot until its output is out.
     #[test]
     fn max_conns_refuses_with_a_typed_line_then_recovers() {
         let dir = std::env::temp_dir().join("gmc_transport_maxconns_test");
@@ -1702,6 +1768,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let options = TransportOptions {
             max_conns: 1,
+            // Connection 4's output is held 300 ms per line.
+            faults: FaultPlan::parse("conn_stall:4:300").unwrap(),
             ..TransportOptions::default()
         };
         let (addr, shutdown, handle) = start_daemon(&dir, fast_config(1), options);
@@ -1739,28 +1807,52 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"ok\":true"));
 
+        // Connection 4 pipelines two requests and half-closes: it is
+        // closed once both are answered, but its second line is still
+        // held when its first arrives, so connection 5 is refused.
+        let mut fourth = SocketStream::connect(&addr).unwrap();
+        for id in [1, 2] {
+            fourth.write_all(request_line(id).as_bytes()).unwrap();
+            fourth.write_all(b"\n").unwrap();
+        }
+        fourth.shutdown_write().unwrap();
+        let mut fourth_reader = BufReader::new(fourth);
+        line.clear();
+        assert!(fourth_reader.read_line(&mut line).unwrap() > 0);
+        // Half-closed, so an admitted connection would end with no line.
+        let fifth = SocketStream::connect(&addr).unwrap();
+        let _ = fifth.shutdown_write();
+        let fifth = read_all_lines(fifth);
+        assert_eq!(fifth.len(), 1, "refused with one line");
+        assert!(fifth[0].contains("daemon at max-conns (1)"), "{}", fifth[0]);
+        line.clear();
+        assert!(fourth_reader.read_line(&mut line).unwrap() > 0);
+        assert!(line.contains("\"ok\":true"));
+        line.clear();
+        assert_eq!(fourth_reader.read_line(&mut line).unwrap(), 0, "drained");
+
         shutdown.store(true, Ordering::SeqCst);
         let (service, report) = handle.join().unwrap().unwrap();
-        assert_eq!(report.snapshot.conn_refused, 1);
-        assert_eq!(report.accepted, 3, "refused connections count as accepted");
-        assert_eq!(report.snapshot.closed, 3);
+        assert_eq!(report.snapshot.conn_refused, 2);
+        assert_eq!(report.accepted, 5, "refused connections count as accepted");
+        assert_eq!(report.snapshot.closed, 5);
         let _ = service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A client that pipelines forever and never reads is slow-closed
-    /// the moment a response finds its writer queue full, even though
+    /// the moment a response finds its outbound buffer full, even though
     /// it half-closed first; its in-flight work is written off through
     /// the exactly-once tables, daemon memory stays bounded by the
-    /// queue, and the daemon keeps serving polite clients.
+    /// buffer, and the daemon keeps serving polite clients.
     #[test]
     fn never_reading_pipeliner_is_slow_closed_and_written_off() {
         let dir = std::env::temp_dir().join("gmc_transport_slowclose_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // The connection's writer stalls 500 ms per line while the shard
-        // answers hits in microseconds, so responses pile up in the
-        // queue and the one past `WRITER_QUEUE` closes the connection.
+        // The connection's output is held 500 ms per line while the shard
+        // answers hits in microseconds, so responses pile up in its
+        // buffer and the one past `WRITER_QUEUE` closes the connection.
         let faults = FaultPlan::parse("conn_stall:1:500").unwrap();
         let mut config = fast_config(1);
         config.faults = faults.clone();
@@ -1814,10 +1906,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A burst that exactly fills the writer queue is no slow consumer:
-    /// a client that reads its responses gets all `WRITER_QUEUE` op
-    /// answers, which the dispatcher queues as fast as it reads the
-    /// requests.
+    /// A burst of `WRITER_QUEUE` lines is no slow consumer: a client
+    /// that reads its responses gets all `WRITER_QUEUE` op answers,
+    /// which the dispatcher writes as fast as it reads the requests.
     #[test]
     fn reading_client_gets_a_full_queue_burst() {
         let dir = std::env::temp_dir().join("gmc_transport_burst_test");
@@ -1841,6 +1932,185 @@ mod tests {
         assert_eq!(report.snapshot.conn_slow_closed, 0);
         assert_eq!(report.snapshot.conn_written_off, 0);
         let _ = service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A graceful close flushes through the loop instead of blocking
+    /// it: connection 1 pipelines 40 requests and half-closes while
+    /// each of its lines is held 100 ms (`conn_stall`), so its close has
+    /// seconds of output to flush — and `health` on connection 2 is
+    /// answered at once throughout. The slow reader still gets every
+    /// response.
+    #[test]
+    fn graceful_close_of_a_slow_reader_stalls_no_other_connection() {
+        let dir = std::env::temp_dir().join("gmc_transport_linger_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let faults = FaultPlan::parse("conn_stall:1:100").unwrap();
+        let mut config = fast_config(1);
+        config.faults = faults.clone();
+        let options = TransportOptions {
+            faults,
+            ..TransportOptions::default()
+        };
+        let (addr, shutdown, handle) = start_daemon(&dir, config, options);
+
+        let mut slow = SocketStream::connect(&addr).unwrap();
+        let burst: String = (1..=40).map(|id| request_line(id) + "\n").collect();
+        slow.write_all(burst.as_bytes()).unwrap();
+        slow.shutdown_write().unwrap();
+        let received = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&received);
+        let slow_reader = std::thread::spawn(move || {
+            let mut reader = BufReader::new(slow);
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap_or(0) > 0 {
+                counter.fetch_add(1, Ordering::SeqCst);
+                line.clear();
+            }
+        });
+
+        // Ask for health on connection 2 until it reports connection 1
+        // closed: its graceful close is then flushing held lines, and no
+        // answer may wait behind it.
+        let mut polite = SocketStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(polite.try_clone().unwrap());
+        loop {
+            let started = Instant::now();
+            polite.write_all(b"{\"op\":\"health\"}\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let took = started.elapsed();
+            assert!(line.contains("\"op\":\"health\""), "{line}");
+            assert!(
+                took < Duration::from_millis(100),
+                "health waited {took:?} behind a graceful close"
+            );
+            if line.contains("\"closed\":1") {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            received.load(Ordering::SeqCst) < 40,
+            "the close was still flushing when health was answered"
+        );
+        slow_reader.join().unwrap();
+        assert_eq!(
+            received.load(Ordering::SeqCst),
+            40,
+            "every response delivered"
+        );
+
+        shutdown.store(true, Ordering::SeqCst);
+        let (service, report) = handle.join().unwrap().unwrap();
+        assert_eq!(report.snapshot.conn_slow_closed, 0);
+        assert_eq!(report.snapshot.conn_written_off, 0);
+        let _ = service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An `emit: both` request for a 32-matrix chain: its response is
+    /// over 0.4 MB.
+    fn large_request_line(id: u64) -> String {
+        let defs: String = (0..32)
+            .map(|i| format!("Matrix M{i} <General, Singular>;"))
+            .collect();
+        let product: Vec<String> = (0..32).map(|i| format!("M{i}")).collect();
+        format!(
+            "{{\"id\":{id},\"emit\":\"both\",\"source\":\"{defs} X := {};\"}}\n",
+            product.join(" * ")
+        )
+    }
+
+    /// A client that pipelines large responses and reads them is held
+    /// back at the byte bound, not closed: while each of its lines is
+    /// held 50 ms (`conn_stall`, a slow link), its 40 `emit: both`
+    /// responses pile up past `OUTBOX_BYTES`, and all of them reach its
+    /// reader thread.
+    #[test]
+    fn pipelining_reader_gets_every_large_response() {
+        let dir = std::env::temp_dir().join("gmc_transport_pipelined_large_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let options = TransportOptions {
+            faults: FaultPlan::parse("conn_stall:1:50").unwrap(),
+            ..TransportOptions::default()
+        };
+        let (addr, shutdown, handle) = start_daemon(&dir, fast_config(1), options);
+
+        let sent = 40;
+        let mut client = SocketStream::connect(&addr).unwrap();
+        let reader = client.try_clone().unwrap();
+        let reading = std::thread::spawn(move || read_all_lines(reader));
+        let burst: String = (1..=sent).map(large_request_line).collect();
+        client.write_all(burst.as_bytes()).unwrap();
+        client.shutdown_write().unwrap();
+        let lines = reading.join().unwrap();
+        assert_eq!(lines.len(), sent as usize, "every response delivered");
+        assert!(lines.iter().all(|l| l.contains("\"ok\":true")));
+        let total: usize = lines.iter().map(String::len).sum();
+        assert!(total > OUTBOX_BYTES * 3 / 2, "{total} bytes of responses");
+
+        shutdown.store(true, Ordering::SeqCst);
+        let (service, report) = handle.join().unwrap().unwrap();
+        assert_eq!(report.snapshot.conn_slow_closed, 0);
+        assert_eq!(report.snapshot.conn_written_off, 0);
+        let _ = service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A client that never reads its large responses is not read once
+    /// more than `OUTBOX_BYTES` are unflushed: the requests it sends
+    /// after that are never taken in, so its buffer stops growing, and
+    /// the write deadline closes it while another connection is served.
+    #[test]
+    fn never_reading_client_is_not_read_past_the_byte_bound() {
+        let dir = std::env::temp_dir().join("gmc_transport_bytes_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (addr, shutdown, handle) =
+            start_daemon(&dir, fast_config(1), TransportOptions::default());
+
+        // 40 responses of over 0.4 MB: about twice the bound, unread.
+        let mut greedy = SocketStream::connect(&addr).unwrap();
+        let first: String = (1..=40).map(large_request_line).collect();
+        greedy.write_all(first.as_bytes()).unwrap();
+        let mut probe = SocketStream::connect(&addr).unwrap();
+        let mut probe_reader = BufReader::new(probe.try_clone().unwrap());
+        let mut ask_until = |op: &str, wanted: &str| loop {
+            probe
+                .write_all(format!("{{\"op\":\"{op}\"}}\n").as_bytes())
+                .unwrap();
+            let mut line = String::new();
+            probe_reader.read_line(&mut line).unwrap();
+            if line.contains(wanted) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        ask_until("stats", "\"requests\":40,");
+        // Sent while the buffer is over the bound: never read.
+        let second: String = (41..=50).map(large_request_line).collect();
+        greedy.write_all(second.as_bytes()).unwrap();
+        ask_until("health", "\"closed\":1,");
+        assert!(
+            read_all_lines(greedy).len() < 40,
+            "closed with output unsent"
+        );
+
+        shutdown.store(true, Ordering::SeqCst);
+        let (service, report) = handle.join().unwrap().unwrap();
+        assert_eq!(
+            report.snapshot.conn_slow_closed, 0,
+            "the write deadline closed it"
+        );
+        assert_eq!(
+            report.snapshot.conn_written_off, 0,
+            "every request read was answered"
+        );
+        let stats = service.shutdown();
+        assert_eq!(stats.requests(), 40, "no request read past the bound");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1964,7 +2234,8 @@ mod tests {
     /// The dispatcher's wake-up instant is its earliest timed obligation:
     /// with nothing timed it is `None` (wait for the next event, bounded
     /// only by the shutdown check); otherwise it is exactly the one
-    /// request deadline or idle-reap time — or the earliest of several.
+    /// request deadline, idle-reap time, write deadline or stall hold —
+    /// or the earliest of several.
     #[test]
     fn next_wake_is_the_earliest_timed_obligation() {
         let idle = Duration::from_millis(80);
@@ -1973,16 +2244,17 @@ mod tests {
             ..TransportOptions::default()
         };
         let service = CompileService::start(fast_config(1)).unwrap();
-        let mut d = Dispatcher::new(service, options, true);
+        let mut d = Dispatcher::new(service, options).unwrap();
         let conn = |socket: bool, last_activity: Instant| {
-            let writer = WriterHandle {
-                lines: sync_channel(1).0,
-                thread: std::thread::spawn(|| {}),
+            let link = if socket {
+                let sock = SocketStream::Unix(UnixStream::pair().unwrap().0);
+                Link::Socket(sock, Framer::new(1, &TransportOptions::default()))
+            } else {
+                Link::Stdio(Box::new(std::io::sink()))
             };
-            let ctrl = socket.then(|| SocketStream::Unix(UnixStream::pair().unwrap().0));
             ConnState {
                 last_activity,
-                ..ConnState::new(writer, ctrl)
+                ..ConnState::new(link)
             }
         };
         let t0 = Instant::now();
@@ -2016,9 +2288,38 @@ mod tests {
             .insert(3, conn(true, t0 + Duration::from_millis(50)));
         assert_eq!(d.next_wake(), Some(t0 + idle), "idle reap first");
 
+        // Output blocked on its socket: the write deadline, even on a
+        // connection with work in flight (never reaped).
+        d.conns.clear();
+        let mut blocked = conn(true, t0);
+        blocked.in_flight = 1;
+        blocked.out.blocked_since = Some(t0);
+        d.conns.insert(4, blocked);
+        assert_eq!(d.next_wake(), Some(t0 + WRITE_DEADLINE));
+
+        // A stall hold that ends before the write deadline.
+        let held = t0 + Duration::from_millis(30);
+        d.conns.get_mut(&4).unwrap().out.held_until = Some(held);
+        assert_eq!(d.next_wake(), Some(held), "stall hold first");
+
         let mut service = d.service;
         assert_eq!(service.drain().len(), 1);
         let _ = service.shutdown();
+    }
+
+    /// An `accept` error of one peer skips that connection; only the
+    /// listener's own errors end serving.
+    #[test]
+    fn accept_errors_of_one_peer_are_not_fatal() {
+        let errno = std::io::Error::from_raw_os_error;
+        // ECONNABORTED, EPROTO, EHOSTUNREACH, ENETUNREACH.
+        for peer in [103, 71, 113, 101] {
+            assert!(sys::peer_error(&errno(peer)), "errno {peer}");
+        }
+        // EMFILE, ENFILE, ENOBUFS, EBADF, EINVAL.
+        for listener in [24, 23, 105, 9, 22] {
+            assert!(!sys::peer_error(&errno(listener)), "errno {listener}");
+        }
     }
 
     /// TCP binds to an ephemeral port and resolves the real address.

@@ -75,18 +75,19 @@
 //!   diagnostics, healthy inputs still emit, dirty exit code.
 //! * **Multiplexed socket transport** (`gmc_serve::transport`,
 //!   `gmcc --listen unix:PATH|tcp:HOST:PORT`): the same JSONL protocol
-//!   over unix/TCP sockets with many concurrent connections. Each
-//!   connection gets a reader and a writer thread; a single dispatcher
-//!   owns the `CompileService`, remapping per-connection request ids
-//!   onto private tokens so clients can **pipeline** requests and
-//!   receive responses out of order (matched by id, ids scoped per
-//!   connection). The dispatcher blocks on one event queue that the
-//!   readers, accept loop, and shard workers all feed, with a timeout
-//!   at its nearest real obligation (request deadline or idle reap) —
-//!   no poll timers, so deadlines are exact and
-//!   a warm hit costs lookup plus encode. Half-close (client shutdown
-//!   of its write side) drains that connection's in-flight work before
-//!   closing; transport
+//!   over unix/TCP sockets with many concurrent connections. One
+//!   dispatcher thread owns every socket: it blocks in `poll(2)` over
+//!   the listener, each connection and a wake socket that every shard
+//!   result writes a byte to, reads and writes the JSONL lines itself
+//!   (a connection costs no thread), and owns the `CompileService`,
+//!   remapping per-connection request ids onto private tokens so
+//!   clients can **pipeline** requests and receive responses out of
+//!   order (matched by id, ids scoped per connection). The poll
+//!   timeout is its nearest real obligation (request deadline, idle
+//!   reap, write deadline) — no poll timers, so deadlines are exact
+//!   and a warm hit costs lookup plus encode. Half-close (client
+//!   shutdown of its write side) drains that connection's in-flight
+//!   work before closing; transport
 //!   counters (`gmc_connections`, accepted/closed totals, per-conn
 //!   in-flight) ride the in-band health/metrics responses and the
 //!   Prometheus dump. `gmcc --connect ADDR` is the matching pipelining
@@ -97,11 +98,12 @@
 //!   over-cap requests *in band* with a retryable `overloaded` error —
 //!   cap → shed → client retry/backoff is the intended control loop,
 //!   and `gmcc --connect --retry N` closes it with jittered capped
-//!   exponential backoff. Outbound writers are **bounded**: each
-//!   connection's writer queue (256 lines) is its only outbound
-//!   buffer, and a connection that stops reading (slowloris, greedy
-//!   pipeliner) is slow-closed once a line finds that queue full, or
-//!   on its next line once a socket write has blocked for 2 s. Its
+//!   exponential backoff. Outbound buffers are **bounded**: each
+//!   connection has one output byte buffer, and a connection that
+//!   stops reading (slowloris, greedy pipeliner) is slow-closed once a
+//!   line arrives with 256 lines unflushed, or once its output has made
+//!   no progress for 2 s, and is not read while more than 8 MiB are
+//!   unflushed. Its
 //!   in-flight work is written off through the exactly-once
 //!   bookkeeping (late shard replies dropped and counted) instead of
 //!   buffering without bound. `--max-conns` refuses connections past
