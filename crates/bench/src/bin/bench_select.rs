@@ -9,16 +9,14 @@
 //! to the 7.498 ms the pre-engine scalar pipeline measured on the same
 //! workload and host. An `enumerate_*` breakdown isolates `build_pool` itself —
 //! the dominant stage once the cost-matrix fill was vectorized —
-//! per-tree `build_variant` lowering versus the memoized engine, and the
-//! `frag_*` rows compare a capacity-0 fragment store with a cold, a full
-//! and a warm one.
+//! per-tree `build_variant` lowering versus the memoized engine.
 //!
 //! Run with `cargo run --release --bin bench_select [--smoke]
 //! [output.json]`.
 
 use gmc_core::simd;
 use gmc_core::{build_variant, CompileSession, Objective, ParenTree, PoolBuilder, Variant};
-use gmc_ir::{Features, InstanceSampler, Operand, Property, Shape, Structure};
+use gmc_ir::{Features, InstanceSampler, Operand, Shape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -38,56 +36,6 @@ fn select_once(session: &mut CompileSession, shape: &Shape) -> Vec<usize> {
     let matrix = session.cost_matrix(&pool, &training);
     let initial = gmc_core::select_base_set_in(shape, &pool, matrix).expect("base set");
     session.expand_set(&initial, initial.len() + 4, Objective::AvgPenalty)
-}
-
-/// The fragment-store workload: eight related 7-chains sharing a
-/// structured five-operand prefix (every sub-span of the prefix — the
-/// bulk of each chain's span DAG — recurs in all eight shapes), with
-/// inverted/structured operands so per-node lowering (inversion
-/// propagation, kernel assignment, inference) dominates splicing.
-fn frag_workload() -> Vec<Shape> {
-    let g = Operand::plain(Features::general());
-    let sy = Operand::plain(Features::new(Structure::Symmetric, Property::Spd));
-    let lo = Operand::plain(Features::new(Structure::LowerTri, Property::NonSingular));
-    let up = Operand::plain(Features::new(Structure::UpperTri, Property::NonSingular));
-    let prefix = [g, lo.inverted(), sy.inverted(), up.inverted(), sy];
-    let tails: [[Operand; 2]; 8] = [
-        [g, g],
-        [g, sy],
-        [lo, g],
-        [sy.inverted(), g],
-        [up.inverted(), sy],
-        [g, lo.inverted()],
-        [sy, up],
-        [lo.inverted(), up.inverted()],
-    ];
-    tails
-        .iter()
-        .map(|tail| {
-            let mut ops = prefix.to_vec();
-            ops.extend_from_slice(tail);
-            Shape::new(ops).expect("workload shapes are valid")
-        })
-        .collect()
-}
-
-/// Random 7-chains over operands whose (structure, property) pairs never
-/// occur in [`frag_workload`], so no span of theirs shares a descriptor
-/// run, and therefore a store key, with a workload span: filling a store
-/// from them leaves it full of entries the workload never hits.
-fn filler_shapes() -> impl Iterator<Item = Shape> {
-    let gn = Operand::plain(Features::new(Structure::General, Property::NonSingular));
-    let ls = Operand::plain(Features::new(Structure::LowerTri, Property::Singular));
-    let us = Operand::plain(Features::new(Structure::UpperTri, Property::Singular));
-    let ops = [gn, gn.inverted(), gn.transposed(), ls, us];
-    let mut rng = StdRng::seed_from_u64(4096);
-    std::iter::from_fn(move || {
-        let chain = (0..7)
-            .map(|_| ops[rand::Rng::gen_range(&mut rng, 0..ops.len())])
-            .collect();
-        Some(Shape::new(chain).ok())
-    })
-    .flatten()
 }
 
 fn best_of<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (f64, T) {
@@ -155,75 +103,6 @@ fn main() {
         "memoized enumeration must build the bit-identical pool"
     );
 
-    // Cross-shape fragment store: enumerate the 8-shape related
-    // workload (shared structured prefix) in three regimes. `off` is a
-    // capacity-0 store (never consulted); `cold` is a fresh store
-    // discovering the workload (later shapes already splice the earlier
-    // shapes' spans); `warm` is the serving/restart regime —
-    // a store that has seen the workload re-enumerating it, every
-    // association node a same-frame hit. One session per pass either
-    // way, shapes cycled so the per-shape memo is re-targeted (and
-    // dropped) on every shape: the store is the only state carried.
-    let workload = frag_workload();
-    let enumerate_workload = |session: &mut CompileSession| -> Vec<Vec<Variant>> {
-        workload
-            .iter()
-            .map(|s| session.all_variants(s).expect("workload under cap"))
-            .collect()
-    };
-    let (frag_off_s, off_pools) = best_of(reps, || {
-        let mut session = CompileSession::new();
-        session.set_fragment_cache_capacity(0);
-        enumerate_workload(&mut session)
-    });
-    let (frag_cold_s, cold_pools) =
-        best_of(reps, || enumerate_workload(&mut CompileSession::new()));
-    // Full store: the long-lived serving regime, where the store has
-    // already filled to capacity and every insert evicts. Each rep fills a
-    // fresh session's store from unrelated shapes off the clock, then
-    // times the same cold pass over the workload.
-    let mut frag_full_s = f64::INFINITY;
-    let mut full_pools = Vec::new();
-    let mut full_evictions = 0;
-    for _ in 0..reps {
-        let mut session = CompileSession::new();
-        for shape in filler_shapes() {
-            if session.num_cached_fragments() == session.fragment_cache_capacity() {
-                break;
-            }
-            let _ = session.all_variants(&shape).expect("filler under cap");
-        }
-        let filled = session.fragment_cache_stats();
-        let t = Instant::now();
-        full_pools = std::hint::black_box(enumerate_workload(&mut session));
-        frag_full_s = frag_full_s.min(t.elapsed().as_secs_f64());
-        let after = session.fragment_cache_stats();
-        full_evictions = after.evictions - filled.evictions;
-        assert!(
-            full_evictions > 0 && full_evictions == after.inserts - filled.inserts,
-            "every insert into the full store must evict"
-        );
-    }
-
-    let mut warm_store = CompileSession::new();
-    let _ = enumerate_workload(&mut warm_store);
-    let (frag_warm_s, warm_pools) = best_of(reps, || enumerate_workload(&mut warm_store));
-    let warm_stats = warm_store.fragment_cache_stats();
-
-    assert_eq!(
-        off_pools, cold_pools,
-        "cold-store pools must be bit-identical to the capacity-0 control"
-    );
-    assert_eq!(
-        off_pools, full_pools,
-        "full-store pools must be bit-identical to the capacity-0 control"
-    );
-    assert_eq!(
-        off_pools, warm_pools,
-        "warm-store pools must be bit-identical to the capacity-0 control"
-    );
-    let frag_speedup = frag_cold_s / frag_warm_s;
-
     // Smoke sanity for the observability layer: the stage profile a
     // traced session records over one selection pass must account for
     // that pass's wall-clock within 2x in either direction — the spans
@@ -264,17 +143,6 @@ fn main() {
         enum_memo_s * 1e3,
         enum_speedup,
     );
-    println!(
-        "fragment store, 8 related 7-chains: off {:7.3} ms   cold {:7.3} ms   \
-         full {:7.3} ms   warm {:7.3} ms ({:.2}x vs cold)   warm hit rate {:.3}",
-        frag_off_s * 1e3,
-        frag_cold_s * 1e3,
-        frag_full_s * 1e3,
-        frag_warm_s * 1e3,
-        frag_speedup,
-        warm_stats.hit_rate(),
-    );
-
     let mut json = String::from("{\n  \"bench\": \"selection_end_to_end\",\n  \"unit\": \"ms\",\n");
     let _ = writeln!(json, "  \"chain\": \"general-7\",");
     let _ = writeln!(json, "  \"pool_variants\": 132,");
@@ -299,26 +167,6 @@ fn main() {
     let _ = writeln!(json, "  \"enumerate_naive_ms\": {:.3},", enum_naive_s * 1e3);
     let _ = writeln!(json, "  \"enumerate_memo_ms\": {:.3},", enum_memo_s * 1e3);
     let _ = writeln!(json, "  \"enumerate_speedup\": {enum_speedup:.4},");
-    let _ = writeln!(
-        json,
-        "  \"frag_workload_note\": \"frag_* rows enumerate 8 related structured 7-chains \
-         sharing a 5-operand prefix: off = capacity-0 store, cold = fresh store, \
-         full = store first filled to capacity from unrelated shapes (every insert \
-         evicts), warm = store that has seen the workload (serving/restart regime); \
-         pools bit-identical across all four\","
-    );
-    let _ = writeln!(json, "  \"frag_off_ms\": {:.3},", frag_off_s * 1e3);
-    let _ = writeln!(json, "  \"frag_cold_ms\": {:.3},", frag_cold_s * 1e3);
-    let _ = writeln!(json, "  \"frag_full_ms\": {:.3},", frag_full_s * 1e3);
-    let _ = writeln!(json, "  \"frag_full_evictions\": {full_evictions},");
-    let _ = writeln!(json, "  \"frag_warm_ms\": {:.3},", frag_warm_s * 1e3);
-    let _ = writeln!(json, "  \"frag_speedup\": {frag_speedup:.4},");
-    let _ = writeln!(
-        json,
-        "  \"frag_warm_hit_rate\": {:.4},",
-        warm_stats.hit_rate()
-    );
-    let _ = writeln!(json, "  \"frag_pools_bit_identical\": true,");
     let _ = writeln!(json, "  \"enum_pools_bit_identical\": true,");
     let _ = writeln!(json, "  \"selected_variants\": {}", simd_set.len());
     json.push_str("}\n");

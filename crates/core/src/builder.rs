@@ -62,7 +62,7 @@ impl From<MappingError> for BuildError {
 }
 
 /// Descriptor of an in-flight value (leaf or intermediate) during lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct NodeDesc {
     /// Stored structure of the materialized value.
     pub structure: Structure,
@@ -130,10 +130,6 @@ impl NodeDesc {
 /// Optimization switches for variant construction, used by the ablation
 /// experiments (`gmc-bench --bin ablation`) to quantify the Sec. IV design
 /// choices. Defaults enable everything, matching the paper.
-///
-/// `Hash` because the options are part of every
-/// [`fragcache`](crate::fragcache) key: fragments lowered under different
-/// switches are distinct cache entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BuildOptions {
     /// Apply the single-operand inversion-propagation heuristic

@@ -46,18 +46,8 @@
 //! `build_pool` from per-tree into per-fragment work (~4x for `n = 7`)
 //! while staying **bit-identical** to per-tree [`build_variant`]
 //! lowering, which remains the reference the tests call by name; see
-//! the [`pool`] module docs.
-//!
-//! Above the per-shape memo sits the **cross-shape fragment store**
-//! ([`fragcache`]): fragments are keyed by the hash of their span's
-//! leaf-descriptor run (renumbered to a span-local frame) plus the
-//! [`BuildOptions`] fingerprint, so shapes that differ outside a span
-//! assemble that span by splice instead of re-lowering it. The store is
-//! LRU-bounded, owned by the session (capacity/stats knobs next to the
-//! chain cache's), kept in memory only — snapshots record decisions,
-//! and a restore refills the store as it re-lowers them — and turned
-//! off by capacity 0, which the tests use as the store-off reference;
-//! see the [`fragcache`] module docs.
+//! the [`pool`] module docs. The memo lives for one shape: a session
+//! keeps it while it compiles that shape and lowers a new shape afresh.
 //!
 //! The whole pipeline is **traced** through the `gmc-obs` substrate:
 //! every session owns a [`gmc_obs::Recorder`] that accounts each stage
@@ -97,7 +87,6 @@ pub mod builder;
 pub mod dp;
 pub mod enumerate;
 pub mod expand;
-pub mod fragcache;
 pub mod library;
 pub mod lru;
 pub mod paren;
@@ -117,16 +106,13 @@ pub use enumerate::{all_variants, all_variants_capped, EnumerateError, DEFAULT_V
 pub use expand::{
     expand_set, expand_set_level, expand_set_with, CostMatrix, ExpandScratch, Objective,
 };
-pub use fragcache::{FragCacheStats, FragmentCache};
 pub use gmc_obs::{active_trace_mode, force_trace_mode, Recorder, Stage, StageProfile, TraceMode};
 pub use library::ChainLibrary;
 pub use paren::{NodeId, ParenTree, SpanDag};
 pub use persist::{PersistError, SessionSnapshot};
 pub use pool::{PoolBuilder, PoolStats};
 pub use program::{CompileOptions, CompiledChain, CostModel, FlopCost, ProgramError};
-pub use session::{
-    CacheStats, CompileSession, DEFAULT_CHAIN_CACHE_CAPACITY, DEFAULT_FRAG_CACHE_CAPACITY,
-};
+pub use session::{CacheStats, CompileSession, DEFAULT_CHAIN_CACHE_CAPACITY};
 pub use simd::SimdLevel;
 pub use theory::{fanning_out_set, penalty, select_base_set, select_base_set_in, TheoryError};
 pub use variant::{ExecVariantError, Finalize, Step, ValRef, Variant};

@@ -11,9 +11,8 @@
 //! picks, which the tests below check against exactly that model.
 //!
 //! A [`CompileSession`](crate::CompileSession) keeps its compiled chains
-//! and its [`FragmentCache`](crate::FragmentCache) entries in one each;
-//! a `gmc-serve` shard keeps the artifacts it rendered for each shape in
-//! another, bounded like its chain cache.
+//! in one; a `gmc-serve` shard keeps the artifacts it rendered for each
+//! shape in another, bounded like its chain cache.
 //!
 //! ```
 //! use gmc_core::lru::Lru;
@@ -27,8 +26,8 @@
 //! assert_eq!(lru.len(), 2);
 //! ```
 
-use std::collections::hash_map::{Entry, HashMap, RandomState};
-use std::hash::{BuildHasher, Hash};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 
 /// Link terminator: no newer (at the newest end) or no older neighbour.
 const NIL: usize = usize::MAX;
@@ -43,19 +42,19 @@ struct Node<K, V> {
 
 /// A capacity-bounded map that evicts its least-recently-used entries.
 #[derive(Debug)]
-pub struct Lru<K, V, S = RandomState> {
-    slots: HashMap<K, usize, S>,
+pub struct Lru<K, V> {
+    slots: HashMap<K, usize>,
     nodes: Vec<Node<K, V>>,
     newest: usize,
     oldest: usize,
     capacity: usize,
 }
 
-impl<K: Hash + Eq + Clone, V, S: BuildHasher + Default> Lru<K, V, S> {
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     /// An empty map bounded to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         Lru {
-            slots: HashMap::default(),
+            slots: HashMap::new(),
             nodes: Vec::new(),
             newest: NIL,
             oldest: NIL,

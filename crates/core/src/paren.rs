@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// A parenthesization of (a contiguous span of) a matrix chain.
 ///
@@ -157,6 +158,55 @@ impl fmt::Display for ParenTree {
 /// Index of a node in a [`SpanDag`] arena.
 pub type NodeId = usize;
 
+/// Multiply-rotate hasher (the classic `fxhash` recipe) for the span-DAG
+/// interner: it hashes small id pairs, which want mixing that costs a
+/// couple of cycles instead of a full SipHash permutation.
+#[derive(Default)]
+pub(crate) struct FxHasher64(u64);
+
+impl FxHasher64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher64 {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // Fold the high bits down: hashbrown derives both its control
+        // byte and its bucket index from opposite ends of the word.
+        self.0 ^ (self.0 >> 32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+}
+
+/// `BuildHasher` for [`FxHasher64`].
+#[derive(Debug, Default, Clone)]
+pub(crate) struct FxBuildHasher;
+
+impl BuildHasher for FxBuildHasher {
+    type Hasher = FxHasher64;
+
+    #[inline]
+    fn build_hasher(&self) -> FxHasher64 {
+        FxHasher64::default()
+    }
+}
+
 /// Arena entry of one interned sub-tree.
 #[derive(Debug, Clone, Copy)]
 struct SpanNode {
@@ -186,15 +236,9 @@ struct SpanNode {
 pub struct SpanDag {
     n: usize,
     nodes: Vec<SpanNode>,
-    /// Sentinel-less preorder bit string per node (`1` per association,
-    /// `0` per leaf; a node of `w` leaves occupies `2w - 1` bits),
-    /// composed incrementally from the children's codes so no tree walk
-    /// is ever needed. Nodes wider than 64 leaves store `0` (their code
-    /// is never requested — the cross-shape fragment store skips them).
-    codes: Vec<u128>,
     /// Association nodes interned by their children (the children ids
     /// uniquely determine the sub-tree).
-    interned: HashMap<(NodeId, NodeId), NodeId, crate::fragcache::FxBuildHasher>,
+    interned: HashMap<(NodeId, NodeId), NodeId, FxBuildHasher>,
     /// Per-span enumeration lists in the canonical
     /// [`ParenTree::enumerate`] order, indexed `lo * n + hi` and filled
     /// by [`SpanDag::enumerate_roots`].
@@ -221,7 +265,6 @@ impl SpanDag {
         SpanDag {
             n,
             nodes,
-            codes: vec![0; n],
             interned: HashMap::default(),
             span_lists: vec![None; n * n],
         }
@@ -230,12 +273,6 @@ impl SpanDag {
     /// Slot of span `(lo, hi)` in [`SpanDag::span_lists`].
     fn slot(&self, lo: usize, hi: usize) -> usize {
         lo * self.n + hi
-    }
-
-    /// Chain length this DAG spans.
-    #[must_use]
-    pub fn chain_len(&self) -> usize {
-        self.n
     }
 
     /// Total number of interned nodes (leaves included).
@@ -265,29 +302,14 @@ impl SpanDag {
     }
 
     /// Materialize the [`ParenTree`] of a node from the arena. Built on
-    /// demand — the DAG itself keeps only spans, children, and bit
-    /// codes, so enumeration never pays for deep tree clones.
+    /// demand — the DAG itself keeps only spans and children, so
+    /// enumeration never pays for deep tree clones.
     #[must_use]
     pub fn tree(&self, id: NodeId) -> ParenTree {
         match self.nodes[id].children {
             None => ParenTree::Leaf(self.nodes[id].lo),
             Some((l, r)) => ParenTree::node(self.tree(l), self.tree(r)),
         }
-    }
-
-    /// Preorder bit code of a node: `1` per association node, `0` per
-    /// leaf, behind a sentinel `1` so the code is length-unambiguous.
-    /// Composed incrementally at interning time; fits spans of up to 64
-    /// leaves.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the node spans more than 64 leaves.
-    #[must_use]
-    pub fn code(&self, id: NodeId) -> u128 {
-        let w = self.num_leaves(id);
-        debug_assert!(w <= 64, "code requested for a span wider than 64 leaves");
-        (1 << (2 * w - 1)) | self.codes[id]
     }
 
     /// Intern the association of two already-interned nodes. The spans
@@ -302,22 +324,11 @@ impl SpanDag {
             return id;
         }
         let id = self.nodes.len();
-        let (wl, wr) = (self.num_leaves(left), self.num_leaves(right));
-        // bits(node) = '1' ++ bits(left) ++ bits(right); a child of w
-        // leaves contributes 2w - 1 bits. Spans wider than 64 leaves
-        // overflow the u128 and store 0 (their code is never read).
-        let code = if wl + wr <= 64 {
-            let (nl, nr) = (2 * wl as u32 - 1, 2 * wr as u32 - 1);
-            (1 << (nl + nr)) | (self.codes[left] << nr) | self.codes[right]
-        } else {
-            0
-        };
         self.nodes.push(SpanNode {
             lo: self.nodes[left].lo,
             hi: self.nodes[right].hi,
             children: Some((left, right)),
         });
-        self.codes.push(code);
         self.interned.insert((left, right), id);
         id
     }
@@ -532,35 +543,6 @@ mod tests {
         let id = sparse.intern_tree(&t).unwrap();
         assert_eq!(sparse.tree(id), t);
         assert_eq!(sparse.num_nodes(), 5 + 4, "leaves + one spine");
-    }
-
-    #[test]
-    fn dag_codes_match_preorder_reference_encoding() {
-        // Reference: walk the materialized tree in preorder, shifting in
-        // a `1` per node and a `0` per leaf behind a sentinel `1`.
-        fn reference(t: &ParenTree, acc: &mut u128) {
-            match t {
-                ParenTree::Leaf(_) => *acc <<= 1,
-                ParenTree::Node(l, r) => {
-                    *acc = (*acc << 1) | 1;
-                    reference(l, acc);
-                    reference(r, acc);
-                }
-            }
-        }
-        for n in 1..=7 {
-            let mut dag = SpanDag::new(n);
-            dag.enumerate_roots();
-            for id in 0..dag.num_nodes() {
-                let mut acc = 1;
-                reference(&dag.tree(id), &mut acc);
-                assert_eq!(dag.code(id), acc, "node {id}, n = {n}");
-            }
-        }
-        // The smallest association: ((M1 M2)) encodes as 0b1100.
-        let mut dag = SpanDag::new(2);
-        let root = dag.enumerate_roots()[0];
-        assert_eq!(dag.code(root), 0xc);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! shards or batch workers is deliberately excluded: it never changes
 //! selection.
 //!
-//! Nothing else is stored: the session's cross-shape fragment store
-//! ([`crate::fragcache`]) refills itself as restore re-lowers the trees.
+//! Nothing else is stored: restore re-lowers the recorded trees.
 //! Older files may end in a `frags v1 <count>` section of lowered
 //! fragments; [`SessionSnapshot::decode`] reads such a file up to its
 //! `frags` line and ignores the rest, so a daemon upgraded in place
@@ -577,6 +576,91 @@ mod tests {
         let snap = sample();
         let text = format!("{}frags v1 3\nfrag bogus\nshape 9 Qs\n", snap.encode());
         assert_eq!(SessionSnapshot::decode(&text).unwrap(), snap);
+    }
+
+    /// A snapshot written before snapshots stopped carrying fragments, by
+    /// `gmcc --serve - --jobs 1 --train 50 --persist` for
+    /// `X := A * B^-1 * C * D^T` (A, C, D general singular; B lower
+    /// triangular non-singular): 4 trees and a 12-line `frags` section.
+    const OLD_SNAPSHOT: &str = "\
+gmc-session-snapshot v1
+options train=50 lo=2 hi=1000 expand=0 obj=avg seed=6168263 vcap=65536
+shape 0 Gs Lni Gs Gst
+chain 0 (((0,1),2),3) ((0,1),(2,3)) ((0,(1,2)),3) (0,(1,(2,3)))
+frags v1 12
+frag 11 c Gs..:0:1:l0,Ln.I:1:1:l1 l0~l1~TRSM~R~..~nl~.~0~1~1 Gs..:0:1:t0 1/1:0^1.1^2
+frag 11 c Ln.I:0:0:l0,Gs..:0:1:l1 l0~l1~TRSM~L~..~ln~.~0~0~1 Gs..:0:1:t0 1/1:0^2.1^1
+frag 11 c Gs..:0:1:l0,GsT.:2:1:l1 l0~l1~GEMM~L~.T~nn~.~0~1~2 Gs..:0:2:t0 2/1:0^1.1^1.2^1
+frag 11 34 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2 l0~t0~GEMM~L~..~nn~.~0~1~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:1^2.2^1
+frag 11 38 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2 t0~l2~GEMM~L~..~nn~.~0~1~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:0^1.1^2
+frag 11 34 Ln.I:0:0:l0,Gs..:0:1:l1,GsT.:2:1:l2 l0~t0~TRSM~L~..~ln~.~0~0~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:0^2.2^1
+frag 11 38 Ln.I:0:0:l0,Gs..:0:1:l1,GsT.:2:1:l2 t0~l2~GEMM~L~.T~nn~.~0~1~2 Gs..:0:2:t1 2/1:0^1.1^1.2^1;1/1:0^2.1^1
+frag 11 d4 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 l0~t1~GEMM~L~..~nn~.~0~1~3 Gs..:0:3:t2 2/1:0^1.1^1.3^1;2/1:1^1.2^1.3^1;1/1:1^2.3^1
+frag 11 d8 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 l0~t1~GEMM~L~..~nn~.~0~1~3 Gs..:0:3:t2 2/1:0^1.1^1.3^1;2/1:1^1.2^1.3^1;1/1:1^2.2^1
+frag 11 e4 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 t0~t1~GEMM~L~..~nn~.~0~1~3 Gs..:0:3:t2 2/1:0^1.1^1.3^1;1/1:0^1.1^2;2/1:1^1.2^1.3^1
+frag 11 e8 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 t1~l3~GEMM~L~.T~nn~.~0~2~3 Gs..:0:3:t2 2/1:0^1.1^1.2^1;2/1:0^1.2^1.3^1;1/1:1^2.2^1
+frag 11 f0 Gs..:0:1:l0,Ln.I:1:1:l1,Gs..:1:2:l2,GsT.:3:2:l3 t1~l3~GEMM~L~.T~nn~.~0~2~3 Gs..:0:3:t2 2/1:0^1.1^1.2^1;1/1:0^1.1^2;2/1:0^1.2^1.3^1
+";
+
+    #[test]
+    fn old_snapshots_restore_identically_whatever_their_fragment_lines_say() {
+        use crate::session::CompileSession;
+        let opts = CompileOptions {
+            training_instances: 50,
+            ..CompileOptions::default()
+        };
+        let mut cold = CompileSession::with_options(opts.clone());
+        let (program, _) = cold
+            .parse(
+                "Matrix A <General, Singular>;
+                 Matrix B <LowerTri, NonSingular>;
+                 Matrix C <General, Singular>;
+                 Matrix D <General, Singular>;
+                 X := A * B^-1 * C * D^T;",
+            )
+            .unwrap();
+        let want = cold.compile(program.shape()).unwrap();
+
+        // A cost coefficient an old fragment line claims, and a run size
+        // symbol far past the run's frame: neither may reach the chain.
+        let edit = |prefix: &str, f: &dyn Fn(&str) -> String| -> String {
+            let at = OLD_SNAPSHOT
+                .lines()
+                .position(|l| l.starts_with(&format!("frag {prefix}")))
+                .expect("fixture has the line");
+            let edited: Vec<String> = OLD_SNAPSHOT
+                .lines()
+                .enumerate()
+                .map(|(i, l)| if i == at { f(l) } else { l.to_string() })
+                .collect();
+            let edited = edited.join("\n");
+            assert_ne!(edited.trim_end(), OLD_SNAPSHOT.trim_end(), "edit landed");
+            edited
+        };
+        let scaled = edit("11 d4 ", &|l| {
+            let (head, cost) = l.rsplit_once(' ').unwrap();
+            format!("{head} {}", cost.replacen("2/1", "9/1", 1))
+        });
+        let huge = edit("11 c ", &|l| {
+            l.replacen("Gs..:0:1:l0", "Gs..:18446744073709551614:1:l0", 1)
+        });
+        for (label, text) in [
+            ("original", OLD_SNAPSHOT),
+            ("9/1", &scaled),
+            ("symbol", &huge),
+        ] {
+            let snap = SessionSnapshot::decode(text).unwrap();
+            assert_eq!(snap.shapes().collect::<Vec<_>>(), [program.shape()]);
+            let mut session = CompileSession::with_options(opts.clone());
+            assert_eq!(session.restore(&snap).unwrap(), 1, "{label}");
+            let chain = session.compile(program.shape()).unwrap();
+            assert_eq!(session.cache_stats().hits, 1, "{label}: served restored");
+            assert_eq!(chain.variants().len(), 4, "{label}");
+            // Emitters read only the shape and the variants, so whole-
+            // `Variant` equality pins every emitted byte.
+            assert_eq!(chain.shape(), want.shape(), "{label}");
+            assert_eq!(chain.variants(), want.variants(), "{label}");
+        }
     }
 
     #[test]

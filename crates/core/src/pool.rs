@@ -27,23 +27,14 @@
 //! A [`crate::session::CompileSession`] owns one `PoolBuilder` and reuses
 //! its scratch across compiles; the memo is invalidated whenever the
 //! session hands it a different interned shape key.
-//!
-//! Above the per-shape memo sits the **cross-shape** fragment store
-//! ([`crate::fragcache::FragmentCache`]): the `*_cached` build entry
-//! points consult it before lowering each DAG node, so a shape change —
-//! which drops the memo — still assembles shared sub-spans from fragments
-//! lowered for *other* shapes. The store caches failed lowerings too, and
-//! both layers preserve the exact-once contract and bit-identical output.
 
 use crate::builder::{
     finalizes_for, leaf_descs, lower_node, BuildError, BuildOptions, Fragment, NodeDesc,
 };
-use crate::fragcache::{FragKey, FragmentCache, Frame};
 use crate::paren::{NodeId, ParenTree, SpanDag};
 use crate::variant::{ResultDesc, ValRef, Variant};
 use gmc_ir::{EquivClasses, Shape, ShapeId};
 use gmc_kernels::finalize_cost_poly;
-use std::sync::Arc;
 
 /// Observability counters for one prepared memo (reset whenever the
 /// builder re-targets a different shape).
@@ -57,11 +48,6 @@ pub struct PoolStats {
     /// Variants assembled from the shared fragment table.
     pub variants_assembled: usize,
 }
-
-/// A span's store identity, shared by every tree over the span: the
-/// symbolic frame, the localized leaf-descriptor run, and the run's
-/// content hash.
-type SpanIdentity = (Frame, Arc<[NodeDesc]>, u64);
 
 /// The memoized enumeration engine (see the [module docs](self)).
 ///
@@ -83,15 +69,8 @@ pub struct PoolBuilder {
     /// One slot per DAG node, filled lazily in ascending (topological)
     /// id order. A failed lowering is memoized too: every tree containing
     /// the fragment fails with the same error the per-tree reference
-    /// would report. Slots are `Arc`ed so a cross-shape cache hit is a
-    /// pointer clone rather than a deep fragment copy.
-    frags: Vec<Option<Result<Arc<Fragment>, BuildError>>>,
-    /// Per-span store identity — the frame, localized descriptor run,
-    /// and run content hash shared by **every** tree over the span —
-    /// computed lazily (indexed `lo * n + hi`) and reused across the
-    /// span's nodes, so keying a node for the cross-shape store is
-    /// allocation- and hash-free beyond its first sibling.
-    span_ids: Vec<Option<SpanIdentity>>,
+    /// would report.
+    frags: Vec<Option<Result<Fragment, BuildError>>>,
     classes: EquivClasses,
     leaves: Vec<NodeDesc>,
     stats: PoolStats,
@@ -112,7 +91,6 @@ impl PoolBuilder {
             shape: None,
             dag: SpanDag::new(1),
             frags: Vec::new(),
-            span_ids: Vec::new(),
             classes: EquivClasses::new(0),
             leaves: Vec::new(),
             stats: PoolStats::default(),
@@ -142,72 +120,14 @@ impl PoolBuilder {
         self.shape = key.is_some().then(|| shape.clone());
         self.dag = SpanDag::new(shape.len());
         self.frags = vec![None; shape.len()];
-        self.span_ids.clear();
-        self.span_ids.resize(shape.len() * shape.len(), None);
         self.classes = shape.size_classes();
         self.leaves = leaf_descs(shape, &self.classes);
         self.stats = PoolStats::default();
     }
 
-    /// The cross-shape cache identity of node `id`: its span's descriptor
-    /// run and tree renumbered into the span-local frame, plus the frame
-    /// itself (chain offset + global symbol per local slot) so a hit from
-    /// elsewhere can be relocated. `None` for spans too wide to encode
-    /// (> 63 leaves), which simply bypass the store.
-    fn span_key(&mut self, id: NodeId, options: BuildOptions) -> Option<(Frame, FragKey)> {
-        let (lo, hi) = self.dag.span(id);
-        let width = hi - lo + 1;
-        if width > 63 {
-            return None;
-        }
-        let slot = lo * self.dag.chain_len() + hi;
-        if self.span_ids[slot].is_none() {
-            // Local size symbols in first-occurrence order over the
-            // span's positions. Sound because `size_classes` merges only
-            // adjacent symbols: the partition restricted to `lo..=hi + 1`
-            // is fully determined by the span's own operand run.
-            let mut syms: Vec<usize> = Vec::with_capacity(width + 1);
-            for p in lo..=hi + 1 {
-                let g = self.classes.find(p);
-                if !syms.contains(&g) {
-                    syms.push(g);
-                }
-            }
-            let local = |g: usize| {
-                syms.iter()
-                    .position(|&s| s == g)
-                    .expect("descriptor symbols come from span positions")
-            };
-            let run: Arc<[NodeDesc]> = (lo..=hi)
-                .map(|p| {
-                    let mut d = self.leaves[p];
-                    d.rows = local(d.rows);
-                    d.cols = local(d.cols);
-                    d.source = ValRef::Leaf(p - lo);
-                    d
-                })
-                .collect();
-            let run_hash = FragKey::hash_run(&run);
-            let frame = Frame {
-                lo,
-                syms: syms.into(),
-            };
-            self.span_ids[slot] = Some((frame, run, run_hash));
-        }
-        let (frame, run, run_hash) = self.span_ids[slot].as_ref().expect("filled above");
-        let tree = self.dag.code(id);
-        Some((
-            frame.clone(),
-            FragKey::from_hashed(options, tree, run.clone(), *run_hash),
-        ))
-    }
-
     /// Lower every not-yet-lowered DAG node, in ascending id order
-    /// (children always precede parents), consulting the cross-shape
-    /// fragment store (when one is supplied) before lowering each
-    /// association node. Leaves are never cached — constructing one is
-    /// cheaper than a lookup.
-    fn lower_pending(&mut self, options: BuildOptions, mut cache: Option<&mut FragmentCache>) {
+    /// (children always precede parents).
+    fn lower_pending(&mut self, options: BuildOptions) {
         self.frags.resize(self.dag.num_nodes(), None);
         for id in 0..self.dag.num_nodes() {
             if self.frags[id].is_some() {
@@ -216,44 +136,26 @@ impl PoolBuilder {
             let lowered = match self.dag.children(id) {
                 None => {
                     let (lo, _) = self.dag.span(id);
-                    self.stats.fragments_lowered += 1;
-                    Ok(Arc::new(Fragment::leaf(self.leaves[lo])))
+                    Ok(Fragment::leaf(self.leaves[lo]))
                 }
-                Some((l, r)) => {
-                    let keyed = match &cache {
-                        Some(_) => self.span_key(id, options),
-                        None => None,
-                    };
-                    if let (Some(c), Some((frame, key))) = (cache.as_deref_mut(), keyed.as_ref()) {
-                        if let Some(found) = c.lookup(key, frame) {
-                            self.frags[id] = Some(found);
-                            continue;
-                        }
-                    }
-                    // Propagate child errors left-first: the left child's
-                    // associations are issued before the right's, whose
-                    // are issued before this node's own — matching which
-                    // error the per-tree reference surfaces first.
-                    let lowered = match (&self.frags[l], &self.frags[r]) {
-                        (Some(Err(e)), _) | (_, Some(Err(e))) => Err(e.clone()),
-                        (Some(Ok(lf)), Some(Ok(rf))) => lower_node(
-                            lf.as_ref(),
-                            self.dag.num_leaves(l),
-                            rf.as_ref(),
-                            self.dag.num_leaves(r),
-                            &self.classes,
-                            options,
-                        )
-                        .map(Arc::new),
-                        _ => unreachable!("children lowered before parents"),
-                    };
-                    self.stats.fragments_lowered += 1;
-                    if let (Some(c), Some((frame, key))) = (cache.as_deref_mut(), keyed) {
-                        c.insert(key, lowered.as_ref(), &frame);
-                    }
-                    lowered
-                }
+                // Propagate child errors left-first: the left child's
+                // associations are issued before the right's, whose are
+                // issued before this node's own — matching which error
+                // the per-tree reference surfaces first.
+                Some((l, r)) => match (&self.frags[l], &self.frags[r]) {
+                    (Some(Err(e)), _) | (_, Some(Err(e))) => Err(e.clone()),
+                    (Some(Ok(lf)), Some(Ok(rf))) => lower_node(
+                        lf,
+                        self.dag.num_leaves(l),
+                        rf,
+                        self.dag.num_leaves(r),
+                        &self.classes,
+                        options,
+                    ),
+                    _ => unreachable!("children lowered before parents"),
+                },
             };
+            self.stats.fragments_lowered += 1;
             self.frags[id] = Some(lowered);
         }
     }
@@ -281,7 +183,7 @@ impl PoolBuilder {
 
     fn fragment(&self, id: NodeId) -> Result<&Fragment, BuildError> {
         match &self.frags[id] {
-            Some(Ok(f)) => Ok(f.as_ref()),
+            Some(Ok(f)) => Ok(f),
             Some(Err(e)) => Err(e.clone()),
             None => unreachable!("fragment lowered before assembly"),
         }
@@ -341,27 +243,9 @@ impl PoolBuilder {
         key: Option<ShapeId>,
         shape: &Shape,
     ) -> Result<Vec<Variant>, BuildError> {
-        self.build_full_cached(key, shape, None)
-    }
-
-    /// [`PoolBuilder::build_full`] consulting (and populating) a
-    /// cross-shape [`FragmentCache`] for every association node the
-    /// per-shape memo has not already lowered. Sessions pass their store
-    /// here whenever its capacity is above 0.
-    ///
-    /// # Errors
-    ///
-    /// As [`PoolBuilder::build_full`] — cached failures propagate the
-    /// identical [`BuildError`] the lowering originally produced.
-    pub fn build_full_cached(
-        &mut self,
-        key: Option<ShapeId>,
-        shape: &Shape,
-        cache: Option<&mut FragmentCache>,
-    ) -> Result<Vec<Variant>, BuildError> {
         self.prepare(key, shape, BuildOptions::default());
         let roots = self.dag.enumerate_roots();
-        self.lower_pending(BuildOptions::default(), cache);
+        self.lower_pending(BuildOptions::default());
         self.assemble_many(&roots)
     }
 
@@ -379,24 +263,6 @@ impl PoolBuilder {
         shape: &Shape,
         trees: &[ParenTree],
     ) -> Result<Vec<Variant>, BuildError> {
-        self.build_for_trees_cached(key, shape, trees, None)
-    }
-
-    /// [`PoolBuilder::build_for_trees`] consulting (and populating) a
-    /// cross-shape [`FragmentCache`] — the warm-restart path uses this, so
-    /// shapes restored later in a snapshot splice the fragments that
-    /// earlier ones lowered.
-    ///
-    /// # Errors
-    ///
-    /// As [`PoolBuilder::build_for_trees`].
-    pub fn build_for_trees_cached(
-        &mut self,
-        key: Option<ShapeId>,
-        shape: &Shape,
-        trees: &[ParenTree],
-        cache: Option<&mut FragmentCache>,
-    ) -> Result<Vec<Variant>, BuildError> {
         self.prepare(key, shape, BuildOptions::default());
         let full_span = (0, shape.len() - 1);
         let roots: Vec<NodeId> = trees
@@ -408,7 +274,7 @@ impl PoolBuilder {
                 self.dag.intern_tree(t).ok_or(BuildError::TreeShapeMismatch)
             })
             .collect::<Result<_, _>>()?;
-        self.lower_pending(BuildOptions::default(), cache);
+        self.lower_pending(BuildOptions::default());
         self.assemble_many(&roots)
     }
 }
@@ -492,45 +358,6 @@ mod tests {
         let pool = builder.build_full(Some(other_key), &other).unwrap();
         assert_eq!(pool.len(), 5);
         assert_eq!(builder.stats().nodes, 4 + 3 + 2 * 2 + 5, "fresh DAG");
-    }
-
-    #[test]
-    fn cross_shape_store_skips_relowering_of_shared_spans() {
-        let l = Operand::plain(Features::new(Structure::LowerTri, Property::NonSingular));
-        let spd = Operand::plain(Features::new(Structure::Symmetric, Property::Spd)).inverted();
-        // Two shapes sharing a 4-operand prefix, differing in the suffix.
-        let a = Shape::new(vec![g(), l, g(), spd, g()]).unwrap();
-        let b = Shape::new(vec![g(), l, g(), spd, g().transposed(), g()]).unwrap();
-        let mut cache = crate::fragcache::FragmentCache::new(1 << 12);
-        let mut builder = PoolBuilder::new();
-        let pool_a = builder
-            .build_full_cached(None, &a, Some(&mut cache))
-            .unwrap();
-        let pool_b = builder
-            .build_full_cached(None, &b, Some(&mut cache))
-            .unwrap();
-        let hits = cache.stats().hits;
-        assert!(hits > 0, "shared prefix spans must hit the store");
-        assert!(
-            builder.stats().fragments_lowered < builder.stats().nodes,
-            "hits skip lowering: {} of {} nodes lowered",
-            builder.stats().fragments_lowered,
-            builder.stats().nodes
-        );
-        // Bit-identical to the store-less builds.
-        assert_eq!(pool_a, PoolBuilder::new().build_full(None, &a).unwrap());
-        assert_eq!(pool_b, PoolBuilder::new().build_full(None, &b).unwrap());
-        // Rebuilding shape `a` cold (memo dropped by the `b` build) now
-        // hits the store for every association node.
-        let pool_a2 = builder
-            .build_full_cached(None, &a, Some(&mut cache))
-            .unwrap();
-        assert_eq!(pool_a2, pool_a);
-        assert_eq!(
-            builder.stats().fragments_lowered,
-            a.len(),
-            "only leaves lowered on the warm rebuild"
-        );
     }
 
     #[test]

@@ -21,17 +21,10 @@
 //!   persisted and restored bit-identically for warm service restarts
 //!   ([`CompileSession::snapshot`] / [`CompileSession::restore`]; see
 //!   [`crate::persist`]).
-//! * **Cross-shape fragment store** ([`crate::fragcache::FragmentCache`]):
-//!   the memoized enumeration engine consults a descriptor-run–keyed LRU
-//!   store before lowering each span-DAG node, so related shapes splice
-//!   shared sub-spans instead of re-lowering them. It is never persisted:
-//!   a restore refills it by re-lowering the recorded trees through it.
-//!   Its hits, inserts and evictions are O(1) in the same
-//!   least-recently-used order. Bounded at
-//!   [`DEFAULT_FRAG_CACHE_CAPACITY`], tunable via
-//!   [`CompileSession::set_fragment_cache_capacity`] (capacity 0 turns
-//!   it off), and instrumented via
-//!   [`CompileSession::fragment_cache_stats`].
+//! * **Pool memo** ([`PoolBuilder`]): the memoized enumeration engine
+//!   lowers each span-DAG node of the current shape once and keeps the
+//!   fragments while the session compiles that shape; a different shape
+//!   drops them.
 //! * **DP solver reuse** ([`crate::dp::DpSolver`]): one solver per shape
 //!   keeps its descriptor interner, association memo, and state arena
 //!   warm, so per-instance optimal costs in dispatch loops
@@ -94,7 +87,6 @@ use crate::builder::BuildError;
 use crate::dp::DpSolver;
 use crate::enumerate::{EnumerateError, DEFAULT_VARIANT_CAP};
 use crate::expand::{expand_set_with, CostMatrix, ExpandScratch};
-use crate::fragcache::{FragCacheStats, FragmentCache};
 use crate::lru::Lru;
 use crate::paren::ParenTree;
 use crate::persist::{options_key, PersistError, SessionSnapshot};
@@ -120,13 +112,6 @@ pub(crate) const ENUMERATION_CAP: u128 = 4096;
 /// hundred distinct shapes is cheap; services tune this per shard via
 /// [`CompileSession::set_chain_cache_capacity`].
 pub const DEFAULT_CHAIN_CACHE_CAPACITY: usize = 256;
-
-/// Default capacity of the cross-shape fragment store
-/// ([`crate::fragcache::FragmentCache`]). Fragments are a single step
-/// plus a cost polynomial, far smaller than compiled chains, so the
-/// store affords a much larger bound than the chain cache; services tune
-/// it per shard via [`CompileSession::set_fragment_cache_capacity`].
-pub const DEFAULT_FRAG_CACHE_CAPACITY: usize = 4096;
 
 /// Observability counters for the compiled-chain cache (cumulative for
 /// the session's lifetime; survive cache invalidations).
@@ -181,7 +166,6 @@ pub struct CompileSession {
     compiled: Lru<ShapeId, CompiledChain>,
     cache_stats: CacheStats,
     pool: PoolBuilder,
-    frags: FragmentCache,
     matrix: CostMatrix,
     expand: ExpandScratch,
     gemm_ws: GemmWorkspace,
@@ -212,7 +196,6 @@ impl CompileSession {
             compiled: Lru::new(DEFAULT_CHAIN_CACHE_CAPACITY),
             cache_stats: CacheStats::default(),
             pool: PoolBuilder::new(),
-            frags: FragmentCache::new(DEFAULT_FRAG_CACHE_CAPACITY),
             matrix: CostMatrix::new(),
             expand: ExpandScratch::default(),
             gemm_ws: GemmWorkspace::new(),
@@ -288,7 +271,7 @@ impl CompileSession {
 
     /// Build the full variant pool `A` for `shape` (see
     /// [`crate::all_variants`]) through the session's memoized
-    /// [`PoolBuilder`] and fragment store.
+    /// [`PoolBuilder`].
     ///
     /// # Errors
     ///
@@ -311,17 +294,9 @@ impl CompileSession {
 
     /// The full variant pool for an interned shape, through the
     /// session's [`PoolBuilder`] (its memo is invalidated whenever the
-    /// interned shape, the memo key, changes) and, when its capacity is
-    /// above 0, the cross-shape fragment store.
+    /// interned shape, the memo key, changes).
     fn full_pool(&mut self, id: ShapeId) -> Result<Vec<Variant>, BuildError> {
-        let CompileSession {
-            shapes,
-            pool,
-            frags,
-            ..
-        } = self;
-        let cache = (frags.capacity() > 0).then_some(frags);
-        pool.build_full_cached(Some(id), shapes.get(id), cache)
+        self.pool.build_full(Some(id), self.shapes.get(id))
     }
 
     /// Lower an explicit list of parenthesizations for an interned shape
@@ -332,14 +307,8 @@ impl CompileSession {
         id: ShapeId,
         trees: &[ParenTree],
     ) -> Result<Vec<Variant>, BuildError> {
-        let CompileSession {
-            shapes,
-            pool,
-            frags,
-            ..
-        } = self;
-        let cache = (frags.capacity() > 0).then_some(frags);
-        pool.build_for_trees_cached(Some(id), shapes.get(id), trees, cache)
+        self.pool
+            .build_for_trees(Some(id), self.shapes.get(id), trees)
     }
 
     /// The per-instance optimal cost for `shape`, through the session's
@@ -659,34 +628,12 @@ impl CompileSession {
         self.cache_stats
     }
 
-    /// The cross-shape fragment store's capacity
-    /// (default [`DEFAULT_FRAG_CACHE_CAPACITY`]).
+    /// Always zero: sessions keep no fragment cache beyond the
+    /// [`PoolBuilder`]'s per-shape memo. Kept so existing readers of the
+    /// counters still build.
     #[must_use]
-    pub fn fragment_cache_capacity(&self) -> usize {
-        self.frags.capacity()
-    }
-
-    /// Bound the cross-shape fragment store: at most `capacity` lowered
-    /// fragments stay resident, evicted least-recently-used. `0` turns
-    /// the store off: enumeration then never consults it, so no key is
-    /// built and no lookup is counted. Like the chain cache, eviction
-    /// never changes results — an evicted fragment is re-lowered
-    /// bit-identically on its next encounter.
-    pub fn set_fragment_cache_capacity(&mut self, capacity: usize) {
-        self.frags.set_capacity(capacity);
-    }
-
-    /// Cumulative hit/miss/insert/eviction counters for the cross-shape
-    /// fragment store.
-    #[must_use]
-    pub fn fragment_cache_stats(&self) -> FragCacheStats {
-        self.frags.stats()
-    }
-
-    /// Number of fragments currently resident in the cross-shape store.
-    #[must_use]
-    pub fn num_cached_fragments(&self) -> usize {
-        self.frags.len()
+    pub fn fragment_cache_stats(&self) -> CacheStats {
+        CacheStats::default()
     }
 
     /// Snapshot the compiled-chain cache for warm-restart persistence:

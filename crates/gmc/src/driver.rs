@@ -13,38 +13,10 @@ use gmc_codegen::{emit_cpp_into, emit_runtime_header, emit_rust_into};
 use gmc_core::{CompileOptions, CompileSession, Objective, Stage};
 use gmc_ir::grammar::parse_program;
 use gmc_ir::Shape;
+use gmc_serve::Emit;
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
-
-/// What to emit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmitKind {
-    /// C++ translation unit + runtime header.
-    Cpp,
-    /// Rust module.
-    Rust,
-    /// Both back-ends.
-    Both,
-}
-
-impl EmitKind {
-    /// Parse an `--emit` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DriverError`] for unknown values.
-    pub fn parse(s: &str) -> Result<Self, DriverError> {
-        match s {
-            "cpp" => Ok(EmitKind::Cpp),
-            "rust" => Ok(EmitKind::Rust),
-            "both" => Ok(EmitKind::Both),
-            other => Err(DriverError::Usage(format!(
-                "unknown --emit value `{other}` (expected cpp, rust, or both)"
-            ))),
-        }
-    }
-}
 
 /// Driver configuration, filled from command-line arguments.
 #[derive(Debug, Clone)]
@@ -57,7 +29,7 @@ pub struct DriverConfig {
     /// left-hand-side identifier; only honored for a single input).
     pub name: Option<String>,
     /// Back-end(s) to emit.
-    pub emit: EmitKind,
+    pub emit: Emit,
     /// Algorithm-1 expansion steps beyond the Theorem-2 base set.
     pub expand: usize,
     /// Training-instance count for selection.
@@ -168,7 +140,7 @@ pub fn parse_args(args: &[String]) -> Result<DriverConfig, DriverError> {
         inputs: Vec::new(),
         out_dir: PathBuf::from("."),
         name: None,
-        emit: EmitKind::Cpp,
+        emit: Emit::Cpp,
         expand: 0,
         train: 1000,
         jobs: 1,
@@ -340,7 +312,11 @@ pub fn parse_args(args: &[String]) -> Result<DriverConfig, DriverError> {
                 let v = it
                     .next()
                     .ok_or_else(|| DriverError::Usage("--emit needs a value".into()))?;
-                config.emit = EmitKind::parse(v)?;
+                config.emit = Emit::parse(v).map_err(|_| {
+                    DriverError::Usage(format!(
+                        "unknown --emit value `{v}` (expected cpp, rust, or both)"
+                    ))
+                })?;
             }
             "--expand" => {
                 config.expand = it
@@ -419,13 +395,13 @@ fn compile_one(
 
     let mut files = Vec::new();
     let span = session.recorder().start();
-    if matches!(config.emit, EmitKind::Cpp | EmitKind::Both) {
+    if matches!(config.emit, Emit::Cpp | Emit::Both) {
         buf.clear();
         emit_cpp_into(buf, &chain, name);
         files.push((format!("{name}.cpp"), buf.clone()));
         files.push(("gmc_runtime.hpp".to_string(), emit_runtime_header()));
     }
-    if matches!(config.emit, EmitKind::Rust | EmitKind::Both) {
+    if matches!(config.emit, Emit::Rust | Emit::Both) {
         buf.clear();
         emit_rust_into(buf, &chain, name);
         files.push((format!("{name}.rs"), buf.clone()));
@@ -736,13 +712,8 @@ fn install_shutdown_handlers() {
 pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     use gmc_serve::fault::FaultPlan;
     use gmc_serve::transport::{self, Front, ListenAddr, SocketListener, TransportOptions};
-    use gmc_serve::{CompileService, Emit, ServeConfig};
+    use gmc_serve::{CompileService, ServeConfig};
 
-    let default_emit = match config.emit {
-        EmitKind::Cpp => Emit::Cpp,
-        EmitKind::Rust => Emit::Rust,
-        EmitKind::Both => Emit::Both,
-    };
     let faults = FaultPlan::from_env().map_err(DriverError::Usage)?;
     if faults.is_armed() {
         eprintln!(
@@ -755,7 +726,6 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         shards: config.jobs,
         options: compile_options(config),
         cache_capacity: config.cache_cap,
-        frag_cache_capacity: gmc_core::DEFAULT_FRAG_CACHE_CAPACITY,
         snapshot_path: config.persist.clone(),
         snapshot_keep: config.persist_keep,
         queue_cap: config.queue_cap,
@@ -767,7 +737,7 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     .map_err(|e| DriverError::Compile(e.to_string()))?;
 
     let options = TransportOptions {
-        default_emit,
+        default_emit: config.emit,
         enable_faults: config.enable_faults,
         faults,
         max_line_bytes: config.max_line_bytes,
@@ -886,8 +856,10 @@ fn retry_backoff(id: u64, attempt: u32) -> std::time::Duration {
 ///
 /// # Errors
 ///
-/// Returns [`DriverError`] for connect/transport failures; request
-/// failures come back in-band as `"ok":false` lines.
+/// Returns [`DriverError`] for connect/transport failures, including a
+/// daemon that closes the connection before every request has its
+/// final response (the responses that did arrive are printed first);
+/// request failures come back in-band as `"ok":false` lines.
 pub fn run_connect(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     use gmc_serve::transport::{ListenAddr, SocketStream};
     use std::io::{BufRead, BufReader, Write};
@@ -958,7 +930,7 @@ pub fn run_connect(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     let (mut responses, mut failures, mut retried) = (0u64, 0u64, 0u64);
     while outstanding > 0 {
         let Ok(line) = lines_rx.recv() else {
-            break; // connection closed with responses still outstanding
+            break; // the daemon hung up early: reported below
         };
         let id = jsonl_id(&line);
         if line.contains("\"ok\":false") && retryable_response(&line) {
@@ -997,6 +969,17 @@ pub fn run_connect(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
     reader_thread.join().expect("reader thread panicked");
     if retried > 0 {
         eprintln!("gmcc --connect: {retried} retryable failure(s) resent with backoff");
+    }
+    if outstanding > 0 {
+        return Err(DriverError::Io(
+            addr_path,
+            std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "the daemon closed the connection before {outstanding} response(s) arrived"
+                ),
+            ),
+        ));
     }
     Ok((responses, failures))
 }
@@ -1077,7 +1060,8 @@ connection and prints each response line to stdout; retryable
 failures (overloaded, deadline_exceeded, shard_panic, shard_down) are
 resent up to --retry N times (default 3, 0 = off) with jittered
 capped backoff before the failure is surfaced, so shed traffic
-converges instead of failing.
+converges instead of failing. If the daemon hangs up before every
+request is answered, the client prints what arrived and exits 1.
 
 Observability: --timings prints a per-stage timing breakdown (parse,
 enumerate, dp, select, expand, emit) for each input after its variant
@@ -1127,7 +1111,7 @@ mod tests {
             "3",
             "--timings",
         ]);
-        assert_eq!(c.emit, EmitKind::Both);
+        assert_eq!(c.emit, Emit::Both);
         assert_eq!(c.expand, 2);
         assert_eq!(c.name.as_deref(), Some("foo"));
         assert_eq!(c.jobs, 3);
@@ -1698,6 +1682,71 @@ mod tests {
             .map(|id| retry_backoff(id, 3).as_millis())
             .collect();
         assert!(spread.len() > 10, "ids decorrelate: {spread:?}");
+    }
+
+    /// End to end: a daemon that severs the connection before every
+    /// pipelined request is answered makes the client fail, not exit
+    /// clean with part of its responses.
+    #[test]
+    fn connect_fails_when_the_daemon_hangs_up_early() {
+        use gmc_serve::transport::{self, ListenAddr, SocketListener, TransportOptions};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let dir = std::env::temp_dir().join("gmcc_connect_hangup_e2e");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("gmc.sock");
+        let requests = dir.join("requests.jsonl");
+        let src = SRC.replace('\n', " ");
+        std::fs::write(
+            &requests,
+            format!(
+                "{{\"id\": 1, \"source\": \"{src}\"}}\n\
+                 {{\"id\": 2, \"source\": \"{src}\"}}\n\
+                 {{\"id\": 3, \"source\": \"{src}\"}}\n"
+            ),
+        )
+        .unwrap();
+
+        // The daemon severs connection 1 in place of its second response.
+        let faults = gmc_serve::fault::FaultPlan::parse("conn_drop:1:2").unwrap();
+        let service = gmc_serve::CompileService::start(gmc_serve::ServeConfig {
+            options: gmc_core::CompileOptions {
+                training_instances: 40,
+                ..gmc_core::CompileOptions::default()
+            },
+            faults: faults.clone(),
+            ..gmc_serve::ServeConfig::default()
+        })
+        .unwrap();
+        let listener = SocketListener::bind(&ListenAddr::Unix(sock.clone())).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let serve_shutdown = Arc::clone(&shutdown);
+        let options = TransportOptions {
+            faults,
+            ..TransportOptions::default()
+        };
+        let daemon = std::thread::spawn(move || {
+            transport::serve(listener, service, options, serve_shutdown)
+        });
+
+        let config = parse_args(&[
+            "--connect".into(),
+            format!("unix:{}", sock.display()),
+            requests.to_string_lossy().into_owned(),
+        ])
+        .unwrap();
+        let err = run_connect(&config).expect_err("two responses never came");
+        assert!(
+            err.to_string().contains("before 2 response(s) arrived"),
+            "{err}"
+        );
+
+        shutdown.store(true, Ordering::SeqCst);
+        let (service, _) = daemon.join().unwrap().unwrap();
+        let _ = service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// End to end: a daemon with a per-connection in-flight cap of 1

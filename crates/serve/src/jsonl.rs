@@ -30,29 +30,25 @@
 //! * `{"op": "stats"}` — per-shard cache counters (see [`stats_line`]),
 //!   as each shard last published them: what the shards have answered
 //!   so far, not compiles still queued, so it answers at once even
-//!   when shards are busy. The `frag_*` fields count the shard's
-//!   cross-shape fragment store (sub-span lookups during pool builds,
-//!   not requests):
+//!   when shards are busy:
 //!
 //!   ```text
 //!   {"id":3,"ok":true,"op":"stats","shards":[{"shard":0,"requests":2,
-//!    "hits":1,"misses":1,"evictions":0,"hit_rate":0.5000,"restored":0,
-//!    "frag_hits":9,"frag_misses":3,"frag_evictions":0,
-//!    "frag_hit_rate":0.7500}],
-//!    "total_requests":2,"total_hits":1,"total_frag_hits":9}
+//!    "hits":1,"misses":1,"evictions":0,"hit_rate":0.5000,"restored":0}],
+//!    "total_requests":2,"total_hits":1}
 //!   ```
 //!
 //! * `{"op": "health"}` — per-shard liveness and robustness counters,
 //!   answered even when shards are wedged or down (see [`health_line`]);
-//!   `chain_hit_rate`/`frag_hit_rate` summarize the two cache layers
-//!   from lock-free counters, and `p99_ms`/`queue_wait_p99_ms` are read
-//!   straight off the shard's live latency histograms:
+//!   `chain_hit_rate` summarizes the chain cache from lock-free
+//!   counters, and `p99_ms`/`queue_wait_p99_ms` are read straight off
+//!   the shard's live latency histograms:
 //!
 //!   ```text
 //!   {"id":4,"ok":true,"op":"health","shards":[{"shard":0,"state":"up",
 //!    "restarts":1,"panics":1,"queue_depth":0,"deadline_exceeded":0,
-//!    "shed":2,"chain_hit_rate":0.5000,"frag_hit_rate":0.7500,
-//!    "p99_ms":12.287,"queue_wait_p99_ms":0.479}],"live":1}
+//!    "shed":2,"chain_hit_rate":0.5000,"p99_ms":12.287,
+//!    "queue_wait_p99_ms":0.479}],"live":1}
 //!   ```
 //!
 //! * `{"op": "metrics"}` — the full latency/counter snapshot (see
@@ -66,9 +62,9 @@
 //!    "e2e_ms":{"count":4,"p50":1.151,"p90":11.263,"p99":11.263,
 //!    "max":11.021,"mean":3.702},"queue_wait_ms":{...},
 //!    "compile_ms":{...},"restarts":0,"panics":0,"deadline_exceeded":0,
-//!    "shed":0,"chain_hits":2,"chain_misses":2,"frag_hits":0,
-//!    "frag_misses":4}],"total_requests":4,"e2e_p50_ms":1.151,
-//!    "e2e_p99_ms":11.263,"queue_wait_p99_ms":0.031,"late_drops":0}
+//!    "shed":0,"chain_hits":2,"chain_misses":2}],"total_requests":4,
+//!    "e2e_p50_ms":1.151,"e2e_p99_ms":11.263,"queue_wait_p99_ms":0.031,
+//!    "late_drops":0}
 //!   ```
 //!
 //! * `{"op": "fault", "spec": "panic:0:3,delay:5"}` — arm the
@@ -226,9 +222,8 @@ const FILE_KEYS: &str = r#",{"name":"","content":""}"#;
 
 /// Render the response line of an in-band `{"op":"stats"}` request:
 /// one object per shard (hits/misses/evictions/hit-rate of its
-/// compiled-chain cache, the `frag_*` counters of its cross-shape
-/// fragment store, requests served, chains restored at startup) plus
-/// service-wide totals.
+/// compiled-chain cache, requests served, chains restored at startup)
+/// plus service-wide totals.
 #[must_use]
 pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
     let mut out = String::new();
@@ -243,9 +238,7 @@ pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
         let _ = write!(
             out,
             "{{\"shard\":{},\"requests\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"hit_rate\":{:.4},\"restored\":{},\
-             \"frag_hits\":{},\"frag_misses\":{},\"frag_evictions\":{},\
-             \"frag_hit_rate\":{:.4}}}",
+             \"hit_rate\":{:.4},\"restored\":{}}}",
             s.shard,
             s.requests,
             s.cache.hits,
@@ -253,19 +246,13 @@ pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
             s.cache.evictions,
             s.cache.hit_rate(),
             s.cache.restored,
-            s.frags.hits,
-            s.frags.misses,
-            s.frags.evictions,
-            s.frags.hit_rate(),
         );
     }
     let total_requests: u64 = shards.iter().map(|s| s.requests).sum();
     let total_hits: u64 = shards.iter().map(|s| s.cache.hits).sum();
-    let total_frag_hits: u64 = shards.iter().map(|s| s.frags.hits).sum();
     let _ = write!(
         out,
-        "],\"total_requests\":{total_requests},\"total_hits\":{total_hits},\
-         \"total_frag_hits\":{total_frag_hits}}}"
+        "],\"total_requests\":{total_requests},\"total_hits\":{total_hits}}}"
     );
     out
 }
@@ -273,7 +260,7 @@ pub fn stats_line(id: u64, shards: &[crate::ShardStatus]) -> String {
 /// Render the response line of an in-band `{"op":"health"}` request:
 /// liveness (`up`/`restarting`/`down`), restart/panic counts, current
 /// queue depth, the deadline-exceeded/shed robustness counters, the
-/// chain-cache/fragment-store hit rates, and the end-to-end/queue-wait
+/// chain-cache hit rate, and the end-to-end/queue-wait
 /// p99 latencies (milliseconds, upper-edge) of every shard, plus the
 /// number of live (non-down) shards. Collected without touching the
 /// work queues, so it answers even when shards are wedged.
@@ -292,8 +279,7 @@ pub fn health_line(id: u64, shards: &[crate::ShardHealth]) -> String {
             out,
             "{{\"shard\":{},\"state\":\"{}\",\"restarts\":{},\"panics\":{},\
              \"queue_depth\":{},\"deadline_exceeded\":{},\"shed\":{},\
-             \"chain_hit_rate\":{:.4},\"frag_hit_rate\":{:.4},\
-             \"p99_ms\":{:.3},\"queue_wait_p99_ms\":{:.3}}}",
+             \"chain_hit_rate\":{:.4},\"p99_ms\":{:.3},\"queue_wait_p99_ms\":{:.3}}}",
             h.shard,
             h.state.as_str(),
             h.restarts,
@@ -302,7 +288,6 @@ pub fn health_line(id: u64, shards: &[crate::ShardHealth]) -> String {
             h.deadline_exceeded,
             h.shed,
             h.chain_hit_rate,
-            h.frag_hit_rate,
             h.p99_ms,
             h.queue_wait_p99_ms,
         );
@@ -360,15 +345,8 @@ pub fn metrics_line(id: u64, metrics: &crate::ServiceMetrics) -> String {
         let _ = write!(
             out,
             ",\"restarts\":{},\"panics\":{},\"deadline_exceeded\":{},\"shed\":{},\
-             \"chain_hits\":{},\"chain_misses\":{},\"frag_hits\":{},\"frag_misses\":{}}}",
-            s.restarts,
-            s.panics,
-            s.deadline_exceeded,
-            s.shed,
-            s.chain_hits,
-            s.chain_misses,
-            s.frag_hits,
-            s.frag_misses,
+             \"chain_hits\":{},\"chain_misses\":{}}}",
+            s.restarts, s.panics, s.deadline_exceeded, s.shed, s.chain_hits, s.chain_misses,
         );
     }
     let e2e = metrics.merged_e2e();
@@ -845,12 +823,7 @@ mod tests {
                     evictions: 0,
                     restored: 0,
                 },
-                frags: gmc_core::FragCacheStats {
-                    hits: 9,
-                    misses: 3,
-                    inserts: 3,
-                    evictions: 0,
-                },
+                frags: gmc_core::CacheStats::default(),
             },
             crate::ShardStatus {
                 shard: 1,
@@ -861,12 +834,7 @@ mod tests {
                     evictions: 0,
                     restored: 1,
                 },
-                frags: gmc_core::FragCacheStats {
-                    hits: 4,
-                    misses: 4,
-                    inserts: 2,
-                    evictions: 1,
-                },
+                frags: gmc_core::CacheStats::default(),
             },
         ];
         let line = stats_line(7, &shards);
@@ -874,14 +842,10 @@ mod tests {
             line,
             "{\"id\":7,\"ok\":true,\"op\":\"stats\",\"shards\":[\
              {\"shard\":0,\"requests\":3,\"hits\":1,\"misses\":2,\"evictions\":0,\
-             \"hit_rate\":0.3333,\"restored\":0,\
-             \"frag_hits\":9,\"frag_misses\":3,\"frag_evictions\":0,\
-             \"frag_hit_rate\":0.7500},\
+             \"hit_rate\":0.3333,\"restored\":0},\
              {\"shard\":1,\"requests\":1,\"hits\":0,\"misses\":1,\"evictions\":0,\
-             \"hit_rate\":0.0000,\"restored\":1,\
-             \"frag_hits\":4,\"frag_misses\":4,\"frag_evictions\":1,\
-             \"frag_hit_rate\":0.5000}],\
-             \"total_requests\":4,\"total_hits\":1,\"total_frag_hits\":13}"
+             \"hit_rate\":0.0000,\"restored\":1}],\
+             \"total_requests\":4,\"total_hits\":1}"
         );
     }
 
@@ -963,7 +927,6 @@ mod tests {
                 deadline_exceeded: 0,
                 shed: 3,
                 chain_hit_rate: 0.5,
-                frag_hit_rate: 0.75,
                 p99_ms: 12.287,
                 queue_wait_p99_ms: 0.479,
             },
@@ -976,7 +939,6 @@ mod tests {
                 deadline_exceeded: 4,
                 shed: 0,
                 chain_hit_rate: 0.0,
-                frag_hit_rate: 0.0,
                 p99_ms: 0.0,
                 queue_wait_p99_ms: 0.0,
             },
@@ -986,11 +948,11 @@ mod tests {
             "{\"id\":9,\"ok\":true,\"op\":\"health\",\"shards\":[\
              {\"shard\":0,\"state\":\"up\",\"restarts\":1,\"panics\":1,\
              \"queue_depth\":2,\"deadline_exceeded\":0,\"shed\":3,\
-             \"chain_hit_rate\":0.5000,\"frag_hit_rate\":0.7500,\
+             \"chain_hit_rate\":0.5000,\
              \"p99_ms\":12.287,\"queue_wait_p99_ms\":0.479},\
              {\"shard\":1,\"state\":\"down\",\"restarts\":0,\"panics\":5,\
              \"queue_depth\":0,\"deadline_exceeded\":4,\"shed\":0,\
-             \"chain_hit_rate\":0.0000,\"frag_hit_rate\":0.0000,\
+             \"chain_hit_rate\":0.0000,\
              \"p99_ms\":0.000,\"queue_wait_p99_ms\":0.000}],\"live\":1}"
         );
         assert_eq!(
@@ -1020,8 +982,6 @@ mod tests {
                 shed: 4,
                 chain_hits: 5,
                 chain_misses: 6,
-                frag_hits: 7,
-                frag_misses: 8,
             }],
             late_drops: 9,
         };
@@ -1036,7 +996,7 @@ mod tests {
              \"compile_ms\":{\"count\":0,\"p50\":0.000,\"p90\":0.000,\"p99\":0.000,\
              \"max\":0.000,\"mean\":0.000},\
              \"restarts\":1,\"panics\":2,\"deadline_exceeded\":3,\"shed\":4,\
-             \"chain_hits\":5,\"chain_misses\":6,\"frag_hits\":7,\"frag_misses\":8}],\
+             \"chain_hits\":5,\"chain_misses\":6}],\
              \"total_requests\":3,\"e2e_p50_ms\":0.004,\"e2e_p99_ms\":0.006,\
              \"queue_wait_p99_ms\":0.000,\"late_drops\":9}"
         );
@@ -1060,8 +1020,6 @@ mod tests {
                 shed: 0,
                 chain_hits: 1,
                 chain_misses: 1,
-                frag_hits: 0,
-                frag_misses: 0,
             }],
             late_drops: 0,
         };

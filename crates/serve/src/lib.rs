@@ -87,20 +87,9 @@
 //!   exactly the shapes that route to it under the *current* shard
 //!   count, so snapshots survive resharding. Restored chains are
 //!   bit-identical to freshly compiled ones (pinned by tests below).
-//! * **Cross-shape fragment store.** Each shard's session owns a
-//!   [`gmc_core::FragmentCache`] (sized by
-//!   [`ServeConfig::frag_cache_capacity`]) that shares lowered
-//!   enumeration fragments *across shapes* within that shard. Stores
-//!   are deliberately per-shard, not global — sessions stay
-//!   single-threaded and lock-free on the compile path — and they live
-//!   in memory only: snapshots record decisions, and a restarted or
-//!   restored shard refills its store as it re-lowers its chains.
-//!   Fragment counters (hits/misses/evictions) ride the same
-//!   `{"op":"stats"}` response as the chain-cache counters; both are
-//!   published by each shard after every compile, so `stats` and
-//!   `{"op":"health"}` answer from lock-free atomics.
-//!   `frag_cache_capacity = 0` turns the store off end to end: nothing
-//!   is looked up or inserted, and the fragment counters stay at zero.
+//! * **Lock-free counters.** Each shard publishes its chain-cache
+//!   counters after every compile, so `{"op":"stats"}` and
+//!   `{"op":"health"}` answer from atomics without touching the queues.
 //! * **Graceful drain.** The intended shutdown sequence — what the
 //!   `gmcc --serve` daemon runs on SIGTERM/SIGINT or stdin EOF — is:
 //!   stop accepting, answer everything in flight (the [`transport`]
@@ -285,26 +274,7 @@ mod tests {
         // where SRC_B routed).
         let warm = stats.iter().find(|s| s.cache.hits == 1).unwrap();
         assert!(warm.cache.hit_rate() > 0.0);
-        // Fragment-store counters ride the same status report. The two
-        // distinct compiles populated the store; whether lookups *hit*
-        // depends on shape overlap, but lookups definitely happened.
-        assert!(stats.iter().map(|s| s.frags.inserts).sum::<u64>() > 0);
-        assert!(stats.iter().map(|s| s.frags.misses).sum::<u64>() > 0);
         let _ = service.shutdown();
-
-        // Capacity 0 is the store's off switch: the same traffic never
-        // touches it, so every shard reports zeroed fragment counters.
-        let mut cfg = config(2);
-        cfg.frag_cache_capacity = 0;
-        let mut off = CompileService::start(cfg).unwrap();
-        for (i, src) in [SRC_A, SRC_B, SRC_A].iter().enumerate() {
-            off.submit(request(i as u64, src));
-        }
-        assert_eq!(off.drain().len(), 3);
-        for s in off.stats() {
-            assert_eq!(s.frags, gmc_core::FragCacheStats::default());
-        }
-        let _ = off.shutdown();
     }
 
     /// Stats reads the counters each shard publishes, like health: a
@@ -450,9 +420,6 @@ mod tests {
         let warm_stats = warm.shutdown();
         assert_eq!(warm_stats.restored(), 3);
         assert_eq!(warm_stats.cache_hits(), 3);
-        // The restored daemon rebuilt its chains through the fragment
-        // store, so shared sub-spans were lowered once.
-        assert!(warm_stats.frag_hits() >= 1, "restore-rebuild hit the store");
 
         // Resharding still works: shapes re-route, nothing is lost.
         let mut resharded_cfg = config(3);

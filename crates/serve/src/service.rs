@@ -10,8 +10,8 @@ use crate::supervisor::{
 };
 use crate::transport::ConnEvent;
 use gmc_core::{
-    CacheStats, CompileOptions, CompileSession, FragCacheStats, PersistError, SessionSnapshot,
-    DEFAULT_CHAIN_CACHE_CAPACITY, DEFAULT_FRAG_CACHE_CAPACITY,
+    CacheStats, CompileOptions, CompileSession, PersistError, SessionSnapshot,
+    DEFAULT_CHAIN_CACHE_CAPACITY,
 };
 use gmc_ir::grammar::parse_program;
 use gmc_ir::Shape;
@@ -36,7 +36,7 @@ pub const DEFAULT_QUEUE_CAP: usize = 1024;
 /// candidate's by **more than** this many entries. Small enough that a
 /// hot shape class spills before its home queue melts down, large
 /// enough that ordinary burst jitter (a handful of in-flight requests)
-/// never sacrifices chain/fragment locality.
+/// never sacrifices chain-cache locality.
 pub const ROUTE_AWAY_MARGIN: usize = 8;
 
 /// Which back-end(s) a request wants emitted.
@@ -222,12 +222,6 @@ pub struct ServeConfig {
     pub options: CompileOptions,
     /// Per-shard compiled-chain cache capacity.
     pub cache_capacity: usize,
-    /// Per-shard cross-shape fragment-store capacity
-    /// ([`CompileSession::set_fragment_cache_capacity`]); `0` disables
-    /// the store. Each shard owns its store (sessions are
-    /// single-threaded), and snapshots do not carry it: a restarted
-    /// shard refills its store as it re-lowers its restored chains.
-    pub frag_cache_capacity: usize,
     /// Snapshot file for warm restarts: the newest decodable generation
     /// is loaded on start (missing files = cold start; a corrupt
     /// generation is quarantined to `<generation>.bad` and the scan
@@ -264,7 +258,6 @@ impl Default for ServeConfig {
             shards: 1,
             options: CompileOptions::default(),
             cache_capacity: DEFAULT_CHAIN_CACHE_CAPACITY,
-            frag_cache_capacity: DEFAULT_FRAG_CACHE_CAPACITY,
             snapshot_path: None,
             queue_cap: DEFAULT_QUEUE_CAP,
             default_deadline: None,
@@ -305,12 +298,6 @@ impl ServiceStats {
     #[must_use]
     pub fn restored(&self) -> u64 {
         self.shards.iter().map(|s| s.cache.restored).sum()
-    }
-
-    /// Total fragment-store hits across shards.
-    #[must_use]
-    pub fn frag_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.frags.hits).sum()
     }
 
     /// Total panics caught by shard supervisors.
@@ -411,7 +398,7 @@ pub fn route_alt(shape: &Shape, shards: usize) -> usize {
 /// Policy, in order:
 /// - both candidates live: `home` wins unless `depths[home]` exceeds
 ///   `depths[alt]` by **more than** [`ROUTE_AWAY_MARGIN`] (ties and
-///   comparable depths stay home, preserving chain/fragment locality;
+///   comparable depths stay home, preserving chain-cache locality;
 ///   the strict inequality is the deterministic tie-break).
 /// - exactly one candidate live: that one.
 /// - both candidates down: the least-loaded live shard anywhere, walking
@@ -462,11 +449,10 @@ pub struct ShardStatus {
     /// chains rewarmed from snapshots), carried across supervisor
     /// restarts.
     pub cache: CacheStats,
-    /// Cumulative cross-shape fragment-store counters, carried across
-    /// supervisor restarts. Kept separate from `cache`: a chain compile
-    /// consults the fragment store once per DAG node, so these count
-    /// sub-span lookups, not requests.
-    pub frags: FragCacheStats,
+    /// Always zero: shards keep no fragment cache beyond each session's
+    /// per-shape pool memo. Kept so existing readers of the counters
+    /// still build.
+    pub frags: CacheStats,
 }
 
 /// One shard's latency histograms and robustness counters, snapshotted
@@ -497,10 +483,6 @@ pub struct ShardMetrics {
     pub chain_hits: u64,
     /// Compiled-chain cache misses.
     pub chain_misses: u64,
-    /// Fragment-store hits (sub-span lookups, not requests).
-    pub frag_hits: u64,
-    /// Fragment-store misses.
-    pub frag_misses: u64,
 }
 
 /// Service-wide metrics snapshot: per-shard histograms and counters
@@ -553,7 +535,7 @@ impl ServiceMetrics {
         type CounterGet = fn(&ShardMetrics) -> u64;
         type SnapshotGet = fn(&ShardMetrics) -> &Snapshot;
         let mut out = String::new();
-        let counters: [(&str, CounterGet); 9] = [
+        let counters: [(&str, CounterGet); 7] = [
             ("gmc_requests_total", |s| s.e2e.count),
             ("gmc_restarts_total", |s| s.restarts),
             ("gmc_panics_total", |s| s.panics),
@@ -561,8 +543,6 @@ impl ServiceMetrics {
             ("gmc_shed_total", |s| s.shed),
             ("gmc_chain_cache_hits_total", |s| s.chain_hits),
             ("gmc_chain_cache_misses_total", |s| s.chain_misses),
-            ("gmc_frag_cache_hits_total", |s| s.frag_hits),
-            ("gmc_frag_cache_misses_total", |s| s.frag_misses),
         ];
         for (name, get) in counters {
             for (i, s) in self.shards.iter().enumerate() {
@@ -755,7 +735,6 @@ impl CompileService {
                 events: events_tx.clone(),
                 options: config.options.clone(),
                 cache_capacity: config.cache_capacity,
-                frag_cache_capacity: config.frag_cache_capacity,
                 shared: Arc::clone(&shard_shared),
                 latest: Arc::clone(&latest),
                 policy: config.restart.clone(),
@@ -1232,7 +1211,7 @@ impl CompileService {
                 shard,
                 requests: s.requests.load(std::sync::atomic::Ordering::Relaxed),
                 cache: s.cache(),
-                frags: s.frags(),
+                frags: CacheStats::default(),
             })
             .collect()
     }
@@ -1256,7 +1235,6 @@ impl CompileService {
                 deadline_exceeded: s.deadline_exceeded.load(Relaxed),
                 shed: s.shed.load(Relaxed),
                 chain_hit_rate: s.cache().hit_rate(),
-                frag_hit_rate: s.frags().hit_rate(),
                 p99_ms: s.e2e.quantile_ms(0.99),
                 queue_wait_p99_ms: s.queue_wait.quantile_ms(0.99),
             })
@@ -1277,7 +1255,7 @@ impl CompileService {
             .iter()
             .enumerate()
             .map(|(shard, s)| {
-                let (cache, frags) = (s.cache(), s.frags());
+                let cache = s.cache();
                 ShardMetrics {
                     shard,
                     state: s.state(),
@@ -1290,8 +1268,6 @@ impl CompileService {
                     shed: s.shed.load(Relaxed),
                     chain_hits: cache.hits,
                     chain_misses: cache.misses,
-                    frag_hits: frags.hits,
-                    frag_misses: frags.misses,
                 }
             })
             .collect();

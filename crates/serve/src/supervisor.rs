@@ -54,10 +54,7 @@ use crate::service::{Event, EventTx, Job, Response};
 use crate::{route, Artifacts, Emit, Failure, FailureKind};
 use gmc_codegen::{emit_cpp_into, emit_rust_into};
 use gmc_core::lru::Lru;
-use gmc_core::{
-    CacheStats, CompileOptions, CompileSession, CompiledChain, FragCacheStats, SessionSnapshot,
-    Stage,
-};
+use gmc_core::{CacheStats, CompileOptions, CompileSession, CompiledChain, SessionSnapshot, Stage};
 use gmc_ir::Shape;
 use gmc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -147,9 +144,6 @@ pub struct ShardHealth {
     /// Fraction of compiles served from the compiled-chain cache
     /// (cumulative across restarts; `0.0` before any compile).
     pub chain_hit_rate: f64,
-    /// Fraction of fragment-store lookups served from the store
-    /// (cumulative across restarts; `0.0` before any lookup).
-    pub frag_hit_rate: f64,
     /// Upper-edge p99 of end-to-end request latency on this shard,
     /// milliseconds (`0.0` before any request). Read from the shard's
     /// lock-free latency histogram, so it reports even when the shard
@@ -170,13 +164,11 @@ pub(crate) struct ShardShared {
     pub(crate) panics: AtomicU64,
     pub(crate) deadline_exceeded: AtomicU64,
     pub(crate) shed: AtomicU64,
-    /// Cumulative chain-cache and fragment-store counters, published by
-    /// the worker after every compile so health, metrics and stats stay
-    /// pure atomic reads (a wedged shard still reports its last state):
-    /// `chain` is `[hits, misses, evictions, restored]` and `frags` is
-    /// `[hits, misses, inserts, evictions]`.
+    /// Cumulative chain-cache counters, published by the worker after
+    /// every compile so health, metrics and stats stay pure atomic reads
+    /// (a wedged shard still reports its last state):
+    /// `[hits, misses, evictions, restored]`.
     chain: [AtomicU64; 4],
-    frags: [AtomicU64; 4],
     /// Compile attempts, for the fault plan's deterministic `nth`.
     compile_attempts: AtomicU64,
     /// End-to-end latency of every *response* attributed to this shard
@@ -208,13 +200,9 @@ impl ShardShared {
     }
 
     /// Publish the cumulative cache counters (worker thread only).
-    fn publish_counters(&self, cache: &CacheStats, frags: &FragCacheStats) {
+    fn publish_counters(&self, cache: &CacheStats) {
         let chain = [cache.hits, cache.misses, cache.evictions, cache.restored];
-        let frag = [frags.hits, frags.misses, frags.inserts, frags.evictions];
         for (cell, v) in self.chain.iter().zip(chain) {
-            cell.store(v, Ordering::Relaxed);
-        }
-        for (cell, v) in self.frags.iter().zip(frag) {
             cell.store(v, Ordering::Relaxed);
         }
     }
@@ -227,17 +215,6 @@ impl ShardShared {
             misses,
             evictions,
             restored,
-        }
-    }
-
-    /// The fragment-store counters last published.
-    pub(crate) fn frags(&self) -> FragCacheStats {
-        let [hits, misses, inserts, evictions] = self.frags.each_ref().map(load);
-        FragCacheStats {
-            hits,
-            misses,
-            inserts,
-            evictions,
         }
     }
 }
@@ -258,7 +235,6 @@ pub(crate) struct ShardCtx {
     pub(crate) events: EventTx,
     pub(crate) options: CompileOptions,
     pub(crate) cache_capacity: usize,
-    pub(crate) frag_cache_capacity: usize,
     pub(crate) shared: Arc<ShardShared>,
     /// Latest merged snapshot, refreshed by
     /// [`CompileService::snapshot`](crate::CompileService::snapshot);
@@ -285,9 +261,6 @@ pub struct ShardStats {
     /// Cumulative compiled-chain cache counters, carried across
     /// supervisor restarts.
     pub cache: CacheStats,
-    /// Cumulative cross-shape fragment-store counters, carried across
-    /// supervisor restarts.
-    pub frags: FragCacheStats,
     /// Panics caught.
     pub panics: u64,
     /// Restarts completed.
@@ -300,7 +273,6 @@ impl ShardCtx {
     fn build_session(&self) -> (CompileSession, u64) {
         let mut session = CompileSession::with_options(self.options.clone());
         session.set_chain_cache_capacity(self.cache_capacity);
-        session.set_fragment_cache_capacity(self.frag_cache_capacity);
         let snap = self.latest.lock().expect("latest snapshot lock").clone();
         if let Some(snap) = snap {
             // A rebuild failure (corrupted decisions) degrades to a
@@ -341,8 +313,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
         events: ctx.events.clone(),
     };
     let (initial, _) = ctx.build_session();
-    ctx.shared
-        .publish_counters(&initial.cache_stats(), &initial.fragment_cache_stats());
+    ctx.shared.publish_counters(&initial.cache_stats());
     ctx.shared.set_state(ShardState::Up);
     // `None` while the circuit breaker is open; the loop keeps draining
     // the queue and answering `shard_down` so nothing hangs.
@@ -350,7 +321,6 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     // Counters of sessions discarded after a panic; reads of plain u64
     // fields are safe on a poisoned session.
     let mut carried = CacheStats::default();
-    let mut carried_frags = FragCacheStats::default();
     let mut failures: Vec<Instant> = Vec::new();
     let mut buf = String::new();
     // What this shard rendered, per shape (see the module docs).
@@ -435,9 +405,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                         let alive = session.as_ref().expect("session was live");
                         let mut cache = carried;
                         cache.absorb(&alive.cache_stats());
-                        let mut frags = carried_frags;
-                        frags.absorb(&alive.fragment_cache_stats());
-                        ctx.shared.publish_counters(&cache, &frags);
+                        ctx.shared.publish_counters(&cache);
                         let _ = ctx.events.send(Event::Response(Response {
                             seq: job.seq,
                             response: crate::CompileResponse {
@@ -457,8 +425,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                         let poisoned = session.take().expect("session was live");
                         rendered.clear();
                         carried.absorb(&poisoned.cache_stats());
-                        carried_frags.absorb(&poisoned.fragment_cache_stats());
-                        ctx.shared.publish_counters(&carried, &carried_frags);
+                        ctx.shared.publish_counters(&carried);
                         let now = Instant::now();
                         failures.retain(|t| now.duration_since(*t) <= ctx.policy.window);
                         failures.push(now);
@@ -499,9 +466,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
                             let (fresh, restored) = ctx.build_session();
                             let mut cache = carried;
                             cache.absorb(&fresh.cache_stats());
-                            let mut frags = carried_frags;
-                            frags.absorb(&fresh.fragment_cache_stats());
-                            ctx.shared.publish_counters(&cache, &frags);
+                            ctx.shared.publish_counters(&cache);
                             session = Some(fresh);
                             ctx.shared.restarts.fetch_add(1, Ordering::Relaxed);
                             ctx.shared.set_state(ShardState::Up);
@@ -527,7 +492,6 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     ShardStats {
         requests: shared.requests.load(Ordering::Relaxed),
         cache: shared.cache(),
-        frags: shared.frags(),
         panics: shared.panics.load(Ordering::Relaxed),
         restarts: shared.restarts.load(Ordering::Relaxed),
     }

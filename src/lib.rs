@@ -46,12 +46,11 @@
 //! * **Bounded chain cache**: each session's compiled-chain cache is
 //!   LRU-bounded (`CompileSession::set_chain_cache_capacity`) with
 //!   hit/miss/eviction counters (`cache_stats`) for observability; the
-//!   one-shot CLI and the service share the same implementation. It and
-//!   the fragment store below sit on one hash-map-plus-linked-list LRU,
-//!   so a hit, an insert and an eviction each cost O(1) however full the
-//!   cache is.
+//!   one-shot CLI and the service share the same implementation. It
+//!   sits on a hash-map-plus-linked-list LRU, so a hit, an insert and
+//!   an eviction each cost O(1) however full the cache is.
 //! * **Stored artifacts**: beside its session, each shard keeps the
-//!   files and report it rendered for each shape in a third such LRU
+//!   files and report it rendered for each shape in a second such LRU
 //!   (`gmc_core::lru::Lru`), bounded by the chain cache's capacity. A
 //!   request still compiles through the session, so counters, recency
 //!   and snapshots stay exact; a hit whose stored entry was rendered
@@ -224,32 +223,8 @@
 //! `enumerate_*` / `warm_session_ms` fields; ~7x cumulative vs the
 //! PR 3 pipeline).
 //!
-//! # The cross-shape fragment store (`gmc_core::fragcache`)
-//!
-//! The memo engine's fragments used to die with each pool build; the
-//! fragment store promotes them to a session-lifetime, **cross-shape**
-//! cache. A fragment is keyed by what its lowering actually reads — the
-//! span's sub-tree structure (a preorder bit code maintained
-//! incrementally by the span DAG) plus the *descriptor run* of its
-//! leaves (properties/inversion/transposition, position-independent)
-//! plus a `BuildOptions` fingerprint — so span `(2, 5)` of one chain
-//! and span `(0, 3)` of a different chain with the same leaf run share
-//! one entry. Entries are frame-stamped: a hit in the same symbolic
-//! frame is a zero-copy `Arc` clone, a cross-frame hit relocates the
-//! fragment's `ValRef`s/polynomials into the new frame — exact rational
-//! arithmetic, so store-assembled pools stay **bit-identical** to
-//! store-off builds (pinned by `crates/core/tests/frag_cache.rs`
-//! against a capacity-0 session, the store's one off switch). The store
-//! is LRU-bounded with hit/miss/insert/eviction counters
-//! (`CompileSession::fragment_cache_stats`), failed lowerings are
-//! negatively cached (the exactly-once contract covers failures), and
-//! it lives in memory only: the serving layer keeps one store per
-//! shard, snapshots record decisions rather than fragments, and a
-//! restore refills the store as it re-lowers the recorded trees (the
-//! `frags` section older snapshots end with is ignored). On the dev host a warm store builds the
-//! diverse-shape workload's pools ~2.4x faster than a cold one
-//! (`BENCH_select.json`: `frag_cold_ms` / `frag_warm_ms` /
-//! `frag_speedup`).
+//! The memo lives for one shape: a session keeps it while it compiles
+//! that shape and lowers the next shape's fragments afresh.
 //!
 //! # Observability (`gmc-obs`)
 //!
