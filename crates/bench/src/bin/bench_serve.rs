@@ -50,7 +50,9 @@
 use gmc_core::CompileOptions;
 use gmc_obs::{force_trace_mode, Histogram, TraceMode};
 use gmc_serve::fault::FaultPlan;
-use gmc_serve::transport::{self, ListenAddr, SocketListener, SocketStream, TransportOptions};
+use gmc_serve::transport::{
+    self, Front, ListenAddr, SocketListener, SocketStream, TransportOptions,
+};
 use gmc_serve::{CompileRequest, CompileResponse, CompileService, Emit, FailureKind, ServeConfig};
 use std::fmt::Write as _;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -403,11 +405,11 @@ fn run_load_row(
     let shutdown = Arc::new(AtomicBool::new(false));
     let serve_shutdown = Arc::clone(&shutdown);
     let daemon = std::thread::spawn(move || {
-        transport::serve(
-            listener,
+        transport::serve_front(
+            Front::Listen(listener),
             service,
             TransportOptions::default(),
-            serve_shutdown,
+            &serve_shutdown,
         )
     });
 
@@ -492,14 +494,14 @@ fn run_open_loop_row(
     // connections must be exempt from per-connection admission — the
     // row measures queueing delay, not the shedding policy.
     let daemon = std::thread::spawn(move || {
-        transport::serve(
-            listener,
+        transport::serve_front(
+            Front::Listen(listener),
             service,
             TransportOptions {
                 conn_in_flight_cap: 0,
                 ..TransportOptions::default()
             },
-            serve_shutdown,
+            &serve_shutdown,
         )
     });
 
@@ -589,14 +591,14 @@ fn run_greedy_contention(
     let shutdown = Arc::new(AtomicBool::new(false));
     let serve_shutdown = Arc::clone(&shutdown);
     let daemon = std::thread::spawn(move || {
-        transport::serve(
-            listener,
+        transport::serve_front(
+            Front::Listen(listener),
             service,
             TransportOptions {
                 conn_in_flight_cap: conn_cap,
                 ..TransportOptions::default()
             },
-            serve_shutdown,
+            &serve_shutdown,
         )
     });
 

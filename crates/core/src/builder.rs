@@ -517,13 +517,12 @@ fn association_order(tree: &ParenTree) -> Vec<(ParenTree, ParenTree)> {
 
 /// Construct the deterministic code variant for `paren` (Sec. IV).
 ///
-/// This per-tree lowering is the **reference implementation** (like
-/// `optimal_cost_reference` for the DP solver): the memoized enumeration
-/// engine ([`crate::pool::PoolBuilder`]) must produce bit-identical
-/// variants, which `crates/core/tests/pool_memo.rs` pins. Pool-sized
-/// work should go through [`crate::pool::PoolBuilder`] or a session,
-/// which lower each distinct sub-span once instead of once per
-/// containing tree.
+/// This per-tree lowering is the **reference implementation**: the
+/// memoized enumeration engine ([`crate::pool::PoolBuilder`]) must
+/// produce bit-identical variants, which `crates/core/tests/pool_memo.rs`
+/// pins. Pool-sized work should go through [`crate::pool::PoolBuilder`]
+/// or a session, which lower each distinct sub-span once instead of once
+/// per containing tree.
 ///
 /// # Errors
 ///

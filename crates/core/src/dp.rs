@@ -23,8 +23,8 @@
 //! # Implementation notes (hot-path layout)
 //!
 //! The solver is allocation-lean by design, replacing the original
-//! `HashMap<DescKey, State>`-per-span formulation (kept as
-//! [`optimal_cost_reference`] for benchmarking and cross-checks):
+//! `HashMap<DescKey, State>`-per-span formulation (kept in the tests as
+//! a cross-check oracle):
 //!
 //! * descriptors are interned once into dense `u32` ids (`Interner`),
 //!   so span tables are flat `Vec`s addressed by slot, not hash maps;
@@ -46,10 +46,11 @@ use crate::variant::{Finalize, ValRef};
 use gmc_ir::{EquivClasses, Instance, Property, Shape, Structure};
 use gmc_kernels::{cost_flops, finalize_cost_flops, Kernel};
 use gmc_linalg::Side;
-use std::collections::HashMap;
 
 /// State key: everything about an intermediate that affects downstream
-/// decisions (the temp index does not).
+/// decisions (the temp index does not). Only the recipe self-check and
+/// the tests' reference solver compare whole keys.
+#[cfg(any(test, debug_assertions))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct DescKey {
     structure: gmc_ir::Structure,
@@ -60,6 +61,7 @@ struct DescKey {
     cols: usize,
 }
 
+#[cfg(any(test, debug_assertions))]
 fn key(d: &NodeDesc) -> DescKey {
     DescKey {
         structure: d.structure,
@@ -76,7 +78,7 @@ const LEAF: u32 = u32::MAX;
 /// Sentinel for the slot-scratch table ("descriptor not in this span").
 const NO_SLOT: u32 = u32::MAX;
 
-/// Dense descriptor interner: `DescKey -> u32`, with the canonical
+/// Dense descriptor interner: descriptor -> `u32`, with the canonical
 /// [`NodeDesc`] kept for `associate`/`finalizes_for` calls.
 struct Interner {
     /// Lazily allocated per-feature-key id tables, indexed `rows * nsym +
@@ -639,95 +641,6 @@ impl DpSolver {
     }
 }
 
-/// The original HashMap-per-span formulation, kept verbatim as the
-/// benchmark baseline and as a cross-check oracle for the flat solver.
-/// Not part of the public API.
-#[doc(hidden)]
-pub fn optimal_cost_reference(shape: &Shape, instance: &Instance) -> Result<f64, BuildError> {
-    assert_eq!(
-        instance.len(),
-        shape.num_sizes(),
-        "instance length must be n + 1"
-    );
-    let n = shape.len();
-    let classes = shape.size_classes();
-    let leaves = leaf_descs(shape, &classes);
-    let q = instance.sizes();
-
-    /// Back-pointer: the split and the child state keys (`None` = leaf).
-    type Back = (usize, Option<DescKey>, Option<DescKey>);
-    type State = (NodeDesc, f64, Option<Back>);
-
-    if n == 1 {
-        let desc = leaves[0];
-        let (finalizes, _) = finalizes_for(&desc)?;
-        return Ok(finalizes
-            .iter()
-            .map(|f| finalize_cost_flops(f.kernel, q[f.size_sym]))
-            .sum());
-    }
-
-    let mut best: Vec<Vec<HashMap<DescKey, State>>> = vec![Vec::new(); n];
-    for (i, row) in best.iter_mut().enumerate() {
-        row.resize(n - i - 1, HashMap::new());
-    }
-
-    for len in 2..=n {
-        for i in 0..=n - len {
-            let j = i + len - 1;
-            let mut states: HashMap<DescKey, State> = HashMap::new();
-            for split in i..j {
-                let left_states: Vec<(NodeDesc, f64, Option<DescKey>)> = if split == i {
-                    vec![(leaves[i], 0.0, None)]
-                } else {
-                    best[i][split - i - 1]
-                        .iter()
-                        .map(|(k, &(d, c, _))| (d, c, Some(*k)))
-                        .collect()
-                };
-                let right_states: Vec<(NodeDesc, f64, Option<DescKey>)> = if split + 1 == j {
-                    vec![(leaves[j], 0.0, None)]
-                } else {
-                    best[split + 1][j - split - 2]
-                        .iter()
-                        .map(|(k, &(d, c, _))| (d, c, Some(*k)))
-                        .collect()
-                };
-                for &(ld, lc, lk) in &left_states {
-                    for &(rd, rc, rk) in &right_states {
-                        let (step, result) = associate(ld, rd, &classes)?;
-                        let (a, b, c) = step.triplet;
-                        let cost = lc
-                            + rc
-                            + cost_flops(step.kernel, step.side, step.cheap, q[a], q[b], q[c]);
-                        let entry =
-                            states
-                                .entry(key(&result))
-                                .or_insert((result, f64::INFINITY, None));
-                        if cost < entry.1 {
-                            *entry = (result, cost, Some((split, lk, rk)));
-                        }
-                    }
-                }
-            }
-            best[i][j - i - 1] = states;
-        }
-    }
-
-    let mut min = f64::INFINITY;
-    for (desc, cost, _) in best[0][n - 2].values() {
-        let (finalizes, _) = finalizes_for(desc)?;
-        let extra: f64 = finalizes
-            .iter()
-            .map(|f| finalize_cost_flops(f.kernel, q[f.size_sym]))
-            .sum();
-        if cost + extra < min {
-            min = cost + extra;
-        }
-    }
-    Ok(min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,6 +648,94 @@ mod tests {
     use gmc_ir::{Features, InstanceSampler, Operand, Property, Structure};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashMap;
+
+    /// The original HashMap-per-span formulation, kept verbatim as a
+    /// cross-check oracle for the flat solver.
+    fn optimal_cost_reference(shape: &Shape, instance: &Instance) -> Result<f64, BuildError> {
+        assert_eq!(
+            instance.len(),
+            shape.num_sizes(),
+            "instance length must be n + 1"
+        );
+        let n = shape.len();
+        let classes = shape.size_classes();
+        let leaves = leaf_descs(shape, &classes);
+        let q = instance.sizes();
+
+        /// Back-pointer: the split and the child state keys (`None` = leaf).
+        type Back = (usize, Option<DescKey>, Option<DescKey>);
+        type State = (NodeDesc, f64, Option<Back>);
+
+        if n == 1 {
+            let desc = leaves[0];
+            let (finalizes, _) = finalizes_for(&desc)?;
+            return Ok(finalizes
+                .iter()
+                .map(|f| finalize_cost_flops(f.kernel, q[f.size_sym]))
+                .sum());
+        }
+
+        let mut best: Vec<Vec<HashMap<DescKey, State>>> = vec![Vec::new(); n];
+        for (i, row) in best.iter_mut().enumerate() {
+            row.resize(n - i - 1, HashMap::new());
+        }
+
+        for len in 2..=n {
+            for i in 0..=n - len {
+                let j = i + len - 1;
+                let mut states: HashMap<DescKey, State> = HashMap::new();
+                for split in i..j {
+                    let left_states: Vec<(NodeDesc, f64, Option<DescKey>)> = if split == i {
+                        vec![(leaves[i], 0.0, None)]
+                    } else {
+                        best[i][split - i - 1]
+                            .iter()
+                            .map(|(k, &(d, c, _))| (d, c, Some(*k)))
+                            .collect()
+                    };
+                    let right_states: Vec<(NodeDesc, f64, Option<DescKey>)> = if split + 1 == j {
+                        vec![(leaves[j], 0.0, None)]
+                    } else {
+                        best[split + 1][j - split - 2]
+                            .iter()
+                            .map(|(k, &(d, c, _))| (d, c, Some(*k)))
+                            .collect()
+                    };
+                    for &(ld, lc, lk) in &left_states {
+                        for &(rd, rc, rk) in &right_states {
+                            let (step, result) = associate(ld, rd, &classes)?;
+                            let (a, b, c) = step.triplet;
+                            let cost = lc
+                                + rc
+                                + cost_flops(step.kernel, step.side, step.cheap, q[a], q[b], q[c]);
+                            let entry =
+                                states
+                                    .entry(key(&result))
+                                    .or_insert((result, f64::INFINITY, None));
+                            if cost < entry.1 {
+                                *entry = (result, cost, Some((split, lk, rk)));
+                            }
+                        }
+                    }
+                }
+                best[i][j - i - 1] = states;
+            }
+        }
+
+        let mut min = f64::INFINITY;
+        for (desc, cost, _) in best[0][n - 2].values() {
+            let (finalizes, _) = finalizes_for(desc)?;
+            let extra: f64 = finalizes
+                .iter()
+                .map(|f| finalize_cost_flops(f.kernel, q[f.size_sym]))
+                .sum();
+            if cost + extra < min {
+                min = cost + extra;
+            }
+        }
+        Ok(min)
+    }
 
     fn operands() -> Vec<Operand> {
         Operand::experiment_options()

@@ -5,7 +5,6 @@
 //! eviction only ever forgets (re-compiles are bit-identical), and a
 //! save → drop → load round trip emits byte-identical C++/Rust.
 
-use gmc_core::dp::optimal_cost_reference;
 use gmc_core::{
     all_variants, expand_set, fanning_out_set, select_base_set, select_base_set_in, CompileOptions,
     CompileSession, CompiledChain, CostMatrix, Objective, SessionSnapshot, Variant,
@@ -67,8 +66,9 @@ fn same_program_twice_is_bit_identical_to_fresh_sessions() {
 #[test]
 fn fifty_distinct_programs_through_one_session() {
     // 50 distinct shapes through one session: per-shape DP costs must be
-    // bit-identical to a fresh solver AND to the HashMap reference, and
-    // compiled selections must match fresh-session compiles.
+    // bit-identical to a fresh solver (which `dp`'s own tests pin to the
+    // HashMap reference), and compiled selections must match
+    // fresh-session compiles.
     let mut rng = StdRng::seed_from_u64(2026);
     let opts = CompileOptions {
         training_instances: 60,
@@ -93,13 +93,7 @@ fn fifty_distinct_programs_through_one_session() {
             let q = sampler.sample(&mut rng);
             let warm = session.optimal_cost(shape, &q).unwrap();
             let cold = gmc_core::optimal_cost(shape, &q).unwrap();
-            let reference = optimal_cost_reference(shape, &q).unwrap();
             assert_eq!(warm.to_bits(), cold.to_bits(), "shape {i}: warm vs cold");
-            assert_eq!(
-                warm.to_bits(),
-                reference.to_bits(),
-                "shape {i}: warm vs ref"
-            );
         }
         // Every 10th shape, run full compilation both ways.
         if i % 10 == 0 {

@@ -16,6 +16,8 @@ use gmc_ir::Shape;
 use gmc_serve::Emit;
 use std::error::Error;
 use std::fmt;
+use std::fs::File;
+use std::os::fd::AsFd;
 use std::path::{Path, PathBuf};
 
 /// Driver configuration, filled from command-line arguments.
@@ -69,9 +71,6 @@ pub struct DriverConfig {
     /// Longest accepted JSONL request line in bytes (serve mode);
     /// oversized lines are answered with an in-band `bad_request` error.
     pub max_line_bytes: usize,
-    /// Honor in-band `{"op":"fault"}` requests (serve mode). The
-    /// `GMC_FAULT` environment variable is read regardless.
-    pub enable_faults: bool,
     /// Print a per-stage timing breakdown for each input (batch mode):
     /// enables session tracing and appends the stage profile to each
     /// program's report.
@@ -154,7 +153,6 @@ pub fn parse_args(args: &[String]) -> Result<DriverConfig, DriverError> {
         deadline_ms: None,
         queue_cap: gmc_serve::DEFAULT_QUEUE_CAP,
         max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-        enable_faults: false,
         timings: false,
         metrics_file: None,
         slow_ms: None,
@@ -274,7 +272,6 @@ pub fn parse_args(args: &[String]) -> Result<DriverConfig, DriverError> {
                     DriverError::Usage("--retry needs an integer (0 = off)".into())
                 })?;
             }
-            "--enable-faults" => config.enable_faults = true,
             "--timings" => config.timings = true,
             "--metrics-file" => {
                 config.metrics_file = Some(
@@ -421,62 +418,22 @@ fn compile_one(
 /// identical for every jobs value (compilation is per-program
 /// deterministic); only wall-clock changes.
 ///
+/// Every input gets its own `Result`, so one broken program in a batch
+/// neither hides the diagnostics of the others nor suppresses their
+/// artifacts; [`run`] emits the successes and reports each failure.
+///
 /// Function/file names default to each program's left-hand side
 /// (lowercased); `config.name` overrides it for a single-source batch,
 /// and repeated names get `_2`, `_3`, ... suffixes so artifacts never
 /// collide. The C++ runtime header is attached to the first C++-emitting
 /// program only.
-///
-/// # Errors
-///
-/// Returns the first parse or compilation failure, tagged with the
-/// program's name.
-pub fn compile_batch(
-    sources: &[String],
-    config: &DriverConfig,
-) -> Result<Vec<CompiledArtifacts>, DriverError> {
-    let (results, parse_failures) = compile_batch_inner(sources, config);
-    // Parse errors win over compile errors regardless of worker
-    // scheduling; otherwise the first failure in input order wins.
-    let first_err = parse_failures
-        .first()
-        .copied()
-        .or_else(|| results.iter().position(Result::is_err));
-    match first_err {
-        Some(i) => Err(results
-            .into_iter()
-            .nth(i)
-            .expect("index is in range")
-            .expect_err("position pointed at an error")),
-        None => Ok(results
-            .into_iter()
-            .map(|r| r.expect("no failures remain"))
-            .collect()),
-    }
-}
-
-/// [`compile_batch`] without the fail-fast contract: every input gets its
-/// own `Result`, so one broken program in a batch neither hides the
-/// diagnostics of the others nor suppresses their artifacts. Used by
-/// [`run`], which emits the successes and reports each failure.
 pub fn compile_batch_results(
     sources: &[String],
     config: &DriverConfig,
 ) -> Vec<Result<CompiledArtifacts, DriverError>> {
-    compile_batch_inner(sources, config).0
-}
-
-/// Shared batch core. Returns per-input results plus the indices that
-/// failed at *parse* (as opposed to selection), which `compile_batch`
-/// needs for its error-priority contract.
-fn compile_batch_inner(
-    sources: &[String],
-    config: &DriverConfig,
-) -> (Vec<Result<CompiledArtifacts, DriverError>>, Vec<usize>) {
     // Parse everything first: names must be fixed (and deduplicated)
     // before emission. Only successfully parsed programs claim names.
     let mut work: Vec<(usize, Shape, String)> = Vec::with_capacity(sources.len());
-    let mut parse_failures: Vec<usize> = Vec::new();
     let mut results: Vec<Option<Result<CompiledArtifacts, DriverError>>> =
         (0..sources.len()).map(|_| None).collect();
     let mut used: std::collections::HashSet<String> = std::collections::HashSet::new();
@@ -485,7 +442,6 @@ fn compile_batch_inner(
             Ok(p) => p,
             Err(e) => {
                 results[index] = Some(Err(DriverError::Compile(e.to_string())));
-                parse_failures.push(index);
                 continue;
             }
         };
@@ -553,21 +509,7 @@ fn compile_batch_inner(
             true
         });
     }
-    (results, parse_failures)
-}
-
-/// Compile one `.gmc` source string and return the emitted artifacts as
-/// `(file name, contents)` pairs plus the human-readable report.
-///
-/// # Errors
-///
-/// Returns [`DriverError::Compile`] on parse or selection failure.
-pub fn compile_source(
-    source: &str,
-    config: &DriverConfig,
-) -> Result<CompiledArtifacts, DriverError> {
-    let mut items = compile_batch(std::slice::from_ref(&source.to_string()), config)?;
-    Ok(items.remove(0))
+    results
 }
 
 /// What one `gmcc` invocation accomplished: the artifacts written, plus
@@ -675,18 +617,19 @@ fn install_shutdown_handlers() {
 /// response line per request (see [`gmc_serve::jsonl`] for the wire
 /// format). With `--listen` the daemon accepts unix/TCP connections;
 /// otherwise the request file or stdin plus stdout are connection 0 of
-/// the same dispatcher ([`gmc_serve::transport::Front::Stdio`]), so a
-/// response is written the moment its shard finishes. `--jobs` sets
-/// the shard count, `--cache-cap` bounds each shard's compiled-chain
-/// cache, and `--persist FILE` makes restarts warm: the snapshot is
-/// loaded on start (if present; a corrupt file is quarantined to
-/// `<path>.bad`) and rewritten atomically on shutdown. `--deadline-ms`
-/// and `--queue-cap` set the admission-control defaults;
-/// `--max-line-bytes` bounds input lines; `--enable-faults` honors
-/// in-band `{"op":"fault"}` requests (the `GMC_FAULT` environment
-/// variable is read regardless, and a malformed spec refuses to start).
-/// The C++ runtime header is attached to the first response of each
-/// connection that carries a `.cpp` artifact.
+/// the same dispatcher ([`gmc_serve::transport::Front::Stdio`]), which
+/// reads the request stream itself (stdin through a duplicate of its
+/// descriptor, left blocking), so a response is written the moment its
+/// shard finishes. `--jobs` sets the shard count, `--cache-cap` bounds
+/// each shard's compiled-chain cache, and `--persist FILE` makes
+/// restarts warm: the snapshot is loaded on start (if present; a
+/// corrupt file is quarantined to `<path>.bad`) and rewritten
+/// atomically on shutdown. `--deadline-ms` and `--queue-cap` set the
+/// admission-control defaults; `--max-line-bytes` bounds input lines.
+/// Faults are armed only at start-up, from the `GMC_FAULT` environment
+/// variable (a malformed spec refuses to start). The C++ runtime header
+/// is attached to the first response of each connection that carries a
+/// `.cpp` artifact.
 ///
 /// Observability: `{"op":"metrics"}` returns per-shard latency
 /// histograms and counters in-band; `--metrics-file FILE` dumps the
@@ -731,15 +674,13 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         queue_cap: config.queue_cap,
         default_deadline: config.deadline_ms.map(std::time::Duration::from_millis),
         restart: gmc_serve::RestartPolicy::default(),
-        faults: faults.clone(),
+        faults,
         slow_request: config.slow_ms.map(std::time::Duration::from_millis),
     })
     .map_err(|e| DriverError::Compile(e.to_string()))?;
 
     let options = TransportOptions {
         default_emit: config.emit,
-        enable_faults: config.enable_faults,
-        faults,
         max_line_bytes: config.max_line_bytes,
         metrics_file: config.metrics_file.clone(),
         conn_in_flight_cap: config.conn_in_flight_cap,
@@ -758,15 +699,20 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
             (Front::Listen(listener), label)
         }
         None => {
-            let source = config.serve.as_deref().unwrap_or("-");
-            let input: Box<dyn std::io::Read + Send> = if source == "-" {
-                Box::new(std::io::stdin())
+            let source = PathBuf::from(config.serve.as_deref().unwrap_or("-"));
+            // Stdin is read through a duplicate of its descriptor, which
+            // the dispatcher polls and never sets non-blocking.
+            let input = if source == Path::new("-") {
+                std::io::stdin()
+                    .as_fd()
+                    .try_clone_to_owned()
+                    .map(File::from)
             } else {
-                let path = PathBuf::from(source);
-                Box::new(std::fs::File::open(&path).map_err(|e| DriverError::Io(path, e))?)
-            };
+                File::open(&source)
+            }
+            .map_err(|e| DriverError::Io(source.clone(), e))?;
             let output = Box::new(std::io::stdout());
-            (Front::Stdio { input, output }, PathBuf::from(source))
+            (Front::Stdio { input, output }, source)
         }
     };
     let sockets = matches!(front, Front::Listen(_));
@@ -994,9 +940,8 @@ USAGE:
          [--expand K] [--train N] [--jobs N] [--report] [--timings]
     gmcc --serve <requests.jsonl|-> [--jobs SHARDS] [--cache-cap N]
          [--persist FILE] [--persist-keep K] [--deadline-ms MS]
-         [--queue-cap N] [--max-line-bytes N] [--enable-faults]
-         [--metrics-file FILE] [--slow-ms MS] [--emit cpp|rust|both]
-         [--expand K] [--train N]
+         [--queue-cap N] [--max-line-bytes N] [--metrics-file FILE]
+         [--slow-ms MS] [--emit cpp|rust|both] [--expand K] [--train N]
     gmcc --listen <unix:PATH|tcp:HOST:PORT> [same flags as --serve]
          [--conn-in-flight-cap N] [--max-conns N] [--idle-timeout-ms MS]
     gmcc --connect <unix:PATH|tcp:HOST:PORT> [requests.jsonl|-] [--retry N]
@@ -1032,10 +977,10 @@ answered and the final snapshot is written before exit. A line of
 {\"op\": \"stats\"} returns per-shard cache counters of the
 requests answered so far, {\"op\": \"health\"} per-shard liveness,
 latency p99s, and robustness counters, {\"op\": \"metrics\"} full
-per-shard latency histograms and counters; {\"op\": \"fault\",
-\"spec\": \"panic:0:3\"} arms fault injection when the daemon runs
-with --enable-faults (the GMC_FAULT environment variable arms the same
-faults at startup).
+per-shard latency histograms and counters; any other op is answered
+with an in-band bad_request. Fault injection is armed only at startup,
+from the GMC_FAULT environment variable. The daemon reads stdin itself,
+in its one dispatcher thread.
 
 With --listen, the same daemon serves a Unix-domain or TCP socket
 instead of stdin: many clients connect concurrently, each may pipeline
@@ -1097,6 +1042,15 @@ mod tests {
         Y := H * P^-1;
     ";
 
+    /// Compile `sources` as one batch and unwrap every entry.
+    fn compile_all(sources: &[&str], config: &DriverConfig) -> Vec<CompiledArtifacts> {
+        let sources: Vec<String> = sources.iter().map(|s| s.to_string()).collect();
+        compile_batch_results(&sources, config)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
+
     #[test]
     fn arg_parsing() {
         let c = cfg(&[
@@ -1153,7 +1107,7 @@ mod tests {
     #[test]
     fn compiles_to_cpp_and_rust() {
         let c = cfg(&["--emit", "both", "--train", "100"]);
-        let (files, report) = compile_source(SRC, &c).unwrap();
+        let (files, report) = compile_all(&[SRC], &c).remove(0);
         let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["x.cpp", "gmc_runtime.hpp", "x.rs"]);
         assert!(report.contains("variant 0"));
@@ -1164,7 +1118,7 @@ mod tests {
     #[test]
     fn timings_append_stage_breakdown_to_report() {
         let c = cfg(&["--emit", "both", "--train", "60", "--timings"]);
-        let (_, report) = compile_source(SRC, &c).unwrap();
+        let (_, report) = compile_all(&[SRC], &c).remove(0);
         assert!(report.contains("variant 0"), "variant report still leads");
         assert!(
             report.contains("timings chain"),
@@ -1175,22 +1129,22 @@ mod tests {
         }
         // Without the flag, no breakdown rides along.
         let c = cfg(&["--emit", "both", "--train", "60"]);
-        let (_, report) = compile_source(SRC, &c).unwrap();
+        let (_, report) = compile_all(&[SRC], &c).remove(0);
         assert!(!report.contains("timings chain"));
     }
 
     #[test]
     fn parse_errors_are_reported() {
         let c = cfg(&[]);
-        let err = compile_source("Matrix A <General, Singular>; X := B;", &c).unwrap_err();
+        let source = "Matrix A <General, Singular>; X := B;".to_string();
+        let err = compile_batch_results(&[source], &c).remove(0).unwrap_err();
         assert!(err.to_string().contains("undefined matrix"));
     }
 
     #[test]
     fn batch_compiles_multiple_programs() {
         let c = cfg(&["--emit", "cpp", "--train", "50"]);
-        let sources = vec![SRC.to_string(), SRC2.to_string()];
-        let items = compile_batch(&sources, &c).unwrap();
+        let items = compile_all(&[SRC, SRC2], &c);
         assert_eq!(items.len(), 2);
         let names0: Vec<&str> = items[0].0.iter().map(|(n, _)| n.as_str()).collect();
         let names1: Vec<&str> = items[1].0.iter().map(|(n, _)| n.as_str()).collect();
@@ -1203,13 +1157,10 @@ mod tests {
         let serial = cfg(&["--emit", "both", "--train", "60"]);
         let mut parallel = serial.clone();
         parallel.jobs = 3;
-        let sources = vec![
-            SRC.to_string(),
-            SRC2.to_string(),
-            SRC.to_string(), // repeat: name must uniquify to x_2
-        ];
-        let a = compile_batch(&sources, &serial).unwrap();
-        let b = compile_batch(&sources, &parallel).unwrap();
+        // The repeat's name must uniquify to x_2.
+        let sources = [SRC, SRC2, SRC];
+        let a = compile_all(&sources, &serial);
+        let b = compile_all(&sources, &parallel);
         assert_eq!(a.len(), b.len());
         for ((fa, ra), (fb, rb)) in a.iter().zip(&b) {
             assert_eq!(fa, fb);
@@ -1229,8 +1180,7 @@ mod tests {
             X_2 := H * P^-1;
         ";
         let c = cfg(&["--emit", "rust", "--train", "40"]);
-        let sources = vec![SRC.to_string(), src_x2.to_string(), SRC.to_string()];
-        let items = compile_batch(&sources, &c).unwrap();
+        let items = compile_all(&[SRC, src_x2, SRC], &c);
         let names: Vec<&str> = items
             .iter()
             .flat_map(|(files, _)| files.iter().map(|(n, _)| n.as_str()))
@@ -1314,8 +1264,6 @@ mod tests {
             .map(|(n, _)| n.as_str())
             .collect();
         assert_eq!(after, vec!["y.cpp"], "input after the failure still emits");
-        // The fail-fast wrapper keeps its contract: first (parse) error.
-        assert!(compile_batch(&sources, &c).is_err());
     }
 
     #[test]
@@ -1372,7 +1320,6 @@ mod tests {
             "8".into(),
             "--max-line-bytes".into(),
             "4096".into(),
-            "--enable-faults".into(),
             "--metrics-file".into(),
             "metrics.prom".into(),
             "--slow-ms".into(),
@@ -1386,7 +1333,6 @@ mod tests {
         assert_eq!(c.deadline_ms, Some(250));
         assert_eq!(c.queue_cap, 8);
         assert_eq!(c.max_line_bytes, 4096);
-        assert!(c.enable_faults);
         assert_eq!(c.metrics_file, Some(PathBuf::from("metrics.prom")));
         assert_eq!(c.slow_ms, Some(75));
         assert!(c.inputs.is_empty(), "serve mode needs no inputs");
@@ -1577,31 +1523,41 @@ mod tests {
         assert!(text.contains("gmc_request_seconds_bucket{"), "{text}");
     }
 
+    /// Faults arm only at start-up: `--enable-faults` is a usage error
+    /// like any unknown flag, and a `{"op":"fault"}` line is answered
+    /// in band like any unknown op and arms nothing — the `panic:0:1`
+    /// it carries would fail the compile after it.
     #[test]
-    fn serve_fault_op_is_gated_behind_enable_faults() {
-        let dir = std::env::temp_dir().join("gmcc_serve_fault_gate");
+    fn serve_fault_op_is_an_unknown_op_and_arms_nothing() {
+        assert!(matches!(
+            parse_args(&["--serve".into(), "-".into(), "--enable-faults".into()]),
+            Err(DriverError::Usage(_))
+        ));
+        let dir = std::env::temp_dir().join("gmcc_serve_fault_op");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let requests = dir.join("requests.jsonl");
+        let src = SRC.replace('\n', " ");
         std::fs::write(
             &requests,
-            "{\"id\": 1, \"op\": \"fault\", \"spec\": \"delay:1\"}\n",
+            format!(
+                "{{\"id\": 1, \"op\": \"fault\", \"spec\": \"panic:0:1\"}}\n\
+                 {{\"id\": 2, \"source\": \"{src}\"}}\n"
+            ),
         )
         .unwrap();
-        let base = vec![
-            "--serve".to_string(),
+        let config = parse_args(&[
+            "--serve".into(),
             requests.to_string_lossy().into_owned(),
-            "--train".to_string(),
-            "40".to_string(),
-        ];
-        // Gated off: the op is refused in-band.
-        let config = parse_args(&base).unwrap();
-        assert_eq!(run_serve(&config).unwrap(), (1, 1));
-        // Gated on: acknowledged, no failures.
-        let mut enabled = base;
-        enabled.push("--enable-faults".into());
-        let config = parse_args(&enabled).unwrap();
-        assert_eq!(run_serve(&config).unwrap(), (1, 0));
+            "--train".into(),
+            "40".into(),
+        ])
+        .unwrap();
+        assert_eq!(
+            run_serve(&config).unwrap(),
+            (2, 1),
+            "the fault op fails in band; the compile after it succeeds"
+        );
     }
 
     #[test]
@@ -1689,7 +1645,7 @@ mod tests {
     /// clean with part of its responses.
     #[test]
     fn connect_fails_when_the_daemon_hangs_up_early() {
-        use gmc_serve::transport::{self, ListenAddr, SocketListener, TransportOptions};
+        use gmc_serve::transport::{self, Front, ListenAddr, SocketListener, TransportOptions};
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
@@ -1710,25 +1666,21 @@ mod tests {
         .unwrap();
 
         // The daemon severs connection 1 in place of its second response.
-        let faults = gmc_serve::fault::FaultPlan::parse("conn_drop:1:2").unwrap();
         let service = gmc_serve::CompileService::start(gmc_serve::ServeConfig {
             options: gmc_core::CompileOptions {
                 training_instances: 40,
                 ..gmc_core::CompileOptions::default()
             },
-            faults: faults.clone(),
+            faults: gmc_serve::fault::FaultPlan::parse("conn_drop:1:2").unwrap(),
             ..gmc_serve::ServeConfig::default()
         })
         .unwrap();
         let listener = SocketListener::bind(&ListenAddr::Unix(sock.clone())).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let serve_shutdown = Arc::clone(&shutdown);
-        let options = TransportOptions {
-            faults,
-            ..TransportOptions::default()
-        };
         let daemon = std::thread::spawn(move || {
-            transport::serve(listener, service, options, serve_shutdown)
+            let options = TransportOptions::default();
+            transport::serve_front(Front::Listen(listener), service, options, &serve_shutdown)
         });
 
         let config = parse_args(&[
@@ -1754,7 +1706,7 @@ mod tests {
     /// converges it to zero final failures.
     #[test]
     fn connect_retries_shed_requests_until_they_converge() {
-        use gmc_serve::transport::{self, ListenAddr, SocketListener, TransportOptions};
+        use gmc_serve::transport::{self, Front, ListenAddr, SocketListener, TransportOptions};
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
@@ -1774,13 +1726,12 @@ mod tests {
         )
         .unwrap();
 
-        let faults = gmc_serve::fault::FaultPlan::parse("delay:10").unwrap();
         let service = gmc_serve::CompileService::start(gmc_serve::ServeConfig {
             options: gmc_core::CompileOptions {
                 training_instances: 40,
                 ..gmc_core::CompileOptions::default()
             },
-            faults: faults.clone(),
+            faults: gmc_serve::fault::FaultPlan::parse("delay:10").unwrap(),
             ..gmc_serve::ServeConfig::default()
         })
         .unwrap();
@@ -1789,11 +1740,10 @@ mod tests {
         let serve_shutdown = Arc::clone(&shutdown);
         let options = TransportOptions {
             conn_in_flight_cap: 1,
-            faults,
             ..TransportOptions::default()
         };
         let daemon = std::thread::spawn(move || {
-            transport::serve(listener, service, options, serve_shutdown)
+            transport::serve_front(Front::Listen(listener), service, options, &serve_shutdown)
         });
 
         let config = parse_args(&[

@@ -4,13 +4,13 @@
 //! earns its keep if shard deaths, latency spikes, and torn snapshot
 //! writes can be *reproduced on demand* — otherwise every robustness
 //! claim is asserted, not tested. This module is that switchboard. It is
-//! compiled unconditionally (the un-armed hot path is one relaxed atomic
-//! load) and armed two ways:
-//!
-//! * the `GMC_FAULT` environment variable, read by the `gmcc --serve`
-//!   daemon at startup ([`FaultPlan::from_env`]);
-//! * an in-band `{"op":"fault","spec":"..."}` request, accepted only
-//!   when the daemon runs with `--enable-faults`.
+//! compiled unconditionally (an empty plan's hooks compare against empty
+//! lists) and armed once, at start-up: a [`FaultPlan`] is parsed from the
+//! `GMC_FAULT` environment variable by the `gmcc --serve` daemon
+//! ([`FaultPlan::from_env`]), or built with [`FaultPlan::parse`] by a
+//! test, and handed to [`ServeConfig::faults`](crate::ServeConfig). The
+//! plan never changes while the service runs; the shards and the
+//! [`transport`](crate::transport) read the same one.
 //!
 //! # Fault matrix
 //!
@@ -31,21 +31,21 @@
 //! All triggers are deterministic functions of the request stream; no
 //! clocks or randomness decide *whether* a fault fires.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Environment variable the `gmcc --serve` daemon reads fault specs
 /// from (e.g. `GMC_FAULT=panic:0:3,delay:5`).
 pub const FAULT_ENV: &str = "GMC_FAULT";
 
+/// A parsed fault spec (see the [module docs](self) for the grammar),
+/// fixed once built. The default plan is inert.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Spec {
+pub struct FaultPlan {
     /// `(shard, nth compile attempt)` pairs that panic, 1-based.
     panics: Vec<(usize, u64)>,
     /// Injected latency before every compile.
     delay: Option<Duration>,
-    /// Tear the next snapshot saves (truncated write, no rename).
+    /// Tear every snapshot save (truncated write, no rename).
     snapshot_torn: bool,
     /// `(connection, nth outbound line)` pairs that sever the
     /// connection in place of that line, 1-based.
@@ -56,23 +56,6 @@ struct Spec {
     conn_garbage: Vec<u64>,
 }
 
-/// A shared, thread-safe fault plan (see the [module docs](self) for
-/// the spec grammar). Clones share state, so the plan handed to
-/// [`ServeConfig`](crate::ServeConfig) can be re-armed while the
-/// service runs — that is how the daemon's `{"op":"fault"}` request
-/// works.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    inner: Arc<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    /// Fast-path guard so un-faulted services never take the lock.
-    armed: AtomicBool,
-    spec: Mutex<Spec>,
-}
-
 impl FaultPlan {
     /// An empty (inert) plan.
     #[must_use]
@@ -80,14 +63,81 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Parse a fault spec like `panic:0:3,delay:5,snapshot_torn`.
+    /// Parse a fault spec like `panic:0:3,delay:5,snapshot_torn` (panic
+    /// and connection triggers accumulate; a later `delay` replaces an
+    /// earlier one).
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the malformed clause.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let plan = FaultPlan::new();
-        plan.arm(spec)?;
+        let mut plan = FaultPlan::new();
+        for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
+            let mut parts = clause.split(':');
+            match parts.next().unwrap_or("") {
+                "panic" => {
+                    let shard = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| format!("`{clause}`: expected panic:<shard>:<nth>"))?;
+                    let nth: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .ok_or_else(|| {
+                            format!("`{clause}`: expected panic:<shard>:<nth> with nth >= 1")
+                        })?;
+                    plan.panics.push((shard, nth));
+                }
+                "delay" => {
+                    let ms: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| format!("`{clause}`: expected delay:<ms>"))?;
+                    plan.delay = Some(Duration::from_millis(ms));
+                }
+                "snapshot_torn" => plan.snapshot_torn = true,
+                "conn_drop" => {
+                    let conn: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&c| c >= 1)
+                        .ok_or_else(|| format!("`{clause}`: expected conn_drop:<conn>:<nth>"))?;
+                    let nth: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .ok_or_else(|| {
+                            format!("`{clause}`: expected conn_drop:<conn>:<nth> with nth >= 1")
+                        })?;
+                    plan.conn_drops.push((conn, nth));
+                }
+                "conn_stall" => {
+                    let conn: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&c| c >= 1)
+                        .ok_or_else(|| format!("`{clause}`: expected conn_stall:<conn>:<ms>"))?;
+                    let ms: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| format!("`{clause}`: expected conn_stall:<conn>:<ms>"))?;
+                    plan.conn_stalls.push((conn, Duration::from_millis(ms)));
+                }
+                "conn_garbage" => {
+                    let conn: u64 = parts
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&c| c >= 1)
+                        .ok_or_else(|| format!("`{clause}`: expected conn_garbage:<conn>"))?;
+                    plan.conn_garbage.push(conn);
+                }
+                other => return Err(format!("unknown fault `{other}` in `{clause}`")),
+            }
+            if parts.next().is_some() {
+                return Err(format!("`{clause}`: trailing components"));
+            }
+        }
         Ok(plan)
     }
 
@@ -108,110 +158,10 @@ impl FaultPlan {
         }
     }
 
-    /// Merge `spec`'s clauses into the live plan (panic triggers
-    /// accumulate; `delay`/`snapshot_torn` overwrite).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed clause; on error nothing
-    /// is armed.
-    pub fn arm(&self, spec: &str) -> Result<(), String> {
-        let mut add = Spec::default();
-        for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            let mut parts = clause.split(':');
-            match parts.next().unwrap_or("") {
-                "panic" => {
-                    let shard = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| format!("`{clause}`: expected panic:<shard>:<nth>"))?;
-                    let nth: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!("`{clause}`: expected panic:<shard>:<nth> with nth >= 1")
-                        })?;
-                    add.panics.push((shard, nth));
-                }
-                "delay" => {
-                    let ms: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| format!("`{clause}`: expected delay:<ms>"))?;
-                    add.delay = Some(Duration::from_millis(ms));
-                }
-                "snapshot_torn" => add.snapshot_torn = true,
-                "conn_drop" => {
-                    let conn: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&c| c >= 1)
-                        .ok_or_else(|| format!("`{clause}`: expected conn_drop:<conn>:<nth>"))?;
-                    let nth: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            format!("`{clause}`: expected conn_drop:<conn>:<nth> with nth >= 1")
-                        })?;
-                    add.conn_drops.push((conn, nth));
-                }
-                "conn_stall" => {
-                    let conn: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&c| c >= 1)
-                        .ok_or_else(|| format!("`{clause}`: expected conn_stall:<conn>:<ms>"))?;
-                    let ms: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| format!("`{clause}`: expected conn_stall:<conn>:<ms>"))?;
-                    add.conn_stalls.push((conn, Duration::from_millis(ms)));
-                }
-                "conn_garbage" => {
-                    let conn: u64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&c| c >= 1)
-                        .ok_or_else(|| format!("`{clause}`: expected conn_garbage:<conn>"))?;
-                    add.conn_garbage.push(conn);
-                }
-                other => return Err(format!("unknown fault `{other}` in `{clause}`")),
-            }
-            if parts.next().is_some() {
-                return Err(format!("`{clause}`: trailing components"));
-            }
-        }
-        let mut spec = self.inner.spec.lock().expect("fault spec lock");
-        spec.panics.extend(add.panics);
-        if add.delay.is_some() {
-            spec.delay = add.delay;
-        }
-        spec.snapshot_torn |= add.snapshot_torn;
-        spec.conn_drops.extend(add.conn_drops);
-        spec.conn_stalls.extend(add.conn_stalls);
-        spec.conn_garbage.extend(add.conn_garbage);
-        let armed = !spec.panics.is_empty()
-            || spec.delay.is_some()
-            || spec.snapshot_torn
-            || !spec.conn_drops.is_empty()
-            || !spec.conn_stalls.is_empty()
-            || !spec.conn_garbage.is_empty();
-        self.inner.armed.store(armed, Ordering::Release);
-        Ok(())
-    }
-
-    /// Disarm every fault.
-    pub fn clear(&self) {
-        *self.inner.spec.lock().expect("fault spec lock") = Spec::default();
-        self.inner.armed.store(false, Ordering::Release);
-    }
-
     /// `true` if any fault is armed.
     #[must_use]
     pub fn is_armed(&self) -> bool {
-        self.inner.armed.load(Ordering::Acquire)
+        *self != FaultPlan::default()
     }
 
     /// Shard-side hook, called by the worker at the top of every compile
@@ -219,44 +169,24 @@ impl FaultPlan {
     /// injects the armed delay, then panics if a `panic:<shard>:<nth>`
     /// trigger matches. The panic message is stable and grep-able.
     pub(crate) fn before_compile(&self, shard: usize, nth: u64) {
-        if !self.is_armed() {
-            return;
-        }
-        let (delay, hit) = {
-            let spec = self.inner.spec.lock().expect("fault spec lock");
-            (spec.delay, spec.panics.contains(&(shard, nth)))
-        };
-        if let Some(d) = delay {
+        if let Some(d) = self.delay {
             std::thread::sleep(d);
         }
-        if hit {
+        if self.panics.contains(&(shard, nth)) {
             panic!("injected fault: panic at shard {shard} compile {nth}");
         }
     }
 
     /// `true` if snapshot saves should be torn (truncated, non-atomic).
     pub(crate) fn tear_snapshot(&self) -> bool {
-        self.is_armed()
-            && self
-                .inner
-                .spec
-                .lock()
-                .expect("fault spec lock")
-                .snapshot_torn
+        self.snapshot_torn
     }
 
     /// Transport hook: `true` if connection `conn`'s `nth` outbound
     /// line (1-based) should sever the connection instead of being
     /// written — an abrupt disconnect mid-response.
     pub(crate) fn conn_drop_hit(&self, conn: u64, nth: u64) -> bool {
-        self.is_armed()
-            && self
-                .inner
-                .spec
-                .lock()
-                .expect("fault spec lock")
-                .conn_drops
-                .contains(&(conn, nth))
+        self.conn_drops.contains(&(conn, nth))
     }
 
     /// Transport hook: the armed output stall for connection `conn`,
@@ -264,14 +194,7 @@ impl FaultPlan {
     /// dispatcher flushes to it (a slow reader from the daemon's point
     /// of view).
     pub(crate) fn conn_stall(&self, conn: u64) -> Option<Duration> {
-        if !self.is_armed() {
-            return None;
-        }
-        self.inner
-            .spec
-            .lock()
-            .expect("fault spec lock")
-            .conn_stalls
+        self.conn_stalls
             .iter()
             .find(|(c, _)| *c == conn)
             .map(|(_, d)| *d)
@@ -283,15 +206,7 @@ impl FaultPlan {
     /// connection has proven it can speak the protocol) and stays a
     /// deterministic function of the request stream.
     pub(crate) fn conn_garbage_hit(&self, conn: u64, line_no: u64) -> bool {
-        line_no == 2
-            && self.is_armed()
-            && self
-                .inner
-                .spec
-                .lock()
-                .expect("fault spec lock")
-                .conn_garbage
-                .contains(&conn)
+        line_no == 2 && self.conn_garbage.contains(&conn)
     }
 }
 
@@ -308,12 +223,11 @@ mod tests {
         .unwrap();
         assert!(plan.is_armed());
         assert!(plan.tear_snapshot());
-        let spec = plan.inner.spec.lock().unwrap();
-        assert_eq!(spec.panics, vec![(0, 3), (1, 2)]);
-        assert_eq!(spec.delay, Some(Duration::from_millis(7)));
-        assert_eq!(spec.conn_drops, vec![(2, 5)]);
-        assert_eq!(spec.conn_stalls, vec![(1, Duration::from_millis(40))]);
-        assert_eq!(spec.conn_garbage, vec![3]);
+        assert_eq!(plan.panics, vec![(0, 3), (1, 2)]);
+        assert_eq!(plan.delay, Some(Duration::from_millis(7)));
+        assert_eq!(plan.conn_drops, vec![(2, 5)]);
+        assert_eq!(plan.conn_stalls, vec![(1, Duration::from_millis(40))]);
+        assert_eq!(plan.conn_garbage, vec![3]);
     }
 
     #[test]
@@ -328,10 +242,6 @@ mod tests {
         assert!(!plan.conn_garbage_hit(3, 1));
         assert!(!plan.conn_garbage_hit(3, 3));
         assert!(!plan.conn_garbage_hit(1, 2));
-        plan.clear();
-        assert!(!plan.conn_drop_hit(2, 5));
-        assert_eq!(plan.conn_stall(1), None);
-        assert!(!plan.conn_garbage_hit(3, 2));
     }
 
     #[test]
@@ -379,23 +289,5 @@ mod tests {
         let msg = *caught.unwrap_err().downcast::<String>().unwrap();
         assert_eq!(msg, "injected fault: panic at shard 1 compile 2");
         plan.before_compile(1, 3); // counter moved past the trigger
-    }
-
-    #[test]
-    fn arm_merges_and_clear_disarms() {
-        let plan = FaultPlan::new();
-        plan.arm("panic:0:1").unwrap();
-        plan.arm("delay:3").unwrap();
-        assert!(plan.is_armed());
-        {
-            let spec = plan.inner.spec.lock().unwrap();
-            assert_eq!(spec.panics, vec![(0, 1)]);
-            assert_eq!(spec.delay, Some(Duration::from_millis(3)));
-        }
-        assert!(plan.arm("bogus").is_err(), "bad arm leaves plan unchanged");
-        assert!(plan.is_armed());
-        plan.clear();
-        assert!(!plan.is_armed());
-        plan.before_compile(0, 1);
     }
 }

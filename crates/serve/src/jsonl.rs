@@ -67,10 +67,8 @@
 //!    "late_drops":0}
 //!   ```
 //!
-//! * `{"op": "fault", "spec": "panic:0:3,delay:5"}` — arm the
-//!   fault-injection plan ([`crate::fault`]); only honored when the
-//!   daemon runs with `--enable-faults`, acknowledged with
-//!   [`ack_line`].
+//! Any other `op` is answered in band as `bad_request`. Faults are
+//! armed only at start-up ([`crate::fault`]), never by a request.
 //!
 //! The build environment vendors no JSON crate, so this module carries a
 //! deliberately small hand parser: flat objects, string/unsigned-integer
@@ -95,11 +93,9 @@ pub struct RawRequest {
     pub name: Option<String>,
     /// Emit selector (`cpp`/`rust`/`both`), if given.
     pub emit: Option<String>,
-    /// In-band service operation (`stats`/`health`/`metrics`/`fault`),
-    /// if given; such requests need no `source`.
+    /// In-band service operation (`stats`/`health`/`metrics`), if
+    /// given; such requests need no `source`.
     pub op: Option<String>,
-    /// Fault spec for `{"op":"fault"}` requests.
-    pub spec: Option<String>,
     /// Per-request deadline in milliseconds, if given.
     pub deadline_ms: Option<u64>,
     /// The `.gmc` program text.
@@ -137,7 +133,6 @@ pub fn parse_request(line: &str) -> Result<RawRequest, String> {
                 "name" => request.name = Some(p.string()?),
                 "emit" => request.emit = Some(p.string()?),
                 "op" => request.op = Some(p.string()?),
-                "spec" => request.spec = Some(p.string()?),
                 "deadline_ms" => request.deadline_ms = Some(p.unsigned()?),
                 "source" => {
                     request.source = p.string()?;
@@ -362,13 +357,6 @@ pub fn metrics_line(id: u64, metrics: &crate::ServiceMetrics) -> String {
         metrics.late_drops,
     );
     out
-}
-
-/// Render a bare acknowledgement line for an in-band operation with no
-/// payload (today: `{"op":"fault"}`).
-#[must_use]
-pub fn ack_line(id: u64, op: &str) -> String {
-    format!("{{\"id\":{id},\"ok\":true,\"op\":\"{}\"}}", escape(op))
 }
 
 /// Render a [`TransportSnapshot`](crate::transport::TransportSnapshot)
@@ -783,7 +771,6 @@ mod tests {
                 name: None,
                 emit: None,
                 op: None,
-                spec: None,
                 deadline_ms: None,
                 source: "X := A;".into(),
             }
@@ -794,9 +781,10 @@ mod tests {
     fn deadlines_and_fault_specs_parse() {
         let r = parse_request(r#"{"id": 2, "deadline_ms": 250, "source": "X := A;"}"#).unwrap();
         assert_eq!(r.deadline_ms, Some(250));
+        // A fault spec is an unknown key like any other: skipped, so the
+        // line parses and the daemon answers its op as unknown.
         let r = parse_request(r#"{"op": "fault", "spec": "panic:0:3,delay:5"}"#).unwrap();
-        assert_eq!(r.op.as_deref(), Some("fault"));
-        assert_eq!(r.spec.as_deref(), Some("panic:0:3,delay:5"));
+        assert_eq!(r, parse_request(r#"{"op": "fault"}"#).unwrap());
     }
 
     #[test]
@@ -954,10 +942,6 @@ mod tests {
              \"queue_depth\":0,\"deadline_exceeded\":4,\"shed\":0,\
              \"chain_hit_rate\":0.0000,\
              \"p99_ms\":0.000,\"queue_wait_p99_ms\":0.000}],\"live\":1}"
-        );
-        assert_eq!(
-            ack_line(3, "fault"),
-            "{\"id\":3,\"ok\":true,\"op\":\"fault\"}"
         );
     }
 

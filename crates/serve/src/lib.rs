@@ -115,18 +115,20 @@
 //!   shard panics, compile delays, torn snapshot writes, and
 //!   connection-level faults — dropped, stalled, and garbage-injecting
 //!   connections — from a spec string
-//!   (`GMC_FAULT=panic:0:3,delay:5,conn_drop:2:4,snapshot_torn`), so
-//!   every robustness claim above is exercised by tests (including a
-//!   transport chaos property test) rather than asserted.
+//!   (`GMC_FAULT=panic:0:3,delay:5,conn_drop:2:4,snapshot_torn`), once,
+//!   at start-up ([`ServeConfig::faults`]), so every robustness claim
+//!   above is exercised by tests (including a transport chaos property
+//!   test) rather than asserted.
 //!
 //! Shards post each finished response to the service's one event
 //! queue, tagged with the caller's request id (completion order is not
-//! submission order). The same queue carries shard exits and, under
-//! the [`transport`], stdin's request lines, so the submitter wakes the
-//! moment a response is ready and no later than the earliest
-//! outstanding deadline — there is no poll tick. Once the transport's
-//! `poll(2)` loop arms it, every post also writes one byte to a wake
-//! socket that the loop watches; in-process callers of
+//! submission order). The same queue carries shard exits and nothing
+//! else, so the submitter wakes the moment a response is ready and no
+//! later than the earliest outstanding deadline — there is no poll
+//! tick. Once the transport's `poll(2)` loop arms it, every post also
+//! writes one byte to a wake socket that the loop watches, and the
+//! loop reads no request before every shard has restored its share of
+//! the snapshot; in-process callers of
 //! [`CompileService::recv`] block on the queue alone. The [`transport`]
 //! module fronts the service with JSONL ([`jsonl`]) through one
 //! dispatcher: over unix/TCP sockets (`gmcc --listen`), with one
@@ -135,7 +137,8 @@
 //! concurrently and each response returns to its submitting connection
 //! (ids are scoped per connection; `gmcc --connect` is the matching
 //! client); and over stdin/stdout (`gmcc --serve -`) as connection 0
-//! of the same dispatcher. `bench_serve` records the cold
+//! of the same dispatcher, whose loop polls and reads the request
+//! stream itself. `bench_serve` records the cold
 //! vs. warm vs. restored-from-disk throughput trajectory plus
 //! shed/deadline behavior under an overload burst in
 //! `BENCH_serve.json`, and `bench_serve --load` drives the socket
@@ -327,7 +330,7 @@ mod tests {
         service.submit(request(1, SRC_B));
         // Stand in for the guard of a worker that died mid-request.
         service
-            .events()
+            .events_tx
             .send(service::Event::ShardExited(0))
             .unwrap();
         let started = std::time::Instant::now();

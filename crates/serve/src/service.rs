@@ -8,7 +8,6 @@ use crate::fault::FaultPlan;
 use crate::supervisor::{
     shard_main, RestartPolicy, ShardCtx, ShardHealth, ShardShared, ShardState, ShardStats,
 };
-use crate::transport::ConnEvent;
 use gmc_core::{
     CacheStats, CompileOptions, CompileSession, PersistError, SessionSnapshot,
     DEFAULT_CHAIN_CACHE_CAPACITY,
@@ -237,9 +236,9 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Supervision policy: restart backoff and circuit breaker.
     pub restart: RestartPolicy,
-    /// Fault-injection plan (inert by default). Clones share state, so
-    /// keeping a clone lets a front-end re-arm faults while the service
-    /// runs.
+    /// Fault-injection plan (inert by default), fixed for the service's
+    /// lifetime: the shards read its shard faults, and the
+    /// [`transport`](crate::transport) its connection faults.
     pub faults: FaultPlan,
     /// Slow-request log: any request whose end-to-end latency reaches
     /// this threshold gets its per-stage breakdown printed to stderr by
@@ -598,10 +597,9 @@ pub(crate) struct Response {
     pub(crate) response: CompileResponse,
 }
 
-/// Everything that wakes the submitter, on one channel: shard results,
-/// shard exits, and — on the socket/stdio transport — connection
-/// events. With one queue, a finished shard wakes its front end at
-/// once.
+/// Everything a shard tells the submitter, on one channel: finished
+/// requests and its own exit. With one queue, a finished shard wakes
+/// its front end at once.
 pub(crate) enum Event {
     /// A shard finished a request (goes through the exactly-once accept
     /// step before anyone sees it).
@@ -609,8 +607,6 @@ pub(crate) enum Event {
     /// A shard's worker thread exited (posted by a drop guard in
     /// [`shard_main`]); its unanswered requests are written off.
     ShardExited(usize),
-    /// The stdin reader of the transport's connection 0 has news.
-    Conn(ConnEvent),
 }
 
 /// The sending half of the event queue. Once a poll loop has armed the
@@ -636,17 +632,6 @@ impl EventTx {
     }
 }
 
-/// What [`CompileService::wait`] woke for.
-pub(crate) enum Wake {
-    /// A response, accepted exactly once (or synthesized: parse error,
-    /// shed, expired deadline, dead shard).
-    Response(CompileResponse),
-    /// A connection event for the transport.
-    Conn(ConnEvent),
-    /// The caller's `until` passed with nothing to report.
-    Timeout,
-}
-
 /// Submitter-side record of an enqueued request.
 struct Outstanding {
     id: u64,
@@ -660,11 +645,13 @@ struct Outstanding {
 pub struct CompileService {
     job_txs: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<ShardStats>>,
-    /// The one event queue: shards post here, and the transport hands a
-    /// clone of this sender to its stdin reader. Holding it also means
-    /// the queue never disconnects.
-    events_tx: EventTx,
+    /// The one event queue: every shard posts through a clone of this
+    /// sender. Holding it also means the queue never disconnects.
+    pub(crate) events_tx: EventTx,
     events_rx: Receiver<Event>,
+    /// Disconnects once every shard has built its first session: shards
+    /// only drop their senders, and a shard that dies drops its too.
+    started: Receiver<()>,
     /// Read end of the wake socket, once [`CompileService::arm_wake`]
     /// has armed it.
     wake_rx: Option<UnixStream>,
@@ -725,6 +712,7 @@ impl CompileService {
         let mut job_txs = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut shared = Vec::with_capacity(shards);
+        let (started, all_started) = channel::<()>();
         for index in 0..shards {
             let (tx, rx) = channel();
             let shard_shared = Arc::new(ShardShared::default());
@@ -740,16 +728,19 @@ impl CompileService {
                 policy: config.restart.clone(),
                 faults: config.faults.clone(),
                 slow: config.slow_request,
+                started: Some(started.clone()),
             };
             handles.push(std::thread::spawn(move || shard_main(ctx)));
             job_txs.push(tx);
             shared.push(shard_shared);
         }
+        drop(started);
         Ok(CompileService {
             job_txs,
             handles,
             events_tx,
             events_rx,
+            started: all_started,
             wake_rx: None,
             shared,
             latest,
@@ -1027,10 +1018,16 @@ impl CompileService {
         self.deadlines.first().map(|&(deadline, _)| deadline)
     }
 
-    /// A clone of the event queue's sender, for the transport's stdin
-    /// reader.
-    pub(crate) fn events(&self) -> EventTx {
-        self.events_tx.clone()
+    /// The fault plan the service was started with.
+    pub(crate) fn faults(&self) -> &FaultPlan {
+        &self.faults
+    }
+
+    /// Block until every shard has built its first session, restoring
+    /// its share of the snapshot: counters read from then on include the
+    /// restored chains.
+    pub(crate) fn wait_started(&self) {
+        while self.started.recv().is_ok() {}
     }
 
     /// Arm the wake socket: from now on every post to the event queue
@@ -1100,17 +1097,16 @@ impl CompileService {
         self.settle(seq).is_some()
     }
 
-    /// Block until the next thing a front end must act on: a response
-    /// (expired deadlines first, then shard results through the
-    /// exactly-once accept step), a connection event, or `until`
-    /// passing. The blocking wait ends no later than the earliest
-    /// outstanding deadline, so deadlines expire when they are due.
-    /// `until` in the past makes this a non-blocking poll.
-    pub(crate) fn wait(&mut self, until: Option<Instant>) -> Wake {
+    /// Block until the next response (expired deadlines first, then
+    /// shard results through the exactly-once accept step), or `None`
+    /// once `until` passes. The blocking wait ends no later than the
+    /// earliest outstanding deadline, so deadlines expire when they are
+    /// due. `until` in the past makes this a non-blocking poll.
+    pub(crate) fn wait(&mut self, until: Option<Instant>) -> Option<CompileResponse> {
         loop {
             self.expire_deadlines();
             if let Some(r) = self.ready.pop_front() {
-                return Wake::Response(r);
+                return Some(r);
             }
             let wake_at = match (until, self.next_deadline()) {
                 (Some(a), Some(b)) => Some(a.min(b)),
@@ -1127,12 +1123,11 @@ impl CompileService {
             match event {
                 Some(Event::Response(r)) => {
                     if let Some(response) = self.accept(r) {
-                        return Wake::Response(response);
+                        return Some(response);
                     }
                 }
                 Some(Event::ShardExited(shard)) => self.shard_exited(shard),
-                Some(Event::Conn(event)) => return Wake::Conn(event),
-                None if until.is_some_and(|u| Instant::now() >= u) => return Wake::Timeout,
+                None if until.is_some_and(|u| Instant::now() >= u) => return None,
                 None => {}
             }
         }
@@ -1143,12 +1138,10 @@ impl CompileService {
     /// than the earliest outstanding deadline, so it cannot hang on a
     /// wedged or crashed shard past a request's budget.
     pub fn recv(&mut self) -> Option<CompileResponse> {
-        while self.pending() > 0 {
-            if let Wake::Response(r) = self.wait(None) {
-                return Some(r);
-            }
+        if self.pending() == 0 {
+            return None;
         }
-        None
+        self.wait(None)
     }
 
     /// Receive every outstanding response (blocking, but deadline- and

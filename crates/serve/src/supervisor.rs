@@ -58,7 +58,7 @@ use gmc_core::{CacheStats, CompileOptions, CompileSession, CompiledChain, Sessio
 use gmc_ir::Shape;
 use gmc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -245,6 +245,10 @@ pub(crate) struct ShardCtx {
     /// Log the per-stage breakdown of any request slower than this to
     /// stderr (`gmcc --slow-ms`); `None` disables the slow-request log.
     pub(crate) slow: Option<Duration>,
+    /// Dropped once the first session is built and its counters are
+    /// published; the transport waits until every shard has dropped its
+    /// copy before it reads a request.
+    pub(crate) started: Option<Sender<()>>,
 }
 
 /// Per-shard counters returned by
@@ -306,7 +310,7 @@ impl Drop for ExitNotice {
 }
 
 /// The supervised worker loop (see the [module docs](self)).
-pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
+pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
     let index = ctx.index;
     let _exit = ExitNotice {
         shard: index,
@@ -315,6 +319,7 @@ pub(crate) fn shard_main(ctx: ShardCtx) -> ShardStats {
     let (initial, _) = ctx.build_session();
     ctx.shared.publish_counters(&initial.cache_stats());
     ctx.shared.set_state(ShardState::Up);
+    ctx.started = None;
     // `None` while the circuit breaker is open; the loop keeps draining
     // the queue and answering `shard_down` so nothing hangs.
     let mut session: Option<CompileSession> = Some(initial);

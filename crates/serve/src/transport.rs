@@ -10,16 +10,16 @@
 //!   conn 1 ◄────►├──────────► dispatcher ────────┤── shard 1 thread
 //!   conn 2 ◄────►│           (owns the           └── ...
 //!     ...        │            CompileService)          │
-//!   wake socket ─┘ ◄── one byte per event-queue post ──┘ (and per
-//!                                            stdin-reader post)
+//!   wake socket ─┘ ◄── one byte per event-queue post ──┘
 //! ```
 //!
-//! One thread owns every socket: the **dispatcher**, the thread that
-//! called [`serve`]. It blocks in `poll(2)` over the listener, every
-//! connection and one wake socket, accepts connections, frames request
-//! lines under the line cap (a hostile client cannot grow daemon
-//! memory), and writes response lines itself, so a socket connection
-//! costs no thread. It owns the [`CompileService`] unchanged:
+//! One thread reads every request and writes every response: the
+//! **dispatcher**, the thread that called [`serve_front`]. It blocks in
+//! `poll(2)` over the listener, every connection — connection 0's
+//! request stream included — and one wake socket, accepts connections,
+//! frames request lines under the line cap (a hostile client cannot
+//! grow daemon memory), and writes response lines itself, so a
+//! connection costs no thread. It owns the [`CompileService`] unchanged:
 //! admission control, deadlines, two-choices routing and exactly-once
 //! bookkeeping are shared by all connections because there is still
 //! exactly one submitter. Shards post finished requests to the
@@ -33,16 +33,18 @@
 //!
 //! # Stdin/stdout as connection 0
 //!
-//! [`Front::Stdio`] serves one request stream (stdin or a file) and its
-//! response sink as connection 0 of the same dispatcher, with the same
-//! framing, op dispatch and id rules. Its input keeps one reader
-//! thread, because setting `O_NONBLOCK` on an inherited stdin would
-//! leak to the parent's open file description; that thread posts its
-//! lines through the woken event queue. Responses are written with
-//! blocking writes: a slow consumer stalls the daemon instead of losing
-//! lines. No in-flight cap, idle reap or slow-close applies, ops answer
-//! without the `"transport"` object, and serving ends once the stream
-//! reaches EOF and everything in flight is answered.
+//! [`Front::Stdio`] serves one request stream (a duplicate of stdin's
+//! descriptor, or a file) and its response sink as connection 0 of the
+//! same dispatcher, with the same framing, op dispatch and id rules.
+//! The loop polls the stream beside the sockets and reads it once per
+//! readiness. The descriptor stays blocking, since setting `O_NONBLOCK`
+//! on a duplicate of an inherited stdin would leak to the parent's open
+//! file description; a read after `poll(2)` reports the stream ready
+//! does not block. Responses are written with blocking writes: a slow
+//! consumer stalls the daemon instead of losing lines. No in-flight
+//! cap, idle reap or slow-close applies, ops answer without the
+//! `"transport"` object, and serving ends once the stream reaches EOF
+//! and everything in flight is answered.
 //!
 //! # Pipelining and id remapping
 //!
@@ -113,11 +115,10 @@
 
 use crate::fault::FaultPlan;
 use crate::jsonl;
-use crate::service::{
-    CompileRequest, CompileResponse, CompileService, Emit, Event, EventTx, FailureKind, Wake,
-};
+use crate::service::{CompileRequest, CompileResponse, CompileService, Emit, FailureKind};
 use gmc_obs::{write_prom_counter, write_prom_gauge};
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::ErrorKind::{Interrupted, WouldBlock};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -125,7 +126,6 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long an idle dispatcher waits before re-checking the shutdown
@@ -258,7 +258,7 @@ pub struct SocketListener {
 impl SocketListener {
     /// Bind the address, non-blocking for the dispatcher's poll loop. A
     /// stale Unix socket file at the path is removed first — the daemon
-    /// takes over the address — and removed again when [`serve`]
+    /// takes over the address — and removed again when [`serve_front`]
     /// returns.
     ///
     /// # Errors
@@ -421,11 +421,6 @@ impl Write for SocketStream {
 pub struct TransportOptions {
     /// Emit selector applied to requests without an `emit` field.
     pub default_emit: Emit,
-    /// Honor in-band `{"op":"fault"}` requests (`--enable-faults`).
-    pub enable_faults: bool,
-    /// The fault plan `{"op":"fault"}` re-arms (shared with the
-    /// service's plan by cloning).
-    pub faults: FaultPlan,
     /// Bound on one request line (`--max-line-bytes`); oversized lines
     /// are consumed and answered `bad_request` without being buffered.
     pub max_line_bytes: usize,
@@ -450,8 +445,6 @@ impl Default for TransportOptions {
     fn default() -> Self {
         TransportOptions {
             default_emit: Emit::default(),
-            enable_faults: false,
-            faults: FaultPlan::new(),
             max_line_bytes: 1 << 20,
             metrics_file: None,
             conn_in_flight_cap: 64,
@@ -541,7 +534,7 @@ impl TransportSnapshot {
     }
 }
 
-/// What [`serve`] reports when the daemon drains.
+/// What [`serve_front`] reports when the daemon drains.
 #[derive(Debug, Clone, Default)]
 pub struct TransportReport {
     /// Connections accepted over the daemon's lifetime.
@@ -554,10 +547,9 @@ pub struct TransportReport {
     pub snapshot: TransportSnapshot,
 }
 
-/// What framing a request stream yields: the socket path acts on these
-/// at once, and connection 0's stdin reader posts them to the service's
-/// event queue (wrapped in [`Event::Conn`]).
-pub(crate) enum ConnEvent {
+/// What framing a request stream yields; the dispatcher acts on each at
+/// once.
+enum ConnEvent {
     /// The line at 1-based position `line_no`, or why it is not a
     /// request (oversized or not UTF-8: answered `bad_request` there).
     Line {
@@ -590,21 +582,19 @@ struct Framer {
 }
 
 impl Framer {
-    fn new(conn: u64, options: &TransportOptions) -> Framer {
-        let (max, faults) = (options.max_line_bytes, options.faults.clone());
+    fn new(conn: u64, max: usize, faults: &FaultPlan) -> Framer {
         Framer {
             conn,
             max,
-            faults,
+            faults: faults.clone(),
             ..Framer::default()
         }
     }
 
     /// Read once from `input` into `buf` and frame one event per
-    /// completed line. Returns `false` once the stream has ended (EOF
-    /// or the peer gone), after framing a final unterminated line and
-    /// [`ConnEvent::Eof`].
-    fn read_from(&mut self, input: &mut impl Read, buf: &mut [u8]) -> bool {
+    /// completed line. Once the stream has ended (EOF or the peer gone),
+    /// frame a final unterminated line and [`ConnEvent::Eof`].
+    fn read_from(&mut self, input: &mut impl Read, buf: &mut [u8]) {
         match input.read(buf) {
             Ok(0) if !self.partial.is_empty() || self.oversized => self.finish_line(),
             Ok(0) => {}
@@ -616,14 +606,13 @@ impl Framer {
                     rest = &rest[pos + 1..];
                 }
                 self.extend(rest);
-                return true;
+                return;
             }
-            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return true,
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => return,
             // Connection reset and friends: the peer is gone.
             Err(_) => {}
         }
         self.frames.push(ConnEvent::Eof(self.conn));
-        false
     }
 
     fn extend(&mut self, bytes: &[u8]) {
@@ -658,30 +647,6 @@ impl Framer {
             line: if garbage { Err(NOT_UTF8.into()) } else { line },
         });
     }
-}
-
-/// Connection 0's reader: the one transport thread besides the
-/// dispatcher, since setting `O_NONBLOCK` on an inherited stdin would
-/// leak to the parent's open file description. It frames like the
-/// socket path and posts through the woken event queue until the
-/// stream ends or `closing` is set.
-fn spawn_stdin_reader(
-    mut input: Box<dyn Read + Send>,
-    mut framer: Framer,
-    events: EventTx,
-    closing: Arc<AtomicBool>,
-) {
-    std::thread::spawn(move || {
-        let (mut buf, mut open) = (vec![0; READ_CHUNK], true);
-        while open && !closing.load(Ordering::SeqCst) {
-            open = framer.read_from(&mut input, &mut buf);
-            for frame in framer.frames.drain(..) {
-                if events.send(Event::Conn(frame)).is_err() {
-                    return;
-                }
-            }
-        }
-    });
 }
 
 /// A connection's unflushed output: whole response lines, written as
@@ -780,17 +745,19 @@ impl Outbox {
     }
 }
 
-/// Where a connection's responses go.
+/// Where a connection's requests come from and its responses go.
 enum Link {
-    /// Connection 0's sink, written with blocking writes.
-    Stdio(Box<dyn Write + Send>),
-    /// A non-blocking socket the loop polls, and its request framing.
-    Socket(SocketStream, Framer),
+    /// Connection 0: a blocking request stream the loop polls and reads
+    /// once per readiness, and a sink written with blocking writes.
+    Stdio(File, Box<dyn Write + Send>),
+    /// A non-blocking socket the loop polls.
+    Socket(SocketStream),
 }
 
 /// Dispatcher-side state of one open connection.
 struct ConnState {
     link: Link,
+    framer: Framer,
     out: Outbox,
     in_flight: u64,
     header_sent: bool,
@@ -807,9 +774,10 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(link: Link) -> ConnState {
+    fn new(link: Link, framer: Framer) -> ConnState {
         ConnState {
             link,
+            framer,
             out: Outbox::default(),
             in_flight: 0,
             header_sent: false,
@@ -823,7 +791,7 @@ impl ConnState {
     /// Connection 0 is exempt from the connection policies (in-flight
     /// cap, idle reap, slow-close).
     fn is_stdio(&self) -> bool {
-        matches!(self.link, Link::Stdio(_))
+        matches!(self.link, Link::Stdio(..))
     }
 
     /// Idle with nothing owed to it: the idle timeout may reap it.
@@ -856,8 +824,7 @@ enum CloseMode {
 struct Dispatcher {
     service: CompileService,
     options: TransportOptions,
-    /// Cleared at shutdown: from then on nothing is accepted or read,
-    /// and request lines still in the queue are not accepted.
+    /// Cleared at shutdown: from then on nothing is accepted or read.
     accepting: bool,
     /// Serving a listener: ops also carry the `"transport"` object.
     listener: Option<SocketListener>,
@@ -871,7 +838,7 @@ struct Dispatcher {
     /// Private submission token → (connection, client id).
     pending: HashMap<u64, (u64, u64)>,
     next_token: u64,
-    /// Reused socket read buffer.
+    /// Reused read buffer.
     read_buf: Vec<u8>,
     requests: u64,
     failures: u64,
@@ -883,6 +850,8 @@ struct Dispatcher {
 impl Dispatcher {
     fn new(mut service: CompileService, options: TransportOptions) -> std::io::Result<Dispatcher> {
         let wake = service.arm_wake()?;
+        // A stats request read from now on sees every shard's restore.
+        service.wait_started();
         Ok(Dispatcher {
             service,
             options,
@@ -916,7 +885,8 @@ impl Dispatcher {
     fn open(&mut self, conn: u64, link: Link) {
         self.counters.accepted += 1;
         self.conn_order.push(conn);
-        self.conns.insert(conn, ConnState::new(link));
+        let framer = Framer::new(conn, self.options.max_line_bytes, self.service.faults());
+        self.conns.insert(conn, ConnState::new(link, framer));
     }
 
     /// The instant the dispatcher must wake by if no socket gets ready:
@@ -959,7 +929,7 @@ impl Dispatcher {
         if mode == CloseMode::Graceful && !self.conns[&conn].out.is_empty() {
             return; // flushed through the loop, then shut down
         }
-        if let Some(Link::Socket(sock, _)) = self.conns.remove(&conn).map(|state| state.link) {
+        if let Some(Link::Socket(sock)) = self.conns.remove(&conn).map(|state| state.link) {
             sock.sever();
         }
     }
@@ -975,7 +945,7 @@ impl Dispatcher {
         let Some(next) = self.conns.get(&conn).map(|state| state.sent_lines + 1) else {
             return false;
         };
-        if self.options.faults.conn_drop_hit(conn, next) {
+        if self.service.faults().conn_drop_hit(conn, next) {
             // Abrupt disconnect in place of this line.
             self.close_conn(conn, CloseMode::Abort);
             return false;
@@ -995,13 +965,13 @@ impl Dispatcher {
     /// stall hold. A dead peer, or output stuck past the write deadline,
     /// closes the connection. Returns `false` iff it was closed.
     fn flush(&mut self, conn: u64) -> bool {
-        let stall = self.options.faults.conn_stall(conn);
+        let stall = self.service.faults().conn_stall(conn);
         let Some(state) = self.conns.get_mut(&conn) else {
             return false;
         };
         let flushed = match &mut state.link {
-            Link::Socket(sock, _) => state.out.flush(sock, stall),
-            Link::Stdio(sink) => state.out.flush(sink, stall).and_then(|()| sink.flush()),
+            Link::Socket(sock) => state.out.flush(sock, stall),
+            Link::Stdio(_, sink) => state.out.flush(sink, stall).and_then(|()| sink.flush()),
         };
         // A dead peer closes the connection; a closed one whose output
         // is out is shut down.
@@ -1117,22 +1087,6 @@ impl Dispatcher {
                 };
                 self.send_line(conn, line);
             }
-            Some("fault") if !self.options.enable_faults => {
-                self.bad_request(
-                    conn,
-                    id,
-                    "fault injection is disabled (run with --enable-faults)".into(),
-                );
-            }
-            Some("fault") => match raw.spec.as_deref() {
-                Some(spec) => match self.options.faults.arm(spec) {
-                    Ok(()) => {
-                        self.send_line(conn, jsonl::ack_line(id, "fault"));
-                    }
-                    Err(e) => self.bad_request(conn, id, format!("bad fault spec: {e}")),
-                },
-                None => self.bad_request(conn, id, "fault op needs a `spec` field".into()),
-            },
             Some(other) => self.bad_request(conn, id, format!("unknown op `{other}`")),
             None => {
                 let emit = match raw.emit.as_deref().map(Emit::parse) {
@@ -1185,9 +1139,6 @@ impl Dispatcher {
 
     fn handle_event(&mut self, event: ConnEvent) {
         match event {
-            // Shutdown stops intake: request lines still queued behind
-            // the shutdown check are not accepted.
-            ConnEvent::Line { .. } if !self.accepting => {}
             ConnEvent::Line {
                 conn,
                 line_no,
@@ -1215,32 +1166,27 @@ impl Dispatcher {
         }
     }
 
-    /// Act on every response and connection event already queued, and
-    /// on every request deadline already due, without blocking.
+    /// Deliver every response already queued, and answer every request
+    /// deadline already due, without blocking.
     fn drain_events(&mut self) {
         let now = Instant::now();
-        loop {
-            match self.service.wait(Some(now)) {
-                Wake::Response(response) => self.deliver(response),
-                Wake::Conn(event) => self.handle_event(event),
-                Wake::Timeout => return,
-            }
+        while let Some(response) = self.service.wait(Some(now)) {
+            self.deliver(response);
         }
     }
 
-    /// Read what a socket connection has sent and act on each complete
-    /// request line; end of input starts the connection's drain.
+    /// Read once from what a connection has sent and act on each
+    /// complete request line; end of input starts the connection's
+    /// drain.
     fn read_conn(&mut self, conn: u64) {
-        let Some(ConnState {
-            link: Link::Socket(sock, framer),
-            draining: false,
-            ..
-        }) = self.conns.get_mut(&conn)
-        else {
+        let Some(state) = self.conns.get_mut(&conn).filter(|s| !s.draining) else {
             return;
         };
-        framer.read_from(sock, &mut self.read_buf);
-        for frame in std::mem::take(&mut framer.frames) {
+        match &mut state.link {
+            Link::Socket(sock) => state.framer.read_from(sock, &mut self.read_buf),
+            Link::Stdio(input, _) => state.framer.read_from(input, &mut self.read_buf),
+        }
+        for frame in std::mem::take(&mut state.framer.frames) {
             self.handle_event(frame);
         }
     }
@@ -1267,8 +1213,7 @@ impl Dispatcher {
             let conn = self.counters.accepted + 1; // 1-based, never reused
             let max = self.options.max_conns;
             let refuse = max > 0 && self.conns.len() >= max;
-            let framer = Framer::new(conn, &self.options);
-            self.open(conn, Link::Socket(sock, framer));
+            self.open(conn, Link::Socket(sock));
             if refuse {
                 self.counters.conn_refused += 1;
                 self.failures += 1;
@@ -1284,18 +1229,19 @@ impl Dispatcher {
         }
     }
 
-    /// One turn of the loop: block in `poll(2)` until a socket or the
-    /// wake socket is ready or `until` passes (capped by the shutdown
-    /// check), then act on everything ready and every timer due.
+    /// One turn of the loop: block in `poll(2)` until a connection or
+    /// the wake socket is ready or `until` passes (capped by the
+    /// shutdown check), then act on everything ready and every timer
+    /// due.
     fn turn(&mut self, until: Option<Instant>) -> std::io::Result<()> {
         let now = Instant::now();
         let timeout = until.map_or(POLL_INTERVAL, |u| {
             u.saturating_duration_since(now).min(POLL_INTERVAL)
         });
         // The wake socket, the listener (poll skips a negative fd), then
-        // every socket that wants input or has output blocked. A socket
-        // over its byte bound is not read: its client is held back until
-        // its output drains.
+        // every connection that wants input or has socket output
+        // blocked. A socket over its byte bound is not read: its client
+        // is held back until its output drains.
         let listener = self.listener.as_ref().filter(|_| self.accepting);
         let mut fds = vec![
             sys::PollFd::new(self.wake.as_raw_fd(), sys::POLLIN),
@@ -1303,14 +1249,15 @@ impl Dispatcher {
         ];
         let mut polled = Vec::new();
         for (&conn, state) in &self.conns {
-            if let Link::Socket(sock, _) = &state.link {
-                let read = self.accepting && !state.draining && !state.out.is_over_bytes();
-                let write = state.out.blocked_since.is_some();
-                let events = (sys::POLLIN * i16::from(read)) | (sys::POLLOUT * i16::from(write));
-                if events != 0 {
-                    fds.push(sys::PollFd::new(sock.fd(), events));
-                    polled.push(conn);
-                }
+            let read = self.accepting && !state.draining && !state.out.is_over_bytes();
+            let (fd, write) = match &state.link {
+                Link::Socket(sock) => (sock.fd(), state.out.blocked_since.is_some()),
+                Link::Stdio(input, _) => (input.as_raw_fd(), false),
+            };
+            let events = (sys::POLLIN * i16::from(read)) | (sys::POLLOUT * i16::from(write));
+            if events != 0 {
+                fds.push(sys::PollFd::new(fd, events));
+                polled.push(conn);
             }
         }
         sys::wait(&mut fds, timeout)?;
@@ -1361,38 +1308,24 @@ pub enum Front {
     /// connection 0 (see the module docs), until it reaches EOF and
     /// drains, or until the shutdown flag is set.
     Stdio {
-        /// The request stream.
-        input: Box<dyn Read + Send>,
+        /// The request stream: a file, or a duplicate of stdin's
+        /// descriptor. It is read with blocking reads once `poll(2)`
+        /// reports it ready, and never set non-blocking.
+        input: File,
         /// Where response lines go.
         output: Box<dyn Write + Send>,
     },
 }
 
-/// Run the socket daemon: accept connections on `listener` and serve
-/// them from one shared `service` until `shutdown` is set (or the
-/// listener dies), then drain gracefully. Returns the still-running
-/// service — the caller persists the final snapshot and metrics dump,
-/// then calls [`CompileService::shutdown`] — plus the transport report.
+/// Run the daemon: serve the connections of `front` from one shared
+/// `service` until `shutdown` is set (a signal handler's static works),
+/// the listener dies, or the stdio stream reaches EOF, then drain
+/// gracefully. Returns the still-running service — the caller persists
+/// the final snapshot and metrics dump, then calls
+/// [`CompileService::shutdown`] — plus the transport report.
 ///
 /// The calling thread becomes the dispatcher (see the module docs for
 /// the full threading model).
-///
-/// # Errors
-///
-/// Propagates listener and poll failures.
-pub fn serve(
-    listener: SocketListener,
-    service: CompileService,
-    options: TransportOptions,
-    shutdown: Arc<AtomicBool>,
-) -> std::io::Result<(CompileService, TransportReport)> {
-    serve_front(Front::Listen(listener), service, options, &shutdown)
-}
-
-/// [`serve`] for any [`Front`], watching a borrowed shutdown flag (a
-/// signal handler's static works). The calling thread becomes the
-/// dispatcher; it returns once the front is done — shutdown, or the
-/// stdio stream drained — and everything in flight is answered.
 ///
 /// # Errors
 ///
@@ -1404,15 +1337,9 @@ pub fn serve_front(
     shutdown: &AtomicBool,
 ) -> std::io::Result<(CompileService, TransportReport)> {
     let mut d = Dispatcher::new(service, options)?;
-    // Set once shutdown is seen: the stdin reader stops pulling requests.
-    let closing = Arc::new(AtomicBool::new(false));
     match front {
         Front::Listen(listener) => d.listener = Some(listener),
-        Front::Stdio { input, output } => {
-            d.open(0, Link::Stdio(output));
-            let framer = Framer::new(0, &d.options);
-            spawn_stdin_reader(input, framer, d.service.events(), Arc::clone(&closing));
-        }
+        Front::Stdio { input, output } => d.open(0, Link::Stdio(input, output)),
     }
     loop {
         if d.listener.is_none() && d.conns.is_empty() {
@@ -1424,10 +1351,7 @@ pub fn serve_front(
                 None => "shutdown signal received".into(),
             };
             eprintln!("gmc-serve: {why}; draining connections");
-            closing.store(true, Ordering::SeqCst);
-            // Requests that already reached the queue get answered;
-            // lines that arrive from now on are not accepted.
-            d.drain_events();
+            // Requests already read get answered; nothing more is read.
             d.accepting = false;
             break;
         }
@@ -1466,6 +1390,7 @@ mod tests {
     use super::*;
     use crate::ServeConfig;
     use std::io::{BufRead, BufReader};
+    use std::sync::Arc;
     use std::thread::JoinHandle;
 
     #[test]
@@ -1565,11 +1490,11 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let serve_shutdown = Arc::clone(&shutdown);
         let handle = std::thread::spawn(move || {
-            serve(
-                listener,
+            serve_front(
+                Front::Listen(listener),
                 service,
                 TransportOptions::default(),
-                serve_shutdown,
+                &serve_shutdown,
             )
         });
 
@@ -1672,7 +1597,9 @@ mod tests {
         let service = CompileService::start(config).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let serve_shutdown = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || serve(listener, service, options, serve_shutdown));
+        let handle = std::thread::spawn(move || {
+            serve_front(Front::Listen(listener), service, options, &serve_shutdown)
+        });
         (addr, shutdown, handle)
     }
 
@@ -1695,12 +1622,10 @@ mod tests {
         let dir = std::env::temp_dir().join("gmc_transport_cap_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let faults = FaultPlan::parse("delay:100").unwrap();
         let mut config = fast_config(1);
-        config.faults = faults.clone();
+        config.faults = FaultPlan::parse("delay:100").unwrap();
         let options = TransportOptions {
             conn_in_flight_cap: 2,
-            faults,
             ..TransportOptions::default()
         };
         let (addr, shutdown, handle) = start_daemon(&dir, config, options);
@@ -1766,13 +1691,14 @@ mod tests {
         let dir = std::env::temp_dir().join("gmc_transport_maxconns_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        let mut config = fast_config(1);
+        // Connection 4's output is held 300 ms per line.
+        config.faults = FaultPlan::parse("conn_stall:4:300").unwrap();
         let options = TransportOptions {
             max_conns: 1,
-            // Connection 4's output is held 300 ms per line.
-            faults: FaultPlan::parse("conn_stall:4:300").unwrap(),
             ..TransportOptions::default()
         };
-        let (addr, shutdown, handle) = start_daemon(&dir, fast_config(1), options);
+        let (addr, shutdown, handle) = start_daemon(&dir, config, options);
 
         // First client occupies the only slot.
         let mut first = SocketStream::connect(&addr).unwrap();
@@ -1853,12 +1779,10 @@ mod tests {
         // The connection's output is held 500 ms per line while the shard
         // answers hits in microseconds, so responses pile up in its
         // buffer and the one past `WRITER_QUEUE` closes the connection.
-        let faults = FaultPlan::parse("conn_stall:1:500").unwrap();
         let mut config = fast_config(1);
-        config.faults = faults.clone();
+        config.faults = FaultPlan::parse("conn_stall:1:500").unwrap();
         let options = TransportOptions {
             conn_in_flight_cap: 0,
-            faults,
             ..TransportOptions::default()
         };
         let (addr, shutdown, handle) = start_daemon(&dir, config, options);
@@ -1946,14 +1870,9 @@ mod tests {
         let dir = std::env::temp_dir().join("gmc_transport_linger_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let faults = FaultPlan::parse("conn_stall:1:100").unwrap();
         let mut config = fast_config(1);
-        config.faults = faults.clone();
-        let options = TransportOptions {
-            faults,
-            ..TransportOptions::default()
-        };
-        let (addr, shutdown, handle) = start_daemon(&dir, config, options);
+        config.faults = FaultPlan::parse("conn_stall:1:100").unwrap();
+        let (addr, shutdown, handle) = start_daemon(&dir, config, TransportOptions::default());
 
         let mut slow = SocketStream::connect(&addr).unwrap();
         let burst: String = (1..=40).map(|id| request_line(id) + "\n").collect();
@@ -2033,11 +1952,9 @@ mod tests {
         let dir = std::env::temp_dir().join("gmc_transport_pipelined_large_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let options = TransportOptions {
-            faults: FaultPlan::parse("conn_stall:1:50").unwrap(),
-            ..TransportOptions::default()
-        };
-        let (addr, shutdown, handle) = start_daemon(&dir, fast_config(1), options);
+        let mut config = fast_config(1);
+        config.faults = FaultPlan::parse("conn_stall:1:50").unwrap();
+        let (addr, shutdown, handle) = start_daemon(&dir, config, TransportOptions::default());
 
         let sent = 40;
         let mut client = SocketStream::connect(&addr).unwrap();
@@ -2123,12 +2040,10 @@ mod tests {
         let dir = std::env::temp_dir().join("gmc_transport_idle_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let faults = FaultPlan::parse("delay:200").unwrap();
         let mut config = fast_config(1);
-        config.faults = faults.clone();
+        config.faults = FaultPlan::parse("delay:200").unwrap();
         let options = TransportOptions {
             idle_timeout: Some(Duration::from_millis(80)),
-            faults,
             ..TransportOptions::default()
         };
         let (addr, shutdown, handle) = start_daemon(&dir, config, options);
@@ -2194,9 +2109,14 @@ mod tests {
             "{}\n\n{no_id}\n{{\"op\":\"health\"}}\n{no_id}\n",
             request_line(7)
         );
+        // The request stream is one end of a socket pair, closed for
+        // writing once the requests are in.
+        let (mut writer, reader) = UnixStream::pair().unwrap();
+        writer.write_all(input.as_bytes()).unwrap();
+        drop(writer);
         let sink = Sink::default();
         let front = Front::Stdio {
-            input: Box::new(std::io::Cursor::new(input)),
+            input: File::from(std::os::fd::OwnedFd::from(reader)),
             output: Box::new(sink.clone()),
         };
         let options = TransportOptions {
@@ -2246,15 +2166,18 @@ mod tests {
         let service = CompileService::start(fast_config(1)).unwrap();
         let mut d = Dispatcher::new(service, options).unwrap();
         let conn = |socket: bool, last_activity: Instant| {
+            let sock = UnixStream::pair().unwrap().0;
             let link = if socket {
-                let sock = SocketStream::Unix(UnixStream::pair().unwrap().0);
-                Link::Socket(sock, Framer::new(1, &TransportOptions::default()))
+                Link::Socket(SocketStream::Unix(sock))
             } else {
-                Link::Stdio(Box::new(std::io::sink()))
+                Link::Stdio(
+                    File::from(std::os::fd::OwnedFd::from(sock)),
+                    Box::new(std::io::sink()),
+                )
             };
             ConnState {
                 last_activity,
-                ..ConnState::new(link)
+                ..ConnState::new(link, Framer::default())
             }
         };
         let t0 = Instant::now();
@@ -2335,11 +2258,11 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let serve_shutdown = Arc::clone(&shutdown);
         let handle = std::thread::spawn(move || {
-            serve(
-                listener,
+            serve_front(
+                Front::Listen(listener),
                 service,
                 TransportOptions::default(),
-                serve_shutdown,
+                &serve_shutdown,
             )
         });
         let mut stream = SocketStream::connect(&local).unwrap();

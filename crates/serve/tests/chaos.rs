@@ -196,29 +196,49 @@ fn deadlines_expire_in_submitter_and_at_dequeue() {
     let _ = service.shutdown();
 }
 
+/// Sleep 5 ms on a second thread and return how long that took: a host
+/// stall that delays a timed answer delays this sleep too, so the test
+/// charges the daemon only for the time past it.
+fn reference_sleep() -> std::thread::JoinHandle<Duration> {
+    std::thread::spawn(|| {
+        let started = std::time::Instant::now();
+        std::thread::sleep(Duration::from_millis(5));
+        started.elapsed()
+    })
+}
+
 /// Deadlines are exact: a 5 ms deadline on a shard wedged in a 200 ms
 /// compile comes back `deadline_exceeded` when it is due, not on a
 /// poll tick — through `CompileService::recv` and over a unix socket.
+/// Each answer may come at most `SLACK` later than a 5 ms sleep timed
+/// beside it, which on an unloaded host is an answer within 15 ms.
 #[test]
 fn short_deadlines_expire_on_time_through_recv_and_over_a_socket() {
-    use gmc_serve::transport::{self, ListenAddr, SocketListener, SocketStream, TransportOptions};
+    use gmc_serve::transport::{
+        self, Front, ListenAddr, SocketListener, SocketStream, TransportOptions,
+    };
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
-    const BOUND: Duration = Duration::from_millis(15);
+    const SLACK: Duration = Duration::from_millis(10);
     let faults = FaultPlan::parse("delay:200").unwrap();
 
     let mut service = CompileService::start(config(1, faults.clone())).unwrap();
     let mut req = request(1, SRC_A);
     req.deadline = Some(Duration::from_millis(5));
+    let reference = reference_sleep();
     let started = Instant::now();
     service.submit(req);
     let r = service.recv().expect("one response");
     let took = started.elapsed();
+    let reference = reference.join().unwrap();
     assert_eq!(kind_of(&r), Some(FailureKind::DeadlineExceeded));
-    assert!(took < BOUND, "recv answered a 5 ms deadline after {took:?}");
+    assert!(
+        took.saturating_sub(reference) < SLACK,
+        "recv answered a 5 ms deadline after {took:?}; a 5 ms sleep took {reference:?}"
+    );
     let _ = service.shutdown();
 
     let dir = std::env::temp_dir().join("gmc_exact_deadline_test");
@@ -230,11 +250,11 @@ fn short_deadlines_expire_on_time_through_recv_and_over_a_socket() {
     let shutdown = Arc::new(AtomicBool::new(false));
     let serve_shutdown = Arc::clone(&shutdown);
     let daemon = std::thread::spawn(move || {
-        transport::serve(
-            listener,
+        transport::serve_front(
+            Front::Listen(listener),
             service,
             TransportOptions::default(),
-            serve_shutdown,
+            &serve_shutdown,
         )
     });
     let mut stream = SocketStream::connect(&addr).unwrap();
@@ -243,18 +263,20 @@ fn short_deadlines_expire_on_time_through_recv_and_over_a_socket() {
         "{{\"id\":1,\"deadline_ms\":5,\"source\":\"{}\"}}\n",
         SRC_A.replace('\n', "\\n")
     );
+    let reference = reference_sleep();
     let started = Instant::now();
     stream.write_all(line.as_bytes()).unwrap();
     let mut response = String::new();
     reader.read_line(&mut response).unwrap();
     let took = started.elapsed();
+    let reference = reference.join().unwrap();
     assert!(
         response.contains("\"kind\":\"deadline_exceeded\""),
         "{response}"
     );
     assert!(
-        took < BOUND,
-        "socket answered a 5 ms deadline after {took:?}"
+        took.saturating_sub(reference) < SLACK,
+        "socket answered a 5 ms deadline after {took:?}; a 5 ms sleep took {reference:?}"
     );
 
     stream.shutdown_write().unwrap();
@@ -429,7 +451,9 @@ fn killed_shard_mid_stream_then_drained_snapshot_restores_bit_identical() {
 /// submitted it, with service counters that balance across the fleet.
 #[test]
 fn concurrent_socket_clients_with_faults_get_exactly_one_response_each() {
-    use gmc_serve::transport::{self, ListenAddr, SocketListener, SocketStream, TransportOptions};
+    use gmc_serve::transport::{
+        self, Front, ListenAddr, SocketListener, SocketStream, TransportOptions,
+    };
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -449,11 +473,11 @@ fn concurrent_socket_clients_with_faults_get_exactly_one_response_each() {
     let shutdown = Arc::new(AtomicBool::new(false));
     let serve_shutdown = Arc::clone(&shutdown);
     let daemon = std::thread::spawn(move || {
-        transport::serve(
-            listener,
+        transport::serve_front(
+            Front::Listen(listener),
             service,
             TransportOptions::default(),
-            serve_shutdown,
+            &serve_shutdown,
         )
     });
 
@@ -668,7 +692,9 @@ proptest! {
         delay_ms in 0u64..3,
         cap_pick in 0usize..3,
     ) {
-        use gmc_serve::transport::{self, ListenAddr, SocketListener, SocketStream, TransportOptions};
+        use gmc_serve::transport::{
+            self, Front, ListenAddr, SocketListener, SocketStream, TransportOptions,
+        };
         use std::io::{BufRead as _, BufReader, Write as _};
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
@@ -694,19 +720,16 @@ proptest! {
             stall_tick * 10
         );
         let faults = FaultPlan::parse(&spec).unwrap();
-        let mut cfg = config(2, faults.clone());
-        cfg.faults = faults.clone();
-        let service = CompileService::start(cfg).unwrap();
+        let service = CompileService::start(config(2, faults)).unwrap();
         let listener = SocketListener::bind(&addr).unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
         let serve_shutdown = Arc::clone(&shutdown);
         let options = TransportOptions {
             conn_in_flight_cap: cap,
-            faults,
             ..TransportOptions::default()
         };
         let daemon = std::thread::spawn(move || {
-            transport::serve(listener, service, options, serve_shutdown)
+            transport::serve_front(Front::Listen(listener), service, options, &serve_shutdown)
         });
 
         let escape = |s: &str| s.replace('\n', "\\n");

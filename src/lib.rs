@@ -68,8 +68,9 @@
 //! * **`gmcc --serve <path|->`**: a JSONL daemon fronting the service
 //!   (one request object per line in, one response line out;
 //!   `--persist FILE` makes restarts warm). The request stream and
-//!   stdout are connection 0 of the socket transport's dispatcher, so
-//!   an interactive client gets each response the moment its shard
+//!   stdout are connection 0 of the socket transport's dispatcher,
+//!   which polls and reads the stream itself (no reader thread), so an
+//!   interactive client gets each response the moment its shard
 //!   finishes. Batch mode is hardened the same way: per-file
 //!   diagnostics, healthy inputs still emit, dirty exit code.
 //! * **Multiplexed socket transport** (`gmc_serve::transport`,
@@ -146,11 +147,11 @@
 //!   exits. `{"id":N,"op":"health"}` reports per-shard
 //!   liveness/restart/shed counters without touching the work queues.
 //! * **Deterministic fault injection** (`gmc_serve::fault`): the
-//!   `GMC_FAULT` environment variable (or an in-band `{"op":"fault"}`
-//!   request behind `--enable-faults`) arms shard panics
-//!   (`panic:<shard>:<nth>`), compile delays (`delay:<ms>`), and torn
-//!   snapshot writes (`snapshot_torn`) — the same hooks the chaos tests, the CI fault smoke, and the
-//!   `bench_serve` overload row drive.
+//!   `GMC_FAULT` environment variable, read once at start-up, arms
+//!   shard panics (`panic:<shard>:<nth>`), compile delays
+//!   (`delay:<ms>`), and torn snapshot writes (`snapshot_torn`) — the
+//!   same hooks the chaos tests, the CI fault smoke, and the
+//!   `bench_serve` overload row drive. No request can arm a fault.
 //!
 //! # The vectorized selection engine (`gmc_core::simd`)
 //!
@@ -271,7 +272,6 @@
 //! `--load` closed-loop socket sweep: connections × shards QPS/latency
 //! table and the skewed-workload two-choices-vs-one-shard comparison) in
 //! `BENCH_serve.json` (`cargo run --release --bin bench_serve`),
-//! alongside `BENCH_gemm.json` / `BENCH_dp.json` for the kernel and DP
-//! trajectories.
+//! alongside `BENCH_gemm.json` for the kernel trajectory.
 
 pub use gmc::prelude;
