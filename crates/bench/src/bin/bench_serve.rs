@@ -7,8 +7,9 @@
 //! * **cold** — a fresh service compiles every shape for the first time
 //!   (full enumeration + selection per shape);
 //! * **warm** — the same service replays the workload; every request is
-//!   a shard-cache hit answered with the artifacts the shard stored,
-//!   checked after the timer against the cold bytes;
+//!   a repeat the service answers itself, with the artifacts it stored
+//!   from the priming pass and no shard hop, checked after the timer
+//!   against the cold bytes;
 //! * **restored** — the service snapshots to disk, shuts down, and a
 //!   *new* service starts from the snapshot; the replay must run at
 //!   warm speed (every request a cache hit) with byte-identical
@@ -28,7 +29,10 @@
 //! generator (optionally paced to a target QPS) against a live
 //! Unix-socket daemon, sweeping connections × shards with a fixed 2 ms
 //! injected per-compile service time so the rows measure transport
-//! concurrency and routing policy rather than host codegen speed. The
+//! concurrency and routing policy rather than host codegen speed. Every
+//! measured request carries a `name` no earlier request used, so the
+//! service has no rendering of it to answer with: it reaches a shard as
+//! a chain-cache hit and pays the injected service time there. The
 //! sweep records client- and server-side (`{"op":"metrics"}`) p50/p99
 //! per row, the multi-connection speedup over a serial single-client
 //! baseline, and a maximally skewed hot-shape row where
@@ -215,6 +219,13 @@ fn escape_source(src: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// The JSONL line of load request `id` on connection `conn`, for the
+/// escaped `source`. Its `name` is unique to the request, so the service
+/// has no stored rendering of it and the request reaches a shard.
+fn load_line(conn: &str, id: usize, source: &str) -> String {
+    format!("{{\"id\":{id},\"name\":\"{conn}_{id}\",\"emit\":\"cpp\",\"source\":\"{source}\"}}\n")
+}
+
 /// One load-generator connection: send requests in windows of
 /// `window` (1 = strict closed loop), read the window's responses,
 /// repeat. With `pace`, sends are held to the schedule `k * pace` from
@@ -249,9 +260,10 @@ fn load_client(
                     std::thread::sleep(due - now);
                 }
             }
-            let body = format!(
-                "{{\"id\":{sent},\"emit\":\"cpp\",\"source\":\"{}\"}}\n",
-                lines[(offset + sent) % lines.len()]
+            let body = load_line(
+                &format!("c{offset}"),
+                sent,
+                &lines[(offset + sent) % lines.len()],
             );
             send_times.push(Instant::now());
             write.write_all(body.as_bytes()).expect("send request");
@@ -319,10 +331,7 @@ fn open_loop_client(
         if due > now {
             std::thread::sleep(due - now);
         }
-        let body = format!(
-            "{{\"id\":{k},\"emit\":\"cpp\",\"source\":\"{}\"}}\n",
-            lines[(offset + k) % lines.len()]
-        );
+        let body = load_line(&format!("o{offset}"), k, &lines[(offset + k) % lines.len()]);
         write.write_all(body.as_bytes()).expect("send request");
         write.flush().expect("flush request");
     }
@@ -609,10 +618,7 @@ fn run_greedy_contention(
             let mut write = stream.try_clone().expect("clone write half");
             let lines: Vec<String> = sources.iter().map(|s| escape_source(s)).collect();
             for k in 0..greedy_requests {
-                let body = format!(
-                    "{{\"id\":{k},\"emit\":\"cpp\",\"source\":\"{}\"}}\n",
-                    lines[k % lines.len()]
-                );
+                let body = load_line("g", k, &lines[k % lines.len()]);
                 write.write_all(body.as_bytes()).expect("greedy send");
             }
             write.flush().expect("greedy flush");
@@ -701,7 +707,8 @@ fn run_serial_baseline(
         let t = Instant::now();
         service.submit(CompileRequest {
             id: i as u64,
-            name: None,
+            // A name of its own, as on the socket rows: a shard serves it.
+            name: Some(format!("s_{i}")),
             source: sources[i % sources.len()].clone(),
             emit: Emit::Cpp,
             deadline: None,

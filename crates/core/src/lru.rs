@@ -11,8 +11,9 @@
 //! picks, which the tests below check against exactly that model.
 //!
 //! A [`CompileSession`](crate::CompileSession) keeps its compiled chains
-//! in one; a `gmc-serve` shard keeps the artifacts it rendered for each
-//! shape in another, bounded like its chain cache.
+//! in one; the `gmc-serve` service keeps the artifacts its shards
+//! rendered for each shape in another, bounded like their chain caches
+//! together.
 //!
 //! ```
 //! use gmc_core::lru::Lru;

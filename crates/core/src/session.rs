@@ -422,6 +422,18 @@ impl CompileSession {
         Ok(chain)
     }
 
+    /// Refresh `shape`'s cached chain to most recently used, as a hit of
+    /// [`CompileSession::compile`] would, but count nothing and intern
+    /// nothing; a shape with no cached chain is left alone. A front end
+    /// that answers a repeat from its own store calls this, so that the
+    /// cache evicts what it would have evicted had the repeat compiled
+    /// here.
+    pub fn touch(&mut self, shape: &Shape) {
+        if let Some(id) = self.shapes.lookup(shape) {
+            let _ = self.compiled.get(&id);
+        }
+    }
+
     /// Insert a freshly compiled (or restored) chain as the most recently
     /// used one, evicting least-recently-used entries down to capacity.
     fn insert_cached(&mut self, id: ShapeId, chain: CompiledChain) {
@@ -836,6 +848,29 @@ mod tests {
         assert_eq!(session.num_cached_chains(), 0);
         session.compile(&shapes[0]).unwrap();
         assert_eq!(session.num_cached_chains(), 0, "capacity 0 caches nothing");
+    }
+
+    /// A touch refreshes recency exactly like a hit, counts nothing, and
+    /// never interns a shape it has not seen.
+    #[test]
+    fn touch_refreshes_recency_without_counting_or_interning() {
+        let mut session = CompileSession::new();
+        session.set_chain_cache_capacity(2);
+        let shapes: Vec<Shape> = (2..=5).map(|n| Shape::new(vec![g(); n]).unwrap()).collect();
+        session.compile(&shapes[0]).unwrap();
+        session.compile(&shapes[1]).unwrap();
+        session.touch(&shapes[0]); // as a hit would: {1, 0}
+        let before = session.cache_stats();
+        session.touch(&shapes[3]); // never seen: a no-op
+        assert_eq!(session.num_shapes(), 2, "the unseen shape is not interned");
+        assert_eq!(session.cache_stats(), before, "touches count nothing");
+        session.compile(&shapes[2]).unwrap(); // evicts 1, the oldest
+        let stats = session.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 3, 1));
+        session.compile(&shapes[0]).unwrap();
+        assert_eq!(session.cache_stats().hits, 1, "the touched chain stayed");
+        session.compile(&shapes[1]).unwrap();
+        assert_eq!(session.cache_stats().misses, 4, "the untouched one went");
     }
 
     #[test]

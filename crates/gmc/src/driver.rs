@@ -716,7 +716,7 @@ pub fn run_serve(config: &DriverConfig) -> Result<(u64, u64), DriverError> {
         }
     };
     let sockets = matches!(front, Front::Listen(_));
-    let (service, report) = transport::serve_front(front, service, options, &SHUTDOWN_SIGNAL)
+    let (mut service, report) = transport::serve_front(front, service, options, &SHUTDOWN_SIGNAL)
         .map_err(|e| DriverError::Io(source, e))?;
     // The drain answered everything in flight; persist the final
     // snapshot atomically so the next start is warm.

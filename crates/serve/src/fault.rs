@@ -19,7 +19,7 @@
 //! | spec | effect | exercises |
 //! |------|--------|-----------|
 //! | `panic:<shard>:<nth>` | shard `<shard>` panics on its `<nth>` compile attempt (1-based, cumulative across restarts) | panic catch, warm restart, backoff, circuit breaker, exactly-one-response |
-//! | `delay:<ms>` | every compile on every shard sleeps `<ms>` ms first | queue growth, admission control (shedding), deadline expiry at dequeue and in the submitter |
+//! | `delay:<ms>` | every compile attempt on every shard sleeps `<ms>` ms first | queue growth, admission control (shedding), deadline expiry at dequeue and in the submitter |
 //! | `snapshot_torn` | snapshot saves write a truncated file directly to the target path, bypassing the atomic rename | corrupt-snapshot quarantine and cold start on the next boot |
 //! | `conn_drop:<conn>:<nth>` | socket connection `<conn>` (1-based accept order) is severed in place of its `<nth>` outbound line — an abrupt disconnect mid-response | killed-connection write-off: in-flight work leaves the exactly-once tables, late shard replies are dropped and counted |
 //! | `conn_stall:<conn>:<ms>` | connection `<conn>`'s output is held `<ms>` ms before every line, by a dispatcher timer (a slow reader / slowloris peer) | bounded outbound buffers: a full buffer slow-closes the connection; a graceful close flushes without stalling other connections |
@@ -28,6 +28,11 @@
 //! Panics fire *before* the session is touched, so a killed shard's
 //! session never observes a half-applied compile — which also keeps the
 //! cache counters exact for the chaos tests' bookkeeping invariants.
+//! Shard faults act on shard compile attempts only: a repeat the service
+//! answers from its stored artifacts
+//! ([`CompileService::submit`](crate::CompileService::submit)) is no
+//! attempt, so it is neither delayed nor counted toward `<nth>`, and a
+//! test that needs a repeat to panic gives it another `name` or `emit`.
 //! All triggers are deterministic functions of the request stream; no
 //! clocks or randomness decide *whether* a fault fires.
 

@@ -10,14 +10,20 @@
 //!
 //! * **Shard pool.** [`CompileService::start`] spawns `shards` worker
 //!   threads, each owning one `CompileSession` (sessions are
-//!   single-threaded by design — one per worker, never shared). Beside
-//!   its session a shard keeps the artifacts it rendered, per shape, in
-//!   a [`gmc_core::lru::Lru`] as large as its chain cache
-//!   ([`ServeConfig::cache_capacity`]; `0` stores nothing). Every
-//!   request still compiles through the session; a cache hit is
-//!   answered with the stored bytes when they were rendered for the
-//!   same `name` and `emit`, and anything else renders afresh and
-//!   replaces the shape's entry (see [`supervisor`]).
+//!   single-threaded by design — one per worker, never shared). A shard
+//!   renders every request it serves.
+//! * **Repeats answered at the front door.** The service keeps the
+//!   artifacts of each shape's latest successful shard response in one
+//!   [`gmc_core::lru::Lru`], as large as the shards' chain caches
+//!   together ([`ServeConfig::cache_capacity`] × shards; `0` stores
+//!   nothing). [`CompileService::submit`] answers a repeat of the same
+//!   shape, `name` and `emit` itself, in the thread that read the
+//!   request: no queue, no shard wake-up, no event-queue post. The
+//!   repeat counts as a hit of the shard that rendered the bytes, and
+//!   its shape rides on that shard's next job as a *touch*, so the
+//!   shard's chain cache keeps the recency, evictions and snapshots it
+//!   would have had the repeat reached it. A `shard_panic` response
+//!   drops everything stored (see [`supervisor`]).
 //! * **Two-choices routing with fallover.** [`CompileService::submit`]
 //!   parses the request in the submitting thread and routes it by
 //!   power-of-two-choices over live queue depths
@@ -88,7 +94,8 @@
 //!   count, so snapshots survive resharding. Restored chains are
 //!   bit-identical to freshly compiled ones (pinned by tests below).
 //! * **Lock-free counters.** Each shard publishes its chain-cache
-//!   counters after every compile, so `{"op":"stats"}` and
+//!   counters after every compile, and the service counts each repeat
+//!   it answers the moment it answers it, so `{"op":"stats"}` and
 //!   `{"op":"health"}` answer from atomics without touching the queues.
 //! * **Graceful drain.** The intended shutdown sequence — what the
 //!   `gmcc --serve` daemon runs on SIGTERM/SIGINT or stdin EOF — is:
@@ -102,7 +109,9 @@
 //!   three lock-free log-linear histograms ([`gmc_obs::Histogram`]) in
 //!   its shared block: end-to-end response latency (recorded by the
 //!   submitter, exactly once per shard-attributed response), queue
-//!   wait (submission → dequeue), and compile time. `{"op":"health"}`
+//!   wait (submission → dequeue), and compile time; the last two
+//!   describe shard work only, so a repeat the service answers itself
+//!   records an end-to-end sample and nothing else. `{"op":"health"}`
 //!   reads per-shard `p99_ms`/`queue_wait_p99_ms` straight off the
 //!   live buckets; `{"op":"metrics"}` returns the full
 //!   [`CompileService::metrics`] snapshot (p50/p90/p99/max per

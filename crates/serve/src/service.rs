@@ -8,6 +8,7 @@ use crate::fault::FaultPlan;
 use crate::supervisor::{
     shard_main, RestartPolicy, ShardCtx, ShardHealth, ShardShared, ShardState, ShardStats,
 };
+use gmc_core::lru::Lru;
 use gmc_core::{
     CacheStats, CompileOptions, CompileSession, PersistError, SessionSnapshot,
     DEFAULT_CHAIN_CACHE_CAPACITY,
@@ -21,6 +22,7 @@ use std::fmt;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -182,7 +184,9 @@ pub struct CompileResponse {
     /// failed before routing, i.e. at parse.
     pub shard: Option<usize>,
     /// `true` if the shard's compiled-chain cache already held the shape
-    /// (including chains restored from a snapshot).
+    /// (including chains restored from a snapshot), or the service
+    /// answered the repeat from the artifacts it stored (see
+    /// [`CompileService::submit`]).
     pub cache_hit: bool,
     /// The artifacts, or a typed failure.
     pub result: Result<Artifacts, Failure>,
@@ -219,7 +223,9 @@ pub struct ServeConfig {
     /// Compile options for every shard (must match a restored snapshot's
     /// fingerprint).
     pub options: CompileOptions,
-    /// Per-shard compiled-chain cache capacity.
+    /// Per-shard compiled-chain cache capacity. The service stores the
+    /// rendered artifacts of as many shapes as the shards' chain caches
+    /// hold together (`cache_capacity × shards`); `0` stores none.
     pub cache_capacity: usize,
     /// Snapshot file for warm restarts: the newest decodable generation
     /// is loaded on start (missing files = cold start; a corrupt
@@ -442,7 +448,9 @@ pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
     /// Requests this shard has taken off its queue so far (including
-    /// panicked and expired ones, and one it may still be compiling).
+    /// panicked and expired ones, and one it may still be compiling),
+    /// plus the repeats the service answered from its store as this
+    /// shard's hits.
     pub requests: u64,
     /// Cumulative compiled-chain cache counters (`restored` counts the
     /// chains rewarmed from snapshots), carried across supervisor
@@ -466,9 +474,13 @@ pub struct ShardMetrics {
     /// (one sample per delivered response — served, panicked, expired,
     /// shed, or written off).
     pub e2e: Snapshot,
-    /// Submission-to-dequeue wait of every request this shard dequeued.
+    /// Submission-to-dequeue wait of every request this shard dequeued
+    /// (repeats answered from the service's store are not queued and
+    /// record nothing here).
     pub queue_wait: Snapshot,
-    /// Wall-clock of each compile + emit attempt (cache hits included).
+    /// Wall-clock of each compile + emit attempt on this shard (shard
+    /// cache hits included, repeats answered from the service's store
+    /// not).
     pub compile_time: Snapshot,
     /// Supervisor restarts completed.
     pub restarts: u64,
@@ -569,10 +581,20 @@ impl ServiceMetrics {
     }
 }
 
-/// Work items a shard receives.
-pub(crate) enum Job {
+/// What a shard receives: the touches the service queued for it since
+/// its last job, which the shard applies in order first (see
+/// [`CompileService::submit`]), then the work.
+pub(crate) struct Job {
+    pub(crate) touches: Vec<Shape>,
+    pub(crate) work: Work,
+}
+
+/// The work of a [`Job`].
+pub(crate) enum Work {
     Compile(Box<CompileJob>),
     Snapshot(Sender<SessionSnapshot>),
+    /// Nothing but the touches: a full batch goes on its own.
+    Touch,
 }
 
 pub(crate) struct CompileJob {
@@ -589,11 +611,12 @@ pub(crate) struct CompileJob {
     pub(crate) submitted: Instant,
 }
 
-/// What a shard posts when it finishes a request: the response plus the
-/// submission sequence number the service uses to deduplicate against
-/// write-offs.
+/// What a shard posts when it finishes a request: the response, and the
+/// job handed back whole. The job's sequence number lets the service
+/// deduplicate against write-offs; its shape, `name` and `emit` key the
+/// artifacts the service stores.
 pub(crate) struct Response {
-    pub(crate) seq: u64,
+    pub(crate) job: Box<CompileJob>,
     pub(crate) response: CompileResponse,
 }
 
@@ -630,6 +653,17 @@ impl EventTx {
         }
         Ok(())
     }
+}
+
+/// Artifacts a shard rendered, as the service stores them under their
+/// shape.
+struct Stored {
+    name: String,
+    emit: Emit,
+    /// The shard that rendered them: a repeat answered from the store
+    /// counts as its hit.
+    shard: usize,
+    artifacts: Artifacts,
 }
 
 /// Submitter-side record of an enqueued request.
@@ -675,6 +709,17 @@ pub struct CompileService {
     ready: VecDeque<CompileResponse>,
     /// Queued + in-flight per shard (admission control reads this).
     pending_by_shard: Vec<usize>,
+    /// The artifacts of each shape's latest successful shard response:
+    /// a repeat of its shape, `name` and `emit` is answered from here
+    /// (see [`CompileService::submit`]). Bounded like the shards' chain
+    /// caches together.
+    store: Lru<Shape, Stored>,
+    /// Per shard, the shapes answered from `store` as its hits since its
+    /// last job; its next job carries them.
+    touches: Vec<Vec<Shape>>,
+    /// Most touches that wait for one shard (its chain-cache capacity);
+    /// a full batch is sent on its own.
+    touch_batch: usize,
     next_seq: u64,
     late_drops: u64,
 }
@@ -753,6 +798,9 @@ impl CompileService {
             deadlines: BTreeSet::new(),
             ready: VecDeque::new(),
             pending_by_shard: vec![0; shards],
+            store: Lru::new(config.cache_capacity.saturating_mul(shards)),
+            touches: vec![Vec::new(); shards],
+            touch_batch: config.cache_capacity,
             next_seq: 0,
             late_drops: 0,
         })
@@ -875,6 +923,22 @@ impl CompileService {
     /// (parse, shed, all-shards-down) produce typed error *responses*,
     /// never errors here, so one bad request cannot stall a stream.
     ///
+    /// A repeat is answered here, in band: when the service stores a
+    /// rendering of the request's shape for its `name` and `emit` (every
+    /// successful shard response stores one, the latest per shape), the
+    /// response is ready at once, before routing, admission and
+    /// deadlines, and no shard is woken. Emission is a pure function of
+    /// shape, options, `name` and `emit`, so the bytes are those the
+    /// shard would render. The repeat counts as a request and a
+    /// chain-cache hit of the shard that rendered them, and queues a
+    /// *touch* for it: the shard's next job carries its touches, and the
+    /// shard refreshes each chain in order
+    /// ([`CompileSession::touch`]) before that job, so its chain cache
+    /// evicts what it would have evicted had every repeat reached it. A
+    /// shard gets at most [`ServeConfig::cache_capacity`] touches at
+    /// once; a full batch is sent on its own. A `shard_panic` response
+    /// drops everything stored and every queued touch.
+    ///
     /// Admission control: if the target shard already holds
     /// [`ServeConfig::queue_cap`] requests, the request is shed with an
     /// `overloaded` failure instead of growing the queue — on overload
@@ -897,6 +961,26 @@ impl CompileService {
         };
         let name = request.name.unwrap_or_else(|| program.lhs().to_lowercase());
         let shape = program.shape().clone();
+        let emit = request.emit;
+        if let Some(stored) = self
+            .store
+            .get(&shape)
+            .filter(|s| s.name == name && s.emit == emit)
+        {
+            let shard = stored.shard;
+            self.ready.push_back(CompileResponse {
+                id,
+                shard: Some(shard),
+                cache_hit: true,
+                result: Ok(stored.artifacts.clone()),
+            });
+            let shared = &self.shared[shard];
+            shared.requests.fetch_add(1, Relaxed);
+            shared.front_hits.fetch_add(1, Relaxed);
+            shared.e2e.record(submitted.elapsed());
+            self.touch(shard, shape);
+            return;
+        }
         let Some(shard) = self.pick_shard(&shape) else {
             self.ready.push_back(CompileResponse::failure(
                 id,
@@ -906,9 +990,7 @@ impl CompileService {
             return;
         };
         if self.pending_by_shard[shard] >= self.queue_cap {
-            self.shared[shard]
-                .shed
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.shared[shard].shed.fetch_add(1, Relaxed);
             // Shed requests count in the end-to-end histogram too: every
             // response attributed to a shard is one recorded latency.
             self.shared[shard].e2e.record(submitted.elapsed());
@@ -929,18 +1011,18 @@ impl CompileService {
             .map(|d| Instant::now() + d);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let job = Job::Compile(Box::new(CompileJob {
+        let job = Work::Compile(Box::new(CompileJob {
             id,
             name,
             shape,
-            emit: request.emit,
+            emit,
             deadline,
             seq,
             submitted,
         }));
         // A send only fails if the worker thread is gone (it exited
         // outside supervision); answer in-band so accounting balances.
-        if self.job_txs[shard].send(job).is_ok() {
+        if self.send(shard, job).is_ok() {
             self.outstanding.insert(
                 seq,
                 Outstanding {
@@ -965,12 +1047,55 @@ impl CompileService {
         }
     }
 
+    /// Send `work` to `shard` with the touches queued for it.
+    fn send(&mut self, shard: usize, work: Work) -> Result<(), SendError<Job>> {
+        let touches = std::mem::take(&mut self.touches[shard]);
+        self.job_txs[shard].send(Job { touches, work })
+    }
+
+    /// Queue a touch of `shape` for `shard`'s next job; a full batch
+    /// goes to the shard on its own.
+    fn touch(&mut self, shard: usize, shape: Shape) {
+        self.touches[shard].push(shape);
+        if self.touches[shard].len() >= self.touch_batch {
+            let _ = self.send(shard, Work::Touch);
+        }
+    }
+
+    /// Drop every stored artifact and queued touch: a shard discarded
+    /// its session, and what was rendered from it.
+    fn forget(&mut self) {
+        self.store.clear();
+        self.touches.iter_mut().for_each(Vec::clear);
+    }
+
     /// The exactly-once accept step: match a shard's posted response
     /// against the outstanding table; `None` for late responses to
     /// written-off requests (dropped to keep exactly-one-response).
+    /// Every successful response, late or not, stores its artifacts
+    /// under the job's shape, and a `shard_panic` drops the store.
     fn accept(&mut self, r: Response) -> Option<CompileResponse> {
-        if self.settle(r.seq).is_some() {
-            Some(r.response)
+        let Response { job, response } = r;
+        let seq = job.seq;
+        match (&response.result, response.shard) {
+            (Ok(artifacts), Some(shard)) if self.store.capacity() > 0 => {
+                let CompileJob {
+                    shape, name, emit, ..
+                } = *job;
+                let artifacts = artifacts.clone();
+                let stored = Stored {
+                    name,
+                    emit,
+                    shard,
+                    artifacts,
+                };
+                self.store.insert(shape, stored);
+            }
+            (Err(failure), _) if failure.kind == FailureKind::ShardPanic => self.forget(),
+            _ => {}
+        }
+        if self.settle(seq).is_some() {
+            Some(response)
         } else {
             self.late_drops += 1;
             None
@@ -1003,7 +1128,7 @@ impl CompileService {
             let out = self.settle(seq).expect("indexed deadlines are outstanding");
             self.shared[out.shard]
                 .deadline_exceeded
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                .fetch_add(1, Relaxed);
             self.ready.push_back(CompileResponse::failure_on(
                 out.id,
                 Some(out.shard),
@@ -1052,13 +1177,15 @@ impl CompileService {
 
     /// A shard's worker thread exited while the service still holds its
     /// job sender: take it out of routing and write off its outstanding
-    /// requests. Supervised shards do not die — panics are caught in the
-    /// worker loop — so this is a backstop against bugs in the
+    /// requests, and drop what the service stored (some of it the dead
+    /// shard rendered). Supervised shards do not die — panics are caught
+    /// in the worker loop — so this is a backstop against bugs in the
     /// supervisor itself. Results the shard posted before exiting are
     /// ahead of this event in the queue, so only unanswered work is
     /// written off.
     fn shard_exited(&mut self, shard: usize) {
         self.shared[shard].set_state(ShardState::Down);
+        self.forget();
         let seqs: Vec<u64> = self
             .outstanding
             .iter()
@@ -1157,15 +1284,16 @@ impl CompileService {
     /// Merge every live shard's compiled-chain cache into one snapshot
     /// and publish it as the rewarm source for supervisor restarts.
     /// Waits for shards to reach the snapshot job, so submit-then-
-    /// snapshot sees all prior compiles of each shard's queue; down
-    /// shards contribute nothing (their last published state lives on in
-    /// the previous snapshot they merged into).
+    /// snapshot sees all prior compiles of each shard's queue and every
+    /// touch queued for it; down shards contribute nothing (their last
+    /// published state lives on in the previous snapshot they merged
+    /// into).
     #[must_use]
-    pub fn snapshot(&self) -> SessionSnapshot {
+    pub fn snapshot(&mut self) -> SessionSnapshot {
         let mut merged: Option<SessionSnapshot> = None;
-        for tx in &self.job_txs {
+        for shard in 0..self.shards() {
             let (reply_tx, reply_rx) = channel();
-            let _ = tx.send(Job::Snapshot(reply_tx));
+            let _ = self.send(shard, Work::Snapshot(reply_tx));
             // A down shard drops the reply sender without answering.
             if let Ok(snap) = reply_rx.recv() {
                 merged = Some(match merged.take() {
@@ -1202,7 +1330,7 @@ impl CompileService {
             .enumerate()
             .map(|(shard, s)| ShardStatus {
                 shard,
-                requests: s.requests.load(std::sync::atomic::Ordering::Relaxed),
+                requests: s.requests.load(Relaxed),
                 cache: s.cache(),
                 frags: CacheStats::default(),
             })
@@ -1215,7 +1343,6 @@ impl CompileService {
     /// `{"op":"health"}` request serves.
     #[must_use]
     pub fn health(&self) -> Vec<ShardHealth> {
-        use std::sync::atomic::Ordering::Relaxed;
         self.shared
             .iter()
             .enumerate()
@@ -1242,7 +1369,6 @@ impl CompileService {
     /// `--metrics-file` Prometheus dump serve.
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
-        use std::sync::atomic::Ordering::Relaxed;
         let shards = self
             .shared
             .iter()
@@ -1282,7 +1408,7 @@ impl CompileService {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
+    pub fn save_snapshot(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
         let snap = self.snapshot();
         if self.faults.tear_snapshot() {
             // Simulated crash mid-save: the rotation shift completed

@@ -29,18 +29,20 @@
 //! sleep plus a re-lowering pass — the first repeat request afterwards
 //! is a cache hit, not a cold compile.
 //!
-//! Beside its session, each shard keeps the artifacts it rendered — the
-//! emitted files and the [`CompiledChain::describe`] report — in an
-//! [`Lru`] keyed by [`Shape`], bounded by the same capacity as the chain
-//! cache (`0` stores nothing). Every job still goes through
-//! [`CompileSession::compile`], so cache counters, the chain cache's
-//! recency, snapshots and the `cache_hit` flag stay exact; only the
-//! bytes of a hit are reused, and only when the stored entry was
-//! rendered for the same `name` and `emit`. Any other outcome — a miss,
-//! or a hit with no or a mismatched entry — renders and overwrites the
-//! shape's entry, so a stored entry is always the rendering of the chain
-//! the session holds now. A panic discards the stored artifacts together
-//! with the poisoned session.
+//! A shard renders every request it serves — the emitted files and the
+//! [`CompiledChain::describe`] report — and hands the job back with the
+//! response. The service stores those artifacts and answers a repeat of
+//! the same shape, `name` and `emit` itself, without a shard (see
+//! [`CompileService::submit`](crate::CompileService::submit)); such a
+//! repeat counts as a hit of the shard that rendered the bytes, and its
+//! shape rides on that shard's next job as a *touch*. The worker applies
+//! a job's touches in order ([`CompileSession::touch`]) before the job
+//! itself, so the chain cache's recency, and with it every eviction and
+//! snapshot, is what it would be had each repeat compiled here. The
+//! requests that do reach a shard are misses, and the hits the service
+//! has no rendering for: restored chains, another `name` or `emit`, or
+//! any hit after a panic, whose `shard_panic` response makes the service
+//! drop everything it stored.
 //!
 //! Failures are counted in a sliding window; once `max_failures` accrue
 //! the circuit breaker opens and the shard goes [`ShardState::Down`]
@@ -50,12 +52,10 @@
 //! without an answer.
 
 use crate::fault::FaultPlan;
-use crate::service::{Event, EventTx, Job, Response};
-use crate::{route, Artifacts, Emit, Failure, FailureKind};
+use crate::service::{CompileJob, Event, EventTx, Job, Response, Work};
+use crate::{route, Artifacts, CompileResponse, Emit, Failure, FailureKind};
 use gmc_codegen::{emit_cpp_into, emit_rust_into};
-use gmc_core::lru::Lru;
 use gmc_core::{CacheStats, CompileOptions, CompileSession, CompiledChain, SessionSnapshot, Stage};
-use gmc_ir::Shape;
 use gmc_obs::Histogram;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -158,7 +158,9 @@ pub struct ShardHealth {
 #[derive(Debug, Default)]
 pub(crate) struct ShardShared {
     state: AtomicU8,
-    /// Compile jobs dequeued (including panicked and expired ones).
+    /// Compile jobs dequeued (including panicked and expired ones), plus
+    /// the repeats the service answered from its store as this shard's
+    /// hits.
     pub(crate) requests: AtomicU64,
     pub(crate) restarts: AtomicU64,
     pub(crate) panics: AtomicU64,
@@ -169,10 +171,15 @@ pub(crate) struct ShardShared {
     /// (a wedged shard still reports its last state):
     /// `[hits, misses, evictions, restored]`.
     chain: [AtomicU64; 4],
+    /// Repeats the service answered from its store as this shard's
+    /// chain-cache hits, counted by the submitter; [`ShardShared::cache`]
+    /// adds them to the published hits.
+    pub(crate) front_hits: AtomicU64,
     /// Compile attempts, for the fault plan's deterministic `nth`.
     compile_attempts: AtomicU64,
     /// End-to-end latency of every *response* attributed to this shard
-    /// (served, panicked, expired, shed, written off), recorded by the
+    /// (served by the shard or from the service's store, panicked,
+    /// expired, shed, written off), recorded by the
     /// submitter exactly once per response so the count balances against
     /// delivered responses even when a written-off request is also
     /// answered late by the shard. Deliberately *not* gated by
@@ -182,11 +189,13 @@ pub(crate) struct ShardShared {
     pub(crate) e2e: Histogram,
     /// Submission-to-dequeue wait, recorded by the worker. Counts
     /// *dequeues* — a request written off by the submitter but still
-    /// dequeued late records here, so this count can exceed `e2e`'s.
+    /// dequeued late records here, so this count can exceed `e2e`'s. A
+    /// repeat answered from the service's store is never queued and
+    /// records nothing here.
     pub(crate) queue_wait: Histogram,
-    /// Wall-clock of the compile attempt (the `catch_unwind` envelope),
-    /// cache hits included: compile, plus rendering when nothing stored
-    /// matches.
+    /// Wall-clock of the compile attempt (the `catch_unwind` envelope):
+    /// compile, a hit or a miss, plus rendering. Shard work only: a
+    /// repeat answered from the service's store records nothing here.
     pub(crate) compile_time: Histogram,
 }
 
@@ -207,11 +216,12 @@ impl ShardShared {
         }
     }
 
-    /// The chain-cache counters last published.
+    /// The chain-cache counters last published, with the hits answered
+    /// from the service's store.
     pub(crate) fn cache(&self) -> CacheStats {
         let [hits, misses, evictions, restored] = self.chain.each_ref().map(load);
         CacheStats {
-            hits,
+            hits: hits + load(&self.front_hits),
             misses,
             evictions,
             restored,
@@ -256,7 +266,8 @@ pub(crate) struct ShardCtx {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
     /// Compile requests this shard answered (including panicked and
-    /// deadline-expired ones). Work the transport *wrote off* for a
+    /// deadline-expired ones), plus the repeats the service answered from
+    /// its store as this shard's hits. Work the transport *wrote off* for a
     /// slow-closed connection still counts here: shards never cancel
     /// admitted work, the write-off only drops the reply at the
     /// connection layer — which is what makes `requests` equal the
@@ -328,12 +339,15 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
     let mut carried = CacheStats::default();
     let mut failures: Vec<Instant> = Vec::new();
     let mut buf = String::new();
-    // What this shard rendered, per shape (see the module docs).
-    let mut rendered: Lru<Shape, Rendered> = Lru::new(ctx.cache_capacity);
 
-    while let Ok(job) = ctx.jobs.recv() {
-        match job {
-            Job::Compile(job) => {
+    while let Ok(Job { touches, work }) = ctx.jobs.recv() {
+        if let Some(live) = session.as_mut() {
+            for shape in &touches {
+                live.touch(shape);
+            }
+        }
+        match work {
+            Work::Compile(job) => {
                 ctx.shared.requests.fetch_add(1, Ordering::Relaxed);
                 ctx.shared.queue_wait.record(job.submitted.elapsed());
                 // Deadline at dequeue: a request that went stale in the
@@ -341,28 +355,24 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
                 // be wasted and would stall everything behind it.
                 if job.deadline.is_some_and(|d| Instant::now() > d) {
                     ctx.shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    let _ = ctx.events.send(Event::Response(Response {
-                        seq: job.seq,
-                        response: crate::CompileResponse::failure_on(
-                            job.id,
-                            Some(index),
-                            FailureKind::DeadlineExceeded,
-                            "deadline expired before the shard reached the request",
-                        ),
-                    }));
+                    let response = CompileResponse::failure_on(
+                        job.id,
+                        Some(index),
+                        FailureKind::DeadlineExceeded,
+                        "deadline expired before the shard reached the request",
+                    );
+                    let _ = ctx.events.send(Event::Response(Response { job, response }));
                     continue;
                 }
                 let Some(live) = session.as_mut() else {
                     // Breaker open: fail fast, exactly one response.
-                    let _ = ctx.events.send(Event::Response(Response {
-                        seq: job.seq,
-                        response: crate::CompileResponse::failure_on(
-                            job.id,
-                            Some(index),
-                            FailureKind::ShardDown,
-                            format!("shard {index} is down (circuit breaker open)"),
-                        ),
-                    }));
+                    let response = CompileResponse::failure_on(
+                        job.id,
+                        Some(index),
+                        FailureKind::ShardDown,
+                        format!("shard {index} is down (circuit breaker open)"),
+                    );
+                    let _ = ctx.events.send(Event::Response(Response { job, response }));
                     continue;
                 };
                 let nth = ctx.shared.compile_attempts.fetch_add(1, Ordering::Relaxed) + 1;
@@ -377,7 +387,7 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
                 let compile_started = Instant::now();
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     faults.before_compile(index, nth);
-                    serve_compile(live, &mut rendered, &mut buf, &job)
+                    serve_compile(live, &mut buf, &job)
                 }));
                 ctx.shared.compile_time.record(compile_started.elapsed());
                 let elapsed = job.submitted.elapsed();
@@ -411,24 +421,20 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
                         let mut cache = carried;
                         cache.absorb(&alive.cache_stats());
                         ctx.shared.publish_counters(&cache);
-                        let _ = ctx.events.send(Event::Response(Response {
-                            seq: job.seq,
-                            response: crate::CompileResponse {
-                                id: job.id,
-                                shard: Some(index),
-                                cache_hit,
-                                result,
-                            },
-                        }));
+                        let response = CompileResponse {
+                            id: job.id,
+                            shard: Some(index),
+                            cache_hit,
+                            result,
+                        };
+                        let _ = ctx.events.send(Event::Response(Response { job, response }));
                     }
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
                         ctx.shared.panics.fetch_add(1, Ordering::Relaxed);
-                        // Salvage the counters, drop the session and
-                        // what was rendered from it: their internal
-                        // invariants can no longer be trusted.
+                        // Salvage the counters and drop the session: its
+                        // internal invariants can no longer be trusted.
                         let poisoned = session.take().expect("session was live");
-                        rendered.clear();
                         carried.absorb(&poisoned.cache_stats());
                         ctx.shared.publish_counters(&carried);
                         let now = Instant::now();
@@ -440,15 +446,13 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
                         } else {
                             ctx.shared.set_state(ShardState::Restarting);
                         }
-                        let _ = ctx.events.send(Event::Response(Response {
-                            seq: job.seq,
-                            response: crate::CompileResponse::failure_on(
-                                job.id,
-                                Some(index),
-                                FailureKind::ShardPanic,
-                                format!("shard {index} panicked serving this request: {msg}"),
-                            ),
-                        }));
+                        let response = CompileResponse::failure_on(
+                            job.id,
+                            Some(index),
+                            FailureKind::ShardPanic,
+                            format!("shard {index} panicked serving this request: {msg}"),
+                        );
+                        let _ = ctx.events.send(Event::Response(Response { job, response }));
                         if tripped {
                             eprintln!(
                                 "gmc-serve: shard {index}: circuit breaker open after {} \
@@ -483,13 +487,14 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
                     }
                 }
             }
-            Job::Snapshot(reply) => {
+            Work::Snapshot(reply) => {
                 // A down shard has nothing to contribute; dropping the
                 // reply sender tells the collector to skip it.
                 if let Some(live) = session.as_ref() {
                     let _ = reply.send(live.snapshot());
                 }
             }
+            Work::Touch => {}
         }
     }
     // Every change to the counters was published as it happened.
@@ -502,24 +507,14 @@ pub(crate) fn shard_main(mut ctx: ShardCtx) -> ShardStats {
     }
 }
 
-/// The artifacts a shard rendered for one shape, and the `name` and
-/// `emit` they were rendered for.
-struct Rendered {
-    name: String,
-    emit: Emit,
-    artifacts: Artifacts,
-}
-
-/// Compile one job on the live session and answer it with its
-/// artifacts: the stored ones when the compile was a hit and they were
-/// rendered for the job's `name` and `emit`, otherwise a fresh rendering
-/// that replaces the shape's entry. Runs inside the `catch_unwind`
-/// envelope.
+/// Compile one job on the live session and render its artifacts, hit or
+/// miss: the service answers the repeats it has a rendering for, so
+/// every job that reaches a shard is rendered here. Runs inside the
+/// `catch_unwind` envelope.
 fn serve_compile(
     session: &mut CompileSession,
-    rendered: &mut Lru<Shape, Rendered>,
     buf: &mut String,
-    job: &crate::service::CompileJob,
+    job: &CompileJob,
 ) -> (bool, Result<Artifacts, Failure>) {
     let hits_before = session.cache_stats().hits;
     let chain = match session.compile(&job.shape) {
@@ -530,23 +525,7 @@ fn serve_compile(
         }
     };
     let cache_hit = session.cache_stats().hits > hits_before;
-    if cache_hit {
-        if let Some(stored) = rendered.get(&job.shape) {
-            if stored.name == job.name && stored.emit == job.emit {
-                return (true, Ok(stored.artifacts.clone()));
-            }
-        }
-    }
-    let artifacts = render(session, &chain, buf, job);
-    rendered.insert(
-        job.shape.clone(),
-        Rendered {
-            name: job.name.clone(),
-            emit: job.emit,
-            artifacts: artifacts.clone(),
-        },
-    );
-    (cache_hit, Ok(artifacts))
+    (cache_hit, Ok(render(session, &chain, buf, job)))
 }
 
 /// Emit `chain` as `job` asks and describe it.
@@ -554,7 +533,7 @@ fn render(
     session: &mut CompileSession,
     chain: &CompiledChain,
     buf: &mut String,
-    job: &crate::service::CompileJob,
+    job: &CompileJob,
 ) -> Artifacts {
     let mut files = Vec::new();
     let span = session.recorder().start();

@@ -79,6 +79,13 @@ fn request(id: u64, source: &str) -> CompileRequest {
     }
 }
 
+/// `request` rendered under `name`: a repeat the service has stored no
+/// rendering for, so it reaches a shard.
+fn named(mut request: CompileRequest, name: &str) -> CompileRequest {
+    request.name = Some(name.to_string());
+    request
+}
+
 fn shard_of(source: &str, shards: usize) -> usize {
     let program = gmc_ir::grammar::parse_program(source).unwrap();
     route(program.shape(), shards)
@@ -101,7 +108,9 @@ fn panicked_shard_restarts_warm_and_serves_the_repeat_from_cache() {
     let _ = service.snapshot();
 
     // Attempt 2: the injected panic kills the request but not the shard.
-    service.submit(request(2, SRC_A));
+    // The repeat asks for another name, so the service has no rendering
+    // of it and a shard compile attempt is made.
+    service.submit(named(request(2, SRC_A), "other"));
     let killed = service.drain().remove(0);
     assert_eq!(kind_of(&killed), Some(FailureKind::ShardPanic));
     assert!(
@@ -408,8 +417,9 @@ fn killed_shard_mid_stream_then_drained_snapshot_restores_bit_identical() {
     cold.submit(request(1, SRC_A));
     let baseline = cold.drain().remove(0).result.expect("cold compile");
     let _ = cold.snapshot(); // publish the rewarm source
-    cold.submit(request(2, SRC_A)); // killed mid-stream
-    cold.submit(request(3, SRC_A)); // served warm after the restart
+                             // Each repeat asks for a name of its own, so both reach the victim.
+    cold.submit(named(request(2, SRC_A), "killed")); // killed mid-stream
+    cold.submit(named(request(3, SRC_A), "retried")); // served warm after the restart
     cold.submit(request(4, SRC_B));
     cold.submit(request(5, SRC_C));
     let mut responses = cold.drain();

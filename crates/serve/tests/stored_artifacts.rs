@@ -1,18 +1,22 @@
-//! A shard answers a chain-cache hit with the artifacts it stored when
-//! it last rendered that shape for the same `name` and `emit`. These
-//! tests hold every response, stored or rendered, to a fresh rendering:
-//! `emit_cpp`, `emit_rust` and `describe` of
-//! `CompiledChain::compile_with` under the service's options.
+//! The service answers a repeat itself, with the artifacts a shard last
+//! rendered for the same shape, `name` and `emit`, and sends every other
+//! request to a shard, which renders it. These tests hold every
+//! response, stored or rendered, to a fresh rendering: `emit_cpp`,
+//! `emit_rust` and `describe` of `CompiledChain::compile_with` under the
+//! service's options. They also pin what a repeat answered by the
+//! service must leave as it was: the shard's chain-cache recency, the
+//! counters, and a panic's discarding of what was rendered.
 
 use gmc_codegen::{emit_cpp, emit_rust};
 use gmc_core::{CompileOptions, CompiledChain};
 use gmc_ir::grammar::parse_program;
+use gmc_ir::Shape;
 use gmc_serve::fault::FaultPlan;
 use gmc_serve::{
     Artifacts, CompileRequest, CompileResponse, CompileService, Emit, FailureKind, RestartPolicy,
     ServeConfig,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SRC_A: &str = "
     Matrix A <General, Singular>;
@@ -24,6 +28,13 @@ const SRC_B: &str = "
     Matrix H <General, Singular>;
     Matrix P <Symmetric, SPD>;
     Y := H * P^-1;
+";
+const SRC_C: &str = "
+    Matrix A <General, Singular>;
+    Matrix B <General, Singular>;
+    Matrix C <General, Singular>;
+    Matrix D <General, Singular>;
+    Z := A * B * C * D;
 ";
 
 fn options() -> CompileOptions {
@@ -153,24 +164,36 @@ fn capacity_zero_keeps_every_response_fresh() {
     let _ = service.shutdown();
 }
 
-/// A panic discards what the shard stored. The restarted shard rewarms
-/// its chains from the snapshot, so its first request for a shape is a
-/// hit with nothing stored: it renders afresh, and the repeat after it
-/// reuses that rendering.
+/// Fast supervision: negligible backoff, a breaker that never trips.
+fn fast_restart() -> RestartPolicy {
+    RestartPolicy {
+        backoff: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(8),
+        max_failures: 5,
+        window: Duration::from_secs(30),
+    }
+}
+
+/// The shape of `source`.
+fn shape_of(source: &str) -> Shape {
+    parse_program(source).unwrap().shape().clone()
+}
+
+/// A panic makes the service drop what it stored. The restarted shard
+/// rewarms its chains from the snapshot, so its first request for a
+/// shape is a hit the service has no rendering of: the shard renders it
+/// afresh, and the repeat after it is answered with that rendering.
 #[test]
 fn a_restarted_shard_serves_identical_hits() {
     let mut cfg = config(8);
     // The third compile attempt panics.
     cfg.faults = FaultPlan::parse("panic:0:3").unwrap();
-    cfg.restart = RestartPolicy {
-        backoff: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(8),
-        max_failures: 5,
-        window: Duration::from_secs(30),
-    };
+    cfg.restart = fast_restart();
     let mut service = CompileService::start(cfg).unwrap();
     check(&mut service, 1, SRC_A, "a", Emit::Both, false);
-    check(&mut service, 2, SRC_A, "a", Emit::Both, true);
+    // Another `emit`: the service has no rendering, so this hit is the
+    // shard's second compile attempt.
+    check(&mut service, 2, SRC_A, "a", Emit::Rust, true);
     // Restarts rewarm from the latest snapshot.
     assert_eq!(service.snapshot().len(), 1);
     let doomed = serve(&mut service, 3, SRC_B, "b", Emit::Both);
@@ -180,4 +203,149 @@ fn a_restarted_shard_serves_identical_hits() {
     check(&mut service, 6, SRC_A, "b", Emit::Rust, true);
     let stats = service.shutdown();
     assert_eq!((stats.panics(), stats.restarts()), (1, 1));
+}
+
+/// A repeat never reaches a shard: under a 300 ms compile delay it comes
+/// back at once with the first response's artifacts, and the shard
+/// records one compile and one queue wait, while both responses count.
+#[test]
+fn a_repeat_is_answered_without_the_shard() {
+    let mut cfg = config(8);
+    cfg.faults = FaultPlan::parse("delay:300").unwrap();
+    let mut service = CompileService::start(cfg).unwrap();
+    check(&mut service, 1, SRC_A, "a", Emit::Both, false);
+    let started = Instant::now();
+    let repeat = serve(&mut service, 2, SRC_A, "a", Emit::Both);
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(50), "the repeat took {took:?}");
+    assert!(repeat.cache_hit);
+    assert_eq!(repeat.shard, Some(0));
+    assert_eq!(repeat.result.unwrap(), fresh(SRC_A, "a", Emit::Both));
+    let metrics = service.metrics();
+    let shard = &metrics.shards[0];
+    assert_eq!(shard.compile_time.count, 1, "one shard compile");
+    assert_eq!(shard.queue_wait.count, 1, "one request queued");
+    assert_eq!(shard.e2e.count, 2, "both responses recorded");
+    assert_eq!((shard.chain_hits, shard.chain_misses), (1, 1));
+    let stats = service.shutdown();
+    assert_eq!((stats.requests(), stats.cache_hits()), (2, 1));
+}
+
+/// A repeat the service answers still refreshes its chain in the shard's
+/// cache: at capacity 2, after A, B and a repeat of A, compiling C
+/// evicts B, as it would had the repeat reached the shard.
+#[test]
+fn a_repeat_answered_by_the_service_keeps_its_chain_recent() {
+    let mut service = CompileService::start(config(2)).unwrap();
+    check(&mut service, 1, SRC_A, "a", Emit::Both, false);
+    check(&mut service, 2, SRC_B, "b", Emit::Both, false);
+    check(&mut service, 3, SRC_A, "a", Emit::Both, true);
+    check(&mut service, 4, SRC_C, "c", Emit::Both, false);
+    assert_eq!(
+        service.metrics().shards[0].compile_time.count,
+        3,
+        "the repeat did not reach the shard"
+    );
+    let snapshot = service.snapshot();
+    let held: Vec<&Shape> = snapshot.shapes().collect();
+    assert_eq!(held.len(), 2);
+    assert!(held.contains(&&shape_of(SRC_A)), "A was evicted");
+    assert!(held.contains(&&shape_of(SRC_C)));
+    assert!(
+        !held.contains(&&shape_of(SRC_B)),
+        "B outlived the repeat of A"
+    );
+    let stats = service.shutdown();
+    assert_eq!(stats.shards[0].cache.evictions, 1);
+}
+
+/// A panic drops what the service stored: the repeat after it reaches
+/// the restarted shard, which holds nothing (no snapshot was taken) and
+/// compiles it cold; the repeat after that is answered by the service.
+#[test]
+fn after_a_panic_the_next_repeat_reaches_the_shard() {
+    let mut cfg = config(8);
+    cfg.faults = FaultPlan::parse("panic:0:2").unwrap();
+    cfg.restart = fast_restart();
+    let mut service = CompileService::start(cfg).unwrap();
+    check(&mut service, 1, SRC_A, "a", Emit::Both, false);
+    let doomed = serve(&mut service, 2, SRC_B, "b", Emit::Both);
+    assert_eq!(doomed.result.unwrap_err().kind, FailureKind::ShardPanic);
+    check(&mut service, 3, SRC_A, "a", Emit::Both, false);
+    check(&mut service, 4, SRC_A, "a", Emit::Both, true);
+    assert_eq!(service.metrics().shards[0].compile_time.count, 3);
+    let stats = service.shutdown();
+    assert_eq!((stats.panics(), stats.restarts()), (1, 1));
+    assert_eq!((stats.requests(), stats.cache_hits()), (4, 1));
+}
+
+/// Over a socket, a stats request sent right behind a repeat already
+/// counts it: the repeat is counted when it is answered, before the
+/// stats line is read, however slow the shard is.
+#[test]
+fn stats_over_a_socket_count_a_repeat_at_once() {
+    use gmc_serve::transport::{
+        self, Front, ListenAddr, SocketListener, SocketStream, TransportOptions,
+    };
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join("gmc_front_hit_stats_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr = ListenAddr::Unix(dir.join("stats.sock"));
+    let listener = SocketListener::bind(&addr).unwrap();
+    let mut cfg = config(8);
+    cfg.faults = FaultPlan::parse("delay:300").unwrap();
+    let service = CompileService::start(cfg).unwrap();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let serve_shutdown = Arc::clone(&shutdown);
+    let daemon = std::thread::spawn(move || {
+        transport::serve_front(
+            Front::Listen(listener),
+            service,
+            TransportOptions::default(),
+            &serve_shutdown,
+        )
+    });
+    let mut stream = SocketStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let compile = |id: u64| {
+        format!(
+            "{{\"id\":{id},\"name\":\"a\",\"emit\":\"both\",\"source\":\"{}\"}}\n",
+            SRC_A.replace('\n', "\\n")
+        )
+    };
+    let mut line = String::new();
+    stream.write_all(compile(1).as_bytes()).unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("{\"id\":1,\"ok\":true"), "{line}");
+    let burst = format!("{}{}", compile(2), "{\"op\":\"stats\",\"id\":3}\n");
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        replies.push(line.clone());
+    }
+    let repeat = replies
+        .iter()
+        .find(|l| l.starts_with("{\"id\":2,"))
+        .unwrap();
+    assert!(repeat.contains("\"cache_hit\":true"), "{repeat}");
+    let stats = replies
+        .iter()
+        .find(|l| l.starts_with("{\"id\":3,"))
+        .unwrap();
+    assert!(
+        stats.contains("\"total_requests\":2,\"total_hits\":1"),
+        "stats missed the repeat: {stats}"
+    );
+
+    stream.shutdown_write().unwrap();
+    shutdown.store(true, Ordering::SeqCst);
+    let (service, _) = daemon.join().unwrap().unwrap();
+    let _ = service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

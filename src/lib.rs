@@ -49,15 +49,17 @@
 //!   one-shot CLI and the service share the same implementation. It
 //!   sits on a hash-map-plus-linked-list LRU, so a hit, an insert and
 //!   an eviction each cost O(1) however full the cache is.
-//! * **Stored artifacts**: beside its session, each shard keeps the
-//!   files and report it rendered for each shape in a second such LRU
-//!   (`gmc_core::lru::Lru`), bounded by the chain cache's capacity. A
-//!   request still compiles through the session, so counters, recency
-//!   and snapshots stay exact; a hit whose stored entry was rendered
-//!   for the same `name` and `emit` is answered with those bytes, and
-//!   anything else renders afresh and replaces the entry. The JSONL
-//!   encoder escapes each file straight into the response line, eight
-//!   bytes at a time.
+//! * **Stored artifacts**: the service keeps the files and report its
+//!   shards rendered for each shape in a second such LRU
+//!   (`gmc_core::lru::Lru`), bounded by the shards' chain caches
+//!   together. A repeat of the same shape, `name` and `emit` is answered
+//!   from it by the thread that read the request, without a shard hop;
+//!   it counts as its shard's hit and reaches that shard's chain cache
+//!   as a recency touch on the shard's next job
+//!   (`CompileSession::touch`), so counters, recency and snapshots stay
+//!   as they would be had the repeat compiled there. Everything else
+//!   goes to a shard, which renders it. The JSONL encoder escapes each
+//!   file straight into the response line, eight bytes at a time.
 //! * **Warm-restart persistence** (`gmc_core::persist`): the cache
 //!   snapshots to a compact text format — shape descriptors (via
 //!   `ShapeInterner` dense ids) plus selected parenthesizations, never
