@@ -11,9 +11,8 @@
 //! picks, which the tests below check against exactly that model.
 //!
 //! A [`CompileSession`](crate::CompileSession) keeps its compiled chains
-//! in one; the `gmc-serve` service keeps the artifacts its shards
-//! rendered for each shape in another, bounded like their chain caches
-//! together.
+//! in one; the `gmc-serve` service keeps the artifacts a shard rendered
+//! for each shape in another per shard, bounded like its chain cache.
 //!
 //! ```
 //! use gmc_core::lru::Lru;

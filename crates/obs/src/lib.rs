@@ -38,8 +38,9 @@
 //! read). The serving-layer request histograms are not gated: they
 //! are a handful of relaxed atomics per *request* (not per stage) and
 //! the health/metrics endpoints depend on them. The measured
-//! end-to-end cost of tracing on vs off is recorded in
-//! `BENCH_serve.json` (`trace_overhead_pct`, required ≤ 3%).
+//! end-to-end cost of tracing on vs off, over requests that render on
+//! a shard, is recorded in `BENCH_serve.json` (`trace_overhead_pct`,
+//! required ≤ 3%).
 //!
 //! # Exposition format
 //!

@@ -12,18 +12,21 @@
 //!   threads, each owning one `CompileSession` (sessions are
 //!   single-threaded by design — one per worker, never shared). A shard
 //!   renders every request it serves.
-//! * **Repeats answered at the front door.** The service keeps the
-//!   artifacts of each shape's latest successful shard response in one
-//!   [`gmc_core::lru::Lru`], as large as the shards' chain caches
-//!   together ([`ServeConfig::cache_capacity`] × shards; `0` stores
-//!   nothing). [`CompileService::submit`] answers a repeat of the same
-//!   shape, `name` and `emit` itself, in the thread that read the
-//!   request: no queue, no shard wake-up, no event-queue post. The
-//!   repeat counts as a hit of the shard that rendered the bytes, and
-//!   its shape rides on that shard's next job as a *touch*, so the
-//!   shard's chain cache keeps the recency, evictions and snapshots it
-//!   would have had the repeat reached it. A `shard_panic` response
-//!   drops everything stored (see [`supervisor`]).
+//! * **Repeats answered at the front door.** For each shard the service
+//!   keeps the artifacts of each shape's latest successful response
+//!   from it in a [`gmc_core::lru::Lru`] as large as the shard's chain
+//!   cache ([`ServeConfig::cache_capacity`]; `0` stores nothing),
+//!   filled in the order the shard served them, so it evicts what the
+//!   cache evicts. [`CompileService::submit`] answers a repeat of the
+//!   same shape, `name` and `emit` itself, in the thread that read the
+//!   request (no queue, no shard wake-up, no event-queue post), when
+//!   the shard it routes to has no compile job out, so that the shard's
+//!   chain cache surely holds the chain. The repeat counts as that
+//!   shard's hit, and its shape rides on the shard's next job as a
+//!   *touch*, so the shard's chain cache keeps the recency, evictions
+//!   and snapshots it would have had the repeat reached it. A
+//!   `shard_panic` response drops what the service stored for that
+//!   shard (see [`supervisor`]).
 //! * **Two-choices routing with fallover.** [`CompileService::submit`]
 //!   parses the request in the submitting thread and routes it by
 //!   power-of-two-choices over live queue depths

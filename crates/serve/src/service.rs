@@ -223,9 +223,9 @@ pub struct ServeConfig {
     /// Compile options for every shard (must match a restored snapshot's
     /// fingerprint).
     pub options: CompileOptions,
-    /// Per-shard compiled-chain cache capacity. The service stores the
-    /// rendered artifacts of as many shapes as the shards' chain caches
-    /// hold together (`cache_capacity × shards`); `0` stores none.
+    /// Per-shard compiled-chain cache capacity. For each shard the
+    /// service stores the rendered artifacts of at most as many shapes;
+    /// `0` stores none.
     pub cache_capacity: usize,
     /// Snapshot file for warm restarts: the newest decodable generation
     /// is loaded on start (missing files = cold start; a corrupt
@@ -660,9 +660,6 @@ impl EventTx {
 struct Stored {
     name: String,
     emit: Emit,
-    /// The shard that rendered them: a repeat answered from the store
-    /// counts as its hit.
-    shard: usize,
     artifacts: Artifacts,
 }
 
@@ -709,13 +706,17 @@ pub struct CompileService {
     ready: VecDeque<CompileResponse>,
     /// Queued + in-flight per shard (admission control reads this).
     pending_by_shard: Vec<usize>,
-    /// The artifacts of each shape's latest successful shard response:
-    /// a repeat of its shape, `name` and `emit` is answered from here
-    /// (see [`CompileService::submit`]). Bounded like the shards' chain
-    /// caches together.
-    store: Lru<Shape, Stored>,
-    /// Per shard, the shapes answered from `store` as its hits since its
-    /// last job; its next job carries them.
+    /// Per shard, the artifacts of each shape's latest successful
+    /// response from it, bounded like its chain cache: a repeat of its
+    /// shape, `name` and `emit` is answered from here (see
+    /// [`CompileService::submit`]).
+    stores: Vec<Lru<Shape, Stored>>,
+    /// Per shard, compile jobs sent whose responses have not come back
+    /// (written-off ones included): while any is out, the shard's chain
+    /// cache may have evicted what its store still holds.
+    in_flight: Vec<usize>,
+    /// Per shard, the shapes answered from `stores` as its hits since
+    /// its last job; its next job carries them.
     touches: Vec<Vec<Shape>>,
     /// Most touches that wait for one shard (its chain-cache capacity);
     /// a full batch is sent on its own.
@@ -798,7 +799,10 @@ impl CompileService {
             deadlines: BTreeSet::new(),
             ready: VecDeque::new(),
             pending_by_shard: vec![0; shards],
-            store: Lru::new(config.cache_capacity.saturating_mul(shards)),
+            stores: (0..shards)
+                .map(|_| Lru::new(config.cache_capacity))
+                .collect(),
+            in_flight: vec![0; shards],
             touches: vec![Vec::new(); shards],
             touch_batch: config.cache_capacity,
             next_seq: 0,
@@ -923,21 +927,27 @@ impl CompileService {
     /// (parse, shed, all-shards-down) produce typed error *responses*,
     /// never errors here, so one bad request cannot stall a stream.
     ///
-    /// A repeat is answered here, in band: when the service stores a
-    /// rendering of the request's shape for its `name` and `emit` (every
-    /// successful shard response stores one, the latest per shape), the
-    /// response is ready at once, before routing, admission and
+    /// A repeat is answered here, in band: when the shard the request
+    /// routes to has no compile job out and the service stores its
+    /// rendering of the request's shape for the same `name` and `emit`
+    /// (every successful response stores one, the latest per shape and
+    /// shard), the response is ready at once, before admission and
     /// deadlines, and no shard is woken. Emission is a pure function of
     /// shape, options, `name` and `emit`, so the bytes are those the
-    /// shard would render. The repeat counts as a request and a
-    /// chain-cache hit of the shard that rendered them, and queues a
-    /// *touch* for it: the shard's next job carries its touches, and the
-    /// shard refreshes each chain in order
-    /// ([`CompileSession::touch`]) before that job, so its chain cache
-    /// evicts what it would have evicted had every repeat reached it. A
-    /// shard gets at most [`ServeConfig::cache_capacity`] touches at
-    /// once; a full batch is sent on its own. A `shard_panic` response
-    /// drops everything stored and every queued touch.
+    /// shard would render. A shard's store is as large as its chain cache
+    /// and takes the shard's responses in the order the shard served
+    /// them, so once every response is in it has evicted what the cache
+    /// evicted: the cache's other chains, restored ones no request has
+    /// reached since, are its oldest and go first. So with no job out the
+    /// shard's chain cache holds every shape stored for it, and the
+    /// repeat would have been its hit. It counts as a request and a
+    /// chain-cache hit of that shard, and queues a *touch* for it: the
+    /// shard's next job carries its touches, and the shard refreshes each
+    /// chain in order ([`CompileSession::touch`]) before that job, so its
+    /// chain cache evicts what it would have evicted had every repeat
+    /// reached it. A shard gets at most [`ServeConfig::cache_capacity`]
+    /// touches at once; a full batch is sent on its own. A `shard_panic`
+    /// response drops what the service stored for that shard.
     ///
     /// Admission control: if the target shard already holds
     /// [`ServeConfig::queue_cap`] requests, the request is shed with an
@@ -962,12 +972,21 @@ impl CompileService {
         let name = request.name.unwrap_or_else(|| program.lhs().to_lowercase());
         let shape = program.shape().clone();
         let emit = request.emit;
-        if let Some(stored) = self
-            .store
-            .get(&shape)
-            .filter(|s| s.name == name && s.emit == emit)
-        {
-            let shard = stored.shard;
+        let Some(shard) = self.pick_shard(&shape) else {
+            self.ready.push_back(CompileResponse::failure(
+                id,
+                FailureKind::ShardDown,
+                "every shard is down (circuit breakers open)",
+            ));
+            return;
+        };
+        let stored = match self.in_flight[shard] {
+            0 => self.stores[shard]
+                .get(&shape)
+                .filter(|s| s.name == name && s.emit == emit),
+            _ => None,
+        };
+        if let Some(stored) = stored {
             self.ready.push_back(CompileResponse {
                 id,
                 shard: Some(shard),
@@ -981,16 +1000,10 @@ impl CompileService {
             self.touch(shard, shape);
             return;
         }
-        let Some(shard) = self.pick_shard(&shape) else {
-            self.ready.push_back(CompileResponse::failure(
-                id,
-                FailureKind::ShardDown,
-                "every shard is down (circuit breakers open)",
-            ));
-            return;
-        };
         if self.pending_by_shard[shard] >= self.queue_cap {
-            self.shared[shard].shed.fetch_add(1, Relaxed);
+            self.shared[shard]
+                .shed
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             // Shed requests count in the end-to-end histogram too: every
             // response attributed to a shard is one recorded latency.
             self.shared[shard].e2e.record(submitted.elapsed());
@@ -1023,6 +1036,7 @@ impl CompileService {
         // A send only fails if the worker thread is gone (it exited
         // outside supervision); answer in-band so accounting balances.
         if self.send(shard, job).is_ok() {
+            self.in_flight[shard] += 1;
             self.outstanding.insert(
                 seq,
                 Outstanding {
@@ -1062,37 +1076,36 @@ impl CompileService {
         }
     }
 
-    /// Drop every stored artifact and queued touch: a shard discarded
-    /// its session, and what was rendered from it.
-    fn forget(&mut self) {
-        self.store.clear();
-        self.touches.iter_mut().for_each(Vec::clear);
-    }
-
     /// The exactly-once accept step: match a shard's posted response
     /// against the outstanding table; `None` for late responses to
     /// written-off requests (dropped to keep exactly-one-response).
-    /// Every successful response, late or not, stores its artifacts
-    /// under the job's shape, and a `shard_panic` drops the store.
+    /// Every successful response, late or not, stores its artifacts for
+    /// its shard under the job's shape, and a `shard_panic` drops
+    /// everything stored for the shard.
     fn accept(&mut self, r: Response) -> Option<CompileResponse> {
         let Response { job, response } = r;
         let seq = job.seq;
-        match (&response.result, response.shard) {
-            (Ok(artifacts), Some(shard)) if self.store.capacity() > 0 => {
-                let CompileJob {
-                    shape, name, emit, ..
-                } = *job;
-                let artifacts = artifacts.clone();
-                let stored = Stored {
-                    name,
-                    emit,
-                    shard,
-                    artifacts,
-                };
-                self.store.insert(shape, stored);
+        if let Some(shard) = response.shard {
+            self.in_flight[shard] = self.in_flight[shard].saturating_sub(1);
+            let store = &mut self.stores[shard];
+            match &response.result {
+                Ok(artifacts) if store.capacity() > 0 => {
+                    let CompileJob {
+                        shape, name, emit, ..
+                    } = *job;
+                    let artifacts = artifacts.clone();
+                    store.insert(
+                        shape,
+                        Stored {
+                            name,
+                            emit,
+                            artifacts,
+                        },
+                    );
+                }
+                Err(failure) if failure.kind == FailureKind::ShardPanic => store.clear(),
+                _ => {}
             }
-            (Err(failure), _) if failure.kind == FailureKind::ShardPanic => self.forget(),
-            _ => {}
         }
         if self.settle(seq).is_some() {
             Some(response)
@@ -1128,7 +1141,7 @@ impl CompileService {
             let out = self.settle(seq).expect("indexed deadlines are outstanding");
             self.shared[out.shard]
                 .deadline_exceeded
-                .fetch_add(1, Relaxed);
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.ready.push_back(CompileResponse::failure_on(
                 out.id,
                 Some(out.shard),
@@ -1177,15 +1190,15 @@ impl CompileService {
 
     /// A shard's worker thread exited while the service still holds its
     /// job sender: take it out of routing and write off its outstanding
-    /// requests, and drop what the service stored (some of it the dead
-    /// shard rendered). Supervised shards do not die — panics are caught
-    /// in the worker loop — so this is a backstop against bugs in the
-    /// supervisor itself. Results the shard posted before exiting are
-    /// ahead of this event in the queue, so only unanswered work is
-    /// written off.
+    /// requests, and drop what the service stored for it. Supervised
+    /// shards do not die — panics are caught in the worker loop — so
+    /// this is a backstop against bugs in the supervisor itself. Results
+    /// the shard posted before exiting are ahead of this event in the
+    /// queue, so only unanswered work is written off.
     fn shard_exited(&mut self, shard: usize) {
         self.shared[shard].set_state(ShardState::Down);
-        self.forget();
+        self.stores[shard].clear();
+        self.in_flight[shard] = 0;
         let seqs: Vec<u64> = self
             .outstanding
             .iter()
@@ -1330,7 +1343,7 @@ impl CompileService {
             .enumerate()
             .map(|(shard, s)| ShardStatus {
                 shard,
-                requests: s.requests.load(Relaxed),
+                requests: s.requests.load(std::sync::atomic::Ordering::Relaxed),
                 cache: s.cache(),
                 frags: CacheStats::default(),
             })
@@ -1343,6 +1356,7 @@ impl CompileService {
     /// `{"op":"health"}` request serves.
     #[must_use]
     pub fn health(&self) -> Vec<ShardHealth> {
+        use std::sync::atomic::Ordering::Relaxed;
         self.shared
             .iter()
             .enumerate()
@@ -1369,6 +1383,7 @@ impl CompileService {
     /// `--metrics-file` Prometheus dump serve.
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
+        use std::sync::atomic::Ordering::Relaxed;
         let shards = self
             .shared
             .iter()

@@ -31,18 +31,20 @@
 //!
 //! A shard renders every request it serves — the emitted files and the
 //! [`CompiledChain::describe`] report — and hands the job back with the
-//! response. The service stores those artifacts and answers a repeat of
-//! the same shape, `name` and `emit` itself, without a shard (see
-//! [`CompileService::submit`](crate::CompileService::submit)); such a
-//! repeat counts as a hit of the shard that rendered the bytes, and its
-//! shape rides on that shard's next job as a *touch*. The worker applies
-//! a job's touches in order ([`CompileSession::touch`]) before the job
-//! itself, so the chain cache's recency, and with it every eviction and
-//! snapshot, is what it would be had each repeat compiled here. The
-//! requests that do reach a shard are misses, and the hits the service
-//! has no rendering for: restored chains, another `name` or `emit`, or
-//! any hit after a panic, whose `shard_panic` response makes the service
-//! drop everything it stored.
+//! response. The service stores those artifacts for this shard, in a
+//! store as large as this shard's chain cache, and answers a repeat of
+//! the same shape, `name` and `emit` itself, without a shard, while this
+//! shard has no compile job out (see
+//! [`CompileService::submit`](crate::CompileService::submit)). Such a
+//! repeat counts as this shard's hit, and its shape rides on the shard's
+//! next job as a *touch*. The worker applies a job's touches in order
+//! ([`CompileSession::touch`]) before the job itself, so the chain
+//! cache's recency, and with it every eviction and snapshot, is what it
+//! would be had each repeat compiled here. The requests that do reach a
+//! shard are misses, and the hits the service has no rendering for:
+//! restored chains, another `name` or `emit`, a repeat queued behind
+//! another compile, or any hit after a panic, whose `shard_panic`
+//! response makes the service drop what it stored for the shard.
 //!
 //! Failures are counted in a sliding window; once `max_failures` accrue
 //! the circuit breaker opens and the shard goes [`ShardState::Down`]

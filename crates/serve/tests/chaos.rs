@@ -417,7 +417,8 @@ fn killed_shard_mid_stream_then_drained_snapshot_restores_bit_identical() {
     cold.submit(request(1, SRC_A));
     let baseline = cold.drain().remove(0).result.expect("cold compile");
     let _ = cold.snapshot(); // publish the rewarm source
-                             // Each repeat asks for a name of its own, so both reach the victim.
+
+    // Each repeat asks for a name of its own, so both reach the victim.
     cold.submit(named(request(2, SRC_A), "killed")); // killed mid-stream
     cold.submit(named(request(3, SRC_A), "retried")); // served warm after the restart
     cold.submit(request(4, SRC_B));

@@ -13,8 +13,8 @@ use gmc_ir::grammar::parse_program;
 use gmc_ir::Shape;
 use gmc_serve::fault::FaultPlan;
 use gmc_serve::{
-    Artifacts, CompileRequest, CompileResponse, CompileService, Emit, FailureKind, RestartPolicy,
-    ServeConfig,
+    route, Artifacts, CompileRequest, CompileResponse, CompileService, Emit, FailureKind,
+    RestartPolicy, ServeConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -257,6 +257,79 @@ fn a_repeat_answered_by_the_service_keeps_its_chain_recent() {
     );
     let stats = service.shutdown();
     assert_eq!(stats.shards[0].cache.evictions, 1);
+}
+
+/// The shapes a snapshot holds, in a stable order.
+fn held(service: &mut CompileService) -> Vec<Shape> {
+    let mut shapes: Vec<Shape> = service.snapshot().shapes().cloned().collect();
+    shapes.sort_by_key(|s| format!("{s:?}"));
+    shapes
+}
+
+/// What the service stores for a shard is bounded by that shard's chain
+/// cache, not by all the shards' together: at capacity 1 on two shards,
+/// A and then C on the same shard evict A there while the other shard
+/// holds nothing, so the repeat of A is a miss that compiles A again,
+/// and the snapshot holds A alone.
+#[test]
+fn a_shape_its_shard_evicted_is_not_answered_by_the_service() {
+    let chain = |n: usize| {
+        let decls: String = (0..n)
+            .map(|i| format!("Matrix M{i} <General, Singular>;"))
+            .collect();
+        let product: Vec<String> = (0..n).map(|i| format!("M{i}")).collect();
+        format!("{decls} X := {};", product.join(" * "))
+    };
+    let sources: Vec<String> = (2..12).map(chain).collect();
+    let home = |source: &String| route(&shape_of(source), 2);
+    let a = &sources[0];
+    let c = sources[1..]
+        .iter()
+        .find(|s| home(s) == home(a))
+        .expect("two chains share a home shard");
+    let mut cfg = config(1);
+    cfg.shards = 2;
+    let mut service = CompileService::start(cfg).unwrap();
+    check(&mut service, 1, a, "x", Emit::Both, false);
+    check(&mut service, 2, c, "x", Emit::Both, false);
+    check(&mut service, 3, a, "x", Emit::Both, false);
+    assert_eq!(held(&mut service), [shape_of(a)]);
+    let stats = service.shutdown();
+    assert_eq!((stats.requests(), stats.cache_hits()), (3, 0));
+    assert_eq!(stats.shards[home(a)].cache.evictions, 2);
+}
+
+/// A repeat that arrives while its shard still has a compile to run is
+/// not answered by the service: that compile may evict the repeated
+/// chain. At capacity 2 on one shard, after A and B, C and a repeat of A
+/// submitted back to back reach the shard in order: C evicts A, the
+/// repeat compiles A again and evicts B, and the snapshot holds C and A.
+#[test]
+fn a_repeat_behind_a_queued_compile_reaches_the_shard() {
+    let mut service = CompileService::start(config(2)).unwrap();
+    check(&mut service, 1, SRC_A, "a", Emit::Both, false);
+    check(&mut service, 2, SRC_B, "b", Emit::Both, false);
+    for (id, source, name) in [(3, SRC_C, "c"), (4, SRC_A, "a")] {
+        service.submit(CompileRequest {
+            id,
+            name: Some(name.to_string()),
+            source: source.to_string(),
+            emit: Emit::Both,
+            deadline: None,
+        });
+    }
+    let mut responses = service.drain();
+    responses.sort_by_key(|r| r.id);
+    let hits: Vec<bool> = responses.iter().map(|r| r.cache_hit).collect();
+    assert_eq!(hits, [false, false], "C and the repeat of A both compile");
+    let repeat = responses.pop().unwrap().result.unwrap();
+    assert_eq!(repeat, fresh(SRC_A, "a", Emit::Both));
+    let mut want = vec![shape_of(SRC_C), shape_of(SRC_A)];
+    want.sort_by_key(|s| format!("{s:?}"));
+    assert_eq!(held(&mut service), want);
+    let stats = service.shutdown();
+    assert_eq!((stats.requests(), stats.cache_hits()), (4, 0));
+    assert_eq!(stats.shards[0].cache.evictions, 2);
 }
 
 /// A panic drops what the service stored: the repeat after it reaches

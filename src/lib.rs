@@ -49,17 +49,19 @@
 //!   one-shot CLI and the service share the same implementation. It
 //!   sits on a hash-map-plus-linked-list LRU, so a hit, an insert and
 //!   an eviction each cost O(1) however full the cache is.
-//! * **Stored artifacts**: the service keeps the files and report its
-//!   shards rendered for each shape in a second such LRU
-//!   (`gmc_core::lru::Lru`), bounded by the shards' chain caches
-//!   together. A repeat of the same shape, `name` and `emit` is answered
-//!   from it by the thread that read the request, without a shard hop;
-//!   it counts as its shard's hit and reaches that shard's chain cache
-//!   as a recency touch on the shard's next job
-//!   (`CompileSession::touch`), so counters, recency and snapshots stay
-//!   as they would be had the repeat compiled there. Everything else
-//!   goes to a shard, which renders it. The JSONL encoder escapes each
-//!   file straight into the response line, eight bytes at a time.
+//! * **Stored artifacts**: for each shard the service keeps the files
+//!   and report the shard rendered for each shape in a second such LRU
+//!   (`gmc_core::lru::Lru`), as large as the shard's chain cache and
+//!   filled in the order the shard served them, so it evicts what the
+//!   cache evicts. A repeat of the same shape, `name` and `emit` is
+//!   answered from it by the thread that read the request, without a
+//!   shard hop, when its shard has no compile job out; it counts as
+//!   that shard's hit and reaches the shard's chain cache as a recency
+//!   touch on its next job (`CompileSession::touch`), so counters,
+//!   recency and snapshots stay as they would be had the repeat
+//!   compiled there. Everything else goes to a shard, which renders
+//!   it. The JSONL encoder escapes each file straight into the response
+//!   line, eight bytes at a time.
 //! * **Warm-restart persistence** (`gmc_core::persist`): the cache
 //!   snapshots to a compact text format — shape descriptors (via
 //!   `ShapeInterner` dense ids) plus selected parenthesizations, never
@@ -245,8 +247,9 @@
 //!   session records per-stage spans (parse → enumerate → dp → select
 //!   → expand → emit → execute) and per-kernel timings. `GMC_TRACE=off`
 //!   (or `CompileSession::set_tracing(false)`) reduces every
-//!   instrumented site to a single branch — measured warm-path cost of
-//!   tracing on vs off is recorded in `BENCH_serve.json` as
+//!   instrumented site to a single branch — the measured cost of
+//!   tracing on vs off, over a replay of chain-cache hits that each
+//!   render on a shard, is recorded in `BENCH_serve.json` as
 //!   `trace_overhead_pct` (required ≤ 3%). `gmcc --timings` prints the
 //!   per-file breakdown; `CompiledChain::timing_report` renders it
 //!   programmatically.
