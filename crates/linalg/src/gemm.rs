@@ -57,18 +57,8 @@
 //! [`gemm_with`] to amortize across repeated multiplies (e.g. chain
 //! execution), or use [`gemm`], which draws from a thread-local workspace
 //! and therefore performs **no allocation after the first call** on a
-//! given thread for a given problem size.
-//!
-//! # Parallelism
-//!
-//! With the `parallel` crate feature, [`gemm`] splits the `jc` column
-//! stripes of C across threads (each thread runs the full serial core on
-//! a disjoint column range, with its own thread-local workspace). The
-//! numeric result is identical to the serial kernel: every C element is
-//! still produced by exactly one thread in the same summation order.
-//! Caveat: the vendored rayon shim spawns OS threads per call (no pool),
-//! so the allocation-free workspace reuse below applies to the *serial*
-//! path; a pooled runtime is a ROADMAP follow-on.
+//! given thread for a given problem size. Every call runs serially on
+//! the calling thread; callers run independent multiplies side by side.
 //!
 //! # Small problems
 //!
@@ -204,12 +194,7 @@ pub fn gemm(
 /// when the problem clears [`BLOCKED_MIN_WORK`]).
 ///
 /// Use this when the caller executes many multiplies and wants packing
-/// buffers reused deterministically instead of per-thread. With the
-/// `parallel` feature on a multi-threaded host, wide problems still take
-/// the column-stripe split so the session path never loses GEMM
-/// parallelism: the calling thread packs its own stripe into `ws`, the
-/// other stripes use their threads' workspaces, and the result is
-/// bitwise identical either way.
+/// buffers reused deterministically instead of per-thread.
 ///
 /// # Panics
 ///
@@ -354,9 +339,7 @@ fn blocked_entry(
     TLS_WS.with(|ws| blocked_with(&mut ws.borrow_mut(), m, n, k, alpha, a, ta, b, tb, c));
 }
 
-/// The blocked kernel packing into `ws` (split into column stripes under
-/// the `parallel` feature, the calling thread's stripe still packing
-/// into `ws`).
+/// The blocked kernel packing into `ws`.
 #[allow(clippy::too_many_arguments)]
 fn blocked_with(
     ws: &mut GemmWorkspace,
@@ -373,24 +356,6 @@ fn blocked_with(
     let (ars, acs) = op_strides(a, ta);
     let (brs, bcs) = op_strides(b, tb);
     let ldc = c.rows();
-    #[cfg(feature = "parallel")]
-    if parallel_stripes(
-        ws,
-        m,
-        n,
-        k,
-        alpha,
-        a.as_slice(),
-        ars,
-        acs,
-        b.as_slice(),
-        brs,
-        bcs,
-        c.as_mut_slice(),
-        ldc,
-    ) {
-        return;
-    }
     gemm_core(
         ws,
         m,
@@ -406,66 +371,6 @@ fn blocked_with(
         c.as_mut_slice(),
         ldc,
     );
-}
-
-/// Split C's columns into tile-aligned stripes across threads; each
-/// stripe runs the serial core. The first stripe runs on the calling
-/// thread with `ws`, every other one on a spawned thread with that
-/// thread's thread-local workspace. Stripes are disjoint, so results are
-/// bitwise identical to the serial kernel. Returns `false` (doing
-/// nothing) when one thread — or too few columns — makes the split
-/// pointless; the caller then runs the serial core itself.
-#[cfg(feature = "parallel")]
-#[allow(clippy::too_many_arguments)]
-fn parallel_stripes(
-    ws: &mut GemmWorkspace,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    ars: usize,
-    acs: usize,
-    b: &[f64],
-    brs: usize,
-    bcs: usize,
-    c: &mut [f64],
-    ldc: usize,
-) -> bool {
-    let nrv = nr_runtime();
-    let threads = rayon::current_num_threads().min(n.div_ceil(2 * nrv)).max(1);
-    if threads <= 1 {
-        return false;
-    }
-    let cols_per = n.div_ceil(threads).div_ceil(nrv) * nrv;
-    let stripe = |ws: &mut GemmWorkspace, jc0: usize, c_chunk: &mut [f64]| {
-        let nc = c_chunk.len() / ldc;
-        gemm_core(
-            ws,
-            m,
-            nc,
-            k,
-            alpha,
-            a,
-            ars,
-            acs,
-            &b[jc0 * bcs..],
-            brs,
-            bcs,
-            c_chunk,
-            ldc,
-        );
-    };
-    rayon::scope(|s| {
-        let mut chunks = c.chunks_mut(cols_per * ldc);
-        let first = chunks.next().expect("threads > 1 implies n > 0");
-        for (chunk_idx, c_chunk) in chunks.enumerate() {
-            let jc0 = (chunk_idx + 1) * cols_per;
-            s.spawn(move |_| TLS_WS.with(|tls| stripe(&mut tls.borrow_mut(), jc0, c_chunk)));
-        }
-        stripe(ws, 0, first);
-    });
-    true
 }
 
 /// Iterate `(offset, len)` blocks of `total` in steps of `step`.
@@ -514,27 +419,6 @@ fn avx2_available() -> bool {
             CACHE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
             yes
         }
-    }
-}
-
-/// The micro-tile width the runtime dispatcher selects on this machine
-/// (used by the parallel column-stripe split; serial builds inline the
-/// choice inside [`gemm_core`]).
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-pub(crate) fn nr_runtime() -> usize {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            NR_AVX512
-        } else if avx2_available() {
-            NR_AVX2
-        } else {
-            NR_PORTABLE
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        NR_PORTABLE
     }
 }
 

@@ -938,7 +938,11 @@ impl CompileService {
     /// and takes the shard's responses in the order the shard served
     /// them, so once every response is in it has evicted what the cache
     /// evicted: the cache's other chains, restored ones no request has
-    /// reached since, are its oldest and go first. So with no job out the
+    /// reached since, are its oldest and go first. A lookup that does not
+    /// answer (another `name` or `emit`) leaves the store's order alone:
+    /// the request goes on to the shard, which may never refresh the
+    /// chain (its deadline may pass first), and a response that does
+    /// refresh it is stored on arrival. So with no job out the
     /// shard's chain cache holds every shape stored for it, and the
     /// repeat would have been its hit. It counts as a request and a
     /// chain-cache hit of that shard, and queues a *touch* for it: the
@@ -980,13 +984,14 @@ impl CompileService {
             ));
             return;
         };
-        let stored = match self.in_flight[shard] {
+        let answered = match self.in_flight[shard] {
             0 => self.stores[shard]
-                .get(&shape)
-                .filter(|s| s.name == name && s.emit == emit),
-            _ => None,
+                .peek(&shape)
+                .is_some_and(|s| s.name == name && s.emit == emit),
+            _ => false,
         };
-        if let Some(stored) = stored {
+        if answered {
+            let stored = self.stores[shard].get(&shape).expect("peeked above");
             self.ready.push_back(CompileResponse {
                 id,
                 shard: Some(shard),

@@ -8,7 +8,7 @@
 //! counters, and a panic's discarding of what was rendered.
 
 use gmc_codegen::{emit_cpp, emit_rust};
-use gmc_core::{CompileOptions, CompiledChain};
+use gmc_core::{CompileOptions, CompileSession, CompiledChain};
 use gmc_ir::grammar::parse_program;
 use gmc_ir::Shape;
 use gmc_serve::fault::FaultPlan;
@@ -16,6 +16,7 @@ use gmc_serve::{
     route, Artifacts, CompileRequest, CompileResponse, CompileService, Emit, FailureKind,
     RestartPolicy, ServeConfig,
 };
+use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
 const SRC_A: &str = "
@@ -332,6 +333,35 @@ fn a_repeat_behind_a_queued_compile_reaches_the_shard() {
     assert_eq!(stats.shards[0].cache.evictions, 2);
 }
 
+/// A lookup the service does not answer leaves the store's order alone.
+/// At capacity 2 on one shard, after A and B, a request for A under
+/// another name whose deadline has passed goes to the shard, which never
+/// reaches A's chain; C then evicts A there, so the store must evict A
+/// too. The repeat of A after that is a miss, and the snapshot holds C
+/// and A.
+#[test]
+fn a_lookup_that_does_not_answer_leaves_the_store_order_alone() {
+    let mut service = CompileService::start(config(2)).unwrap();
+    check(&mut service, 1, SRC_A, "a", Emit::Both, false);
+    check(&mut service, 2, SRC_B, "b", Emit::Both, false);
+    service.submit(CompileRequest {
+        id: 3,
+        name: Some("other".to_string()),
+        source: SRC_A.to_string(),
+        emit: Emit::Both,
+        deadline: Some(Duration::ZERO),
+    });
+    let late = service.recv().expect("one response per request");
+    assert_eq!(late.id, 3);
+    assert_eq!(late.result.unwrap_err().kind, FailureKind::DeadlineExceeded);
+    check(&mut service, 4, SRC_C, "c", Emit::Both, false);
+    check(&mut service, 5, SRC_A, "a", Emit::Both, false);
+    let mut want = vec![shape_of(SRC_C), shape_of(SRC_A)];
+    want.sort_by_key(|s| format!("{s:?}"));
+    assert_eq!(held(&mut service), want);
+    let _ = service.shutdown();
+}
+
 /// A panic drops what the service stored: the repeat after it reaches
 /// the restarted shard, which holds nothing (no snapshot was taken) and
 /// compiles it cold; the repeat after that is answered by the service.
@@ -350,6 +380,56 @@ fn after_a_panic_the_next_repeat_reaches_the_shard() {
     let stats = service.shutdown();
     assert_eq!((stats.panics(), stats.restarts()), (1, 1));
     assert_eq!((stats.requests(), stats.cache_hits()), (4, 1));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The service answers exactly what one session would. Each script
+    /// sends one shard at capacity 2 a run of requests for three shapes
+    /// under two names, some with a deadline that has already passed,
+    /// one at a time. A model session with the same options and capacity
+    /// compiles the shape of every request answered `Ok` (a repeat the
+    /// service answers itself is `Ok` even past its deadline): every
+    /// `Ok` response's hit flag must be the model's, and the final
+    /// snapshot must hold the model's shapes.
+    #[test]
+    fn the_service_answers_what_one_session_would(
+        script in proptest::collection::vec((0usize..3, 0usize..2, any::<bool>()), 6..20),
+    ) {
+        let sources = [SRC_A, SRC_B, SRC_C];
+        let mut service = CompileService::start(config(2)).unwrap();
+        let mut model = CompileSession::with_options(options());
+        model.set_chain_cache_capacity(2);
+        for (id, &(source, name, late)) in script.iter().enumerate() {
+            let id = id as u64;
+            service.submit(CompileRequest {
+                id,
+                name: Some(["x", "y"][name].to_string()),
+                source: sources[source].to_string(),
+                emit: Emit::Both,
+                deadline: late.then_some(Duration::ZERO),
+            });
+            let response = service.recv().expect("one response per request");
+            prop_assert_eq!(response.id, id);
+            if response.result.is_ok() {
+                let hits = model.cache_stats().hits;
+                model.compile(&shape_of(sources[source])).unwrap();
+                let hit = model.cache_stats().hits > hits;
+                prop_assert_eq!(
+                    response.cache_hit,
+                    hit,
+                    "cache_hit of request {} in {:?}",
+                    id,
+                    script
+                );
+            }
+        }
+        let mut want: Vec<Shape> = model.snapshot().shapes().cloned().collect();
+        want.sort_by_key(|s| format!("{s:?}"));
+        prop_assert_eq!(held(&mut service), want, "shapes held after {:?}", script);
+        let _ = service.shutdown();
+    }
 }
 
 /// Over a socket, a stats request sent right behind a repeat already

@@ -268,8 +268,8 @@
 //! `CompileSession` stage runs on its caller's thread, and the `gmcc`
 //! driver compiles whole batches (`gmcc a.gmc b.gmc --jobs N`) with one
 //! session per worker thread — or serves forever with `--serve`, one
-//! session per shard. The `parallel` cargo feature only splits the
-//! blocked GEMM into column stripes (`gmc-linalg`).
+//! session per shard. The kernels are serial too: every build runs one
+//! GEMM core, and no crate has cargo features.
 //!
 //! Selection latency is tracked in `BENCH_select.json`
 //! (`cargo run --release --bin bench_select`), the
